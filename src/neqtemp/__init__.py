@@ -62,8 +62,8 @@ from .thermometry import (
     von_neumann_entropy,
 )
 from .correlation import (
+    BipartiteFrame,
     BipartiteSystem,
-    ChiUnit,
     CorrelationReport,
     EffectiveHamiltonians,
     binding_energy,
@@ -71,8 +71,6 @@ from .correlation import (
     correlation_inverse_temperature,
     correlation_log_hamiltonian,
     correlation_operator,
-    effective_hamiltonians,
-    interaction_unit,
     mutual_information,
 )
 from .relation import (
@@ -80,7 +78,6 @@ from .relation import (
     RelationCoefficients,
     auxiliary_basis,
     expansion_coefficients,
-    global_hamiltonian_unit,
     large_bath_coefficients,
     relation_coefficients,
     tilde_inverse_temperatures,

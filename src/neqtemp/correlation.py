@@ -16,6 +16,11 @@ interaction, and O_chi the component of O_I orthogonal to the local
 directions. The 1/h_I factor is the Jacobian dU_chi = h_I h_chi dy_chi of
 the coordinate the derivative is taken along; it is required for the
 Gibbs-family identity beta_chi = -beta to hold.
+
+The clip-independent geometry (units, weights, overlaps, O_chi and the
+coefficients C of O1_SB) lives in one :class:`BipartiteFrame`, built once per
+system by ``BipartiteSystem.frame``; its builder alone defines the convention
+for a degenerate interaction (H_I_eff proportional to the identity).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import hamiltonian_unit
-from .exceptions import NumericalError, ValidationError
+from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_TOLS,
     DensityMatrix,
@@ -43,14 +48,12 @@ from .thermometry import DEFAULT_CLIP, von_neumann_entropy
 __all__ = [
     "BipartiteSystem",
     "EffectiveHamiltonians",
-    "ChiUnit",
+    "BipartiteFrame",
     "CorrelationReport",
-    "effective_hamiltonians",
     "correlation_operator",
     "binding_energy",
     "mutual_information",
     "correlation_log_hamiltonian",
-    "interaction_unit",
     "chi_unit",
     "correlation_inverse_temperature",
 ]
@@ -59,13 +62,14 @@ __all__ = [
 class BipartiteSystem:
     """Bipartite Hamiltonian data and joint state, with cached derived parts.
 
-    Marginals and effective Hamiltonians are computed once at construction;
+    Marginals and effective Hamiltonians are computed once at construction,
+    the total Hamiltonian and the :class:`BipartiteFrame` once on first use;
     instances are immutable afterwards and safe to share.
     """
 
     __slots__ = (
         "d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB",
-        "rho_S", "rho_B", "effective",
+        "rho_S", "rho_B", "effective", "_H_SB", "_frame",
     )
 
     def __init__(
@@ -92,6 +96,7 @@ class BipartiteSystem:
         self.rho_S = DensityMatrix(partial_trace(rho_SB.matrix, (d_S, d_B), keep=0), tols)
         self.rho_B = DensityMatrix(partial_trace(rho_SB.matrix, (d_S, d_B), keep=1), tols)
         self.effective = _effective_hamiltonians(self)
+        self._H_SB = self._frame = None
 
     @property
     def dim(self) -> int:
@@ -99,12 +104,18 @@ class BipartiteSystem:
 
     def H_SB(self) -> HermitianOperator:
         """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space."""
-        total = (
-            tensor_product(self.H_S, np.eye(self.d_B))
-            + tensor_product(np.eye(self.d_S), self.H_B)
-            + self.H_I.matrix
-        )
-        return HermitianOperator(total)
+        if self._H_SB is None:
+            self._H_SB = HermitianOperator(
+                self.embed_S(self.H_S) + self.embed_B(self.H_B) + self.H_I.matrix
+            )
+        return self._H_SB
+
+    @property
+    def frame(self) -> BipartiteFrame:
+        """The system's :class:`BipartiteFrame`, built on first access (see chi_unit)."""
+        if self._frame is None:
+            self._frame = _build_frame(self)
+        return self._frame
 
     def embed_S(self, op: HermitianOperator | np.ndarray) -> np.ndarray:
         """op x I_B on the joint space."""
@@ -130,29 +141,19 @@ class EffectiveHamiltonians:
 
 
 def _effective_hamiltonians(sys: BipartiteSystem) -> EffectiveHamiltonians:
-    dims = (sys.d_S, sys.d_B)
     hi = sys.H_I.matrix
-    lamb_S = partial_trace(sys.embed_B(sys.rho_B.matrix) @ hi, dims, keep=0)
-    lamb_B = partial_trace(sys.embed_S(sys.rho_S.matrix) @ hi, dims, keep=1)
-    mean = float(
-        np.trace(tensor_product(sys.rho_S.matrix, sys.rho_B.matrix) @ hi).real
-    )
-    hi_eff = (
-        hi
-        - tensor_product(lamb_S, np.eye(sys.d_B))
-        - tensor_product(np.eye(sys.d_S), lamb_B)
-        + mean * np.eye(sys.dim)
-    )
+    t = hi.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
+    # Tr_B[(I x rho_B) H_I], Tr_S[(rho_S x I) H_I] and Tr[(rho_S x rho_B) H_I],
+    # contracted index by index instead of through joint-space products.
+    lamb_S = np.einsum("ab,ibja->ij", sys.rho_B.matrix, t)
+    lamb_B = np.einsum("ik,kaic->ac", sys.rho_S.matrix, t)
+    mean = float(np.vdot(sys.rho_S.matrix, lamb_S).real)
+    hi_eff = hi - sys.embed_S(lamb_S) - sys.embed_B(lamb_B) + mean * np.eye(sys.dim)
     return EffectiveHamiltonians(
         H_S_eff=HermitianOperator(sys.H_S.matrix + lamb_S),
         H_B_eff=HermitianOperator(sys.H_B.matrix + lamb_B),
         H_I_eff=HermitianOperator(hi_eff),
     )
-
-
-def effective_hamiltonians(sys: BipartiteSystem) -> EffectiveHamiltonians:
-    """Effective local Hamiltonians and recentered interaction of ``sys``."""
-    return sys.effective
 
 
 def correlation_operator(sys: BipartiteSystem) -> HermitianOperator:
@@ -167,12 +168,12 @@ def binding_energy(sys: BipartiteSystem) -> float:
     Equal to Tr[chi H_I] and to Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]; the
     three expressions are cross-asserted.
     """
-    chi = correlation_operator(sys).matrix
-    u1 = float(np.trace(chi @ sys.effective.H_I_eff.matrix).real)
-    u2 = float(np.trace(chi @ sys.H_I.matrix).real)
-    hsb = sys.H_SB().matrix
     prod = tensor_product(sys.rho_S.matrix, sys.rho_B.matrix)
-    u3 = float(np.trace(sys.rho_SB.matrix @ hsb).real) - float(np.trace(prod @ hsb).real)
+    chi = sys.rho_SB.matrix - prod
+    hsb = sys.H_SB().matrix
+    u1 = float(np.vdot(chi, sys.effective.H_I_eff.matrix).real)
+    u2 = float(np.vdot(chi, sys.H_I.matrix).real)
+    u3 = float(np.vdot(sys.rho_SB.matrix, hsb).real) - float(np.vdot(prod, hsb).real)
     scale = max(1.0, abs(u1))
     if abs(u1 - u2) > 1e-10 * scale or abs(u1 - u3) > 1e-10 * scale:
         raise NumericalError(
@@ -207,70 +208,116 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
     )
 
 
-def interaction_unit(sys: BipartiteSystem) -> tuple[HermitianOperator, float]:
-    """Unit direction O_I and weight h_I of the effective interaction.
-
-    :raises DegenerateDirectionError: when H_I_eff is proportional to the
-        identity (which includes H_I = 0).
-    """
-    return hamiltonian_unit(sys.effective.H_I_eff)
+def _embedded_traces(sys: BipartiteSystem, o_s, o_b, m) -> tuple[float, float]:
+    """Tr[(o_s x I) m] and Tr[(I x o_b) m], as Tr[o_s Tr_B m] and Tr[o_b Tr_S m]."""
+    dims = (sys.d_S, sys.d_B)
+    return (
+        hs_inner(o_s, partial_trace(m, dims, keep=0)),
+        hs_inner(o_b, partial_trace(m, dims, keep=1)),
+    )
 
 
 @dataclass(frozen=True)
-class ChiUnit:
-    """O_chi and the local-frame data entering every correlation formula.
+class BipartiteFrame:
+    """Unit directions, weights, overlaps and expansion coefficients of a system.
 
-    ``overlap_S`` and ``overlap_B`` are Tr[O_I (O_S x I)] and
-    Tr[O_I (I x O_B)]; h_chi = sqrt(1 - overlap_S^2/d_B - overlap_B^2/d_S)
-    measures how much of the interaction direction survives orthogonalization
-    against the local directions.
+    O_S, O_B, O_I, O1_SB are the unit directions of H_S_eff, H_B_eff, H_I_eff,
+    H_SB with weights h_S, h_B, h_I, h_SB. ``overlap_S`` = Tr[O_I (O_S x I)]
+    and ``overlap_B`` = Tr[O_I (I x O_B)] are taken on the joint space, where
+    O_S x I has squared norm d_B; h_chi = sqrt(1 - overlap_S^2/d_B -
+    overlap_B^2/d_S) is the norm of O_I orthogonalized against the local
+    directions, O_chi that remainder normalized, and
+    O1_SB = C_S (O_S x I) + C_B (I x O_B) + C_chi O_chi.
+
+    Degenerate interaction (H_I_eff proportional to the identity, e.g.
+    H_I = 0): O_I = O_chi = None, h_I = overlap_S = overlap_B = C_chi = 0 and
+    h_chi = 1, so every relation weight reduces to its no-interaction form.
     """
 
-    O_chi: HermitianOperator
-    h_chi: float
     O_S: HermitianOperator
-    O_B: HermitianOperator
     h_S: float
+    O_B: HermitianOperator
     h_B: float
-    O_I: HermitianOperator
+    O1_SB: HermitianOperator
+    h_SB: float
+    O_I: HermitianOperator | None
     h_I: float
+    O_chi: HermitianOperator | None
+    h_chi: float
     overlap_S: float
     overlap_B: float
+    C_S: float
+    C_B: float
+    C_chi: float
 
 
-def chi_unit(sys: BipartiteSystem) -> ChiUnit:
-    """Orthogonalize O_I against the embedded local directions.
+def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
+    eff = sys.effective
+    o_s, h_s = hamiltonian_unit(eff.H_S_eff)
+    o_b, h_b = hamiltonian_unit(eff.H_B_eff)
+    o1, h_sb = hamiltonian_unit(sys.H_SB())
+    t_s, t_b = _embedded_traces(sys, o_s, o_b, o1)
+    try:
+        o_i, h_i = hamiltonian_unit(eff.H_I_eff)
+    except DegenerateDirectionError:
+        o_i, h_i, o_chi, h_chi, c_s, c_b, c_chi = None, 0.0, None, 1.0, 0.0, 0.0, 0.0
+    else:
+        c_s, c_b = _embedded_traces(sys, o_s, o_b, o_i)
+        h_chi_sq = 1.0 - c_s**2 / sys.d_B - c_b**2 / sys.d_S
+        if h_chi_sq <= 1e-20:
+            raise NumericalError(
+                "interaction direction lies in the span of the local directions; "
+                "no correlation direction remains (h_chi ~ 0)"
+            )
+        h_chi = math.sqrt(h_chi_sq)
+        o_chi = HermitianOperator(
+            (o_i.matrix - (c_s / sys.d_B) * sys.embed_S(o_s) - (c_b / sys.d_S) * sys.embed_B(o_b))
+            / h_chi
+        )
+        c_chi = hs_inner(o1, o_chi)
+    return BipartiteFrame(
+        O_S=o_s, h_S=h_s, O_B=o_b, h_B=h_b, O1_SB=o1, h_SB=h_sb,
+        O_I=o_i, h_I=h_i, O_chi=o_chi, h_chi=h_chi, overlap_S=c_s, overlap_B=c_b,
+        C_S=t_s / sys.d_B, C_B=t_b / sys.d_S, C_chi=c_chi,
+    )
 
-    Local units are built from the effective local Hamiltonians; overlaps are
-    evaluated on the joint space, where the embedded O_S x I has squared norm
-    d_B (hence the 1/d_B, 1/d_S weights).
 
+def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:
+    """The system's frame, for callers that need the correlation direction.
+
+    :raises DegenerateDirectionError: when H_I_eff is proportional to the
+        identity (which includes H_I = 0).
     :raises NumericalError: if the interaction direction lies entirely in the
         local span (h_chi at numerical zero).
     """
-    o_i, h_i = interaction_unit(sys)
-    o_s, h_s = hamiltonian_unit(sys.effective.H_S_eff)
-    o_b, h_b = hamiltonian_unit(sys.effective.H_B_eff)
-    emb_s = sys.embed_S(o_s)
-    emb_b = sys.embed_B(o_b)
-    c_s = hs_inner(o_i, HermitianOperator(emb_s))
-    c_b = hs_inner(o_i, HermitianOperator(emb_b))
-    h_chi_sq = 1.0 - c_s**2 / sys.d_B - c_b**2 / sys.d_S
-    if h_chi_sq <= 1e-20:
+    frame = sys.frame
+    if frame.O_I is None:
+        raise DegenerateDirectionError("H_I_eff is proportional to the identity")
+    return frame
+
+
+def _log_hamiltonian_traces(sys: BipartiteSystem, hh: HermitianOperator) -> tuple[float, float, float]:
+    """Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I] and beta_chi in the frame of ``sys``.
+
+    beta_chi is assembled in two cross-asserted forms; it is NaN when the
+    interaction direction is degenerate.
+    """
+    frame = sys.frame
+    t_os, t_ob = _embedded_traces(sys, frame.O_S, frame.O_B, hh)
+    if frame.O_I is None:
+        return t_os, t_ob, math.nan
+    beta_chi = -(
+        hs_inner(frame.O_I, hh)
+        - frame.overlap_S * t_os / sys.d_B
+        - frame.overlap_B * t_ob / sys.d_S
+    ) / (frame.h_I * frame.h_chi**2)
+    # Same derivative assembled through the orthogonalized direction itself.
+    beta_alt = -hs_inner(frame.O_chi, hh) / (frame.h_I * frame.h_chi)
+    if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
         raise NumericalError(
-            "interaction direction lies in the span of the local directions; "
-            "no correlation direction remains (h_chi ~ 0)"
+            f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}"
         )
-    h_chi = math.sqrt(h_chi_sq)
-    o_chi = HermitianOperator(
-        (o_i.matrix - (c_s / sys.d_B) * emb_s - (c_b / sys.d_S) * emb_b) / h_chi
-    )
-    return ChiUnit(
-        O_chi=o_chi, h_chi=h_chi,
-        O_S=o_s, O_B=o_b, h_S=h_s, h_B=h_b,
-        O_I=o_i, h_I=h_i,
-        overlap_S=c_s, overlap_B=c_b,
-    )
+    return t_os, t_ob, beta_chi
 
 
 @dataclass(frozen=True)
@@ -302,29 +349,17 @@ def correlation_inverse_temperature(
     globally Gibbs state this evaluates to exactly -beta; for a product state
     HH_I vanishes and beta_chi = 0 (T_chi -> infinity).
     """
-    cu = chi_unit(sys)
+    frame = chi_unit(sys)
     log_i = correlation_log_hamiltonian(sys, clip)
     hh = log_i.operator
-    t_oi = hs_inner(cu.O_I, hh)
-    t_os = hs_inner(HermitianOperator(sys.embed_S(cu.O_S)), hh)
-    t_ob = hs_inner(HermitianOperator(sys.embed_B(cu.O_B)), hh)
-    beta_chi = -(
-        t_oi - cu.overlap_S * t_os / sys.d_B - cu.overlap_B * t_ob / sys.d_S
-    ) / (cu.h_I * cu.h_chi**2)
-    # Same derivative assembled through the orthogonalized direction itself.
-    beta_alt = -hs_inner(cu.O_chi, hh) / (cu.h_I * cu.h_chi)
-    if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
-        raise NumericalError(
-            f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}"
-        )
     return CorrelationReport(
         chi=correlation_operator(sys),
         U_chi=binding_energy(sys),
         S_chi=mutual_information(sys),
-        beta_chi=beta_chi,
-        h_I=cu.h_I,
-        h_chi=cu.h_chi,
-        O_I=cu.O_I,
+        beta_chi=_log_hamiltonian_traces(sys, hh)[2],
+        h_I=frame.h_I,
+        h_chi=frame.h_chi,
+        O_I=frame.O_I,
         H_corr=hh,
         clipped=log_i.clipped,
     )

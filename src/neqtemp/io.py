@@ -172,7 +172,7 @@ def build_bipartite_system(doc: InputDocument) -> BipartiteSystem:
     )
 
 
-def extended_real(x: float, reason: str | None = None):
+def extended_real(x: float):
     """Serialize an extended real: finite float, 'inf', '-inf' or 'undefined'."""
     if math.isnan(x):
         return "undefined"
@@ -189,8 +189,8 @@ def _put_extended(out: dict, name: str, value: float, undefined_reason: str) -> 
 
 def temperature_report_dict(r: TemperatureReport) -> dict:
     out: dict = {}
-    _put_extended(out, "beta", r.beta, "")
-    _put_extended(out, "temperature", r.temperature, "")
+    _put_extended(out, "beta", r.beta, "Cov/Var is not a number (non-finite moments)")
+    _put_extended(out, "temperature", r.temperature, "beta is undefined")
     out["h"] = r.h
     out["covariance"] = r.covariance
     out["variance"] = r.variance
@@ -211,7 +211,7 @@ def correlation_report_dict(r: CorrelationReport) -> dict:
         "h_chi": r.h_chi,
         "clipped": r.clipped,
     }
-    _put_extended(out, "beta_chi", r.beta_chi, "")
+    _put_extended(out, "beta_chi", r.beta_chi, "non-finite correlation log-Hamiltonian")
     return out
 
 

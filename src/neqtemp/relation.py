@@ -17,31 +17,30 @@ derivative dS_chi/dU_S at fixed U_B and U_chi, evaluated in the operator
 frame frozen at the state. The first divisor of that derivative is the
 squared joint-space norm d_B of the embedded local direction (the printed
 special case with divisor 2 is its d_B = 2 instance).
+
+Units, overlaps and C are read from the system's BipartiteFrame, whose
+builder (in :mod:`neqtemp.correlation`) defines the degenerate-interaction
+convention C_chi = h_I = 0. Only HH_I depends on the clip; one HH_I per call
+feeds both the tilde and the correlation temperatures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .basis import hamiltonian_unit
 from .correlation import (
     BipartiteSystem,
-    ChiUnit,
-    chi_unit,
-    correlation_inverse_temperature,
+    _log_hamiltonian_traces,
     correlation_log_hamiltonian,
 )
-from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
-from .linalg import HermitianOperator, hs_inner
+from .exceptions import NumericalError, ValidationError
+from .linalg import HermitianOperator
 from .thermometry import DEFAULT_CLIP, inverse_temperature
 
 __all__ = [
     "AuxiliaryBasis",
     "RelationCoefficients",
-    "global_hamiltonian_unit",
     "expansion_coefficients",
     "auxiliary_basis",
     "relation_coefficients",
@@ -77,18 +76,6 @@ class RelationCoefficients:
     interaction_degenerate: bool = False
 
 
-def global_hamiltonian_unit(sys: BipartiteSystem) -> tuple[HermitianOperator, float]:
-    """Unit direction and weight of H_SB = H_S x I + I x H_B + H_I."""
-    return hamiltonian_unit(sys.H_SB())
-
-
-def _chi_unit_or_none(sys: BipartiteSystem) -> ChiUnit | None:
-    try:
-        return chi_unit(sys)
-    except DegenerateDirectionError:
-        return None
-
-
 def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
     """(C_S, C_B, C_chi) of O1_SB over the embedded local and chi directions.
 
@@ -96,18 +83,7 @@ def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
     C_chi = Tr[O1_SB O_chi]. When the interaction direction is degenerate
     (H_I_eff proportional to the identity) C_chi = 0 by convention.
     """
-    o1, _h = global_hamiltonian_unit(sys)
-    cu = _chi_unit_or_none(sys)
-    if cu is None:
-        o_s, _ = hamiltonian_unit(sys.effective.H_S_eff)
-        o_b, _ = hamiltonian_unit(sys.effective.H_B_eff)
-        c_s = hs_inner(o1, HermitianOperator(sys.embed_S(o_s))) / sys.d_B
-        c_b = hs_inner(o1, HermitianOperator(sys.embed_B(o_b))) / sys.d_S
-        return c_s, c_b, 0.0
-    c_s = hs_inner(o1, HermitianOperator(sys.embed_S(cu.O_S))) / sys.d_B
-    c_b = hs_inner(o1, HermitianOperator(sys.embed_B(cu.O_B))) / sys.d_S
-    c_chi = hs_inner(o1, cu.O_chi)
-    return c_s, c_b, c_chi
+    return sys.frame.C_S, sys.frame.C_B, sys.frame.C_chi
 
 
 @dataclass(frozen=True)
@@ -125,21 +101,16 @@ class AuxiliaryBasis:
 
 def auxiliary_basis(sys: BipartiteSystem) -> AuxiliaryBasis:
     """O2_SB and O3_SB spanning, with O1_SB, the local-plus-chi subspace."""
-    c_s, c_b, c_chi = expansion_coefficients(sys)
-    cu = _chi_unit_or_none(sys)
-    if cu is None:
-        o_s, _ = hamiltonian_unit(sys.effective.H_S_eff)
-        o_b, _ = hamiltonian_unit(sys.effective.H_B_eff)
-        emb_s, emb_b = sys.embed_S(o_s), sys.embed_B(o_b)
-    else:
-        emb_s, emb_b = sys.embed_S(cu.O_S), sys.embed_B(cu.O_B)
+    f = sys.frame
+    c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
+    emb_s, emb_b = sys.embed_S(f.O_S), sys.embed_B(f.O_B)
     o2 = HermitianOperator((c_b / sys.d_B) * emb_s - (c_s / sys.d_S) * emb_b)
-    if cu is None or c_chi == 0.0:
+    if c_chi == 0.0:
         return AuxiliaryBasis(O2_SB=o2, O3_SB=None, interaction_degenerate=True)
     o3 = HermitianOperator(
         c_s * emb_s
         + c_b * emb_b
-        - ((c_s**2 * sys.d_B + c_b**2 * sys.d_S) / c_chi) * cu.O_chi.matrix
+        - ((c_s**2 * sys.d_B + c_b**2 * sys.d_S) / c_chi) * f.O_chi.matrix
     )
     return AuxiliaryBasis(O2_SB=o2, O3_SB=o3, interaction_degenerate=False)
 
@@ -150,33 +121,23 @@ def relation_coefficients(sys: BipartiteSystem) -> RelationCoefficients:
     In the no-interaction degenerate case the weights reduce continuously to
     K_SB = (h_S^2 + h_B^2)/h_SB, b = h^2/h_SB, K_chi = 0.
     """
-    _o1, h_sb = global_hamiltonian_unit(sys)
-    c_s, c_b, c_chi = expansion_coefficients(sys)
-    cu = _chi_unit_or_none(sys)
+    f = sys.frame
+    c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
     denom = c_s**2 * sys.d_B + c_b**2 * sys.d_S
     if denom < 1e-14:
         raise NumericalError(
             "both local expansion coefficients vanish; relation weights undefined"
         )
-    if cu is None:
-        _os, h_s = hamiltonian_unit(sys.effective.H_S_eff)
-        _ob, h_b = hamiltonian_unit(sys.effective.H_B_eff)
-        return RelationCoefficients(
-            C_S=c_s, C_B=c_b, C_chi=0.0,
-            K_SB=h_sb * (c_s**2 + c_b**2),
-            b_S=c_s * h_s, b_B=c_b * h_b, K_chi=0.0,
-            h_SB=h_sb, interaction_degenerate=True,
-        )
-    k_sb = h_sb * (c_s**2 + c_b**2 + c_chi**2 * (c_s**2 + c_b**2) / denom)
-    k_chi = cu.h_I * (
-        c_chi * cu.h_chi * (c_s**2 + c_b**2) / denom
-        + (c_s / sys.d_B) * cu.overlap_S
-        + (c_b / sys.d_S) * cu.overlap_B
+    k_sb = f.h_SB * (c_s**2 + c_b**2 + c_chi**2 * (c_s**2 + c_b**2) / denom)
+    k_chi = f.h_I * (
+        c_chi * f.h_chi * (c_s**2 + c_b**2) / denom
+        + (c_s / sys.d_B) * f.overlap_S
+        + (c_b / sys.d_S) * f.overlap_B
     )
     return RelationCoefficients(
         C_S=c_s, C_B=c_b, C_chi=c_chi,
-        K_SB=k_sb, b_S=c_s * cu.h_S, b_B=c_b * cu.h_B, K_chi=k_chi,
-        h_SB=h_sb, interaction_degenerate=False,
+        K_SB=k_sb, b_S=c_s * f.h_S, b_B=c_b * f.h_B, K_chi=k_chi,
+        h_SB=f.h_SB, interaction_degenerate=f.O_I is None,
     )
 
 
@@ -188,37 +149,28 @@ def tilde_inverse_temperatures(
     beta_tilde_S = beta_S - dS_chi/dU_S with the derivative constrained to
     fixed U_B and U_chi:
 
-        dS_chi/dU_S = -Tr[(O_S x I) HH_I]/(d_B h_S)
-            + (overlap_S/(d_B h_S h_chi^2)) * (Tr[O_I HH_I]
-                - overlap_S Tr[(O_S x I) HH_I]/d_B
-                - overlap_B Tr[(I x O_B) HH_I]/d_S)
+        dS_chi/dU_S = -(Tr[(O_S x I) HH_I] + overlap_S h_I beta_chi)/(d_B h_S)
 
     and the mirror image for B (with divisor d_S). beta_S is the local
     inverse temperature of (rho_S, H_S_eff). When the interaction direction
-    is degenerate the overlap terms are absent and only the first term (with
+    is degenerate the overlap term is absent and only the first term (with
     HH_I of the possibly still correlated state) survives.
     """
-    eff = sys.effective
-    o_s, h_s = hamiltonian_unit(eff.H_S_eff)
-    o_b, h_b = hamiltonian_unit(eff.H_B_eff)
+    return _log_hamiltonian_temperatures(sys, clip)[:2]
+
+
+def _log_hamiltonian_temperatures(sys: BipartiteSystem, clip: float) -> tuple[float, float, float]:
+    """beta_tilde_S, beta_tilde_B and beta_chi (NaN if undefined) from one HH_I."""
+    f = sys.frame
     hh = correlation_log_hamiltonian(sys, clip).operator
-    t_os = hs_inner(HermitianOperator(sys.embed_S(o_s)), hh)
-    t_ob = hs_inner(HermitianOperator(sys.embed_B(o_b)), hh)
-    cu = _chi_unit_or_none(sys)
-    if cu is None:
-        common = 0.0
-        c_s = c_b = 0.0
-        h_chi_sq = 1.0
-    else:
-        t_oi = hs_inner(cu.O_I, hh)
-        c_s, c_b = cu.overlap_S, cu.overlap_B
-        h_chi_sq = cu.h_chi**2
-        common = t_oi - c_s * t_os / sys.d_B - c_b * t_ob / sys.d_S
-    ds_du_s = -t_os / (sys.d_B * h_s) + (c_s / (sys.d_B * h_s * h_chi_sq)) * common
-    ds_du_b = -t_ob / (sys.d_S * h_b) + (c_b / (sys.d_S * h_b * h_chi_sq)) * common
-    beta_s = inverse_temperature(sys.rho_S, eff.H_S_eff, clip).beta
-    beta_b = inverse_temperature(sys.rho_B, eff.H_B_eff, clip).beta
-    return beta_s - ds_du_s, beta_b - ds_du_b
+    t_os, t_ob, beta_chi = _log_hamiltonian_traces(sys, hh)
+    # Without an interaction direction the overlaps vanish and so does this term.
+    chi_part = 0.0 if f.O_I is None else f.h_I * beta_chi
+    ds_du_s = -(t_os + f.overlap_S * chi_part) / (sys.d_B * f.h_S)
+    ds_du_b = -(t_ob + f.overlap_B * chi_part) / (sys.d_S * f.h_B)
+    beta_s = inverse_temperature(sys.rho_S, sys.effective.H_S_eff, clip).beta
+    beta_b = inverse_temperature(sys.rho_B, sys.effective.H_B_eff, clip).beta
+    return beta_s - ds_du_s, beta_b - ds_du_b, beta_chi
 
 
 def verify_universal_relation(
@@ -232,21 +184,12 @@ def verify_universal_relation(
     """
     coeffs = relation_coefficients(sys)
     beta_sb = inverse_temperature(sys.rho_SB, sys.H_SB(), clip).beta
-    bt_s, bt_b = tilde_inverse_temperatures(sys, clip)
-    if coeffs.interaction_degenerate:
-        beta_chi = math.nan
-        chi_term = 0.0
-    else:
-        beta_chi = correlation_inverse_temperature(sys, clip).beta_chi
-        chi_term = coeffs.K_chi * beta_chi
+    bt_s, bt_b, beta_chi = _log_hamiltonian_temperatures(sys, clip)
+    chi_term = 0.0 if coeffs.interaction_degenerate else coeffs.K_chi * beta_chi
     residual = coeffs.K_SB * beta_sb - coeffs.b_S * bt_s - coeffs.b_B * bt_b + chi_term
-    return RelationCoefficients(
-        C_S=coeffs.C_S, C_B=coeffs.C_B, C_chi=coeffs.C_chi,
-        K_SB=coeffs.K_SB, b_S=coeffs.b_S, b_B=coeffs.b_B, K_chi=coeffs.K_chi,
-        h_SB=coeffs.h_SB,
-        beta_SB=beta_sb, beta_tilde_S=bt_s, beta_tilde_B=bt_b,
+    return replace(
+        coeffs, beta_SB=beta_sb, beta_tilde_S=bt_s, beta_tilde_B=bt_b,
         beta_chi=beta_chi, residual=residual,
-        interaction_degenerate=coeffs.interaction_degenerate,
     )
 
 
@@ -260,20 +203,12 @@ def large_bath_coefficients(sys: BipartiteSystem) -> RelationCoefficients:
         raise ValidationError(
             f"large-bath form needs d_B >= 4 d_S, got d_B={sys.d_B}, d_S={sys.d_S}"
         )
-    _o1, h_sb = global_hamiltonian_unit(sys)
-    c_s, c_b, c_chi = expansion_coefficients(sys)
-    cu = _chi_unit_or_none(sys)
-    if cu is None:
-        _ob, h_b = hamiltonian_unit(sys.effective.H_B_eff)
-        return RelationCoefficients(
-            C_S=c_s, C_B=c_b, C_chi=0.0,
-            K_SB=h_sb * c_b**2, b_S=0.0, b_B=h_b * c_b, K_chi=0.0,
-            h_SB=h_sb, interaction_degenerate=True,
-        )
-    k_sb = h_sb * (c_b**2 + c_chi**2 / sys.d_S)
-    k_chi = cu.h_I * (c_chi * cu.h_chi / sys.d_S + (c_b / sys.d_S) * cu.overlap_B)
+    f = sys.frame
+    c_b, c_chi = f.C_B, f.C_chi
+    k_sb = f.h_SB * (c_b**2 + c_chi**2 / sys.d_S)
+    k_chi = f.h_I * (c_chi * f.h_chi / sys.d_S + (c_b / sys.d_S) * f.overlap_B)
     return RelationCoefficients(
-        C_S=c_s, C_B=c_b, C_chi=c_chi,
-        K_SB=k_sb, b_S=0.0, b_B=cu.h_B * c_b, K_chi=k_chi,
-        h_SB=h_sb, interaction_degenerate=False,
+        C_S=f.C_S, C_B=c_b, C_chi=c_chi,
+        K_SB=k_sb, b_S=0.0, b_B=f.h_B * c_b, K_chi=k_chi,
+        h_SB=f.h_SB, interaction_degenerate=f.O_I is None,
     )

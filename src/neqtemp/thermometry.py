@@ -102,7 +102,7 @@ def internal_energy(rho: DensityMatrix, H: HermitianOperator) -> float:
     """U = Tr[rho H]."""
     if rho.dim != H.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
-    return float(np.trace(rho.matrix @ H.matrix).real)
+    return float(np.vdot(rho.matrix, H.matrix).real)
 
 
 def inverse_temperature(
@@ -132,9 +132,9 @@ def inverse_temperature(
     Hm = H.matrix
     tr_h = float(np.trace(Hm).real)
     tr_l = float(np.trace(L).real)
-    # Covariance form (moments w.r.t. the maximally mixed state).
-    cov = float(np.trace(Hm @ (-L)).real) / d - (tr_h / d) * (-tr_l / d)
-    var = float(np.trace(Hm @ Hm).real) / d - (tr_h / d) ** 2
+    # Covariance form (moments w.r.t. I/d); Tr[A B] = vdot(A, B) for Hermitian A.
+    cov = -float(np.vdot(Hm, L).real) / d - (tr_h / d) * (-tr_l / d)
+    var = float(np.vdot(Hm, Hm).real) / d - (tr_h / d) ** 2
     if var <= 0.0:  # unreachable past hamiltonian_unit, kept as a hard guard
         raise NumericalError("vanishing energy variance")
     beta_cov = cov / var
@@ -357,10 +357,10 @@ def heat_and_work(
     part is counted as work together with the Hamiltonian variation.
     """
     split = variation_split(rho, drho, tols)
-    dq = float(np.trace(drho.matrix @ H.matrix).real)
-    dw = float(np.trace(rho.matrix @ dH.matrix).real)
-    dq_e = float(np.trace(split.d_ev.matrix @ H.matrix).real)
-    dw_e = float(np.trace(split.d_ep.matrix @ H.matrix).real) + dw
+    dq = float(np.vdot(drho.matrix, H.matrix).real)
+    dw = float(np.vdot(rho.matrix, dH.matrix).real)
+    dq_e = float(np.vdot(split.d_ev.matrix, H.matrix).real)
+    dw_e = float(np.vdot(split.d_ep.matrix, H.matrix).real) + dw
     return HeatWork(
         conventional_heat=dq,
         conventional_work=dw,

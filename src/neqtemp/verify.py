@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import complete_basis, expand_state, hamiltonian_unit
-from .correlation import correlation_inverse_temperature
 from .exceptions import ValidationError
 from .linalg import DensityMatrix, HermitianOperator, eig_hermitian, hs_inner, matrix_log, tensor_product
 from .models import (
@@ -27,7 +26,7 @@ from .models import (
     sample_passive_pair,
     sample_full_rank,
 )
-from .relation import tilde_inverse_temperatures, verify_universal_relation
+from .relation import verify_universal_relation
 from .thermometry import heat_and_work, inverse_temperature, von_neumann_entropy
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_suites", "format_results"]

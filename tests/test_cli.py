@@ -9,10 +9,12 @@ import pytest
 from neqtemp.cli import SWEEP_HEADER, main
 from neqtemp.exceptions import ValidationError
 from neqtemp.io import (
+    correlation_report_dict,
     extended_real,
     matrix_from_pairs,
     matrix_to_pairs,
     parse_input_document,
+    temperature_report_dict,
 )
 
 
@@ -208,3 +210,22 @@ class TestDocumentParsing:
         assert extended_real(math.inf) == "inf"
         assert extended_real(-math.inf) == "-inf"
         assert extended_real(math.nan) == "undefined"
+
+    def test_undefined_fields_carry_reasons(self):
+        import dataclasses
+
+        from neqtemp.correlation import correlation_inverse_temperature
+        from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy
+        from neqtemp.thermometry import inverse_temperature
+
+        sys_ = build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.2, beta=1.0))
+        local = inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff)
+        temp = temperature_report_dict(
+            dataclasses.replace(local, beta=math.nan, temperature=math.nan)
+        )
+        corr = correlation_report_dict(
+            dataclasses.replace(correlation_inverse_temperature(sys_), beta_chi=math.nan)
+        )
+        for out, name in ((temp, "beta"), (temp, "temperature"), (corr, "beta_chi")):
+            assert out[name] == "undefined"
+            assert isinstance(out[name + "_reason"], str) and out[name + "_reason"]

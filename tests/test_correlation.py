@@ -18,8 +18,6 @@ from neqtemp.correlation import (
     correlation_inverse_temperature,
     correlation_log_hamiltonian,
     correlation_operator,
-    effective_hamiltonians,
-    interaction_unit,
     mutual_information,
 )
 from neqtemp.exceptions import DegenerateDirectionError, NumericalError, ValidationError
@@ -95,7 +93,7 @@ class TestEffectiveHamiltonians:
         rng = np.random.default_rng(5)
         for _ in range(10):
             sys = sample_bipartite(2, 3, 0.5, rng)
-            eff = effective_hamiltonians(sys)
+            eff = sys.effective
             hi = eff.H_I_eff.matrix
             mean_s = partial_trace(sys.embed_B(sys.rho_B.matrix) @ hi, (2, 3), 0)
             mean_b = partial_trace(sys.embed_S(sys.rho_S.matrix) @ hi, (2, 3), 1)
@@ -105,7 +103,7 @@ class TestEffectiveHamiltonians:
     def test_decomposition_reassembles_total(self):
         rng = np.random.default_rng(6)
         sys = sample_bipartite(2, 2, 0.5, rng)
-        eff = effective_hamiltonians(sys)
+        eff = sys.effective
         total = (
             tensor_product(eff.H_S_eff.matrix, np.eye(2))
             + tensor_product(np.eye(2), eff.H_B_eff.matrix)
@@ -120,7 +118,7 @@ class TestEffectiveHamiltonians:
     def test_no_interaction_is_identity_map(self):
         rng = np.random.default_rng(7)
         sys = sample_bipartite(2, 2, 0.0, rng)
-        eff = effective_hamiltonians(sys)
+        eff = sys.effective
         np.testing.assert_allclose(eff.H_S_eff.matrix, sys.H_S.matrix, atol=1e-13)
         np.testing.assert_allclose(eff.H_B_eff.matrix, sys.H_B.matrix, atol=1e-13)
 
@@ -219,7 +217,7 @@ class TestUnits:
     def test_two_qubit_weights(self):
         p = TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.3, beta=1.0)
         sys = build_two_qubit_xy(p)
-        _, h_i = interaction_unit(sys)
+        h_i = sys.frame.h_I
         assert h_i == pytest.approx(math.sqrt(2.0) * 0.3, rel=1e-10)
         cu = chi_unit(sys)
         assert cu.h_chi == pytest.approx(1.0, abs=1e-12)
@@ -230,7 +228,7 @@ class TestUnits:
     def test_interaction_unit_normalized(self):
         rng = np.random.default_rng(15)
         sys = sample_bipartite(2, 2, 0.6, rng)
-        o_i, _ = interaction_unit(sys)
+        o_i = sys.frame.O_I
         assert np.trace(o_i.matrix).real == pytest.approx(0.0, abs=1e-12)
         assert np.sum(np.abs(o_i.matrix) ** 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -238,7 +236,10 @@ class TestUnits:
         rng = np.random.default_rng(16)
         sys = sample_bipartite(2, 2, 0.0, rng)
         with pytest.raises(DegenerateDirectionError):
-            interaction_unit(sys)
+            chi_unit(sys)
+        frame = sys.frame
+        assert frame.O_I is None and frame.O_chi is None
+        assert (frame.h_I, frame.h_chi, frame.overlap_S, frame.C_chi) == (0.0, 1.0, 0.0, 0.0)
 
     def test_local_interaction_has_no_chi_direction(self):
         # H_I proportional to a purely local S operator leaves nothing after

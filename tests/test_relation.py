@@ -27,7 +27,6 @@ from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartit
 from neqtemp.relation import (
     auxiliary_basis,
     expansion_coefficients,
-    global_hamiltonian_unit,
     large_bath_coefficients,
     relation_coefficients,
     tilde_inverse_temperatures,
@@ -110,7 +109,7 @@ class TestExpansion:
         for i in range(500):
             d_b = 2 + i % 2
             sys = sample_bipartite(2, d_b, 0.5, rng)
-            o1, _ = global_hamiltonian_unit(sys)
+            o1 = sys.frame.O1_SB
             cu = chi_unit(sys)
             c_s, c_b, c_chi = expansion_coefficients(sys)
             recon = (
@@ -136,7 +135,7 @@ class TestAuxiliaryBasis:
         rng = np.random.default_rng(52)
         for _ in range(10):
             sys = sample_bipartite(2, 3, 0.5, rng)
-            o1, _ = global_hamiltonian_unit(sys)
+            o1 = sys.frame.O1_SB
             aux = auxiliary_basis(sys)
             assert not aux.interaction_degenerate
             assert abs(hs_inner(o1, aux.O2_SB)) < 1e-10
@@ -149,7 +148,7 @@ class TestAuxiliaryBasis:
         rng = np.random.default_rng(53)
         for _ in range(10):
             sys = sample_bipartite(2, 2, 0.5, rng)
-            o1, _ = global_hamiltonian_unit(sys)
+            o1 = sys.frame.O1_SB
             aux = auxiliary_basis(sys)
             cu = chi_unit(sys)
             ops = [
