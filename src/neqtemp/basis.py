@@ -10,13 +10,31 @@ antisymmetric pairs, then diagonal generators). That ordering makes bases
 deterministic and therefore golden-testable; any other completion is related
 to it by a tail rotation, which leaves every reported physical quantity
 unchanged.
+
+The completion runs in coefficient space. ``{I/sqrt(d)}`` together with the
+Gell-Mann family is itself an orthonormal frame, so every Hermitian operator
+is a real vector of length d^2 over it: candidate i is the unit vector e_i
+and each seed's coordinates come from one matrix product with the frame.
+Gram-Schmidt then works on those real vectors, projecting each candidate
+twice against the accepted rows (classical Gram-Schmidt with one
+reorthogonalization), and the operators come out of one contraction of the
+accepted rows with the frame. Candidate order and the ``DROP_TOL`` drop
+rule are those of the operator-space algorithm, so the bases agree with it
+to rounding; the second projection keeps them orthonormal to about 1e-15.
+The work grows as d^6, so :func:`complete_basis` refuses dimensions above
+``MAX_BASIS_DIM`` instead of running for minutes.
+
+:class:`OperatorBasis` owns its members as one read-only (d^2, d, d) array,
+``mats``, validated as a whole; the members it hands out are views of that
+array. Expansions and resummations over a basis are single matrix products
+with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +43,10 @@ from .linalg import (
     DEFAULT_TOLS,
     DensityMatrix,
     HermitianOperator,
-    hs_inner,
 )
 
 __all__ = [
+    "MAX_BASIS_DIM",
     "OperatorBasis",
     "StateCoordinates",
     "hamiltonian_unit",
@@ -42,13 +60,20 @@ __all__ = [
 #: Candidates whose post-projection norm falls below this are discarded.
 DROP_TOL = 1e-8
 
+#: Largest dimension :func:`complete_basis` accepts: the largest d whose
+#: completion finishes in under 1 s. Measured on a 2-core x86-64 VM (numpy
+#: 2.4, OpenBLAS, two threads): 0.62 s at d=32, 0.79 s at d=34, 1.2 s at
+#: d=35 and 1.8 s at d=36.
+MAX_BASIS_DIM = 34
+
 
 def hamiltonian_unit(H: HermitianOperator, tol_rank: float = DEFAULT_TOLS.rank) -> tuple[HermitianOperator, float]:
     """Normalized traceless part of H and its Hilbert-Schmidt weight h.
 
     Returns ``(O1, h)`` with ``O1 = (H - (Tr H / d) I)/h`` and
     ``h = sqrt(Tr[H^2] - (Tr H)^2/d)``. Adding a multiple of the identity to
-    H leaves the output unchanged.
+    H leaves the output unchanged, and so does rescaling H (up to h), however
+    small its entries.
 
     :raises DegenerateDirectionError: if H is proportional to the identity
         (the temperature direction is then undefined, the energy variance
@@ -59,8 +84,7 @@ def hamiltonian_unit(H: HermitianOperator, tol_rank: float = DEFAULT_TOLS.rank) 
     d = H.dim
     traceless = H.matrix - (H.trace / d) * np.eye(d)
     h = math.sqrt(max(0.0, float(np.sum(np.abs(traceless) ** 2))))
-    scale = max(1.0, float(np.max(np.abs(H.matrix))))
-    if h <= tol_rank * scale:
+    if h <= tol_rank * float(np.max(np.abs(H.matrix))):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
@@ -68,62 +92,109 @@ def hamiltonian_unit(H: HermitianOperator, tol_rank: float = DEFAULT_TOLS.rank) 
     return HermitianOperator(traceless / h), h
 
 
-def gell_mann_candidates(d: int) -> Iterator[np.ndarray]:
+def gell_mann_candidates(d: int) -> np.ndarray:
     """Generalized Gell-Mann family for dimension d, unit HS norm.
 
-    Yields, in this fixed order: symmetric generators
-    ``(|j><k| + |k><j|)/sqrt(2)`` for j < k lexicographically, then the
-    antisymmetric generators ``(-i|j><k| + i|k><j|)/sqrt(2)``, then the
-    diagonal generators ``diag(1,...,1,-l,0,...)/sqrt(l(l+1))``.
+    Returns a (d^2 - 1, d, d) stack holding, in this fixed order: symmetric
+    generators ``(|j><k| + |k><j|)/sqrt(2)`` for j < k lexicographically,
+    then the antisymmetric generators ``(-i|j><k| + i|k><j|)/sqrt(2)``, then
+    the diagonal generators ``diag(1,...,1,-l,0,...)/sqrt(l(l+1))``.
     """
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / math.sqrt(2.0)
-            yield m
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / math.sqrt(2.0)
-            m[k, j] = 1j / math.sqrt(2.0)
-            yield m
-    for level in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        norm = math.sqrt(level * (level + 1))
-        for j in range(level):
-            m[j, j] = 1.0 / norm
-        m[level, level] = -level / norm
-        yield m
+    j, k = np.triu_indices(d, 1)
+    pairs = np.arange(j.size)
+    s = 1.0 / math.sqrt(2.0)
+    out = np.zeros((d * d - 1, d, d), dtype=complex)
+    out[pairs, j, k] = out[pairs, k, j] = s
+    out[j.size + pairs, j, k] = -1j * s
+    out[j.size + pairs, k, j] = 1j * s
+    level = np.arange(1, d)
+    norm = np.sqrt(level * (level + 1.0))
+    diag = (np.arange(d) < level[:, None]) / norm[:, None]
+    diag[level - 1, level] = -level / norm
+    out[2 * j.size + level[:, None] - 1, np.arange(d), np.arange(d)] = diag
+    return out
 
 
-@dataclass(frozen=True)
+def _real_rows(mats: np.ndarray) -> np.ndarray:
+    """(n, 2 d^2) real view of a complex (n, d, d) stack.
+
+    Re Tr[A^dag B] is the dot product of two such rows, so Hilbert-Schmidt
+    inner products over a stack become one real matrix product.
+    """
+    return np.ascontiguousarray(mats).reshape(len(mats), -1).view(np.float64)
+
+
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """Ordered Hilbert-Schmidt orthonormal Hermitian basis of d^2 operators."""
+    """Ordered Hilbert-Schmidt orthonormal Hermitian basis of d^2 operators.
+
+    ``mats`` is given as a (d^2, d, d) stack or a sequence of d^2 matrices or
+    :class:`HermitianOperator` s. The basis validates it once, stores it
+    symmetrized and read-only, and hands out its members as views of it.
+    """
 
     dim: int
-    ops: tuple[HermitianOperator, ...]
+    mats: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         d = self.dim
-        if len(self.ops) != d * d:
-            raise ValidationError(f"basis must contain {d * d} operators, got {len(self.ops)}")
-        ident = np.eye(d) / math.sqrt(d)
-        if float(np.max(np.abs(self.ops[0].matrix - ident))) > 1e-12:
+        src = self.mats
+        if not isinstance(src, np.ndarray):
+            src = [getattr(m, "matrix", m) for m in src]
+        try:
+            a = np.asarray(src, dtype=complex)
+        except ValueError as exc:
+            raise ValidationError(f"basis members must be {d}x{d} matrices") from exc
+        if a.ndim != 3 or a.shape[1:] != (d, d):
+            raise ValidationError(f"basis members must be {d}x{d} matrices, got shape {a.shape}")
+        if len(a) != d * d:
+            raise ValidationError(f"basis must contain {d * d} operators, got {len(a)}")
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("basis has non-finite entries")
+        # Symmetrize and measure the deviation with two stack-sized buffers.
+        adj = a.conj().transpose(0, 2, 1)
+        mats = a + adj
+        mats *= 0.5
+        adj -= a
+        dev = float(np.max(np.abs(adj)))
+        if dev > DEFAULT_TOLS.herm:
+            raise ValidationError(f"basis operators are not Hermitian: max deviation {dev:.3e}")
+        mats.setflags(write=False)
+        object.__setattr__(self, "mats", mats)
+        if float(np.max(np.abs(mats[0] - np.eye(d) / math.sqrt(d)))) > 1e-12:
             raise ValidationError("ops[0] must be the normalized identity I/sqrt(d)")
-        mats = np.stack([op.matrix for op in self.ops])
         traces = np.einsum("kii->k", mats[1:])
         if traces.size and float(np.max(np.abs(traces))) > 1e-12:
             raise ValidationError("basis operators beyond ops[0] must be traceless")
-        gram = np.einsum("kij,lij->kl", mats.conj(), mats).real
-        dev = float(np.max(np.abs(gram - np.eye(d * d))))
+        rows = _real_rows(mats)
+        gram = rows @ rows.T
+        gram[np.diag_indices(d * d)] -= 1.0
+        dev = float(np.max(np.abs(gram)))
         if dev > 1e-10:
             raise ValidationError(f"basis is not HS-orthonormal: Gram deviation {dev:.3e}")
 
+    @cached_property
+    def ops(self) -> tuple[HermitianOperator, ...]:
+        """The members in order, as views of ``mats``."""
+        return tuple(HermitianOperator._of_checked(m) for m in self.mats)
+
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.mats)
 
     def __getitem__(self, i: int) -> HermitianOperator:
         return self.ops[i]
+
+    def coordinates(self, A: HermitianOperator) -> np.ndarray:
+        """Tr[O_i A] for every member O_i.
+
+        :raises ValidationError: if A is not Hermitian (then some Tr[O_i A]
+            are not real) or not d x d.
+        """
+        if not isinstance(A, HermitianOperator):
+            A = HermitianOperator(A)
+        if A.dim != self.dim:
+            raise ValidationError(f"dimension mismatch: operator {A.dim}, basis {self.dim}")
+        return _real_rows(self.mats) @ _real_rows(A.matrix[None])[0]
 
 
 @dataclass(frozen=True)
@@ -141,60 +212,75 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     """Complete ``(I/sqrt(d), *seeds)`` to a full orthonormal basis.
 
     Seeds must be traceless, unit-norm and mutually orthogonal; they are kept
-    verbatim at positions 1..len(seeds). Gell-Mann candidates are then
-    orthogonalized against everything accepted so far, keeping those whose
-    residual norm is at least ``DROP_TOL``.
+    at positions 1..len(seeds). Gell-Mann candidates are then orthogonalized
+    against everything accepted so far, keeping those whose residual norm is
+    at least ``DROP_TOL``. The work is done on real coordinate vectors over
+    the frame ``{I/sqrt(d)} + gell_mann_candidates(d)`` (see the module
+    docstring).
+
+    :raises ValidationError: for d outside ``1..MAX_BASIS_DIM``, before any
+        allocation, or for seeds that break the conditions above.
     """
-    if d < 1 or d > 256:
-        raise ValidationError(f"unsupported basis dimension {d}")
-    accepted: list[np.ndarray] = [np.eye(d, dtype=complex) / math.sqrt(d)]
+    if d < 1 or d > MAX_BASIS_DIM:
+        raise ValidationError(
+            f"unsupported basis dimension {d}; complete_basis accepts 1..{MAX_BASIS_DIM}"
+        )
+    seed_mats: list[np.ndarray] = []
     for s in seeds:
         m = s.matrix if isinstance(s, HermitianOperator) else HermitianOperator(s).matrix
         if m.shape != (d, d):
             raise ValidationError("seed dimension mismatch")
         if abs(np.trace(m)) > 1e-10:
             raise ValidationError("seeds must be traceless")
-        for prev in accepted[1:]:
+        for prev in seed_mats:
             if abs(np.sum(prev.conj() * m).real) > 1e-10:
                 raise ValidationError("seeds must be mutually orthogonal")
         norm = math.sqrt(float(np.sum(np.abs(m) ** 2)))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError("seeds must have unit Hilbert-Schmidt norm")
-        accepted.append(m)
-    for cand in gell_mann_candidates(d):
-        if len(accepted) == d * d:
+        seed_mats.append(m)
+    n = d * d
+    frame = np.concatenate([np.eye(d, dtype=complex)[None] / math.sqrt(d), gell_mann_candidates(d)])
+    # Row k holds the frame coordinates of accepted operator k.
+    rows = np.zeros((n, n))
+    rows[0, 0] = 1.0
+    kept = 1 + len(seed_mats)
+    if seed_mats:
+        rows[1:kept] = _real_rows(np.stack(seed_mats)) @ _real_rows(frame).T
+    for i in range(1, n):
+        if kept == n:
             break
-        v = cand.copy()
-        for prev in accepted:
-            v -= np.sum(prev.conj() * v) * prev
-        v = (v + v.conj().T) / 2.0
-        norm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
+        acc = rows[:kept]
+        # Candidate e_i minus its projection on the accepted rows, then a
+        # second projection to remove what rounding left of them.
+        v = -(acc[:, i] @ acc)
+        v[i] += 1.0
+        v -= (acc @ v) @ acc
+        norm = math.sqrt(float(v @ v))
         if norm >= DROP_TOL:
-            accepted.append(v / norm)
-    if len(accepted) != d * d:
+            rows[kept] = v / norm
+            kept += 1
+    if kept != n:
         raise ValidationError(
-            f"basis completion produced {len(accepted)} of {d * d} operators; "
+            f"basis completion produced {kept} of {n} operators; "
             "seeds were likely not independent of the candidate family"
         )
-    return OperatorBasis(d, tuple(HermitianOperator(m) for m in accepted))
+    mats = (rows @ _real_rows(frame)).view(complex).reshape(n, d, d)
+    return OperatorBasis(d, mats)
 
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:
     """Coordinates x_i = Tr[rho O_i]; satisfies Parseval and reconstruction."""
     if rho.dim != basis.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
-    x = np.array([hs_inner(op, rho.operator) for op in basis.ops])
-    return StateCoordinates(x)
+    return StateCoordinates(basis.coordinates(rho.operator))
 
 
 def reconstruct_state(coords: StateCoordinates, basis: OperatorBasis) -> np.ndarray:
     """Resum sum_i x_i O_i; inverse of expand_state."""
     if coords.x.size != len(basis):
         raise ValidationError("coordinate count does not match basis size")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for xi, op in zip(coords.x, basis.ops):
-        out += xi * op.matrix
-    return out
+    return np.tensordot(coords.x, basis.mats, axes=1)
 
 
 def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
@@ -207,10 +293,8 @@ def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
     r = np.array(R, dtype=float)
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")
-    dev = float(np.max(np.abs(r.T @ r - np.eye(n)))) if n else 0.0
+    dev = float(np.max(np.abs(r.T @ r - np.eye(n))))
     if dev > 1e-10:
         raise ValidationError(f"rotation matrix is not orthogonal: deviation {dev:.3e}")
-    tail = np.stack([op.matrix for op in basis.ops[2:]]) if n else np.zeros((0, basis.dim, basis.dim))
-    new_tail = np.einsum("ik,iab->kab", r, tail)
-    ops = basis.ops[:2] + tuple(HermitianOperator(m) for m in new_tail)
-    return OperatorBasis(basis.dim, ops)
+    new_tail = np.tensordot(r.T, basis.mats[2:], axes=1)
+    return OperatorBasis(basis.dim, np.concatenate([basis.mats[:2], new_tail]))

@@ -61,7 +61,7 @@ def cmd_temp(args) -> int:
     from .thermometry import inverse_temperature
 
     clip = args.clip if args.clip is not None else doc.clip
-    rho = DensityMatrix(doc.matrices["rho"])
+    rho = DensityMatrix(HermitianOperator(doc.matrices["rho"], tol_herm=doc.tol))
     h = HermitianOperator(doc.matrices["H"], tol_herm=doc.tol)
     report = inverse_temperature(rho, h, clip)
     if args.strict and (report.rank_deficient or report.clipped):
@@ -84,8 +84,11 @@ def cmd_bipartite(args) -> int:
     rel = verify_universal_relation(sys_, clip)
     local_s = inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff, clip)
     local_b = inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff, clip)
-    if args.strict and corr.clipped:
-        raise NumericalError("strict mode: a logarithm was clipped")
+    if args.strict and (
+        corr.clipped or local_s.rank_deficient or local_b.rank_deficient
+        or sys_.rho_SB.rank < sys_.rho_SB.dim
+    ):
+        raise NumericalError("strict mode: a state is rank deficient or a logarithm was clipped")
     body = {
         "local_S": temperature_report_dict(local_s),
         "local_B": temperature_report_dict(local_b),
@@ -173,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bi = sub.add_parser("bipartite", help="bipartite temperature and relation report")
     p_bi.add_argument("input", help="JSON input document ('-' for stdin)")
     p_bi.add_argument("--strict", action="store_true",
-                      help="treat clipping as an error (exit 2)")
+                      help="treat rank deficiency / clipping of rho_SB, rho_S or rho_B as an error (exit 2)")
     add_common(p_bi)
     p_bi.set_defaults(fn=cmd_bipartite)
 

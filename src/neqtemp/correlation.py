@@ -229,8 +229,9 @@ class BipartiteFrame:
     directions, O_chi that remainder normalized, and
     O1_SB = C_S (O_S x I) + C_B (I x O_B) + C_chi O_chi.
 
-    Degenerate interaction (H_I_eff proportional to the identity, e.g.
-    H_I = 0): O_I = O_chi = None, h_I = overlap_S = overlap_B = C_chi = 0 and
+    Degenerate interaction (H_I_eff proportional to the identity to within
+    rounding on the scale of H_I, e.g. H_I = 0, H_I proportional to I, or a
+    local H_I): O_I = O_chi = None, h_I = overlap_S = overlap_B = C_chi = 0 and
     h_chi = 1, so every relation weight reduces to its no-interaction form.
     """
 
@@ -260,6 +261,11 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
     try:
         o_i, h_i = hamiltonian_unit(eff.H_I_eff)
     except DegenerateDirectionError:
+        o_i, h_i = None, 0.0
+    # H_I_eff is H_I minus its mean-field parts; when those cancel it exactly
+    # (H_I proportional to I, or local), rounding leaves a residue of order
+    # eps * max|H_I| that is no direction, so judge h_I on H_I's scale.
+    if o_i is None or h_i <= DEFAULT_TOLS.rank * float(np.max(np.abs(sys.H_I.matrix))):
         o_i, h_i, o_chi, h_chi, c_s, c_b, c_chi = None, 0.0, None, 1.0, 0.0, 0.0, 0.0
     else:
         c_s, c_b = _embedded_traces(sys, o_s, o_b, o_i)

@@ -168,7 +168,7 @@ def build_bipartite_system(doc: InputDocument) -> BipartiteSystem:
         HermitianOperator(doc.matrices["H_S"], tol_herm=doc.tol),
         HermitianOperator(doc.matrices["H_B"], tol_herm=doc.tol),
         HermitianOperator(doc.matrices["H_I"], tol_herm=doc.tol),
-        DensityMatrix(doc.matrices["rho_SB"]),
+        DensityMatrix(HermitianOperator(doc.matrices["rho_SB"], tol_herm=doc.tol)),
     )
 
 

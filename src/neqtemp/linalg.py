@@ -117,6 +117,17 @@ class HermitianOperator:
             )
         self.matrix: np.ndarray = _frozen((a + a.conj().T) / 2.0)
 
+    @classmethod
+    def _of_checked(cls, matrix: np.ndarray) -> "HermitianOperator":
+        """Wrap a read-only matrix that is already exactly Hermitian.
+
+        No copy and no check: for containers that validated and symmetrized
+        a whole stack of operators at once and hand out views of it.
+        """
+        op = object.__new__(cls)
+        op.matrix = matrix
+        return op
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -212,10 +212,8 @@ def generalized_gibbs_decomposition(
         raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
     report = inverse_temperature(rho, H, clip)
     logr = matrix_log(rho, clip).operator
-    c = np.array([hs_inner(basis[i], logr) for i in range(2, len(basis))])
-    exponent = -report.beta * H.matrix
-    for ci, op in zip(c, basis.ops[2:]):
-        exponent = exponent + ci * op.matrix
+    c = basis.coordinates(logr)[2:]
+    exponent = -report.beta * H.matrix + np.tensordot(c, basis.mats[2:], axes=1)
     w = eig_hermitian(HermitianOperator(exponent)).eigenvalues
     m = float(w[-1])
     log_norm = m + math.log(float(np.sum(np.exp(w - m))))
@@ -226,9 +224,11 @@ def reconstruct_generalized_gibbs(
     form: GeneralizedGibbsForm, H: HermitianOperator, basis: OperatorBasis
 ) -> np.ndarray:
     """Evaluate exp(-beta H + sum c_i O_i - log_norm I)."""
-    exponent = -form.beta * H.matrix - form.log_norm * np.eye(H.dim)
-    for ci, op in zip(form.c, basis.ops[2:]):
-        exponent = exponent + ci * op.matrix
+    exponent = (
+        -form.beta * H.matrix
+        - form.log_norm * np.eye(H.dim)
+        + np.tensordot(form.c, basis.mats[2:], axes=1)
+    )
     return matrix_exp(HermitianOperator(exponent)).matrix
 
 
@@ -253,9 +253,7 @@ def helmholtz_free_energy(
     f = report.internal_energy - t * report.entropy
     logr = matrix_log(rho, clip).operator
     coords = expand_state(rho, basis)
-    tail = sum(
-        hs_inner(basis[i], logr) * coords.x[i] for i in range(2, len(basis))
-    )
+    tail = float(basis.coordinates(logr)[2:] @ coords.x[2:])
     d = rho.dim
     f_alt = t * (tail + float(np.trace(logr.matrix).real) / d) + H.trace / d
     if abs(f - f_alt) > 1e-10 * max(1.0, abs(f)):

@@ -121,8 +121,7 @@ def suite_basis_invariance(seed: int, count: int) -> SuiteResult:
         res.record("|beta rotation shift|", abs(beta0 - beta1), 1e-10, f"(d={d})")
 
         def tail_sum(b):
-            x = expand_state(rho, b).x
-            return sum(hs_inner(b[i], logr) * x[i] for i in range(2, len(b)))
+            return float(b.coordinates(logr)[2:] @ expand_state(rho, b).x[2:])
 
         res.record(
             "|Helmholtz tail shift|",

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from neqtemp import basis as basis_module
 from neqtemp.basis import (
+    MAX_BASIS_DIM,
     OperatorBasis,
     complete_basis,
     expand_state,
@@ -32,6 +34,46 @@ def full_rank(d, rng):
     p /= p.sum()
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return DensityMatrix.from_spectrum(p, q)
+
+
+def reference_candidates(d):
+    """The Gell-Mann family built entry by entry, in the documented order."""
+    out = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / math.sqrt(2.0)
+            out.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / math.sqrt(2.0)
+            m[k, j] = 1j / math.sqrt(2.0)
+            out.append(m)
+    for level in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        norm = math.sqrt(level * (level + 1))
+        for j in range(level):
+            m[j, j] = 1.0 / norm
+        m[level, level] = -level / norm
+        out.append(m)
+    return out
+
+
+def reference_completion(d, seeds):
+    """Modified Gram-Schmidt on the operators themselves, one candidate at a time."""
+    accepted = [np.eye(d, dtype=complex) / math.sqrt(d)] + [s.matrix for s in seeds]
+    for cand in reference_candidates(d):
+        if len(accepted) == d * d:
+            break
+        v = cand.copy()
+        for prev in accepted:
+            v -= np.sum(prev.conj() * v) * prev
+        v = (v + v.conj().T) / 2.0
+        norm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
+        if norm >= 1e-8:
+            accepted.append(v / norm)
+    return np.stack(accepted)
 
 
 class TestHamiltonianUnit:
@@ -79,6 +121,12 @@ class TestGellMannCandidates:
             for b in cands[i + 1:]:
                 assert abs(np.sum(a.conj() * b)) < 1e-14
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_reference_construction(self, d):
+        np.testing.assert_array_equal(
+            gell_mann_candidates(d), np.array(reference_candidates(d)).reshape(d * d - 1, d, d)
+        )
+
     def test_qubit_family_is_pauli(self):
         cands = list(gell_mann_candidates(2))
         np.testing.assert_allclose(cands[0], SX / math.sqrt(2.0), atol=1e-14)
@@ -110,6 +158,17 @@ class TestCompleteBasis:
             gram = np.einsum("kij,lij->kl", mats.conj(), mats).real
             assert np.max(np.abs(gram - np.eye(d * d))) < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_matches_operator_space_gram_schmidt(self, d):
+        # Same candidates, order and drop rule; only the rounding differs.
+        rng = np.random.default_rng(40 + d)
+        o1, _ = hamiltonian_unit(gue(d, rng))
+        diagonal = HermitianOperator(reference_candidates(d)[-1])
+        for seeds in ([], [o1], [diagonal]):
+            np.testing.assert_allclose(
+                complete_basis(d, seeds).mats, reference_completion(d, seeds), atol=1e-12
+            )
+
     def test_rejects_traceful_seed(self):
         with pytest.raises(ValidationError):
             complete_basis(2, [HermitianOperator(np.eye(2) / math.sqrt(2.0))])
@@ -118,10 +177,64 @@ class TestCompleteBasis:
         with pytest.raises(ValidationError):
             complete_basis(2, [HermitianOperator(SZ)])
 
+    def test_rejects_dimension_above_cap_before_allocating(self, monkeypatch):
+        def no_candidates(d):
+            raise AssertionError("candidates built above the dimension cap")
+
+        monkeypatch.setattr(basis_module, "gell_mann_candidates", no_candidates)
+        with pytest.raises(ValidationError, match="unsupported basis dimension"):
+            complete_basis(MAX_BASIS_DIM + 1, [])
+
+    def test_builds_at_cap(self):
+        d = MAX_BASIS_DIM
+        o1, _ = hamiltonian_unit(gue(d, np.random.default_rng(11)))
+        basis = complete_basis(d, [o1])
+        assert len(basis) == d * d
+        np.testing.assert_allclose(basis[1].matrix, o1.matrix, atol=1e-14)
+        gram = basis.mats.reshape(d * d, -1).conj() @ basis.mats.reshape(d * d, -1).T
+        assert np.max(np.abs(gram - np.eye(d * d))) < 1e-12
+
+    def test_members_are_views_of_the_read_only_stack(self):
+        basis = complete_basis(3, [])
+        assert basis.mats.shape == (9, 3, 3)
+        assert not basis.mats.flags.writeable
+        assert len(basis.ops) == len(basis) == 9
+        for op, m in zip(basis.ops, basis.mats):
+            assert np.shares_memory(op.matrix, basis.mats)
+            np.testing.assert_array_equal(op.matrix, m)
+            np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
+
     def test_basis_invariant_checks(self):
         good = complete_basis(2, [])
         with pytest.raises(ValidationError):
             OperatorBasis(2, good.ops[1:] + good.ops[:1])
+
+    def test_accepts_members_or_stack(self):
+        good = complete_basis(3, [])
+        for given in (good.ops, good.mats, list(good.mats)):
+            np.testing.assert_array_equal(OperatorBasis(3, given).mats, good.mats)
+
+    def test_rejects_non_hermitian_or_misshapen_members(self):
+        good = complete_basis(2, [])
+        skewed = np.array(good.mats)
+        skewed[1, 0, 1] += 1e-6
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            OperatorBasis(2, skewed)
+        with pytest.raises(ValidationError):
+            OperatorBasis(2, list(good.mats[:3]) + [np.eye(3)])
+        with pytest.raises(ValidationError):
+            OperatorBasis(2, good.mats[:3])
+
+    def test_coordinates_reject_non_hermitian_operators(self):
+        basis = complete_basis(2, [])
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            basis.coordinates(a)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            basis.coordinates(HermitianOperator(np.eye(3)))
+        np.testing.assert_allclose(
+            basis.coordinates(a + a.T), [0.0, math.sqrt(2.0), 0.0, 0.0], atol=1e-15
+        )
 
 
 class TestExpansion:

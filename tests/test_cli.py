@@ -33,6 +33,22 @@ def gibbs_qubit_doc(beta=2.0):
     }
 
 
+def coupled_qubits_doc(rho_sb):
+    """Bipartite document: two qubits with an exchange coupling in state rho_sb."""
+    sz = np.diag([0.5, -0.5])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return {
+        "kind": "bipartite",
+        "dims": [2, 2],
+        "matrices": {
+            "H_S": pairs(sz),
+            "H_B": pairs(0.5 * sz),
+            "H_I": pairs(0.1 * np.kron(sx, sx)),
+            "rho_SB": pairs(rho_sb),
+        },
+    }
+
+
 def write_doc(tmp_path, doc, name="in.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -72,6 +88,17 @@ class TestTemp:
         report = json.loads(capsys.readouterr().out)["report"]["temperature_report"]
         assert report["temperature"] == 0.0
         assert report["rank_deficient"]
+
+    def test_document_tol_applies_to_the_state(self, tmp_path, capsys):
+        doc = gibbs_qubit_doc()
+        rho = np.array([[0.6, 0.1 + 1e-8], [0.1, 0.4]], dtype=complex)
+        doc["matrices"]["rho"] = pairs(rho)
+        assert main(["temp", write_doc(tmp_path, doc)]) == 1
+        assert "not Hermitian" in capsys.readouterr().err
+        doc["options"] = {"tol": 1e-6}
+        assert main(["temp", write_doc(tmp_path, doc, "tol.json")]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]["temperature_report"]
+        assert math.isfinite(report["beta"])
 
     def test_stdin_and_out_file(self, tmp_path, monkeypatch, capsys):
         import io as _io
@@ -123,6 +150,40 @@ class TestBipartite:
         assert report["correlation"]["beta_chi"] == pytest.approx(-1.0, abs=1e-9)
         assert report["relation"]["beta_tilde_S"] == pytest.approx(1.0, abs=1e-9)
         assert report["relation"]["beta_tilde_B"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_document_tol_applies_to_the_state(self, tmp_path, capsys):
+        rho = np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3])).astype(complex)
+        doc = coupled_qubits_doc(rho)
+        rho[0, 1] += 1e-8
+        doc["matrices"]["rho_SB"] = pairs(rho)
+        assert main(["bipartite", write_doc(tmp_path, doc)]) == 1
+        assert "not Hermitian" in capsys.readouterr().err
+        doc["options"] = {"tol": 1e-6}
+        assert main(["bipartite", write_doc(tmp_path, doc, "tol.json")]) == 0
+
+    @pytest.mark.parametrize(
+        "rho_sb",
+        [
+            # only the joint state is rank deficient
+            np.diag([0.4, 0.3, 0.3 - 1e-14, 1e-14]),
+            # the local S state is rank deficient too
+            np.kron(np.diag([1.0 - 1e-14, 1e-14]), np.diag([0.7, 0.3])),
+        ],
+    )
+    def test_strict_rejects_rank_deficient_states(self, tmp_path, capsys, rho_sb):
+        # Populations of 1e-14 sit below the rank tolerance but far above the
+        # default clip, so no logarithm is clipped.
+        path = write_doc(tmp_path, coupled_qubits_doc(rho_sb))
+        assert main(["bipartite", path]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert not report["correlation"]["clipped"]
+        assert main(["bipartite", path, "--strict"]) == 2
+        assert "strict mode" in capsys.readouterr().err
+
+    def test_strict_accepts_full_rank_states(self, tmp_path, capsys):
+        rho = np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3]))
+        path = write_doc(tmp_path, coupled_qubits_doc(rho))
+        assert main(["bipartite", path, "--strict"]) == 0
 
     def test_wrong_kind_exits_1(self, tmp_path, capsys):
         assert main(["bipartite", write_doc(tmp_path, gibbs_qubit_doc())]) == 1

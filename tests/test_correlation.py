@@ -28,6 +28,7 @@ from neqtemp.linalg import (
     tensor_product,
 )
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
+from neqtemp.relation import verify_universal_relation
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -37,6 +38,13 @@ def bell_state():
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
     return DensityMatrix(np.outer(phi, phi.conj()))
+
+
+def random_state(d, rng):
+    """Generic full-rank state with complex off-diagonal entries."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    r = g @ g.conj().T
+    return r / np.trace(r).real
 
 
 def product_system(rng, d_s=2, d_b=3, coupling=0.4):
@@ -254,6 +262,27 @@ class TestUnits:
         )
         with pytest.raises(NumericalError):
             chi_unit(sys)
+
+    @pytest.mark.parametrize("h_i", [0.3 * np.eye(4), 0.2 * tensor_product(SZ, np.eye(2))])
+    @pytest.mark.parametrize("state", ["diagonal", "generic"])
+    def test_cancelled_interaction_is_degenerate(self, h_i, state):
+        # H_I proportional to I, or local, cancels against its mean-field
+        # parts in H_I_eff; rounding can leave a residue of order 1e-17 (it
+        # does for the local H_I here), which is no interaction direction.
+        if state == "diagonal":
+            rho_s, rho_b = np.diag([0.6, 0.4]), np.diag([0.7, 0.3])
+        else:
+            rng = np.random.default_rng(1)
+            rho_s, rho_b = (random_state(2, rng) for _ in range(2))
+        sys = BipartiteSystem(
+            2, 2,
+            HermitianOperator(SZ), HermitianOperator(0.5 * SZ), HermitianOperator(h_i),
+            DensityMatrix(tensor_product(rho_s, rho_b)),
+        )
+        assert sys.frame.O_I is None
+        assert math.isnan(verify_universal_relation(sys).beta_chi)
+        with pytest.raises(DegenerateDirectionError):
+            correlation_inverse_temperature(sys)
 
     def test_chi_orthogonality(self):
         rng = np.random.default_rng(18)

@@ -293,6 +293,25 @@ class TestUniversalRelation:
             rel.b_S * beta + rel.b_B * beta, abs=1e-9
         )
 
+    @pytest.mark.parametrize("c", [1e-13, 1e-30])
+    def test_small_energy_unit(self, c):
+        # H -> cH scales every inverse temperature by 1/c, however small c is.
+        sys = sample_bipartite(2, 2, 0.5, np.random.default_rng(59))
+        scaled = BipartiteSystem(
+            2, 2,
+            HermitianOperator(c * sys.H_S.matrix),
+            HermitianOperator(c * sys.H_B.matrix),
+            HermitianOperator(c * sys.H_I.matrix),
+            sys.rho_SB,
+        )
+
+        def betas(s):
+            rel = verify_universal_relation(s)
+            local = inverse_temperature(s.rho_S, s.effective.H_S_eff).beta
+            return np.array([rel.beta_SB, rel.beta_tilde_S, rel.beta_tilde_B, rel.beta_chi, local])
+
+        np.testing.assert_allclose(c * betas(scaled), betas(sys), rtol=1e-12)
+
     def test_residual_reported_for_generic_states(self):
         rng = np.random.default_rng(58)
         sys = sample_bipartite(2, 2, 0.5, rng)

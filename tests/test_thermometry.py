@@ -119,6 +119,21 @@ class TestInverseTemperature:
         with pytest.raises(DegenerateDirectionError):
             inverse_temperature(rho, HermitianOperator(np.eye(2)))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-30, 0.0])
+    def test_identity_hamiltonian_rejected_at_any_scale(self, scale):
+        rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
+        with pytest.raises(DegenerateDirectionError):
+            inverse_temperature(rho, HermitianOperator(scale * np.eye(3)))
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-30])
+    def test_small_energy_unit(self, c):
+        rng = np.random.default_rng(78)
+        h = gue(2, rng)
+        rho = full_rank(2, rng)
+        beta = inverse_temperature(rho, h).beta
+        scaled = inverse_temperature(rho, HermitianOperator(c * h.matrix)).beta
+        assert c * scaled == pytest.approx(beta, rel=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             inverse_temperature(DensityMatrix(np.eye(2) / 2.0), HermitianOperator(np.diag([1.0, 2.0, 3.0])))

@@ -1,11 +1,16 @@
-"""Deterministic work counts of one bipartite report.
+"""Deterministic work counts of one bipartite and one generalized-Gibbs report.
 
-A report here is what ``neqtemp bipartite`` computes: the system, its
+A bipartite report is what ``neqtemp bipartite`` computes: the system, its
 correlation temperature, the universal relation and both local temperatures.
-The counts are exact and independent of the dimension, so a change that adds
+Its counts are exact and independent of the dimension, so a change that adds
 an eigendecomposition, a matrix logarithm, a unit-direction build or an
-operator validation to the report fails here. Calls are counted by wrapping
-from the test; the package has no hooks.
+operator validation to the report fails here. A generalized-Gibbs report
+builds a basis, decomposes and reconstructs the state over it and evaluates
+the Helmholtz free energy; its counts are pinned at d=8. The basis validates
+its d^2 members as one stack, so they add no ``HermitianOperator``
+validation of their own. Calls are counted by wrapping
+from the test; the package has no hooks. Matrix products (``@``) cannot be
+wrapped this way, so they are not counted.
 """
 
 import sys
@@ -17,9 +22,19 @@ from neqtemp import basis, linalg
 from neqtemp.correlation import BipartiteSystem, correlation_inverse_temperature
 from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.relation import verify_universal_relation
-from neqtemp.thermometry import inverse_temperature
+from neqtemp.thermometry import (
+    generalized_gibbs_decomposition,
+    helmholtz_free_energy,
+    inverse_temperature,
+    reconstruct_generalized_gibbs,
+)
 
 EXPECTED = {"eigh": 3, "HermitianOperator": 37, "hamiltonian_unit": 9, "matrix_log": 11}
+
+#: One generalized-Gibbs report at d=8.
+EXPECTED_BASIS = {
+    "eigh": 3, "HermitianOperator": 14, "hamiltonian_unit": 4, "matrix_log": 4, "hs_inner": 2,
+}
 
 
 def gibbs_inputs(d_s, d_b, beta, rng):
@@ -49,8 +64,17 @@ def report(d_s, d_b, h_s, h_b, h_i, rho):
     inverse_temperature(system.rho_B, system.effective.H_B_eff)
 
 
-def install_counters(monkeypatch):
-    counts = dict.fromkeys(EXPECTED, 0)
+def basis_report(H, rho):
+    h_op, state = HermitianOperator(H), DensityMatrix(rho)
+    o1, _ = basis.hamiltonian_unit(h_op)
+    ops = basis.complete_basis(h_op.dim, [o1])
+    form = generalized_gibbs_decomposition(state, h_op, ops)
+    reconstruct_generalized_gibbs(form, h_op, ops)
+    helmholtz_free_energy(state, h_op, ops)
+
+
+def install_counters(monkeypatch, keys):
+    counts = dict.fromkeys(keys, 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -67,7 +91,10 @@ def install_counters(monkeypatch):
     )
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
     for key, orig in (("hamiltonian_unit", basis.hamiltonian_unit),
-                      ("matrix_log", linalg.matrix_log)):
+                      ("matrix_log", linalg.matrix_log),
+                      ("hs_inner", linalg.hs_inner)):
+        if key not in counts:
+            continue
         wrapped = counted(key, orig)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
@@ -79,6 +106,18 @@ def install_counters(monkeypatch):
 @pytest.mark.parametrize("d_s,d_b", [(2, 2), (4, 8)])
 def test_bipartite_report_work_counts(monkeypatch, d_s, d_b):
     inputs = gibbs_inputs(d_s, d_b, 0.7, np.random.default_rng(d_s * d_b))
-    counts = install_counters(monkeypatch)
+    counts = install_counters(monkeypatch, EXPECTED)
     report(d_s, d_b, *inputs)
     assert counts == EXPECTED
+
+
+def test_basis_report_work_counts(monkeypatch):
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    H = (g + g.conj().T) / 2.0
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    p = rng.dirichlet(np.ones(8)) + 0.05
+    rho = (q * (p / p.sum())) @ q.conj().T
+    counts = install_counters(monkeypatch, EXPECTED_BASIS)
+    basis_report(H, (rho + rho.conj().T) / 2.0)
+    assert counts == EXPECTED_BASIS
