@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DegenerateDirectionError, ValidationError
+from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_TOLS,
     DensityMatrix,
@@ -78,18 +78,24 @@ def hamiltonian_unit(H: HermitianOperator, tol_rank: float = DEFAULT_TOLS.rank) 
     :raises DegenerateDirectionError: if H is proportional to the identity
         (the temperature direction is then undefined, the energy variance
         w.r.t. I/d being zero).
+    :raises NumericalError: if h^2 overflows a double (entries of H beyond
+        about 1e154).
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
     d = H.dim
-    traceless = H.matrix - (H.trace / d) * np.eye(d)
-    h = math.sqrt(max(0.0, float(np.sum(np.abs(traceless) ** 2))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traceless = H.matrix - (H.trace / d) * np.eye(d)
+        h_sq = float(np.sum(np.abs(traceless) ** 2))
+    if not math.isfinite(h_sq):
+        raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")
+    h = math.sqrt(h_sq)
     if h <= tol_rank * float(np.max(np.abs(H.matrix))):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
         )
-    return HermitianOperator(traceless / h), h
+    return HermitianOperator._of_computed(traceless / h), h
 
 
 def gell_mann_candidates(d: int) -> np.ndarray:

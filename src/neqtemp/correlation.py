@@ -62,14 +62,24 @@ __all__ = [
 class BipartiteSystem:
     """Bipartite Hamiltonian data and joint state, with cached derived parts.
 
+    H_S, H_B, H_I and rho_SB are validated when the caller builds them
+    (:class:`HermitianOperator`, :class:`DensityMatrix`); the marginals are
+    validated as density matrices here. Everything derived from them (the
+    effective Hamiltonians, H_SB, the frame's directions, HH_I and chi) is
+    wrapped without a Hermiticity check, through
+    ``HermitianOperator._of_computed``, which symmetrizes it and checks that
+    it is finite.
+
     Marginals and effective Hamiltonians are computed once at construction,
-    the total Hamiltonian and the :class:`BipartiteFrame` once on first use;
-    instances are immutable afterwards and safe to share.
+    the total Hamiltonian and the :class:`BipartiteFrame` once on first use,
+    and HH_I once per clip (see :func:`correlation_log_hamiltonian`); it
+    shares log rho_SB, log rho_S and log rho_B with every other user of those
+    states' logs. Instances are immutable afterwards and safe to share.
     """
 
     __slots__ = (
         "d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB",
-        "rho_S", "rho_B", "effective", "_H_SB", "_frame",
+        "rho_S", "rho_B", "effective", "_H_SB", "_frame", "_log_hamiltonians",
     )
 
     def __init__(
@@ -93,10 +103,11 @@ class BipartiteSystem:
         self.d_S, self.d_B = d_S, d_B
         self.H_S, self.H_B, self.H_I = H_S, H_B, H_I
         self.rho_SB = rho_SB
-        self.rho_S = DensityMatrix(partial_trace(rho_SB.matrix, (d_S, d_B), keep=0), tols)
-        self.rho_B = DensityMatrix(partial_trace(rho_SB.matrix, (d_S, d_B), keep=1), tols)
+        self.rho_S = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=0), tols)
+        self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1), tols)
         self.effective = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
+        self._log_hamiltonians: dict[float, MatrixLog] = {}
 
     @property
     def dim(self) -> int:
@@ -105,7 +116,7 @@ class BipartiteSystem:
     def H_SB(self) -> HermitianOperator:
         """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space."""
         if self._H_SB is None:
-            self._H_SB = HermitianOperator(
+            self._H_SB = HermitianOperator._of_computed(
                 self.embed_S(self.H_S) + self.embed_B(self.H_B) + self.H_I.matrix
             )
         return self._H_SB
@@ -145,21 +156,23 @@ def _effective_hamiltonians(sys: BipartiteSystem) -> EffectiveHamiltonians:
     t = hi.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
     # Tr_B[(I x rho_B) H_I], Tr_S[(rho_S x I) H_I] and Tr[(rho_S x rho_B) H_I],
     # contracted index by index instead of through joint-space products.
-    lamb_S = np.einsum("ab,ibja->ij", sys.rho_B.matrix, t)
-    lamb_B = np.einsum("ik,kaic->ac", sys.rho_S.matrix, t)
-    mean = float(np.vdot(sys.rho_S.matrix, lamb_S).real)
+    # Both shifts are Hermitian; symmetrizing them drops the rounding
+    # residue, which scales with H_I, before it enters H_I_eff.
+    lamb_S = HermitianOperator._of_computed(np.einsum("ab,ibja->ij", sys.rho_B.matrix, t))
+    lamb_B = HermitianOperator._of_computed(np.einsum("ik,kaic->ac", sys.rho_S.matrix, t))
+    mean = float(np.vdot(sys.rho_S.matrix, lamb_S.matrix).real)
     hi_eff = hi - sys.embed_S(lamb_S) - sys.embed_B(lamb_B) + mean * np.eye(sys.dim)
     return EffectiveHamiltonians(
-        H_S_eff=HermitianOperator(sys.H_S.matrix + lamb_S),
-        H_B_eff=HermitianOperator(sys.H_B.matrix + lamb_B),
-        H_I_eff=HermitianOperator(hi_eff),
+        H_S_eff=HermitianOperator._of_computed(sys.H_S.matrix + lamb_S.matrix),
+        H_B_eff=HermitianOperator._of_computed(sys.H_B.matrix + lamb_B.matrix),
+        H_I_eff=HermitianOperator._of_computed(hi_eff),
     )
 
 
 def correlation_operator(sys: BipartiteSystem) -> HermitianOperator:
     """chi = rho_SB - rho_S x rho_B: traceless with vanishing partial traces."""
-    chi = sys.rho_SB.matrix - tensor_product(sys.rho_S.matrix, sys.rho_B.matrix)
-    return HermitianOperator(chi)
+    chi = sys.rho_SB.matrix - tensor_product(sys.rho_S, sys.rho_B)
+    return HermitianOperator._of_computed(chi)
 
 
 def binding_energy(sys: BipartiteSystem) -> float:
@@ -197,13 +210,23 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
     Vanishes identically iff the state is the product of its marginals.
     Rank-deficient states are handled through the clip regularization; the
     clipped flag propagates from any of the three logarithms.
+
+    Built once per clip and cached on ``sys``; the three logarithms are the
+    states' own cached ones (see :func:`neqtemp.linalg.matrix_log`).
     """
+    hh = sys._log_hamiltonians.get(clip)
+    if hh is None:
+        hh = sys._log_hamiltonians.setdefault(clip, _build_log_hamiltonian(sys, clip))
+    return hh
+
+
+def _build_log_hamiltonian(sys: BipartiteSystem, clip: float) -> MatrixLog:
     log_sb = matrix_log(sys.rho_SB, clip)
     log_s = matrix_log(sys.rho_S, clip)
     log_b = matrix_log(sys.rho_B, clip)
     m = -log_sb.operator.matrix + sys.embed_S(log_s.operator) + sys.embed_B(log_b.operator)
     return MatrixLog(
-        HermitianOperator(m),
+        HermitianOperator._of_computed(m),
         clipped=log_sb.clipped or log_s.clipped or log_b.clipped,
     )
 
@@ -276,7 +299,7 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
                 "no correlation direction remains (h_chi ~ 0)"
             )
         h_chi = math.sqrt(h_chi_sq)
-        o_chi = HermitianOperator(
+        o_chi = HermitianOperator._of_computed(
             (o_i.matrix - (c_s / sys.d_B) * sys.embed_S(o_s) - (c_b / sys.d_S) * sys.embed_B(o_b))
             / h_chi
         )

@@ -11,8 +11,22 @@ Conventions used throughout the package:
 * natural logarithms, k_B = 1;
 * eigenvalues are reported in ascending order.
 
+Validation happens once, at the boundary. ``HermitianOperator(matrix)``
+(and through it ``DensityMatrix(matrix)``) is the entry for matrices from
+outside the package: it copies, checks finiteness, shape and Hermiticity,
+and symmetrizes. Operators the package computes from operators it has
+already validated go through ``HermitianOperator._of_computed`` instead,
+which takes ownership of the fresh array, symmetrizes it in place and checks
+only finiteness; ``_of_checked`` wraps views of a stack validated as a
+whole. Likewise the eigenvector Gram check runs once per eigendecomposition
+(``from_spectrum`` checks the caller's spectrum itself), and ``hs_inner``,
+``partial_trace`` and ``tensor_product`` read a validated operator's matrix
+without copying it.
+
 All values are immutable after construction and all operations are pure
-functions, so they are safe to share across threads.
+functions, so they are safe to share across threads. A ``DensityMatrix``
+caches its logarithm per clip on the instance (see :func:`matrix_log`);
+there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -128,6 +142,26 @@ class HermitianOperator:
         op.matrix = matrix
         return op
 
+    @classmethod
+    def _of_computed(cls, matrix: np.ndarray) -> "HermitianOperator":
+        """Wrap a square matrix the package computed from validated operators.
+
+        Takes ownership of ``matrix``, a fresh array no caller keeps: it is
+        symmetrized in place to (A + A^dag)/2, exactly as the public
+        constructor would, checked for finiteness and frozen. There is no
+        Hermiticity tolerance: the operands were Hermitian, so any deviation
+        is rounding on their scale, whatever that scale is.
+
+        :raises NumericalError: if an entry is not finite (an overflow).
+        """
+        a = np.asarray(matrix, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a += a.conj().T
+            a /= 2.0
+        if not np.all(np.isfinite(a)):
+            raise NumericalError("computed operator has non-finite entries (overflow)")
+        return cls._of_checked(_frozen(a))
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -159,15 +193,26 @@ class SpectralDecomposition:
         self.eigenvalues: np.ndarray = _frozen(w)
         self.eigenvectors: np.ndarray = _frozen(v)
 
+    @classmethod
+    def _of_checked(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "SpectralDecomposition":
+        """Wrap ascending eigenvalues and eigenvectors whose Gram check already ran."""
+        spec = object.__new__(cls)
+        spec.eigenvalues = _frozen(eigenvalues)
+        spec.eigenvectors = _frozen(eigenvectors)
+        return spec
+
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
 
     def apply(self, fn) -> np.ndarray:
-        """V diag(fn(lambda)) V^dag for a scalar function fn."""
+        """V diag(fn(lambda)) V^dag for a scalar function fn.
+
+        The product is returned as computed, Hermitian up to rounding; wrap it
+        with ``HermitianOperator._of_computed`` to symmetrize it.
+        """
         v = self.eigenvectors
-        m = (v * fn(self.eigenvalues)) @ v.conj().T
-        return (m + m.conj().T) / 2.0
+        return (v * fn(self.eigenvalues)) @ v.conj().T
 
     def clusters(self, gap: float) -> list[np.ndarray]:
         """Group indices of eigenvalues closer than ``gap`` into clusters."""
@@ -218,9 +263,16 @@ class DensityMatrix:
     Construction validates trace and positivity; eigenvalues in
     ``[-psd, 0)`` are clipped to zero and the spectrum renormalized, so the
     stored matrix and spectrum are exactly consistent with each other.
+
+    ``DensityMatrix(matrix)`` validates a raw matrix through
+    :class:`HermitianOperator` (an operator passed in was validated when it
+    was built) and checks the eigendecomposition once, in
+    :func:`eig_hermitian`; the spectrum installed is that checked one.
+    :meth:`from_spectrum` checks the spectral data it is given. The matrix
+    logarithm is cached per clip on the instance (see :func:`matrix_log`).
     """
 
-    __slots__ = ("operator", "spectrum", "rank")
+    __slots__ = ("operator", "spectrum", "rank", "_logs")
 
     def __init__(self, matrix, tols: Tolerances = DEFAULT_TOLS):
         op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix, tols.herm)
@@ -243,12 +295,16 @@ class DensityMatrix:
         v = as_complex_matrix(eigenvectors)
         if w.ndim != 1 or v.shape != (w.size, w.size):
             raise ValidationError("inconsistent spectral data shapes")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("eigenvalues must be finite")
         order = np.argsort(w, kind="stable")
+        spec = SpectralDecomposition(w[order], v[:, order], tols)
         obj = object.__new__(cls)
-        obj._install(w[order], v[:, order], tols)
+        obj._install(spec.eigenvalues, spec.eigenvectors, tols)
         return obj
 
     def _install(self, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> None:
+        """Clip, renormalize and store a spectrum whose eigenvectors were checked."""
         if abs(float(w.sum()) - 1.0) > tols.trace:
             raise ValidationError(f"density matrix trace {float(w.sum())!r} deviates from 1")
         if w[0] < -tols.psd:
@@ -257,10 +313,10 @@ class DensityMatrix:
             )
         w = np.clip(w, 0.0, None)
         w = w / float(w.sum())
-        rebuilt = (v * w) @ v.conj().T
-        self.operator = HermitianOperator(rebuilt, tol_herm=1.0)  # symmetrization only
-        self.spectrum = SpectralDecomposition(w, v, tols)
+        self.operator = HermitianOperator._of_computed((v * w) @ v.conj().T)
+        self.spectrum = SpectralDecomposition._of_checked(w, v)
         self.rank = int(np.count_nonzero(w > tols.rank))
+        self._logs: dict[float, MatrixLog] = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -292,15 +348,26 @@ def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
     Clipping is explicit and never silent: whenever any eigenvalue sat below
     ``clip`` the result carries ``clipped=True``. For full-rank states with
     min eigenvalue above ``clip`` this is the exact natural log.
+
+    The result is computed once per (state, clip) and cached on ``rho``, so
+    every caller of one state's log shares one operator.
     """
     if not isinstance(rho, DensityMatrix):
         raise ValidationError("matrix_log expects a DensityMatrix")
     if not (clip > 0.0):
         raise ValidationError(f"clip must be positive, got {clip!r}")
-    w = rho.eigenvalues
-    clipped = bool(np.any(w < clip))
-    mat = rho.spectrum.apply(lambda x: np.log(np.maximum(x, clip)))
-    return MatrixLog(HermitianOperator(mat), clipped)
+    log = rho._logs.get(clip)
+    if log is None:
+        # setdefault is atomic: threads racing on a first call may each
+        # compute the log, but all of them return the one stored.
+        log = rho._logs.setdefault(clip, _spectral_log(rho.spectrum, clip))
+    return log
+
+
+def _spectral_log(spec: SpectralDecomposition, clip: float) -> MatrixLog:
+    clipped = bool(np.any(spec.eigenvalues < clip))
+    mat = spec.apply(lambda x: np.log(np.maximum(x, clip)))
+    return MatrixLog(HermitianOperator._of_computed(mat), clipped)
 
 
 def matrix_exp(A: HermitianOperator) -> HermitianOperator:
@@ -309,13 +376,20 @@ def matrix_exp(A: HermitianOperator) -> HermitianOperator:
     top = float(spec.eigenvalues[-1])
     if top > EXP_OVERFLOW_BOUND:
         raise NumericalError(f"matrix_exp overflow: max eigenvalue {top:.3e} > {EXP_OVERFLOW_BOUND}")
-    return HermitianOperator(spec.apply(np.exp))
+    return HermitianOperator._of_computed(spec.apply(np.exp))
+
+
+def _matrix_of(A) -> np.ndarray:
+    """The matrix of a validated operator as stored, or a raw input coerced."""
+    if isinstance(A, (HermitianOperator, DensityMatrix)):
+        return A.matrix
+    return as_complex_matrix(getattr(A, "matrix", A))
 
 
 def tensor_product(A, B) -> np.ndarray:
     """Kronecker product with (i_A * d_B + i_B) row indexing."""
-    a = as_complex_matrix(getattr(A, "matrix", A))
-    b = as_complex_matrix(getattr(B, "matrix", B))
+    a = _matrix_of(A)
+    b = _matrix_of(B)
     if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
         raise ValidationError("tensor_product dimension overflow")
     return np.kron(a, b)
@@ -326,7 +400,7 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
 
     ``keep=0`` keeps the S (left) factor, ``keep=1`` the B (right) factor.
     """
-    m = as_complex_matrix(getattr(M, "matrix", M))
+    m = _matrix_of(M)
     d_s, d_b = int(dims[0]), int(dims[1])
     if d_s < 1 or d_b < 1:
         raise ValidationError(f"invalid factor dims {dims!r}")
@@ -346,8 +420,8 @@ def hs_inner(A, B, tol_imag: float = 1e-10) -> float:
     An imaginary residue above ``tol_imag`` (relative) raises; below it, the
     residue is discarded.
     """
-    a = as_complex_matrix(getattr(A, "matrix", A))
-    b = as_complex_matrix(getattr(B, "matrix", B))
+    a = _matrix_of(A)
+    b = _matrix_of(B)
     if a.shape != b.shape:
         raise ValidationError(f"hs_inner dimension mismatch: {a.shape} vs {b.shape}")
     val = complex(np.sum(a.conj() * b))

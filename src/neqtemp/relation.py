@@ -104,10 +104,10 @@ def auxiliary_basis(sys: BipartiteSystem) -> AuxiliaryBasis:
     f = sys.frame
     c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
     emb_s, emb_b = sys.embed_S(f.O_S), sys.embed_B(f.O_B)
-    o2 = HermitianOperator((c_b / sys.d_B) * emb_s - (c_s / sys.d_S) * emb_b)
+    o2 = HermitianOperator._of_computed((c_b / sys.d_B) * emb_s - (c_s / sys.d_S) * emb_b)
     if c_chi == 0.0:
         return AuxiliaryBasis(O2_SB=o2, O3_SB=None, interaction_degenerate=True)
-    o3 = HermitianOperator(
+    o3 = HermitianOperator._of_computed(
         c_s * emb_s
         + c_b * emb_b
         - ((c_s**2 * sys.d_B + c_b**2 * sys.d_S) / c_chi) * f.O_chi.matrix

@@ -60,8 +60,9 @@ __all__ = [
     "finite_difference_beta",
 ]
 
-#: |beta| below this is treated as exactly zero for the derived temperature
+#: |beta| h below this is treated as beta = 0 for the derived temperature
 #: (maximally mixed states produce a covariance at roundoff level, not 0.0).
+#: beta h is dimensionless, so the test does not depend on the energy unit.
 BETA_ZERO_TOL = 1e-12
 
 #: Default eigenvalue clip for the matrix logarithm. The default only guards
@@ -117,11 +118,12 @@ def inverse_temperature(
 
     * rank-1 (pure) states report temperature exactly 0.0, with beta signed
       infinite according to the sign of the clip-regularized covariance;
-    * |beta| <= BETA_ZERO_TOL reports temperature = +inf (maximally mixed
-      regime);
+    * |beta| h <= BETA_ZERO_TOL reports temperature = +inf (maximally mixed
+      regime; h is the weight of H, so the test is unit-free);
     * otherwise temperature = 1/beta.
 
     :raises DegenerateDirectionError: if H is proportional to the identity.
+    :raises NumericalError: if h, the energy moments or beta overflow.
     """
     O1, h = hamiltonian_unit(H, tols.rank)
     if rho.dim != H.dim:
@@ -130,14 +132,25 @@ def inverse_temperature(
     logr = matrix_log(rho, clip)
     L = logr.operator.matrix
     Hm = H.matrix
-    tr_h = float(np.trace(Hm).real)
-    tr_l = float(np.trace(L).real)
-    # Covariance form (moments w.r.t. I/d); Tr[A B] = vdot(A, B) for Hermitian A.
-    cov = -float(np.vdot(Hm, L).real) / d - (tr_h / d) * (-tr_l / d)
-    var = float(np.vdot(Hm, Hm).real) / d - (tr_h / d) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_h = float(np.trace(Hm).real)
+        tr_l = float(np.trace(L).real)
+        # Tr[A B] = vdot(A, B) for Hermitian A.
+        tr_hh = float(np.vdot(Hm, Hm).real)
+        tr_hl = float(np.vdot(Hm, L).real)
+    if not all(map(math.isfinite, (tr_h, tr_l, tr_hh, tr_hl))):
+        raise NumericalError(
+            f"energy moments overflow: Tr[H] = {tr_h!r}, Tr[H^2] = {tr_hh!r}, Tr[H log rho] = {tr_hl!r}"
+        )
+    # Covariance form (moments w.r.t. I/d). (Tr H)^2 <= d Tr[H^2], so the
+    # square below cannot overflow once Tr[H^2] is finite.
+    cov = -tr_hl / d - (tr_h / d) * (-tr_l / d)
+    var = tr_hh / d - (tr_h / d) ** 2
     if var <= 0.0:  # unreachable past hamiltonian_unit, kept as a hard guard
         raise NumericalError("vanishing energy variance")
     beta_cov = cov / var
+    if not math.isfinite(beta_cov):
+        raise NumericalError(f"inverse temperature overflows: {cov!r} / {var!r}")
     # Direct coordinate form, assembled through O1 rather than raw moments.
     beta_dir = -hs_inner(O1, logr.operator) / h
     # Identical algebra, different groupings: allow roundoff amplified by the
@@ -152,7 +165,7 @@ def inverse_temperature(
     if rho.rank == 1:
         beta = math.inf if beta_cov >= 0.0 else -math.inf
         temperature = 0.0
-    elif abs(beta_cov) <= BETA_ZERO_TOL:
+    elif abs(beta_cov) * h <= BETA_ZERO_TOL:
         beta = beta_cov
         temperature = math.inf
     else:
@@ -214,7 +227,7 @@ def generalized_gibbs_decomposition(
     logr = matrix_log(rho, clip).operator
     c = basis.coordinates(logr)[2:]
     exponent = -report.beta * H.matrix + np.tensordot(c, basis.mats[2:], axes=1)
-    w = eig_hermitian(HermitianOperator(exponent)).eigenvalues
+    w = eig_hermitian(HermitianOperator._of_computed(exponent)).eigenvalues
     m = float(w[-1])
     log_norm = m + math.log(float(np.sum(np.exp(w - m))))
     return GeneralizedGibbsForm(beta=report.beta, c=c, log_norm=log_norm)
@@ -229,7 +242,7 @@ def reconstruct_generalized_gibbs(
         - form.log_norm * np.eye(H.dim)
         + np.tensordot(form.c, basis.mats[2:], axes=1)
     )
-    return matrix_exp(HermitianOperator(exponent)).matrix
+    return matrix_exp(HermitianOperator._of_computed(exponent)).matrix
 
 
 def helmholtz_free_energy(
@@ -247,7 +260,7 @@ def helmholtz_free_energy(
     if rho.rank < rho.dim:
         raise RankDeficiencyError("free energy evaluation needs a full-rank state")
     report = inverse_temperature(rho, H, clip)
-    if not math.isfinite(report.beta) or abs(report.beta) <= BETA_ZERO_TOL:
+    if not math.isfinite(report.beta) or abs(report.beta) * report.h <= BETA_ZERO_TOL:
         raise UndefinedQuantityError("free energy is undefined at beta = 0")
     t = 1.0 / report.beta
     f = report.internal_energy - t * report.entropy
@@ -320,10 +333,10 @@ def variation_split(
     d_ev = np.zeros_like(drho.matrix)
     for p in rho.spectrum.projectors(tols.degeneracy * scale):
         d_ev += p @ drho.matrix @ p
-    d_ev = (d_ev + d_ev.conj().T) / 2.0
+    d_ev = HermitianOperator._of_computed(d_ev)
     return VariationSplit(
-        d_ev=HermitianOperator(d_ev),
-        d_ep=HermitianOperator(drho.matrix - d_ev),
+        d_ev=d_ev,
+        d_ep=HermitianOperator._of_computed(drho.matrix - d_ev.matrix),
     )
 
 

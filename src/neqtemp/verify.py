@@ -143,7 +143,7 @@ def suite_extension(seed: int, count: int) -> SuiteResult:
         beta = inverse_temperature(rho, h).beta
         for dp in (2, 3):
             rho_ext = DensityMatrix(tensor_product(rho.matrix, np.eye(dp) / dp))
-            h_ext = HermitianOperator(tensor_product(h.matrix, np.eye(dp)))
+            h_ext = HermitianOperator._of_computed(tensor_product(h, np.eye(dp)))
             err = abs(inverse_temperature(rho_ext, h_ext).beta - beta)
             res.record("|beta extension shift|", err, 1e-10, f"(d={d}, d'={dp})")
     return res
@@ -207,7 +207,7 @@ def suite_heat(seed: int, count: int) -> SuiteResult:
         errs = []
         for step in (1e-3, 1e-4):
             rho1 = _gibbs_path_state(spec, beta_at(t0 + step))
-            drho = HermitianOperator(rho1.matrix - rho0.matrix)
+            drho = HermitianOperator._of_computed(rho1.matrix - rho0.matrix)
             hw = heat_and_work(rho0, drho, h, HermitianOperator(np.zeros((d, d))))
             ds = von_neumann_entropy(rho1) - von_neumann_entropy(rho0)
             errs.append(abs(ds / hw.entropic_heat - beta_hat))

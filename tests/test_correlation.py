@@ -24,11 +24,13 @@ from neqtemp.exceptions import DegenerateDirectionError, NumericalError, Validat
 from neqtemp.linalg import (
     DensityMatrix,
     HermitianOperator,
+    matrix_log,
     partial_trace,
     tensor_product,
 )
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import verify_universal_relation
+from neqtemp.thermometry import DEFAULT_CLIP
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -219,6 +221,45 @@ class TestLogHamiltonian:
             bell_state(),
         )
         assert correlation_log_hamiltonian(sys, clip=1e-9).clipped
+
+
+class TestComputedOperators:
+    """Operators derived from validated input are wrapped without a Hermiticity
+    check; they must come out exactly Hermitian, finite and read-only."""
+
+    @pytest.mark.parametrize("d_s,d_b", [(2, 2), (3, 4), (4, 8)])
+    def test_exactly_hermitian_and_finite(self, d_s, d_b):
+        sys = sample_bipartite(d_s, d_b, 0.3, np.random.default_rng(d_s * d_b))
+        f, eff = sys.frame, sys.effective
+        ops = {
+            "O_S": f.O_S, "O_B": f.O_B, "O1_SB": f.O1_SB, "O_I": f.O_I, "O_chi": f.O_chi,
+            "H_SB": sys.H_SB(), "H_S_eff": eff.H_S_eff, "H_B_eff": eff.H_B_eff,
+            "H_I_eff": eff.H_I_eff, "HH_I": correlation_log_hamiltonian(sys).operator,
+            "chi": correlation_operator(sys),
+        }
+        for name in ("rho_SB", "rho_S", "rho_B"):
+            ops[f"log {name}"] = matrix_log(getattr(sys, name), DEFAULT_CLIP).operator
+        for name, op in ops.items():
+            m = op.matrix
+            assert np.array_equal(m, m.conj().T), name
+            assert np.all(np.isfinite(m)), name
+            assert not m.flags.writeable, name
+
+    def test_log_hamiltonian_cached_per_clip(self):
+        sys = sample_bipartite(2, 2, 0.3, np.random.default_rng(61))
+        hh = correlation_log_hamiltonian(sys)
+        assert correlation_log_hamiltonian(sys, DEFAULT_CLIP) is hh
+        assert correlation_inverse_temperature(sys).H_corr is hh.operator
+        assert not hh.clipped
+        # A clip above the smallest joint eigenvalue gives a fresh, clipped HH_I.
+        clip = 1.5 * float(sys.rho_SB.eigenvalues[0])
+        assert clip < float(sys.rho_S.eigenvalues[0])
+        hh_clip = correlation_log_hamiltonian(sys, clip)
+        assert hh_clip is not hh
+        assert hh_clip.clipped
+        assert not np.array_equal(hh_clip.operator.matrix, hh.operator.matrix)
+        assert correlation_log_hamiltonian(sys, clip) is hh_clip
+        assert correlation_log_hamiltonian(sys) is hh
 
 
 class TestUnits:

@@ -7,6 +7,8 @@ code path it is testing.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -106,6 +108,18 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
+    def test_computed_operator_matches_public_symmetrization(self):
+        rng = np.random.default_rng(31)
+        a = gue(5, rng) + 1e-13 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        op = HermitianOperator._of_computed(a.copy())
+        assert np.array_equal(op.matrix, HermitianOperator(a).matrix)
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        assert not op.matrix.flags.writeable
+
+    def test_computed_operator_rejects_nonfinite(self):
+        with pytest.raises(NumericalError):
+            HermitianOperator._of_computed(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+
 
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
@@ -140,6 +154,13 @@ class TestDensityMatrix:
         tiny = 1e-14
         rho = DensityMatrix.from_spectrum([1.0 - tiny, tiny], np.eye(2))
         assert rho.eigenvalues[0] == pytest.approx(tiny, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "w,v", [([0.3, 0.7], 2.0 * np.eye(2)), ([np.nan, 1.0], np.eye(2))]
+    )
+    def test_from_spectrum_checks_its_input(self, w, v):
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_spectrum(w, v)
 
     def test_rank(self):
         assert DensityMatrix(np.diag([1.0, 0.0])).rank == 1
@@ -202,6 +223,46 @@ class TestMatrixFunctions:
         rho = DensityMatrix.from_spectrum(p, np.eye(3))
         back = matrix_exp(matrix_log(rho, 1e-300).operator)
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
+
+    def test_log_cached_per_clip(self):
+        rho = DensityMatrix(np.diag([0.7, 0.2, 0.1]))
+        log = matrix_log(rho, 1e-300)
+        assert matrix_log(rho, 1e-300) is log
+        assert not log.clipped
+        clipped = matrix_log(rho, 0.15)
+        assert clipped is not log
+        assert clipped.clipped
+        assert matrix_log(rho, 0.15) is clipped
+        np.testing.assert_allclose(np.diag(clipped.operator.matrix).real, np.log([0.7, 0.2, 0.15]))
+        assert matrix_log(rho, 1e-300) is log
+        # Another state with the same matrix computes its own.
+        assert matrix_log(DensityMatrix(rho.matrix), 1e-300) is not log
+
+    def test_log_cache_shared_across_threads(self):
+        # Threads racing on a state's first log all get the one cached object.
+        states = [DensityMatrix(np.diag([0.5, 0.3, 0.2])) for _ in range(20)]
+        barrier = threading.Barrier(8)
+        out = [[] for _ in states]
+
+        def worker():
+            for rho, logs in zip(states, out):
+                barrier.wait(timeout=10)
+                logs.append(matrix_log(rho, 1e-300))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for logs in out:
+            assert len(logs) == 8
+            assert all(log is logs[0] for log in logs)
 
     def test_log_rejects_bad_clip(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))

@@ -55,6 +55,29 @@ def gibbs_system(h_s, h_b, h_i, beta):
     return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, rho)
 
 
+def gue_matrix(d, rng):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2.0
+
+
+def rescaled(sys, c):
+    """The system with H_S, H_B and H_I multiplied by c, in the same state."""
+    return BipartiteSystem(
+        sys.d_S, sys.d_B,
+        HermitianOperator(c * sys.H_S.matrix),
+        HermitianOperator(c * sys.H_B.matrix),
+        HermitianOperator(c * sys.H_I.matrix),
+        sys.rho_SB,
+    )
+
+
+def relation_betas(sys):
+    """beta_SB, the two tilde betas, beta_chi and the local beta of S."""
+    rel = verify_universal_relation(sys)
+    local = inverse_temperature(sys.rho_S, sys.effective.H_S_eff).beta
+    return np.array([rel.beta_SB, rel.beta_tilde_S, rel.beta_tilde_B, rel.beta_chi, local])
+
+
 def entropy_of(m):
     w = np.linalg.eigvalsh(m)
     w = w[w > 1e-300]
@@ -297,20 +320,23 @@ class TestUniversalRelation:
     def test_small_energy_unit(self, c):
         # H -> cH scales every inverse temperature by 1/c, however small c is.
         sys = sample_bipartite(2, 2, 0.5, np.random.default_rng(59))
-        scaled = BipartiteSystem(
-            2, 2,
-            HermitianOperator(c * sys.H_S.matrix),
-            HermitianOperator(c * sys.H_B.matrix),
-            HermitianOperator(c * sys.H_I.matrix),
-            sys.rho_SB,
-        )
+        np.testing.assert_allclose(c * relation_betas(rescaled(sys, c)), relation_betas(sys), rtol=1e-12)
 
-        def betas(s):
-            rel = verify_universal_relation(s)
-            local = inverse_temperature(s.rho_S, s.effective.H_S_eff).beta
-            return np.array([rel.beta_SB, rel.beta_tilde_S, rel.beta_tilde_B, rel.beta_chi, local])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e13, 1e150])
+    def test_large_energy_unit(self, c):
+        # H_I_eff cancels H_I's mean-field parts on the scale of c H_I; its
+        # rounding must not be judged against an absolute tolerance.
+        rng = np.random.default_rng(3)
+        h_s, h_b, h_i = (HermitianOperator(scale * gue_matrix(d, rng)) for d, scale in ((2, 1.0), (2, 1.0), (4, 0.3)))
+        sys = gibbs_system(h_s, h_b, h_i, 0.7)
+        np.testing.assert_allclose(c * relation_betas(rescaled(sys, c)), relation_betas(sys), rtol=1e-9)
 
-        np.testing.assert_allclose(c * betas(scaled), betas(sys), rtol=1e-12)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_overflow_raises(self):
+        sys = sample_bipartite(2, 2, 0.5, np.random.default_rng(59))
+        with pytest.raises(NumericalError, match="overflow"):
+            verify_universal_relation(rescaled(sys, 1e160))
 
     def test_residual_reported_for_generic_states(self):
         rng = np.random.default_rng(58)

@@ -13,6 +13,7 @@ import pytest
 from neqtemp.basis import complete_basis, hamiltonian_unit
 from neqtemp.exceptions import (
     DegenerateDirectionError,
+    NumericalError,
     RankDeficiencyError,
     StepTooLargeError,
     UndefinedQuantityError,
@@ -133,6 +134,37 @@ class TestInverseTemperature:
         beta = inverse_temperature(rho, h).beta
         scaled = inverse_temperature(rho, HermitianOperator(c * h.matrix)).beta
         assert c * scaled == pytest.approx(beta, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e12, 1e100, 1e150])
+    def test_large_energy_unit(self, c):
+        # A qubit Gibbs state at beta c = 1: the beta = 0 branch must judge
+        # beta against the energy scale, or T reads infinite from c ~ 1e12 on.
+        p = np.exp([0.5, -0.5])
+        rho = DensityMatrix.from_spectrum(p / p.sum(), np.eye(2))
+        h = HermitianOperator(c * np.diag([-0.5, 0.5]))
+        report = inverse_temperature(rho, h)
+        assert report.temperature / c == pytest.approx(1.0, rel=1e-12)
+        basis = complete_basis(2, [hamiltonian_unit(h)[0]])
+        assert helmholtz_free_energy(rho, h, basis) == pytest.approx(report.free_energy, rel=1e-12)
+        mixed = inverse_temperature(DensityMatrix(np.eye(2) / 2.0), HermitianOperator(c * SZ))
+        assert mixed.temperature == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e155, 1e160, 1e300])
+    def test_energy_overflow_raises(self, c):
+        h = HermitianOperator(c * np.diag([-0.5, 0.5]))
+        with pytest.raises(NumericalError, match="overflow"):
+            hamiltonian_unit(h)
+        with pytest.raises(NumericalError, match="overflow"):
+            inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_moment_overflow_raises(self):
+        # A finite weight h on top of an overflowing Tr[H^2].
+        h = HermitianOperator(1e155 * np.eye(2) + 1e150 * SZ)
+        with pytest.raises(NumericalError, match="overflow"):
+            inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

@@ -3,14 +3,22 @@
 A bipartite report is what ``neqtemp bipartite`` computes: the system, its
 correlation temperature, the universal relation and both local temperatures.
 Its counts are exact and independent of the dimension, so a change that adds
-an eigendecomposition, a matrix logarithm, a unit-direction build or an
-operator validation to the report fails here. A generalized-Gibbs report
-builds a basis, decomposes and reconstructs the state over it and evaluates
-the Helmholtz free energy; its counts are pinned at d=8. The basis validates
-its d^2 members as one stack, so they add no ``HermitianOperator``
-validation of their own. Calls are counted by wrapping
-from the test; the package has no hooks. Matrix products (``@``) cannot be
-wrapped this way, so they are not counted.
+an eigendecomposition, a matrix logarithm, a unit-direction build, an HH_I
+build, a full-dimension spectral product or an operator validation to the
+report fails here. A generalized-Gibbs report builds a basis, decomposes and
+reconstructs the state over it and evaluates the Helmholtz free energy; its
+counts are pinned at d=8. The basis validates its d^2 members as one stack,
+so they add no ``HermitianOperator`` validation of their own.
+
+``HermitianOperator`` counts the public, validating constructor only: the
+user's matrices and the two marginals. Logarithms and HH_I are cached on
+their state and system, so ``logs`` and ``log_hamiltonians`` count the
+builds (cache misses), not the calls. ``spectral_products`` counts the
+d^3 products of ``SpectralDecomposition`` at the full dimension: its
+eigenvector Gram check and each ``apply``. Calls are counted by wrapping from
+the test; the package has no hooks. A bare ``@`` calls
+``ndarray.__matmul__``, which cannot be wrapped this way, so the other
+matrix products are not counted.
 """
 
 import sys
@@ -18,9 +26,9 @@ import sys
 import numpy as np
 import pytest
 
-from neqtemp import basis, linalg
+from neqtemp import basis, correlation, linalg
 from neqtemp.correlation import BipartiteSystem, correlation_inverse_temperature
-from neqtemp.linalg import DensityMatrix, HermitianOperator
+from neqtemp.linalg import DensityMatrix, HermitianOperator, SpectralDecomposition
 from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import (
     generalized_gibbs_decomposition,
@@ -29,11 +37,15 @@ from neqtemp.thermometry import (
     reconstruct_generalized_gibbs,
 )
 
-EXPECTED = {"eigh": 3, "HermitianOperator": 37, "hamiltonian_unit": 9, "matrix_log": 11}
+EXPECTED = {
+    "eigh": 3, "HermitianOperator": 6, "hamiltonian_unit": 9, "logs": 3,
+    "log_hamiltonians": 1, "spectral_products": 3,
+}
 
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
-    "eigh": 3, "HermitianOperator": 14, "hamiltonian_unit": 4, "matrix_log": 4, "hs_inner": 2,
+    "eigh": 3, "HermitianOperator": 2, "hamiltonian_unit": 4, "logs": 1, "hs_inner": 2,
+    "spectral_products": 8,
 }
 
 
@@ -73,7 +85,7 @@ def basis_report(H, rho):
     helmholtz_free_energy(state, h_op, ops)
 
 
-def install_counters(monkeypatch, keys):
+def install_counters(monkeypatch, keys, dim):
     counts = dict.fromkeys(keys, 0)
 
     def counted(key, fn):
@@ -83,15 +95,31 @@ def install_counters(monkeypatch, keys):
 
         return wrapper
 
+    def counted_product(fn):
+        def wrapper(self, *args, **kwargs):
+            out = fn(self, *args, **kwargs)
+            if self.dim == dim:
+                counts["spectral_products"] += 1
+            return out
+
+        return wrapper
+
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigh", np.linalg.eigvalsh))
     monkeypatch.setattr(
         HermitianOperator, "__init__",
         counted("HermitianOperator", HermitianOperator.__init__),
     )
+    for attr in ("__init__", "apply"):
+        monkeypatch.setattr(
+            SpectralDecomposition, attr, counted_product(getattr(SpectralDecomposition, attr))
+        )
+    for key, mod, attr in (("logs", linalg, "_spectral_log"),
+                           ("log_hamiltonians", correlation, "_build_log_hamiltonian")):
+        if key in counts:
+            monkeypatch.setattr(mod, attr, counted(key, getattr(mod, attr)))
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
     for key, orig in (("hamiltonian_unit", basis.hamiltonian_unit),
-                      ("matrix_log", linalg.matrix_log),
                       ("hs_inner", linalg.hs_inner)):
         if key not in counts:
             continue
@@ -106,7 +134,7 @@ def install_counters(monkeypatch, keys):
 @pytest.mark.parametrize("d_s,d_b", [(2, 2), (4, 8)])
 def test_bipartite_report_work_counts(monkeypatch, d_s, d_b):
     inputs = gibbs_inputs(d_s, d_b, 0.7, np.random.default_rng(d_s * d_b))
-    counts = install_counters(monkeypatch, EXPECTED)
+    counts = install_counters(monkeypatch, EXPECTED, d_s * d_b)
     report(d_s, d_b, *inputs)
     assert counts == EXPECTED
 
@@ -118,6 +146,6 @@ def test_basis_report_work_counts(monkeypatch):
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     p = rng.dirichlet(np.ones(8)) + 0.05
     rho = (q * (p / p.sum())) @ q.conj().T
-    counts = install_counters(monkeypatch, EXPECTED_BASIS)
+    counts = install_counters(monkeypatch, EXPECTED_BASIS, 8)
     basis_report(H, (rho + rho.conj().T) / 2.0)
     assert counts == EXPECTED_BASIS
