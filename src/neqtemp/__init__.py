@@ -28,7 +28,6 @@ from .linalg import (
     HermitianOperator,
     MatrixLog,
     SpectralDecomposition,
-    Tolerances,
     eig_hermitian,
     hs_inner,
     matrix_exp,

@@ -39,11 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
-from .linalg import (
-    DEFAULT_TOLS,
-    DensityMatrix,
-    HermitianOperator,
-)
+from .linalg import HERM_TOL, RANK_TOL, DensityMatrix, HermitianOperator
 
 __all__ = [
     "MAX_BASIS_DIM",
@@ -67,7 +63,7 @@ DROP_TOL = 1e-8
 MAX_BASIS_DIM = 34
 
 
-def hamiltonian_unit(H: HermitianOperator, tol_rank: float = DEFAULT_TOLS.rank) -> tuple[HermitianOperator, float]:
+def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     """Normalized traceless part of H and its Hilbert-Schmidt weight h.
 
     Returns ``(O1, h)`` with ``O1 = (H - (Tr H / d) I)/h`` and
@@ -90,7 +86,7 @@ def hamiltonian_unit(H: HermitianOperator, tol_rank: float = DEFAULT_TOLS.rank) 
     if not math.isfinite(h_sq):
         raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")
     h = math.sqrt(h_sq)
-    if h <= tol_rank * float(np.max(np.abs(H.matrix))):
+    if h <= RANK_TOL * float(np.max(np.abs(H.matrix))):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
@@ -163,7 +159,7 @@ class OperatorBasis:
         mats *= 0.5
         adj -= a
         dev = float(np.max(np.abs(adj)))
-        if dev > DEFAULT_TOLS.herm:
+        if dev > HERM_TOL:
             raise ValidationError(f"basis operators are not Hermitian: max deviation {dev:.3e}")
         mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)

@@ -120,6 +120,7 @@ def cmd_sweep(args) -> int:
         "lambda": args.lam,
         "beta": args.beta,
     }
+    clip = args.clip if args.clip is not None else DEFAULT_CLIP
     rows = [SWEEP_HEADER]
     for v in values:
         params = dict(base)
@@ -129,9 +130,9 @@ def cmd_sweep(args) -> int:
             lam=params["lambda"], beta=params["beta"],
         )
         sys_ = build_two_qubit_xy(p)
-        rel = verify_universal_relation(sys_, args.clip if args.clip is not None else DEFAULT_CLIP)
-        beta_s = inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff).beta
-        beta_b = inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff).beta
+        rel = verify_universal_relation(sys_, clip)
+        beta_s = inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff, clip).beta
+        beta_b = inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff, clip).beta
         cols = [
             v, beta_s, beta_b, rel.beta_SB, rel.beta_chi,
             rel.beta_tilde_S, rel.beta_tilde_B,

@@ -33,11 +33,10 @@ import numpy as np
 from .basis import hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    DEFAULT_TOLS,
+    RANK_TOL,
     DensityMatrix,
     HermitianOperator,
     MatrixLog,
-    Tolerances,
     hs_inner,
     matrix_log,
     partial_trace,
@@ -90,7 +89,6 @@ class BipartiteSystem:
         H_B: HermitianOperator,
         H_I: HermitianOperator,
         rho_SB: DensityMatrix,
-        tols: Tolerances = DEFAULT_TOLS,
     ):
         d_S, d_B = int(d_S), int(d_B)
         if d_S < 2 or d_B < 2:
@@ -103,8 +101,8 @@ class BipartiteSystem:
         self.d_S, self.d_B = d_S, d_B
         self.H_S, self.H_B, self.H_I = H_S, H_B, H_I
         self.rho_SB = rho_SB
-        self.rho_S = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=0), tols)
-        self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1), tols)
+        self.rho_S = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=0))
+        self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1))
         self.effective = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
         self._log_hamiltonians: dict[float, MatrixLog] = {}
@@ -288,7 +286,7 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
     # H_I_eff is H_I minus its mean-field parts; when those cancel it exactly
     # (H_I proportional to I, or local), rounding leaves a residue of order
     # eps * max|H_I| that is no direction, so judge h_I on H_I's scale.
-    if o_i is None or h_i <= DEFAULT_TOLS.rank * float(np.max(np.abs(sys.H_I.matrix))):
+    if o_i is None or h_i <= RANK_TOL * float(np.max(np.abs(sys.H_I.matrix))):
         o_i, h_i, o_chi, h_chi, c_s, c_b, c_chi = None, 0.0, None, 1.0, 0.0, 0.0, 0.0
     else:
         c_s, c_b = _embedded_traces(sys, o_s, o_b, o_i)

@@ -19,10 +19,10 @@ import numpy as np
 from . import __version__
 from .correlation import BipartiteSystem, CorrelationReport
 from .exceptions import ValidationError
-from .linalg import DensityMatrix, HermitianOperator
+from .linalg import HERM_TOL, DensityMatrix, HermitianOperator
 from .models import TwoQubitXYParams
 from .relation import RelationCoefficients
-from .thermometry import TemperatureReport
+from .thermometry import DEFAULT_CLIP, TemperatureReport
 
 __all__ = [
     "CONVENTION_NOTE",
@@ -86,8 +86,8 @@ def parse_input_document(doc: dict) -> InputDocument:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object")
-    clip = float(options.get("clip", 1e-300))
-    tol = float(options.get("tol", 1e-10))
+    clip = float(options.get("clip", DEFAULT_CLIP))
+    tol = float(options.get("tol", HERM_TOL))
     if clip <= 0 or tol <= 0:
         raise ValidationError("clip and tol must be positive")
 

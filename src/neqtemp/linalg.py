@@ -39,8 +39,6 @@ from .exceptions import NumericalError, ValidationError
 
 __all__ = [
     "MAX_DIM",
-    "Tolerances",
-    "DEFAULT_TOLS",
     "HermitianOperator",
     "SpectralDecomposition",
     "DensityMatrix",
@@ -60,34 +58,15 @@ MAX_DIM = 1024
 #: Largest eigenvalue matrix_exp accepts before exp() overflows a double.
 EXP_OVERFLOW_BOUND = 700.0
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances (double-precision headroom at desk scale).
-
-    All of them can be overridden per call or per constructed object.
-
-    :ivar herm: max allowed deviation from Hermiticity, ``max|A - A^dag|``.
-    :ivar trace: max allowed deviation of a density-matrix trace from 1.
-    :ivar psd: eigenvalues above ``-psd`` are clipped to zero; anything more
-        negative is rejected.
-    :ivar rank: eigenvalues above ``rank`` count toward the numerical rank.
-    :ivar unitary: max deviation of eigenvector matrices from unitarity.
-    :ivar recon: max reconstruction error of a spectral decomposition.
-    :ivar degeneracy: relative eigenvalue gap under which eigenvalues are
-        grouped into one degenerate cluster.
-    """
-
-    herm: float = 1e-10
-    trace: float = 1e-10
-    psd: float = 1e-10
-    rank: float = 1e-12
-    unitary: float = 1e-10
-    recon: float = 1e-10
-    degeneracy: float = 1e-9
-
-
-DEFAULT_TOLS = Tolerances()
+# Fixed numerical thresholds, double-precision headroom at desk scale.
+HERM_TOL = 1e-10  #: max|A - A^dag|, the default ``tol_herm``
+TRACE_TOL = 1e-10  #: max |Tr rho - 1|
+PSD_TOL = 1e-10  #: eigenvalues in [-PSD_TOL, 0) are clipped to 0, lower ones rejected
+RANK_TOL = 1e-12  #: eigenvalues above it count toward ``DensityMatrix.rank``
+UNITARY_TOL = 1e-10  #: max|V^dag V - I| of an eigenvector matrix
+RECON_TOL = 1e-10  #: max spectral reconstruction error, relative to max(1, max|A|)
+DEGENERACY_TOL = 1e-9  #: relative eigenvalue gap within one degenerate cluster
+IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |value|)
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -118,7 +97,7 @@ class HermitianOperator:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol_herm: float = DEFAULT_TOLS.herm):
+    def __init__(self, matrix, tol_herm: float = HERM_TOL):
         a = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if a.shape[0] != a.shape[1]:
             raise ValidationError(f"Hermitian operator must be square, got {a.shape}")
@@ -179,7 +158,7 @@ class SpectralDecomposition:
 
     __slots__ = ("eigenvalues", "eigenvectors")
 
-    def __init__(self, eigenvalues, eigenvectors, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, eigenvalues, eigenvectors):
         w = np.array(eigenvalues, dtype=float)
         v = as_complex_matrix(eigenvectors)
         if w.ndim != 1 or v.shape != (w.size, w.size):
@@ -188,7 +167,7 @@ class SpectralDecomposition:
             raise ValidationError("eigenvalues must be ascending")
         gram = v.conj().T @ v
         dev = float(np.max(np.abs(gram - np.eye(w.size))))
-        if dev > tols.unitary:
+        if dev > UNITARY_TOL:
             raise ValidationError(f"eigenvector matrix not unitary: deviation {dev:.3e}")
         self.eigenvalues: np.ndarray = _frozen(w)
         self.eigenvectors: np.ndarray = _frozen(v)
@@ -236,7 +215,7 @@ class SpectralDecomposition:
         return out
 
 
-def eig_hermitian(A: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
+def eig_hermitian(A: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
     Uses tridiagonalization plus a divide-and-conquer/QR backend (LAPACK
@@ -248,11 +227,11 @@ def eig_hermitian(A: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> Spec
         w, v = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    spec = SpectralDecomposition(w, v, tols)
+    spec = SpectralDecomposition(w, v)
     recon = spec.apply(lambda x: x)
     dev = float(np.max(np.abs(recon - A.matrix)))
     scale = max(1.0, float(np.max(np.abs(A.matrix))))
-    if dev > tols.recon * scale:
+    if dev > RECON_TOL * scale:
         raise NumericalError(f"spectral reconstruction error {dev:.3e} exceeds tolerance")
     return spec
 
@@ -261,8 +240,8 @@ class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix with cached spectrum.
 
     Construction validates trace and positivity; eigenvalues in
-    ``[-psd, 0)`` are clipped to zero and the spectrum renormalized, so the
-    stored matrix and spectrum are exactly consistent with each other.
+    ``[-PSD_TOL, 0)`` are clipped to zero and the spectrum renormalized, so
+    the stored matrix and spectrum are exactly consistent with each other.
 
     ``DensityMatrix(matrix)`` validates a raw matrix through
     :class:`HermitianOperator` (an operator passed in was validated when it
@@ -270,20 +249,26 @@ class DensityMatrix:
     :func:`eig_hermitian`; the spectrum installed is that checked one.
     :meth:`from_spectrum` checks the spectral data it is given. The matrix
     logarithm is cached per clip on the instance (see :func:`matrix_log`).
+
+    ``rank`` counts eigenvalues above ``RANK_TOL``; ``resolved_rank`` those
+    the source tells apart from zero: above 4 d eps lambda_max for an
+    eigensolver's spectrum, above 0 for exact spectral data.
     """
 
-    __slots__ = ("operator", "spectrum", "rank", "_logs")
+    __slots__ = ("operator", "spectrum", "rank", "resolved_rank", "_logs")
 
-    def __init__(self, matrix, tols: Tolerances = DEFAULT_TOLS):
-        op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix, tols.herm)
+    def __init__(self, matrix):
+        op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
         tr = op.trace
-        if abs(tr - 1.0) > tols.trace:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} deviates from 1 beyond tolerance")
-        spec = eig_hermitian(op, tols)
-        self._install(spec.eigenvalues, spec.eigenvectors, tols)
+        spec = eig_hermitian(op)
+        # Round-off eigenvalues of Haar pure states stayed below 0.94 d eps
+        # lambda_max (50,000 draws at d = 2, less at larger d): a 4x margin.
+        self._install(spec.eigenvalues, spec.eigenvectors, 4.0 * op.dim * float(np.finfo(float).eps))
 
     @classmethod
-    def from_spectrum(cls, eigenvalues, eigenvectors, tols: Tolerances = DEFAULT_TOLS) -> "DensityMatrix":
+    def from_spectrum(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
         """Build directly from known spectral data.
 
         Analytic constructions (Gibbs states, explicit mixtures) know their
@@ -298,16 +283,19 @@ class DensityMatrix:
         if not np.all(np.isfinite(w)):
             raise ValidationError("eigenvalues must be finite")
         order = np.argsort(w, kind="stable")
-        spec = SpectralDecomposition(w[order], v[:, order], tols)
+        spec = SpectralDecomposition(w[order], v[:, order])
         obj = object.__new__(cls)
-        obj._install(spec.eigenvalues, spec.eigenvectors, tols)
+        obj._install(spec.eigenvalues, spec.eigenvectors, 0.0)
         return obj
 
-    def _install(self, w: np.ndarray, v: np.ndarray, tols: Tolerances) -> None:
-        """Clip, renormalize and store a spectrum whose eigenvectors were checked."""
-        if abs(float(w.sum()) - 1.0) > tols.trace:
+    def _install(self, w: np.ndarray, v: np.ndarray, noise: float) -> None:
+        """Clip, renormalize and store a spectrum whose eigenvectors were checked.
+
+        Eigenvalues at or below ``noise * lambda_max`` are not resolved from 0.
+        """
+        if abs(float(w.sum()) - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {float(w.sum())!r} deviates from 1")
-        if w[0] < -tols.psd:
+        if w[0] < -PSD_TOL:
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
             )
@@ -315,7 +303,8 @@ class DensityMatrix:
         w = w / float(w.sum())
         self.operator = HermitianOperator._of_computed((v * w) @ v.conj().T)
         self.spectrum = SpectralDecomposition._of_checked(w, v)
-        self.rank = int(np.count_nonzero(w > tols.rank))
+        self.rank = int(np.count_nonzero(w > RANK_TOL))
+        self.resolved_rank = int(np.count_nonzero(w > noise * w[-1]))
         self._logs: dict[float, MatrixLog] = {}
 
     @property
@@ -414,10 +403,10 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
     return np.einsum("aiaj->ij", t)
 
 
-def hs_inner(A, B, tol_imag: float = 1e-10) -> float:
+def hs_inner(A, B) -> float:
     """Hilbert-Schmidt inner product Tr[A^dag B], real for Hermitian inputs.
 
-    An imaginary residue above ``tol_imag`` (relative) raises; below it, the
+    An imaginary residue above ``IMAG_TOL`` (relative) raises; below it, the
     residue is discarded.
     """
     a = _matrix_of(A)
@@ -425,6 +414,6 @@ def hs_inner(A, B, tol_imag: float = 1e-10) -> float:
     if a.shape != b.shape:
         raise ValidationError(f"hs_inner dimension mismatch: {a.shape} vs {b.shape}")
     val = complex(np.sum(a.conj() * b))
-    if abs(val.imag) > tol_imag * max(1.0, abs(val)):
+    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val)):
         raise NumericalError(f"hs_inner imaginary residue {val.imag:.3e} too large")
     return float(val.real)

@@ -31,6 +31,7 @@ from .exceptions import ValidationError
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    SpectralDecomposition,
     eig_hermitian,
     tensor_product,
 )
@@ -120,12 +121,15 @@ def build_two_qubit_xy(p: TwoQubitXYParams) -> BipartiteSystem:
     h_sb = HermitianOperator(
         tensor_product(h_s, np.eye(2)) + tensor_product(np.eye(2), h_b) + h_i.matrix
     )
-    spec = eig_hermitian(h_sb)
-    w = -p.beta * spec.eigenvalues
+    return BipartiteSystem(2, 2, h_s, h_b, h_i, _gibbs_state(eig_hermitian(h_sb), p.beta))
+
+
+def _gibbs_state(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
+    """The Gibbs state exp(-beta H)/Z of H = spec, built from its spectrum."""
+    w = -beta * spec.eigenvalues
     w -= w.max()
     probs = np.exp(w) / float(np.sum(np.exp(w)))
-    rho = DensityMatrix.from_spectrum(probs, spec.eigenvectors)
-    return BipartiteSystem(2, 2, h_s, h_b, h_i, rho)
+    return DensityMatrix.from_spectrum(probs, spec.eigenvectors)
 
 
 def closed_form(p: TwoQubitXYParams) -> TwoQubitClosedForm:
@@ -183,24 +187,26 @@ def sample_gibbs(d: int, beta: float, rng: np.random.Generator) -> tuple[Hermiti
     if d < 2:
         raise ValidationError("dimension must be at least 2")
     h = gue_sample(d, rng)
-    spec = eig_hermitian(h)
-    w = -beta * spec.eigenvalues
-    w -= w.max()
-    probs = np.exp(w) / float(np.sum(np.exp(w)))
-    return h, DensityMatrix.from_spectrum(probs, spec.eigenvectors)
+    return h, _gibbs_state(eig_hermitian(h), beta)
+
+
+def _commuting_pair(d: int, rng: np.random.Generator, inverted: bool) -> tuple[HermitianOperator, DensityMatrix]:
+    """Commuting (H, rho), populations ascending in energy if ``inverted``, else descending."""
+    if d < 2:
+        raise ValidationError("dimension must be at least 2")
+    energies = np.sort(rng.normal(scale=2.0, size=d))
+    probs = np.sort(rng.dirichlet(np.ones(d)))
+    if not inverted:
+        probs = probs[::-1]
+    probs = (probs + 1e-9) / (1.0 + d * 1e-9)  # full rank, ordering preserved
+    u = _haar_unitary(d, rng)
+    h = HermitianOperator((u * energies) @ u.conj().T)
+    return h, DensityMatrix.from_spectrum(probs, u)
 
 
 def sample_passive_pair(d: int, rng: np.random.Generator) -> tuple[HermitianOperator, DensityMatrix]:
     """Commuting (H, rho) with populations non-increasing along energy."""
-    if d < 2:
-        raise ValidationError("dimension must be at least 2")
-    energies = np.sort(rng.normal(scale=2.0, size=d))
-    probs = np.sort(rng.dirichlet(np.ones(d)))[::-1]
-    probs = (probs + 1e-9) / (1.0 + d * 1e-9)  # full rank, ordering preserved
-    u = _haar_unitary(d, rng)
-    h = HermitianOperator((u * energies) @ u.conj().T)
-    rho = DensityMatrix.from_spectrum(probs, u)
-    return h, rho
+    return _commuting_pair(d, rng, inverted=False)
 
 
 def sample_inverted_pair(d: int, rng: np.random.Generator) -> tuple[HermitianOperator, DensityMatrix]:
@@ -208,15 +214,7 @@ def sample_inverted_pair(d: int, rng: np.random.Generator) -> tuple[HermitianOpe
 
     Fully population-inverted, hence never passive for nondegenerate spectra.
     """
-    if d < 2:
-        raise ValidationError("dimension must be at least 2")
-    energies = np.sort(rng.normal(scale=2.0, size=d))
-    probs = np.sort(rng.dirichlet(np.ones(d)))
-    probs = (probs + 1e-9) / (1.0 + d * 1e-9)  # full rank, ordering preserved
-    u = _haar_unitary(d, rng)
-    h = HermitianOperator((u * energies) @ u.conj().T)
-    rho = DensityMatrix.from_spectrum(probs, u)
-    return h, rho
+    return _commuting_pair(d, rng, inverted=True)
 
 
 def sample_pure(d: int, rng: np.random.Generator) -> DensityMatrix:

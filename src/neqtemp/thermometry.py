@@ -33,10 +33,9 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
-    DEFAULT_TOLS,
+    DEGENERACY_TOL,
     DensityMatrix,
     HermitianOperator,
-    Tolerances,
     eig_hermitian,
     hs_inner,
     matrix_exp,
@@ -110,14 +109,15 @@ def inverse_temperature(
     rho: DensityMatrix,
     H: HermitianOperator,
     clip: float = DEFAULT_CLIP,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> TemperatureReport:
     """Nonequilibrium inverse temperature of (rho, H) with full diagnostics.
 
     Extended-real semantics:
 
-    * rank-1 (pure) states report temperature exactly 0.0, with beta signed
-      infinite according to the sign of the clip-regularized covariance;
+    * pure states (one eigenvalue told apart from zero, see
+      ``DensityMatrix.resolved_rank``) report temperature exactly 0.0, with
+      beta signed infinite according to the sign of the clip-regularized
+      covariance;
     * |beta| h <= BETA_ZERO_TOL reports temperature = +inf (maximally mixed
       regime; h is the weight of H, so the test is unit-free);
     * otherwise temperature = 1/beta.
@@ -125,7 +125,7 @@ def inverse_temperature(
     :raises DegenerateDirectionError: if H is proportional to the identity.
     :raises NumericalError: if h, the energy moments or beta overflow.
     """
-    O1, h = hamiltonian_unit(H, tols.rank)
+    O1, h = hamiltonian_unit(H)
     if rho.dim != H.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
     d = rho.dim
@@ -162,7 +162,7 @@ def inverse_temperature(
             f"temperature formulas disagree: {beta_cov!r} vs {beta_dir!r}"
         )
     rank_deficient = rho.rank < d
-    if rho.rank == 1:
+    if rho.resolved_rank == 1:
         beta = math.inf if beta_cov >= 0.0 else -math.inf
         temperature = 0.0
     elif abs(beta_cov) * h <= BETA_ZERO_TOL:
@@ -274,7 +274,7 @@ def helmholtz_free_energy(
     return f
 
 
-def is_passive(rho: DensityMatrix, H: HermitianOperator, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     """True iff populations are non-increasing along ascending energy.
 
     The state must commute with H (block-diagonal across the degenerate
@@ -283,9 +283,9 @@ def is_passive(rho: DensityMatrix, H: HermitianOperator, tols: Tolerances = DEFA
     """
     if rho.dim != H.dim:
         raise ValidationError("dimension mismatch")
-    spec = eig_hermitian(H, tols)
+    spec = eig_hermitian(H)
     scale = max(float(np.max(np.abs(spec.eigenvalues))), 1e-300)
-    clusters = spec.clusters(tols.degeneracy * scale)
+    clusters = spec.clusters(DEGENERACY_TOL * scale)
     v = spec.eigenvectors
     r = v.conj().T @ rho.matrix @ v
     # Commutation: rho must not mix distinct energy clusters.
@@ -315,9 +315,7 @@ class VariationSplit:
     d_ep: HermitianOperator
 
 
-def variation_split(
-    rho: DensityMatrix, drho: HermitianOperator, tols: Tolerances = DEFAULT_TOLS
-) -> VariationSplit:
+def variation_split(rho: DensityMatrix, drho: HermitianOperator) -> VariationSplit:
     """Split drho into its eigenvalue and eigenprojector parts w.r.t. rho.
 
     d_ev = sum_k P_k drho P_k over the degenerate eigenprojector clusters P_k
@@ -331,7 +329,7 @@ def variation_split(
         raise ValidationError(f"variation must be trace-free, got Tr drho = {tr!r}")
     scale = max(float(rho.eigenvalues[-1]), 1e-300)
     d_ev = np.zeros_like(drho.matrix)
-    for p in rho.spectrum.projectors(tols.degeneracy * scale):
+    for p in rho.spectrum.projectors(DEGENERACY_TOL * scale):
         d_ev += p @ drho.matrix @ p
     d_ev = HermitianOperator._of_computed(d_ev)
     return VariationSplit(
@@ -359,7 +357,6 @@ def heat_and_work(
     drho: HermitianOperator,
     H: HermitianOperator,
     dH: HermitianOperator,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> HeatWork:
     """Conventional (dQ = Tr[drho H], dW = Tr[rho dH]) and entropic split.
 
@@ -367,7 +364,7 @@ def heat_and_work(
     variation changes entropy, so only it can carry heat; the eigenprojector
     part is counted as work together with the Hamiltonian variation.
     """
-    split = variation_split(rho, drho, tols)
+    split = variation_split(rho, drho)
     dq = float(np.vdot(drho.matrix, H.matrix).real)
     dw = float(np.vdot(rho.matrix, dH.matrix).real)
     dq_e = float(np.vdot(split.d_ev.matrix, H.matrix).real)
@@ -385,7 +382,6 @@ def finite_difference_beta(
     H: HermitianOperator,
     basis: OperatorBasis,
     step: float,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
     """Central-difference dS/dU along the Hamiltonian direction basis[1].
 
@@ -399,7 +395,7 @@ def finite_difference_beta(
     states = []
     for sgn in (+1.0, -1.0):
         try:
-            states.append(DensityMatrix(rho.matrix + sgn * step * o1, tols))
+            states.append(DensityMatrix(rho.matrix + sgn * step * o1))
         except ValidationError as exc:
             raise StepTooLargeError(
                 f"perturbed state left the positive cone at step {step!r}: {exc}"

@@ -18,6 +18,7 @@ from .exceptions import ValidationError
 from .linalg import DensityMatrix, HermitianOperator, eig_hermitian, hs_inner, matrix_log, tensor_product
 from .models import (
     TwoQubitXYParams,
+    _gibbs_state,
     build_two_qubit_xy,
     closed_form,
     gue_sample,
@@ -173,13 +174,6 @@ def suite_relation(seed: int, count: int) -> SuiteResult:
     return res
 
 
-def _gibbs_path_state(spec, beta):
-    w = -beta * spec.eigenvalues
-    w = w - w.max()
-    probs = np.exp(w) / float(np.sum(np.exp(w)))
-    return DensityMatrix.from_spectrum(probs, spec.eigenvectors)
-
-
 def suite_heat(seed: int, count: int) -> SuiteResult:
     """Entropic-heat route: dS/dQ_ev matches beta at first order in step.
 
@@ -202,11 +196,11 @@ def suite_heat(seed: int, count: int) -> SuiteResult:
         def beta_at(t):
             return b0 + (b1 - b0) * t
 
-        rho0 = _gibbs_path_state(spec, beta_at(t0))
+        rho0 = _gibbs_state(spec, beta_at(t0))
         beta_hat = inverse_temperature(rho0, h).beta
         errs = []
         for step in (1e-3, 1e-4):
-            rho1 = _gibbs_path_state(spec, beta_at(t0 + step))
+            rho1 = _gibbs_state(spec, beta_at(t0 + step))
             drho = HermitianOperator._of_computed(rho1.matrix - rho0.matrix)
             hw = heat_and_work(rho0, drho, h, HermitianOperator(np.zeros((d, d))))
             ds = von_neumann_entropy(rho1) - von_neumann_entropy(rho0)

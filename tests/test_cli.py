@@ -16,6 +16,8 @@ from neqtemp.io import (
     parse_input_document,
     temperature_report_dict,
 )
+from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy
+from neqtemp.thermometry import inverse_temperature
 
 
 def pairs(m):
@@ -209,6 +211,14 @@ class TestSweep:
         assert main(self.ARGS + ["--out", str(a)]) == 0
         assert main(self.ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_clip_reaches_local_columns(self, capsys):
+        assert main(["sweep", "--axis", "beta", "--values", "5.0", "--omega-s", "2.0",
+                     "--omega-b", "1.0", "--lam", "0.1", "--clip", "0.05"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        sys_ = build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.1, beta=5.0))
+        assert float(row[1]) == inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff, 0.05).beta
+        assert float(row[2]) == inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff, 0.05).beta
 
     def test_bad_axis_exits_1(self, capsys):
         assert main(["sweep", "--axis", "mass", "--values", "1.0"]) == 1

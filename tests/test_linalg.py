@@ -26,6 +26,7 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
+from neqtemp.thermometry import is_passive
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -329,3 +330,60 @@ class TestHsInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             hs_inner(np.eye(2), np.eye(3))
+
+
+def _accepted(build, exc):
+    """Probe that reports whether ``build(x)`` passes its check or raises ``exc``."""
+    def probe(x):
+        try:
+            build(x)
+        except exc:
+            return False
+        return True
+    return probe
+
+
+def _passive_across_gap(x):
+    """Populations inverted across the gap x: passive only if x counts as degenerate."""
+    rho = DensityMatrix.from_spectrum([0.5, 0.2, 0.3], np.eye(3))
+    return is_passive(rho, HermitianOperator(np.diag([0.0, 1.0, 1.0 + x])))
+
+
+#: (probe, inside, outside): each fixed threshold holds at today's value.
+THRESHOLD_BOUNDARIES = {
+    "hermiticity": (
+        _accepted(lambda x: HermitianOperator([[1.0, 0.1 + x], [0.1, 0.0]]), ValidationError),
+        5e-11, 2e-10,
+    ),
+    "trace": (
+        _accepted(lambda x: DensityMatrix(np.diag([0.5 + x, 0.5])), ValidationError),
+        5e-11, 2e-10,
+    ),
+    "psd": (
+        _accepted(lambda x: DensityMatrix.from_spectrum([-x, 1.0 + x], np.eye(2)), ValidationError),
+        5e-11, 2e-10,
+    ),
+    "unitarity": (
+        _accepted(
+            lambda x: SpectralDecomposition([0.0, 1.0], np.diag([math.sqrt(1.0 + x), 1.0])),
+            ValidationError,
+        ),
+        5e-11, 2e-10,
+    ),
+    "rank": (
+        lambda x: DensityMatrix.from_spectrum([x, 1.0 - x], np.eye(2)).rank == 2,
+        2e-12, 5e-13,
+    ),
+    "degeneracy": (_passive_across_gap, 5e-10, 2e-9),
+    "hs_inner imaginary residue": (
+        _accepted(lambda x: hs_inner(np.eye(2), np.diag([0.5, 0.5 + 1j * x])), NumericalError),
+        5e-11, 2e-10,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(THRESHOLD_BOUNDARIES))
+def test_threshold_boundary(name):
+    probe, inside, outside = THRESHOLD_BOUNDARIES[name]
+    assert probe(inside)
+    assert not probe(outside)

@@ -115,6 +115,35 @@ class TestInverseTemperature:
         assert report.rank_deficient
         assert report.clipped
 
+    @pytest.mark.parametrize("beta", [28.0, 35.0, 50.0, 100.0])
+    def test_gibbs_recovery_below_rank_floor(self, beta):
+        # The excited population e^-beta/Z is below the 1e-12 rank floor but
+        # exact spectral data, so the state is not pure and beta is recovered.
+        e = np.array([-0.5, 0.5])
+        p = np.exp(-beta * (e - e[0]))
+        rho = DensityMatrix.from_spectrum(p / p.sum(), np.eye(2))
+        report = inverse_temperature(rho, HermitianOperator(np.diag(e)))
+        assert abs(report.beta - beta) <= 1e-12 * beta
+        assert not report.clipped
+        assert report.rank_deficient
+
+    def test_gibbs_recovery_below_clip(self):
+        p = np.array([1.0, math.exp(-700.0)])
+        rho = DensityMatrix.from_spectrum(p / p.sum(), np.eye(2))
+        report = inverse_temperature(rho, HermitianOperator(np.diag([-0.5, 0.5])))
+        assert report.beta == pytest.approx(300.0 * math.log(10.0), rel=1e-12)
+        assert report.clipped
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 32])
+    def test_haar_pure_state_from_matrix(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            report = inverse_temperature(DensityMatrix(np.outer(v, v.conj())), gue(d, rng))
+            assert report.temperature == 0.0
+            assert math.isinf(report.beta)
+
     def test_identity_hamiltonian_rejected(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
         with pytest.raises(DegenerateDirectionError):
