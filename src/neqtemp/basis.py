@@ -79,19 +79,28 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
-    d = H.dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        traceless = H.matrix - (H.trace / d) * np.eye(d)
-        h_sq = float(np.sum(np.abs(traceless) ** 2))
-    if not math.isfinite(h_sq):
-        raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")
-    h = math.sqrt(h_sq)
+    traceless, h = _traceless_weight(H.matrix)
     if h <= RANK_TOL * float(np.max(np.abs(H.matrix))):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
         )
     return HermitianOperator._of_computed(traceless / h), h
+
+
+def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The traceless part m - (Tr m / d) I of a Hermitian matrix and its norm h.
+
+    :raises NumericalError: if h^2 overflows a double.
+    """
+    d = m.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        traceless = np.array(m, dtype=complex)  # m - (Tr m / d) I without a d x d identity
+        traceless.flat[:: d + 1] -= float(np.trace(m).real) / d
+        h_sq = float(np.sum(np.abs(traceless) ** 2))
+    if not math.isfinite(h_sq):
+        raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")
+    return traceless, math.sqrt(h_sq)
 
 
 def gell_mann_candidates(d: int) -> np.ndarray:

@@ -2,94 +2,83 @@
 
 A bipartite system carries local Hamiltonians H_S, H_B, an interaction H_I on
 the joint space and a joint state rho_SB (S is always the left tensor
-factor). The correlation content of the state is chi = rho_SB - rho_S x
-rho_B; its energy is the binding energy U_chi = Tr[chi H_I_eff] and its
-entropy the mutual information S_chi. The correlation temperature is the
-constrained partial derivative dS_chi/dU_chi at fixed local energies,
-evaluated in the operator frame frozen at the state:
+factor). Its correlations chi = rho_SB - rho_S x rho_B hold the binding
+energy U_chi = Tr[chi H_I_eff] and the mutual information S_chi. The
+correlation temperature is the constrained partial derivative dS_chi/dU_chi
+at fixed local energies, in the operator frame frozen at the state:
 
     beta_chi = -Tr[O_chi HH_I] / (h_I h_chi),
 
-where HH_I = -log rho_SB + log rho_S x I + I x log rho_B is the correlation
-part of the log-Hamiltonian, O_I the unit direction of the effective
-interaction, and O_chi the component of O_I orthogonal to the local
+where HH_I = -log rho_SB + log rho_S x I + I x log rho_B, O_I is the unit
+direction of H_I_eff and O_chi the part of O_I orthogonal to the local
 directions. The 1/h_I factor is the Jacobian dU_chi = h_I h_chi dy_chi of
-the coordinate the derivative is taken along; it is required for the
-Gibbs-family identity beta_chi = -beta to hold.
+the coordinate; it is required for the Gibbs identity beta_chi = -beta.
 
-The clip-independent geometry (units, weights, overlaps, O_chi and the
-coefficients C of O1_SB) lives in one :class:`BipartiteFrame`, built once per
-system by ``BipartiteSystem.frame``; its builder alone defines the convention
-for a degenerate interaction (H_I_eff proportional to the identity).
+Every number is a trace, taken by trace algebra. Each direction (O_S x I,
+I x O_B, O_I, O_chi, O1_SB) is a combination of H_S_eff x I, I x H_B_eff,
+H_I_eff and I, and Tr[(X x I) M] = Tr[X Tr_B M], so with L = log rho_SB
+
+    Tr[X HH_I] = -Tr[X L] + Tr[Tr_B(X) log rho_S] + Tr[Tr_S(X) log rho_B].
+
+A report's joint-space arrays are the inputs H_I and rho_SB, H_I_eff,
+rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
+is d_S x d_S or d_B x d_B (effective Hamiltonians, mean-field shifts lambda,
+partial traces of H_I, H_I_eff, L and HH_I, the marginals' logs) or scalar.
+O1_SB, O_I, O_chi, H_SB, chi and HH_I are built on first access and cached.
+Cross-checks compare independent assemblies: beta_chi takes Tr[O_I HH_I]
+once from a vdot of H_I_eff with L and its partial traces (overlap form),
+once from H_I, lambda and the partial traces of H_I (direct form, through
+O_chi); U_chi is Tr[chi H_I_eff] (H_I_eff's vdot and product mean), Tr[chi
+H_I] (mean through lambda_S) and Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]
+(rho_SB's raw partial traces, mean through lambda_B).
+
+The clip-independent geometry (weights, overlaps and the coefficients C of
+O1_SB) lives in one :class:`BipartiteFrame`, built once per system; its
+builder alone defines the convention for a degenerate interaction (H_I_eff
+proportional to the identity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import hamiltonian_unit
+from .basis import _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    RANK_TOL,
-    DensityMatrix,
-    HermitianOperator,
-    MatrixLog,
-    hs_inner,
-    matrix_log,
-    partial_trace,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _tr, matrix_log, partial_trace,
     tensor_product,
 )
 from .thermometry import DEFAULT_CLIP, von_neumann_entropy
 
 __all__ = [
-    "BipartiteSystem",
-    "EffectiveHamiltonians",
-    "BipartiteFrame",
-    "CorrelationReport",
-    "correlation_operator",
-    "binding_energy",
-    "mutual_information",
-    "correlation_log_hamiltonian",
-    "chi_unit",
-    "correlation_inverse_temperature",
+    "BipartiteSystem", "EffectiveHamiltonians", "BipartiteFrame", "CorrelationReport",
+    "correlation_operator", "binding_energy", "mutual_information",
+    "correlation_log_hamiltonian", "chi_unit", "correlation_inverse_temperature",
 ]
 
 
 class BipartiteSystem:
     """Bipartite Hamiltonian data and joint state, with cached derived parts.
 
-    H_S, H_B, H_I and rho_SB are validated when the caller builds them
-    (:class:`HermitianOperator`, :class:`DensityMatrix`); the marginals are
-    validated as density matrices here. Everything derived from them (the
-    effective Hamiltonians, H_SB, the frame's directions, HH_I and chi) is
-    wrapped without a Hermiticity check, through
-    ``HermitianOperator._of_computed``, which symmetrizes it and checks that
-    it is finite.
-
-    Marginals and effective Hamiltonians are computed once at construction,
-    the total Hamiltonian and the :class:`BipartiteFrame` once on first use,
-    and HH_I once per clip (see :func:`correlation_log_hamiltonian`); it
-    shares log rho_SB, log rho_S and log rho_B with every other user of those
-    states' logs. Instances are immutable afterwards and safe to share.
+    H_S, H_B, H_I and rho_SB are validated when the caller builds them; the
+    marginals are validated as density matrices here. Operators derived from
+    them are wrapped through ``HermitianOperator._of_computed`` (symmetrized,
+    checked finite). Marginals, effective Hamiltonians and mean-field shifts
+    are computed at construction, the frame and H_SB on first use, the traces
+    of the logarithms once per clip, and HH_I per clip only when asked for;
+    instances are immutable afterwards and safe to share.
     """
 
-    __slots__ = (
-        "d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB",
-        "rho_S", "rho_B", "effective", "_H_SB", "_frame", "_log_hamiltonians",
-    )
+    __slots__ = ("d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB", "rho_S", "rho_B", "effective",
+                 "_shifts", "_H_SB", "_frame", "_log_hamiltonians", "_log_traces")
 
-    def __init__(
-        self,
-        d_S: int,
-        d_B: int,
-        H_S: HermitianOperator,
-        H_B: HermitianOperator,
-        H_I: HermitianOperator,
-        rho_SB: DensityMatrix,
-    ):
+    def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
+                 H_I: HermitianOperator, rho_SB: DensityMatrix):
         d_S, d_B = int(d_S), int(d_B)
         if d_S < 2 or d_B < 2:
             raise ValidationError("both factors must have dimension at least 2")
@@ -103,9 +92,10 @@ class BipartiteSystem:
         self.rho_SB = rho_SB
         self.rho_S = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=0))
         self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1))
-        self.effective = _effective_hamiltonians(self)
+        self.effective, self._shifts = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
         self._log_hamiltonians: dict[float, MatrixLog] = {}
+        self._log_traces: dict[float, _LogTraces] = {}
 
     @property
     def dim(self) -> int:
@@ -114,9 +104,8 @@ class BipartiteSystem:
     def H_SB(self) -> HermitianOperator:
         """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space."""
         if self._H_SB is None:
-            self._H_SB = HermitianOperator._of_computed(
-                self.embed_S(self.H_S) + self.embed_B(self.H_B) + self.H_I.matrix
-            )
+            hsb = self.embed_S(self.H_S) + self.embed_B(self.H_B) + self.H_I.matrix
+            self._H_SB = HermitianOperator._of_computed(hsb)
         return self._H_SB
 
     @property
@@ -149,93 +138,101 @@ class EffectiveHamiltonians:
     H_I_eff: HermitianOperator
 
 
-def _effective_hamiltonians(sys: BipartiteSystem) -> EffectiveHamiltonians:
+def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians, tuple]:
+    """The effective Hamiltonians, and (lambda_S, lambda_B, mean, Tr_B H_I, Tr_S H_I)."""
     hi = sys.H_I.matrix
     t = hi.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
-    # Tr_B[(I x rho_B) H_I], Tr_S[(rho_S x I) H_I] and Tr[(rho_S x rho_B) H_I],
-    # contracted index by index instead of through joint-space products.
-    # Both shifts are Hermitian; symmetrizing them drops the rounding
-    # residue, which scales with H_I, before it enters H_I_eff.
+    # Tr_B[(I x rho_B) H_I], Tr_S[(rho_S x I) H_I] and Tr[(rho_S x rho_B) H_I], contracted
+    # index by index; symmetrizing the shifts drops rounding residue before it enters H_I_eff.
     lamb_S = HermitianOperator._of_computed(np.einsum("ab,ibja->ij", sys.rho_B.matrix, t))
     lamb_B = HermitianOperator._of_computed(np.einsum("ik,kaic->ac", sys.rho_S.matrix, t))
-    mean = float(np.vdot(sys.rho_S.matrix, lamb_S.matrix).real)
-    hi_eff = hi - sys.embed_S(lamb_S) - sys.embed_B(lamb_B) + mean * np.eye(sys.dim)
-    return EffectiveHamiltonians(
-        H_S_eff=HermitianOperator._of_computed(sys.H_S.matrix + lamb_S.matrix),
-        H_B_eff=HermitianOperator._of_computed(sys.H_B.matrix + lamb_B.matrix),
-        H_I_eff=HermitianOperator._of_computed(hi_eff),
-    )
+    mean = _tr(sys.rho_S, lamb_S)
+    hi_eff = hi.copy()  # H_I - lambda_S x I - I x lambda_B + mean I, on the entries each term touches
+    t_eff, s, b = hi_eff.reshape(t.shape), np.arange(sys.d_S), np.arange(sys.d_B)
+    t_eff[:, b, :, b] -= lamb_S.matrix
+    t_eff[s, :, s, :] -= lamb_B.matrix
+    hi_eff.flat[:: sys.dim + 1] += mean
+    eff = EffectiveHamiltonians(*(HermitianOperator._of_computed(m) for m in (
+        sys.H_S.matrix + lamb_S.matrix, sys.H_B.matrix + lamb_B.matrix, hi_eff)))
+    return eff, (lamb_S.matrix, lamb_B.matrix, mean, *(partial_trace(hi, t.shape[:2], k) for k in (0, 1)))
 
 
 def correlation_operator(sys: BipartiteSystem) -> HermitianOperator:
     """chi = rho_SB - rho_S x rho_B: traceless with vanishing partial traces."""
-    chi = sys.rho_SB.matrix - tensor_product(sys.rho_S, sys.rho_B)
-    return HermitianOperator._of_computed(chi)
+    return HermitianOperator._of_computed(sys.rho_SB.matrix - tensor_product(sys.rho_S, sys.rho_B))
 
 
 def binding_energy(sys: BipartiteSystem) -> float:
     """U_chi = Tr[chi H_I_eff], the interaction energy held in correlations.
 
     Equal to Tr[chi H_I] and to Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]; the
-    three expressions are cross-asserted.
+    three are assembled independently (module docstring) and cross-asserted.
     """
-    prod = tensor_product(sys.rho_S.matrix, sys.rho_B.matrix)
-    chi = sys.rho_SB.matrix - prod
-    hsb = sys.H_SB().matrix
-    u1 = float(np.vdot(chi, sys.effective.H_I_eff.matrix).real)
-    u2 = float(np.vdot(chi, sys.H_I.matrix).real)
-    u3 = float(np.vdot(sys.rho_SB.matrix, hsb).real) - float(np.vdot(prod, hsb).real)
+    rho, rho_s, rho_b = sys.rho_SB.matrix, sys.rho_S.matrix, sys.rho_B.matrix
+    lamb_s, lamb_b = sys._shifts[:2]
+    hi_eff = sys.effective.H_I_eff.matrix.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
+    rho_hi = _tr(rho, sys.H_I)
+    # Tr[(rho_S x rho_B) X] = Tr[rho_S Tr_B[(I x rho_B) X]], contracted as for lambda_S.
+    u1 = _tr(rho, sys.effective.H_I_eff) - _tr(rho_s, np.einsum("ab,ibja->ij", rho_b, hi_eff))
+    u2 = rho_hi - _tr(rho_s, lamb_s)
+    dims = (sys.d_S, sys.d_B)
+    u3 = (_tr(partial_trace(rho, dims, 0), sys.H_S) + _tr(partial_trace(rho, dims, 1), sys.H_B) + rho_hi
+          - _tr(rho_s, sys.H_S) - _tr(rho_b, sys.H_B) - _tr(rho_b, lamb_b))
     scale = max(1.0, abs(u1))
     if abs(u1 - u2) > 1e-10 * scale or abs(u1 - u3) > 1e-10 * scale:
-        raise NumericalError(
-            f"binding-energy expressions disagree: {u1!r}, {u2!r}, {u3!r}"
-        )
+        raise NumericalError(f"binding-energy expressions disagree: {u1!r}, {u2!r}, {u3!r}")
     return u1
 
 
 def mutual_information(sys: BipartiteSystem) -> float:
     """S_chi = S(rho_S) + S(rho_B) - S(rho_SB) >= 0."""
-    return (
-        von_neumann_entropy(sys.rho_S)
-        + von_neumann_entropy(sys.rho_B)
-        - von_neumann_entropy(sys.rho_SB)
-    )
+    return von_neumann_entropy(sys.rho_S) + von_neumann_entropy(sys.rho_B) - von_neumann_entropy(sys.rho_SB)
 
 
 def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> MatrixLog:
     """HH_I = -log rho_SB + log rho_S x I + I x log rho_B.
 
-    Vanishes identically iff the state is the product of its marginals.
-    Rank-deficient states are handled through the clip regularization; the
-    clipped flag propagates from any of the three logarithms.
-
-    Built once per clip and cached on ``sys``; the three logarithms are the
-    states' own cached ones (see :func:`neqtemp.linalg.matrix_log`).
+    Vanishes identically iff the state is the product of its marginals. The
+    clipped flag propagates from any of the three (cached) logarithms. Built
+    once per clip and cached on ``sys``; no temperature builds it.
     """
-    hh = sys._log_hamiltonians.get(clip)
-    if hh is None:
-        hh = sys._log_hamiltonians.setdefault(clip, _build_log_hamiltonian(sys, clip))
-    return hh
+    return _cached(sys._log_hamiltonians, clip, lambda: _build_log_hamiltonian(sys, clip))
 
 
 def _build_log_hamiltonian(sys: BipartiteSystem, clip: float) -> MatrixLog:
-    log_sb = matrix_log(sys.rho_SB, clip)
-    log_s = matrix_log(sys.rho_S, clip)
-    log_b = matrix_log(sys.rho_B, clip)
+    log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     m = -log_sb.operator.matrix + sys.embed_S(log_s.operator) + sys.embed_B(log_b.operator)
-    return MatrixLog(
-        HermitianOperator._of_computed(m),
-        clipped=log_sb.clipped or log_s.clipped or log_b.clipped,
-    )
+    return MatrixLog(HermitianOperator._of_computed(m), log_sb.clipped or log_s.clipped or log_b.clipped)
 
 
-def _embedded_traces(sys: BipartiteSystem, o_s, o_b, m) -> tuple[float, float]:
-    """Tr[(o_s x I) m] and Tr[(I x o_b) m], as Tr[o_s Tr_B m] and Tr[o_b Tr_S m]."""
-    dims = (sys.d_S, sys.d_B)
-    return (
-        hs_inner(o_s, partial_trace(m, dims, keep=0)),
-        hs_inner(o_b, partial_trace(m, dims, keep=1)),
-    )
+class _LogTraces(NamedTuple):
+    """What the temperatures read of L = log rho_SB at one clip."""
+
+    tr: float  #: Tr L
+    part_S: np.ndarray  #: Tr_B L
+    part_B: np.ndarray  #: Tr_S L
+    H_I: float  #: Tr[H_I L]
+    H_I_eff: float  #: Tr[H_I_eff L]
+    log_S: np.ndarray
+    log_B: np.ndarray
+    hh_S: np.ndarray  #: Tr_B HH_I = -Tr_B L + d_B log rho_S + Tr[log rho_B] I
+    hh_B: np.ndarray  #: Tr_S HH_I
+    clipped: bool
+
+
+def _log_traces(sys: BipartiteSystem, clip: float) -> _LogTraces:
+    def build():
+        log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
+        L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
+        part_s, part_b = partial_trace(L, (sys.d_S, sys.d_B), 0), partial_trace(L, (sys.d_S, sys.d_B), 1)
+        return _LogTraces(
+            float(np.trace(L).real), part_s, part_b, _tr(sys.H_I, L), _tr(sys.effective.H_I_eff, L), ls, lb,
+            -part_s + sys.d_B * ls + np.trace(lb).real * np.eye(sys.d_S),
+            -part_b + sys.d_S * lb + np.trace(ls).real * np.eye(sys.d_B),
+            log_sb.clipped or log_s.clipped or log_b.clipped,
+        )
+
+    return _cached(sys._log_traces, clip, build)
 
 
 @dataclass(frozen=True)
@@ -243,150 +240,164 @@ class BipartiteFrame:
     """Unit directions, weights, overlaps and expansion coefficients of a system.
 
     O_S, O_B, O_I, O1_SB are the unit directions of H_S_eff, H_B_eff, H_I_eff,
-    H_SB with weights h_S, h_B, h_I, h_SB. ``overlap_S`` = Tr[O_I (O_S x I)]
-    and ``overlap_B`` = Tr[O_I (I x O_B)] are taken on the joint space, where
-    O_S x I has squared norm d_B; h_chi = sqrt(1 - overlap_S^2/d_B -
-    overlap_B^2/d_S) is the norm of O_I orthogonalized against the local
-    directions, O_chi that remainder normalized, and
-    O1_SB = C_S (O_S x I) + C_B (I x O_B) + C_chi O_chi.
+    H_SB with weights h_S, h_B, h_I, h_SB; overlap_S = Tr[O_I (O_S x I)] and
+    overlap_B = Tr[O_I (I x O_B)] (O_S x I has squared norm d_B); O_chi is O_I
+    orthogonalized against the local directions, with norm h_chi = sqrt(1 -
+    overlap_S^2/d_B - overlap_B^2/d_S). H_SB's traceless part is a_S (O_S x I)
+    + a_B (I x O_B) + h_I h_chi O_chi, a_S = h_S + h_I overlap_S/d_B (a_B
+    likewise), three orthogonal terms: h_SB and the C of O1_SB = C_S (O_S x I)
+    + C_B (I x O_B) + C_chi O_chi are scalars; the operators are built lazily.
 
-    Degenerate interaction (H_I_eff proportional to the identity to within
-    rounding on the scale of H_I, e.g. H_I = 0, H_I proportional to I, or a
-    local H_I): O_I = O_chi = None, h_I = overlap_S = overlap_B = C_chi = 0 and
-    h_chi = 1, so every relation weight reduces to its no-interaction form.
+    Degenerate interaction (H_I_eff proportional to I within rounding on H_I's
+    scale, e.g. H_I = 0, H_I proportional to I, or a local H_I): O_I = O_chi =
+    None, h_I = overlap_S = overlap_B = C_chi = 0 and h_chi = 1, so every
+    relation weight reduces to its no-interaction form.
     """
 
     O_S: HermitianOperator
     h_S: float
     O_B: HermitianOperator
     h_B: float
-    O1_SB: HermitianOperator
     h_SB: float
-    O_I: HermitianOperator | None
     h_I: float
-    O_chi: HermitianOperator | None
     h_chi: float
     overlap_S: float
     overlap_B: float
     C_S: float
     C_B: float
     C_chi: float
+    #: H_I_eff (no reference to the system), and its Tr, Tr_B and Tr_S when h_I > 0
+    _H_I_eff: HermitianOperator = field(repr=False, compare=False)
+    _interaction: tuple | None = field(repr=False, compare=False)
+
+    def _embedded(self) -> tuple[np.ndarray, np.ndarray]:  # O_S x I and I x O_B
+        return tensor_product(self.O_S, np.eye(self.O_B.dim)), tensor_product(np.eye(self.O_S.dim), self.O_B)
+
+    @cached_property
+    def O1_SB(self) -> HermitianOperator:
+        # H_SB is H_S_eff x I + I x H_B_eff + H_I_eff up to a multiple of the identity.
+        (emb_s, emb_b), (e, _) = self._embedded(), _traceless_weight(self._H_I_eff.matrix)
+        return HermitianOperator._of_computed((self.h_S * emb_s + self.h_B * emb_b + e) / self.h_SB)
+
+    @cached_property
+    def O_I(self) -> HermitianOperator | None:
+        if self.h_I == 0.0:
+            return None
+        return HermitianOperator._of_computed(_traceless_weight(self._H_I_eff.matrix)[0] / self.h_I)
+
+    @cached_property
+    def O_chi(self) -> HermitianOperator | None:
+        if self.O_I is None:
+            return None
+        (emb_s, emb_b), d_s, d_b = self._embedded(), self.O_S.dim, self.O_B.dim
+        rest = self.O_I.matrix - (self.overlap_S / d_b) * emb_s - (self.overlap_B / d_s) * emb_b
+        return HermitianOperator._of_computed(rest / self.h_chi)
 
 
 def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
-    eff = sys.effective
-    o_s, h_s = hamiltonian_unit(eff.H_S_eff)
-    o_b, h_b = hamiltonian_unit(eff.H_B_eff)
-    o1, h_sb = hamiltonian_unit(sys.H_SB())
-    t_s, t_b = _embedded_traces(sys, o_s, o_b, o1)
-    try:
-        o_i, h_i = hamiltonian_unit(eff.H_I_eff)
-    except DegenerateDirectionError:
-        o_i, h_i = None, 0.0
-    # H_I_eff is H_I minus its mean-field parts; when those cancel it exactly
-    # (H_I proportional to I, or local), rounding leaves a residue of order
-    # eps * max|H_I| that is no direction, so judge h_I on H_I's scale.
-    if o_i is None or h_i <= RANK_TOL * float(np.max(np.abs(sys.H_I.matrix))):
-        o_i, h_i, o_chi, h_chi, c_s, c_b, c_chi = None, 0.0, None, 1.0, 0.0, 0.0, 0.0
+    eff, d_s, d_b = sys.effective, sys.d_S, sys.d_B
+    (o_s, h_s), (o_b, h_b) = hamiltonian_unit(eff.H_S_eff), hamiltonian_unit(eff.H_B_eff)
+    hi_eff, (_, h_i) = eff.H_I_eff.matrix, _traceless_weight(eff.H_I_eff.matrix)
+    # When H_I's mean-field parts cancel it (H_I proportional to I, or local), rounding leaves
+    # a residue of order eps * max|H_I| that is no direction: judge h_I on H_I's scale too.
+    scale = max(float(np.max(np.abs(hi_eff))), float(np.max(np.abs(sys.H_I.matrix))))
+    if h_i <= RANK_TOL * scale:
+        h_i, h_chi, c_s, c_b, interaction = 0.0, 1.0, 0.0, 0.0, None
     else:
-        c_s, c_b = _embedded_traces(sys, o_s, o_b, o_i)
-        h_chi_sq = 1.0 - c_s**2 / sys.d_B - c_b**2 / sys.d_S
+        parts = partial_trace(hi_eff, (d_s, d_b), 0), partial_trace(hi_eff, (d_s, d_b), 1)
+        interaction = (float(np.trace(hi_eff).real), *parts)
+        # O_S and O_B are traceless, so the identity part of H_I_eff drops out.
+        c_s, c_b = _tr(o_s, parts[0]) / h_i, _tr(o_b, parts[1]) / h_i
+        h_chi_sq = 1.0 - c_s**2 / d_b - c_b**2 / d_s
         if h_chi_sq <= 1e-20:
-            raise NumericalError(
-                "interaction direction lies in the span of the local directions; "
-                "no correlation direction remains (h_chi ~ 0)"
-            )
+            raise NumericalError("interaction direction lies in the span of the local directions; "
+                                 "no correlation direction remains (h_chi ~ 0)")
         h_chi = math.sqrt(h_chi_sq)
-        o_chi = HermitianOperator._of_computed(
-            (o_i.matrix - (c_s / sys.d_B) * sys.embed_S(o_s) - (c_b / sys.d_S) * sys.embed_B(o_b))
-            / h_chi
-        )
-        c_chi = hs_inner(o1, o_chi)
+    a_s, a_b, a_chi = h_s + h_i * c_s / d_b, h_b + h_i * c_b / d_s, h_i * h_chi
+    h_sb = math.hypot(math.sqrt(d_b) * a_s, math.sqrt(d_s) * a_b, a_chi)
     return BipartiteFrame(
-        O_S=o_s, h_S=h_s, O_B=o_b, h_B=h_b, O1_SB=o1, h_SB=h_sb,
-        O_I=o_i, h_I=h_i, O_chi=o_chi, h_chi=h_chi, overlap_S=c_s, overlap_B=c_b,
-        C_S=t_s / sys.d_B, C_B=t_b / sys.d_S, C_chi=c_chi,
-    )
+        O_S=o_s, h_S=h_s, O_B=o_b, h_B=h_b, h_SB=h_sb, h_I=h_i, h_chi=h_chi, overlap_S=c_s, overlap_B=c_b,
+        C_S=a_s / h_sb, C_B=a_b / h_sb, C_chi=a_chi / h_sb, _H_I_eff=eff.H_I_eff, _interaction=interaction)
 
 
 def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:
     """The system's frame, for callers that need the correlation direction.
 
-    :raises DegenerateDirectionError: when H_I_eff is proportional to the
-        identity (which includes H_I = 0).
-    :raises NumericalError: if the interaction direction lies entirely in the
-        local span (h_chi at numerical zero).
+    :raises DegenerateDirectionError: when H_I_eff is proportional to the identity (H_I = 0 too).
+    :raises NumericalError: if the interaction direction lies in the local span (h_chi ~ 0).
     """
     frame = sys.frame
-    if frame.O_I is None:
+    if frame.h_I == 0.0:
         raise DegenerateDirectionError("H_I_eff is proportional to the identity")
     return frame
 
 
-def _log_hamiltonian_traces(sys: BipartiteSystem, hh: HermitianOperator) -> tuple[float, float, float]:
+def _log_hamiltonian_traces(sys: BipartiteSystem, clip: float) -> tuple[float, float, float]:
     """Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I] and beta_chi in the frame of ``sys``.
 
     beta_chi is assembled in two cross-asserted forms; it is NaN when the
     interaction direction is degenerate.
     """
-    frame = sys.frame
-    t_os, t_ob = _embedded_traces(sys, frame.O_S, frame.O_B, hh)
-    if frame.O_I is None:
+    f, lt, d = sys.frame, _log_traces(sys, clip), sys.dim
+    t_os, t_ob = _tr(f.O_S, lt.hh_S), _tr(f.O_B, lt.hh_B)
+    if f.h_I == 0.0:
         return t_os, t_ob, math.nan
-    beta_chi = -(
-        hs_inner(frame.O_I, hh)
-        - frame.overlap_S * t_os / sys.d_B
-        - frame.overlap_B * t_ob / sys.d_S
-    ) / (frame.h_I * frame.h_chi**2)
-    # Same derivative assembled through the orthogonalized direction itself.
-    beta_alt = -hs_inner(frame.O_chi, hh) / (frame.h_I * frame.h_chi)
+    hh_id = float(np.trace(lt.hh_S).real)  # Tr HH_I
+    local = f.overlap_S * t_os / sys.d_B + f.overlap_B * t_ob / sys.d_S
+    # Overlap form: Tr[O_I HH_I] from H_I_eff, less its local components.
+    tr_e, e_s, e_b = f._interaction
+    by_eff = -lt.H_I_eff + _tr(e_s, lt.log_S) + _tr(e_b, lt.log_B)
+    beta_chi = -((by_eff - tr_e / d * hh_id) / f.h_I - local) / (f.h_I * f.h_chi**2)
+    # Direct form -Tr[O_chi HH_I]/(h_I h_chi), H_I_eff = H_I - lambda_S x I - I x lambda_B + mean.
+    lamb_s, lamb_b, mean, hi_s, hi_b = sys._shifts
+    by_hi = (-lt.H_I + _tr(hi_s, lt.log_S) + _tr(hi_b, lt.log_B)
+             - _tr(lamb_s, lt.hh_S) - _tr(lamb_b, lt.hh_B) + mean * hh_id)
+    tr_hi = sys.H_I.trace - sys.d_B * lamb_s.trace().real - sys.d_S * lamb_b.trace().real + d * mean
+    t_ochi = ((by_hi - tr_hi / d * hh_id) / f.h_I - local) / f.h_chi
+    beta_alt = -t_ochi / (f.h_I * f.h_chi)
     if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
-        raise NumericalError(
-            f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}"
-        )
+        raise NumericalError(f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}")
     return t_os, t_ob, beta_chi
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation operator, energy, entropy and temperature of a state."""
+    """Correlation energy, entropy and temperature; the operators chi, O_I and
+    H_corr (HH_I at the report's clip) are built on first access and cached."""
 
-    chi: HermitianOperator
     U_chi: float
     S_chi: float
     beta_chi: float
     h_I: float
     h_chi: float
-    O_I: HermitianOperator
-    H_corr: HermitianOperator
     clipped: bool
+    _sys: BipartiteSystem = field(repr=False, compare=False)
+    _clip: float = field(repr=False, compare=False)
+
+    @cached_property
+    def chi(self) -> HermitianOperator:
+        return correlation_operator(self._sys)
+
+    @property
+    def O_I(self) -> HermitianOperator:
+        return self._sys.frame.O_I
+
+    @property
+    def H_corr(self) -> HermitianOperator:
+        return correlation_log_hamiltonian(self._sys, self._clip).operator
 
 
-def correlation_inverse_temperature(
-    sys: BipartiteSystem, clip: float = DEFAULT_CLIP
-) -> CorrelationReport:
+def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> CorrelationReport:
     """Correlation inverse temperature 1/T_chi and full report.
 
     beta_chi = -(1/(h_I h_chi^2)) (Tr[O_I HH_I]
                - overlap_S Tr[(O_S x I) HH_I]/d_B
                - overlap_B Tr[(I x O_B) HH_I]/d_S)
 
-    which is -Tr[O_chi HH_I]/(h_I h_chi), the constrained partial derivative
-    dS_chi/dU_chi at fixed local energies in the frozen operator frame. For a
-    globally Gibbs state this evaluates to exactly -beta; for a product state
-    HH_I vanishes and beta_chi = 0 (T_chi -> infinity).
+    which is -Tr[O_chi HH_I]/(h_I h_chi). For a globally Gibbs state this is
+    exactly -beta; for a product state HH_I vanishes and beta_chi = 0.
     """
-    frame = chi_unit(sys)
-    log_i = correlation_log_hamiltonian(sys, clip)
-    hh = log_i.operator
+    frame, beta_chi = chi_unit(sys), _log_hamiltonian_traces(sys, clip)[2]
     return CorrelationReport(
-        chi=correlation_operator(sys),
-        U_chi=binding_energy(sys),
-        S_chi=mutual_information(sys),
-        beta_chi=_log_hamiltonian_traces(sys, hh)[2],
-        h_I=frame.h_I,
-        h_chi=frame.h_chi,
-        O_I=frame.O_I,
-        H_corr=hh,
-        clipped=log_i.clipped,
-    )
+        U_chi=binding_energy(sys), S_chi=mutual_information(sys), beta_chi=beta_chi, h_I=frame.h_I,
+        h_chi=frame.h_chi, clipped=_log_traces(sys, clip).clipped, _sys=sys, _clip=clip)

@@ -21,7 +21,10 @@ only finiteness; ``_of_checked`` wraps views of a stack validated as a
 whole. Likewise the eigenvector Gram check runs once per eigendecomposition
 (``from_spectrum`` checks the caller's spectrum itself), and ``hs_inner``,
 ``partial_trace`` and ``tensor_product`` read a validated operator's matrix
-without copying it.
+without copying it. Every matrix product of this module goes through
+``_matmul``. ``DensityMatrix(matrix)`` makes two d^3 products, the Gram
+check and the reconstruction check, and derives its stored matrix from the
+reconstruction; each logarithm makes one more.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads. A ``DensityMatrix``
@@ -88,6 +91,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, the one route of this module's matrix products (so they can be counted)."""
+    return a @ b
+
+
 class HermitianOperator:
     """A validated d x d Hermitian matrix.
 
@@ -103,12 +111,15 @@ class HermitianOperator:
             raise ValidationError(f"Hermitian operator must be square, got {a.shape}")
         if a.shape[0] == 0:
             raise ValidationError("empty matrix")
-        dev = float(np.max(np.abs(a - a.conj().T)))
+        a_dag = a.conj().T
+        dev = float(np.max(np.abs(a - a_dag)))
         if dev > tol_herm:
             raise ValidationError(
                 f"matrix is not Hermitian: max deviation {dev:.3e} > {tol_herm:.3e}"
             )
-        self.matrix: np.ndarray = _frozen((a + a.conj().T) / 2.0)
+        a += a_dag  # a is a fresh copy: symmetrize it in place
+        a /= 2.0
+        self.matrix: np.ndarray = _frozen(a)
 
     @classmethod
     def _of_checked(cls, matrix: np.ndarray) -> "HermitianOperator":
@@ -165,10 +176,7 @@ class SpectralDecomposition:
             raise ValidationError("inconsistent spectral data shapes")
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be ascending")
-        gram = v.conj().T @ v
-        dev = float(np.max(np.abs(gram - np.eye(w.size))))
-        if dev > UNITARY_TOL:
-            raise ValidationError(f"eigenvector matrix not unitary: deviation {dev:.3e}")
+        _check_unitary(v)
         self.eigenvalues: np.ndarray = _frozen(w)
         self.eigenvectors: np.ndarray = _frozen(v)
 
@@ -191,7 +199,7 @@ class SpectralDecomposition:
         with ``HermitianOperator._of_computed`` to symmetrize it.
         """
         v = self.eigenvectors
-        return (v * fn(self.eigenvalues)) @ v.conj().T
+        return _matmul(v * fn(self.eigenvalues), v.conj().T)
 
     def clusters(self, gap: float) -> list[np.ndarray]:
         """Group indices of eigenvalues closer than ``gap`` into clusters."""
@@ -210,9 +218,18 @@ class SpectralDecomposition:
         out = []
         for idx in self.clusters(gap):
             cols = v[:, idx]
-            p = cols @ cols.conj().T
+            p = _matmul(cols, cols.conj().T)
             out.append((p + p.conj().T) / 2.0)
         return out
+
+
+def _check_unitary(v: np.ndarray) -> None:
+    """Raise unless max|V^dag V - I| <= UNITARY_TOL; a non-finite V fails too."""
+    gram = _matmul(v.conj().T, v)
+    gram.flat[:: len(gram) + 1] -= 1.0
+    dev = float(np.max(np.abs(gram)))
+    if not dev <= UNITARY_TOL:
+        raise ValidationError(f"eigenvector matrix not unitary: deviation {dev:.3e}")
 
 
 def eig_hermitian(A: HermitianOperator) -> SpectralDecomposition:
@@ -223,17 +240,24 @@ def eig_hermitian(A: HermitianOperator) -> SpectralDecomposition:
     """
     if not isinstance(A, HermitianOperator):
         A = HermitianOperator(A)
+    return _checked_eigh(A)[0]
+
+
+def _checked_eigh(A: HermitianOperator) -> tuple[SpectralDecomposition, np.ndarray]:
+    """The checked spectrum of A and its reconstruction V diag(lambda) V^dag."""
     try:
         w, v = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    spec = SpectralDecomposition(w, v)
+    # LAPACK returns ascending eigenvalues and fresh arrays: only the Gram check is needed.
+    _check_unitary(v)
+    spec = SpectralDecomposition._of_checked(w, v)
     recon = spec.apply(lambda x: x)
     dev = float(np.max(np.abs(recon - A.matrix)))
     scale = max(1.0, float(np.max(np.abs(A.matrix))))
     if dev > RECON_TOL * scale:
         raise NumericalError(f"spectral reconstruction error {dev:.3e} exceeds tolerance")
-    return spec
+    return spec, recon
 
 
 class DensityMatrix:
@@ -252,7 +276,8 @@ class DensityMatrix:
 
     ``rank`` counts eigenvalues above ``RANK_TOL``; ``resolved_rank`` those
     the source tells apart from zero: above 4 d eps lambda_max for an
-    eigensolver's spectrum, above 0 for exact spectral data.
+    eigensolver's spectrum, above 0 for exact spectral data and for an
+    exactly diagonal matrix (whose diagonal the eigensolver returns as is).
     """
 
     __slots__ = ("operator", "spectrum", "rank", "resolved_rank", "_logs")
@@ -262,10 +287,13 @@ class DensityMatrix:
         tr = op.trace
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} deviates from 1 beyond tolerance")
-        spec = eig_hermitian(op)
+        spec, recon = _checked_eigh(op)
         # Round-off eigenvalues of Haar pure states stayed below 0.94 d eps
         # lambda_max (50,000 draws at d = 2, less at larger d): a 4x margin.
-        self._install(spec.eigenvalues, spec.eigenvectors, 4.0 * op.dim * float(np.finfo(float).eps))
+        a = op.matrix
+        diagonal = not np.any(a[0, 1:]) and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
+        noise = 0.0 if diagonal else 4.0 * op.dim * float(np.finfo(float).eps)
+        self._install(spec.eigenvalues, spec.eigenvectors, noise, recon)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -288,10 +316,13 @@ class DensityMatrix:
         obj._install(spec.eigenvalues, spec.eigenvectors, 0.0)
         return obj
 
-    def _install(self, w: np.ndarray, v: np.ndarray, noise: float) -> None:
+    def _install(self, w: np.ndarray, v: np.ndarray, noise: float, recon: np.ndarray | None = None) -> None:
         """Clip, renormalize and store a spectrum whose eigenvectors were checked.
 
         Eigenvalues at or below ``noise * lambda_max`` are not resolved from 0.
+        ``recon``, a fresh V diag(w) V^dag, becomes the stored matrix once the
+        clipped eigenvalues' rank-k term is removed and it is renormalized, so
+        no second d^3 product is made.
         """
         if abs(float(w.sum()) - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {float(w.sum())!r} deviates from 1")
@@ -299,9 +330,14 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
             )
+        low = w < 0.0
+        if recon is not None and low.any():
+            recon -= _matmul(v[:, low] * w[low], v[:, low].conj().T)
         w = np.clip(w, 0.0, None)
-        w = w / float(w.sum())
-        self.operator = HermitianOperator._of_computed((v * w) @ v.conj().T)
+        total = float(w.sum())
+        w = w / total
+        m = _matmul(v * w, v.conj().T) if recon is None else np.divide(recon, total, out=recon)
+        self.operator = HermitianOperator._of_computed(m)
         self.spectrum = SpectralDecomposition._of_checked(w, v)
         self.rank = int(np.count_nonzero(w > RANK_TOL))
         self.resolved_rank = int(np.count_nonzero(w > noise * w[-1]))
@@ -345,12 +381,17 @@ def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
         raise ValidationError("matrix_log expects a DensityMatrix")
     if not (clip > 0.0):
         raise ValidationError(f"clip must be positive, got {clip!r}")
-    log = rho._logs.get(clip)
-    if log is None:
-        # setdefault is atomic: threads racing on a first call may each
-        # compute the log, but all of them return the one stored.
-        log = rho._logs.setdefault(clip, _spectral_log(rho.spectrum, clip))
-    return log
+    return _cached(rho._logs, clip, lambda: _spectral_log(rho.spectrum, clip))
+
+
+def _cached(cache: dict, key, build):
+    """cache[key], built by ``build()`` on a miss.
+
+    setdefault is atomic: threads racing on a first call may each build the
+    value, but all of them return the one stored.
+    """
+    value = cache.get(key)
+    return cache.setdefault(key, build()) if value is None else value
 
 
 def _spectral_log(spec: SpectralDecomposition, clip: float) -> MatrixLog:
@@ -401,6 +442,11 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
     if keep == 0:
         return np.einsum("ibjb->ij", t)
     return np.einsum("aiaj->ij", t)
+
+
+def _tr(a, b) -> float:
+    """Re Tr[A B] of two Hermitian operators or matrices, as one unchecked vdot."""
+    return float(np.vdot(getattr(a, "matrix", a), getattr(b, "matrix", b)).real)
 
 
 def hs_inner(A, B) -> float:

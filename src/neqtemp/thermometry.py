@@ -128,49 +128,18 @@ def inverse_temperature(
     O1, h = hamiltonian_unit(H)
     if rho.dim != H.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
-    d = rho.dim
     logr = matrix_log(rho, clip)
     L = logr.operator.matrix
     Hm = H.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        tr_h = float(np.trace(Hm).real)
-        tr_l = float(np.trace(L).real)
         # Tr[A B] = vdot(A, B) for Hermitian A.
-        tr_hh = float(np.vdot(Hm, Hm).real)
-        tr_hl = float(np.vdot(Hm, L).real)
-    if not all(map(math.isfinite, (tr_h, tr_l, tr_hh, tr_hl))):
-        raise NumericalError(
-            f"energy moments overflow: Tr[H] = {tr_h!r}, Tr[H^2] = {tr_hh!r}, Tr[H log rho] = {tr_hl!r}"
-        )
-    # Covariance form (moments w.r.t. I/d). (Tr H)^2 <= d Tr[H^2], so the
-    # square below cannot overflow once Tr[H^2] is finite.
-    cov = -tr_hl / d - (tr_h / d) * (-tr_l / d)
-    var = tr_hh / d - (tr_h / d) ** 2
-    if var <= 0.0:  # unreachable past hamiltonian_unit, kept as a hard guard
-        raise NumericalError("vanishing energy variance")
-    beta_cov = cov / var
-    if not math.isfinite(beta_cov):
-        raise NumericalError(f"inverse temperature overflows: {cov!r} / {var!r}")
+        moments = tuple(float(x.real) for x in (np.trace(Hm), np.trace(L), np.vdot(Hm, Hm), np.vdot(Hm, L)))
     # Direct coordinate form, assembled through O1 rather than raw moments.
     beta_dir = -hs_inner(O1, logr.operator) / h
-    # Identical algebra, different groupings: allow roundoff amplified by the
-    # conditioning of the trace products (huge clipped logs, large d).
-    cond = d * float(np.max(np.abs(Hm))) * float(np.max(np.abs(L))) / (h * h)
-    scale = max(1.0, abs(beta_cov), cond)
-    if abs(beta_cov - beta_dir) > 1e-12 * scale:
-        raise NumericalError(
-            f"temperature formulas disagree: {beta_cov!r} vs {beta_dir!r}"
-        )
-    rank_deficient = rho.rank < d
-    if rho.resolved_rank == 1:
-        beta = math.inf if beta_cov >= 0.0 else -math.inf
-        temperature = 0.0
-    elif abs(beta_cov) * h <= BETA_ZERO_TOL:
-        beta = beta_cov
-        temperature = math.inf
-    else:
-        beta = beta_cov
-        temperature = 1.0 / beta_cov
+    beta, temperature, cov, var = _beta_of_moments(
+        rho, h, moments, beta_dir,
+        lambda: rho.dim * float(np.max(np.abs(Hm))) * float(np.max(np.abs(L))) / (h * h),
+    )
     s = von_neumann_entropy(rho)
     u = internal_energy(rho, H)
     if math.isfinite(temperature) and temperature != 0.0:
@@ -186,9 +155,46 @@ def inverse_temperature(
         entropy=s,
         internal_energy=u,
         free_energy=f,
-        rank_deficient=rank_deficient,
+        rank_deficient=rho.rank < rho.dim,
         clipped=logr.clipped,
     )
+
+
+def _beta_of_moments(rho: DensityMatrix, h: float, moments, beta_dir: float, cond) -> tuple:
+    """beta, T, Cov and Var of ``rho`` from (Tr H, Tr log rho, Tr H^2, Tr[H log rho]).
+
+    ``beta_dir`` is the direct form -Tr[O1 log rho]/h, assembled by the
+    caller independently of the moments; ``cond()`` is the conditioning
+    scale of their cross-check, evaluated only when the two differ by more
+    than its unit-scale bound. Branches as in :func:`inverse_temperature`.
+    """
+    tr_h, tr_l, tr_hh, tr_hl = moments
+    if not all(map(math.isfinite, moments)):
+        raise NumericalError(
+            f"energy moments overflow: Tr[H] = {tr_h!r}, Tr[H^2] = {tr_hh!r}, Tr[H log rho] = {tr_hl!r}"
+        )
+    d = rho.dim
+    # Covariance form (moments w.r.t. I/d). (Tr H)^2 <= d Tr[H^2], so the
+    # square below cannot overflow once Tr[H^2] is finite.
+    cov = -tr_hl / d - (tr_h / d) * (-tr_l / d)
+    var = tr_hh / d - (tr_h / d) ** 2
+    if var <= 0.0:  # unreachable past a nonzero weight h, kept as a hard guard
+        raise NumericalError("vanishing energy variance")
+    beta_cov = cov / var
+    if not math.isfinite(beta_cov):
+        raise NumericalError(f"inverse temperature overflows: {cov!r} / {var!r}")
+    # Identical algebra, different groupings: allow roundoff amplified by the
+    # conditioning of the trace products (huge clipped logs, large d).
+    diff = abs(beta_cov - beta_dir)
+    if diff > 1e-12 * max(1.0, abs(beta_cov)) and diff > 1e-12 * cond():
+        raise NumericalError(
+            f"temperature formulas disagree: {beta_cov!r} vs {beta_dir!r}"
+        )
+    if rho.resolved_rank == 1:
+        return (math.inf if beta_cov >= 0.0 else -math.inf), 0.0, cov, var
+    if abs(beta_cov) * h <= BETA_ZERO_TOL:
+        return beta_cov, math.inf, cov, var
+    return beta_cov, 1.0 / beta_cov, cov, var
 
 
 @dataclass(frozen=True)

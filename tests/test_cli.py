@@ -16,7 +16,7 @@ from neqtemp.io import (
     parse_input_document,
     temperature_report_dict,
 )
-from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy
+from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
 from neqtemp.thermometry import inverse_temperature
 
 
@@ -131,7 +131,7 @@ class TestBipartite:
         assert abs(report["relation"]["residual"]) < 1e-9
 
     def test_explicit_matrices(self, tmp_path, capsys):
-        from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy
+        from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
 
         sys_ = build_two_qubit_xy(
             TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.2, beta=1.0)
@@ -220,6 +220,18 @@ class TestSweep:
         assert float(row[1]) == inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff, 0.05).beta
         assert float(row[2]) == inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff, 0.05).beta
 
+    def test_large_beta_marginals_are_resolved(self, capsys):
+        # At beta = 35 the marginals are exactly diagonal with populations
+        # near 1e-17, below the eigensolver noise floor of a generic matrix;
+        # they are resolved, so every column is finite.
+        assert main(["sweep", "--axis", "beta", "--values", "35", "--omega-s", "2.0",
+                     "--omega-b", "1.0", "--lam", "0.1"]) == 0
+        row = [float(x) for x in capsys.readouterr().out.splitlines()[1].split(",")]
+        cf = closed_form(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.1, beta=35.0))
+        assert row[1] == pytest.approx(cf.beta_S, rel=1e-9)
+        assert row[2] == pytest.approx(cf.beta_B, rel=1e-9)
+        assert all(math.isfinite(x) for x in row)
+
     def test_bad_axis_exits_1(self, capsys):
         assert main(["sweep", "--axis", "mass", "--values", "1.0"]) == 1
         assert "axis" in capsys.readouterr().err
@@ -286,7 +298,7 @@ class TestDocumentParsing:
         import dataclasses
 
         from neqtemp.correlation import correlation_inverse_temperature
-        from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy
+        from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
         from neqtemp.thermometry import inverse_temperature
 
         sys_ = build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.2, beta=1.0))

@@ -21,9 +21,11 @@ from neqtemp.correlation import (
     mutual_information,
 )
 from neqtemp.exceptions import DegenerateDirectionError, NumericalError, ValidationError
+from neqtemp.basis import hamiltonian_unit
 from neqtemp.linalg import (
     DensityMatrix,
     HermitianOperator,
+    hs_inner,
     matrix_log,
     partial_trace,
     tensor_product,
@@ -260,6 +262,35 @@ class TestComputedOperators:
         assert not np.array_equal(hh_clip.operator.matrix, hh.operator.matrix)
         assert correlation_log_hamiltonian(sys, clip) is hh_clip
         assert correlation_log_hamiltonian(sys) is hh
+
+
+class TestTraceAlgebra:
+    """A report reads scalars and local matrices; the operator fields are built
+    on first access, cached, and agree with the frame's scalars."""
+
+    @pytest.mark.parametrize("d_s,d_b", [(2, 3), (3, 4)])
+    def test_frame_scalars_match_operators(self, d_s, d_b):
+        sys = sample_bipartite(d_s, d_b, 0.4, np.random.default_rng(d_s + 10 * d_b))
+        f = sys.frame
+        o1, h_sb = hamiltonian_unit(sys.H_SB())
+        es, eb = sys.embed_S(f.O_S), sys.embed_B(f.O_B)
+        assert f.h_SB == pytest.approx(h_sb, rel=1e-12)
+        assert f.overlap_S == pytest.approx(hs_inner(f.O_I, es), abs=1e-12)
+        assert f.overlap_B == pytest.approx(hs_inner(f.O_I, eb), abs=1e-12)
+        for c, op, norm in ((f.C_S, es, d_b), (f.C_B, eb, d_s), (f.C_chi, f.O_chi.matrix, 1)):
+            assert c == pytest.approx(hs_inner(o1, op) / norm, abs=1e-12)
+
+    def test_operator_fields_lazy_and_cached(self):
+        sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
+        report = correlation_inverse_temperature(sys, 1e-6)
+        f = sys.frame
+        assert not {"O1_SB", "O_I", "O_chi"} & set(vars(f))
+        assert report.O_I is f.O_I is f.O_I
+        assert f.O_chi is f.O_chi and f.O1_SB is f.O1_SB
+        assert report.chi is report.chi
+        np.testing.assert_array_equal(report.chi.matrix, correlation_operator(sys).matrix)
+        assert report.H_corr is correlation_log_hamiltonian(sys, 1e-6).operator
+        assert report.H_corr is not correlation_log_hamiltonian(sys).operator
 
 
 class TestUnits:

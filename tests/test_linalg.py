@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from neqtemp import linalg
 from neqtemp.exceptions import NumericalError, ValidationError
 from neqtemp.linalg import (
     DensityMatrix,
@@ -135,6 +136,42 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.eigenvalues[0] == 0.0
         assert rho.rank == 1
+
+    def test_stored_matrix_from_reconstruction(self, monkeypatch):
+        # The Gram check and the reconstruction check are the only d^3
+        # products: the stored matrix is derived from the reconstruction.
+        shapes = []
+        product = linalg._matmul
+        monkeypatch.setattr(linalg, "_matmul", lambda a, b: shapes.append(a.shape + b.shape) or product(a, b))
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        assert shapes == [(6, 6, 6, 6)] * 2
+
+    def test_clipped_eigenvalues_leave_stored_matrix(self):
+        # Eigenvalues in [-PSD_TOL, 0) are removed from the reconstruction as
+        # a rank-k term: the stored matrix is the clipped spectrum, rebuilt.
+        rng = np.random.default_rng(18)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        w = np.array([-5e-11, -2e-11, 0.2, 0.3, 0.5 + 7e-11])
+        rho = DensityMatrix((q * w) @ q.conj().T)
+        assert list(rho.eigenvalues[:2]) == [0.0, 0.0] and rho.rank == 3
+        v = rho.spectrum.eigenvectors
+        np.testing.assert_allclose(rho.matrix, (v * rho.eigenvalues) @ v.conj().T, atol=1e-15)
+        assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_diagonal_matrix_resolves_tiny_populations(self, d):
+        # An exactly diagonal matrix's eigenvalues are its diagonal entries,
+        # so populations far below the eigensolver noise floor are resolved;
+        # the same spectrum in a rotated basis keeps the floor.
+        p = np.full(d, 1e-17)
+        p[-1] = 1.0 - (d - 1) * 1e-17
+        rho = DensityMatrix(np.diag(p))
+        assert rho.resolved_rank == d and rho.rank == 1
+        assert rho.eigenvalues[0] == pytest.approx(1e-17, rel=1e-12)
+        q, _ = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))
+        assert DensityMatrix((q * p) @ q.T).resolved_rank == 1
 
     def test_from_spectrum_matches_matrix_path(self):
         rng = np.random.default_rng(9)

@@ -20,9 +20,11 @@ from neqtemp.linalg import (
     HermitianOperator,
     eig_hermitian,
     hs_inner,
+    matrix_log,
     partial_trace,
     tensor_product,
 )
+from neqtemp import relation
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import (
     auxiliary_basis,
@@ -32,7 +34,7 @@ from neqtemp.relation import (
     tilde_inverse_temperatures,
     verify_universal_relation,
 )
-from neqtemp.thermometry import inverse_temperature
+from neqtemp.thermometry import DEFAULT_CLIP, inverse_temperature
 from neqtemp.correlation import BipartiteSystem
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -343,6 +345,33 @@ class TestUniversalRelation:
         sys = sample_bipartite(2, 2, 0.5, rng)
         rel = verify_universal_relation(sys)
         assert math.isfinite(rel.residual)
+
+
+class TestGlobalTemperature:
+    @pytest.mark.parametrize("clip", [DEFAULT_CLIP, 1e-2])
+    def test_matches_single_system_functional(self, clip):
+        # beta_SB by trace algebra is inverse_temperature of (rho_SB, H_SB).
+        rng = np.random.default_rng(63)
+        for d_s, d_b in [(2, 2), (2, 3), (3, 4)]:
+            sys = sample_bipartite(d_s, d_b, 0.5, rng)
+            expected = inverse_temperature(sys.rho_SB, sys.H_SB(), clip).beta
+            assert verify_universal_relation(sys, clip).beta_SB == pytest.approx(expected, rel=1e-12)
+
+    def test_cross_check_scale_reads_total_hamiltonian(self, monkeypatch):
+        scales = []
+        beta_of_moments = relation._beta_of_moments
+
+        def spy(rho, h, moments, beta_dir, cond):
+            scales.append(cond())
+            return beta_of_moments(rho, h, moments, beta_dir, cond)
+
+        monkeypatch.setattr(relation, "_beta_of_moments", spy)
+        sys = sample_bipartite(2, 3, 0.5, np.random.default_rng(64))
+        verify_universal_relation(sys)
+        log = matrix_log(sys.rho_SB, DEFAULT_CLIP).operator.matrix
+        _, h = hamiltonian_unit(sys.H_SB())
+        expected = 6 * np.max(np.abs(sys.H_SB().matrix)) * np.max(np.abs(log)) / h**2
+        assert scales == [pytest.approx(expected, rel=1e-12)]
 
 
 class TestLargeBath:

@@ -21,6 +21,7 @@ from neqtemp.exceptions import (
 )
 from neqtemp.linalg import DensityMatrix, HermitianOperator, tensor_product
 from neqtemp.thermometry import (
+    _beta_of_moments,
     finite_difference_beta,
     generalized_gibbs_decomposition,
     heat_and_work,
@@ -194,6 +195,21 @@ class TestInverseTemperature:
         h = HermitianOperator(1e155 * np.eye(2) + 1e150 * SZ)
         with pytest.raises(NumericalError, match="overflow"):
             inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
+
+    def test_cross_check_scale_only_past_unit_bound(self):
+        # The conditioning scale of the beta_cov vs beta_dir check is computed
+        # only when the two differ by more than 1e-12 max(1, |beta|).
+        rho = DensityMatrix(np.diag([0.3, 0.7]))
+        moments = (0.0, math.log(0.3) + math.log(0.7), 2.0, math.log(0.3) - math.log(0.7))  # H = diag(1, -1)
+        beta = -moments[3] / 2.0
+
+        def unused():
+            raise AssertionError("scale evaluated")
+
+        assert _beta_of_moments(rho, math.sqrt(2.0), moments, beta, unused)[0] == beta
+        assert _beta_of_moments(rho, math.sqrt(2.0), moments, beta + 1e-9, lambda: 1e4)[0] == beta
+        with pytest.raises(NumericalError, match="disagree"):
+            _beta_of_moments(rho, math.sqrt(2.0), moments, beta + 1e-9, lambda: 10.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

@@ -3,22 +3,25 @@
 A bipartite report is what ``neqtemp bipartite`` computes: the system, its
 correlation temperature, the universal relation and both local temperatures.
 Its counts are exact and independent of the dimension, so a change that adds
-an eigendecomposition, a matrix logarithm, a unit-direction build, an HH_I
-build, a full-dimension spectral product or an operator validation to the
-report fails here. A generalized-Gibbs report builds a basis, decomposes and
-reconstructs the state over it and evaluates the Helmholtz free energy; its
-counts are pinned at d=8. The basis validates its d^2 members as one stack,
-so they add no ``HermitianOperator`` validation of their own.
+an eigendecomposition, a matrix logarithm, a joint-space unit-direction
+build, an HH_I build, a joint-space d^3 product, Kronecker product or
+computed operator, or an operator validation to the report fails here. The
+report builds no joint-space operator beyond rho_SB, log rho_SB and H_I_eff:
+every temperature is taken by trace algebra. A generalized-Gibbs report
+builds a basis, decomposes and reconstructs the state over it and evaluates
+the Helmholtz free energy; its counts are pinned at d=8. The basis validates
+its d^2 members as one stack, so they add no ``HermitianOperator``
+validation of their own.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
 user's matrices and the two marginals. Logarithms and HH_I are cached on
 their state and system, so ``logs`` and ``log_hamiltonians`` count the
-builds (cache misses), not the calls. ``spectral_products`` counts the
-d^3 products of ``SpectralDecomposition`` at the full dimension: its
-eigenvector Gram check and each ``apply``. Calls are counted by wrapping from
-the test; the package has no hooks. A bare ``@`` calls
-``ndarray.__matmul__``, which cannot be wrapped this way, so the other
-matrix products are not counted.
+builds (cache misses), not the calls. ``products`` counts the d^3 products
+at the full dimension d, which ``linalg`` makes through ``_matmul``: the
+eigenvector Gram check, the reconstruction check and each spectral function.
+``hamiltonian_unit``, ``of_computed`` and ``kron`` count the calls at the
+full dimension. Calls are counted by wrapping from the test; the package has
+no hooks.
 """
 
 import sys
@@ -28,7 +31,7 @@ import pytest
 
 from neqtemp import basis, correlation, linalg
 from neqtemp.correlation import BipartiteSystem, correlation_inverse_temperature
-from neqtemp.linalg import DensityMatrix, HermitianOperator, SpectralDecomposition
+from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import (
     generalized_gibbs_decomposition,
@@ -38,14 +41,14 @@ from neqtemp.thermometry import (
 )
 
 EXPECTED = {
-    "eigh": 3, "HermitianOperator": 6, "hamiltonian_unit": 9, "logs": 3,
-    "log_hamiltonians": 1, "spectral_products": 3,
+    "eigh": 3, "HermitianOperator": 6, "hamiltonian_unit": 0, "logs": 3,
+    "log_hamiltonians": 0, "products": 3, "of_computed": 3, "kron": 0,
 }
 
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
     "eigh": 3, "HermitianOperator": 2, "hamiltonian_unit": 4, "logs": 1, "hs_inner": 2,
-    "spectral_products": 8,
+    "products": 8,
 }
 
 
@@ -95,14 +98,16 @@ def install_counters(monkeypatch, keys, dim):
 
         return wrapper
 
-    def counted_product(fn):
-        def wrapper(self, *args, **kwargs):
-            out = fn(self, *args, **kwargs)
-            if self.dim == dim:
-                counts["spectral_products"] += 1
-            return out
+    def counted_at_dim(key, fn, shape_of):
+        def wrapper(*args, **kwargs):
+            counts[key] += shape_of(*args) == dim
+            return fn(*args, **kwargs)
 
         return wrapper
+
+    def cubic(a, b):
+        """d for a product of two d x d matrices, else 0."""
+        return a.shape[0] if a.shape == b.shape == (a.shape[0],) * 2 else 0
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigh", np.linalg.eigvalsh))
@@ -110,10 +115,14 @@ def install_counters(monkeypatch, keys, dim):
         HermitianOperator, "__init__",
         counted("HermitianOperator", HermitianOperator.__init__),
     )
-    for attr in ("__init__", "apply"):
-        monkeypatch.setattr(
-            SpectralDecomposition, attr, counted_product(getattr(SpectralDecomposition, attr))
-        )
+    monkeypatch.setattr(linalg, "_matmul", counted_at_dim("products", linalg._matmul, cubic))
+    if "of_computed" in counts:
+        computed = HermitianOperator._of_computed.__func__
+        monkeypatch.setattr(HermitianOperator, "_of_computed", classmethod(
+            counted_at_dim("of_computed", computed, lambda cls, m: np.shape(m)[0])))
+    if "kron" in counts:
+        monkeypatch.setattr(np, "kron", counted_at_dim(
+            "kron", np.kron, lambda a, b: np.shape(a)[0] * np.shape(b)[0]))
     for key, mod, attr in (("logs", linalg, "_spectral_log"),
                            ("log_hamiltonians", correlation, "_build_log_hamiltonian")):
         if key in counts:
@@ -123,7 +132,10 @@ def install_counters(monkeypatch, keys, dim):
                       ("hs_inner", linalg.hs_inner)):
         if key not in counts:
             continue
-        wrapped = counted(key, orig)
+        if key == "hamiltonian_unit":
+            wrapped = counted_at_dim(key, orig, lambda h: h.dim)
+        else:
+            wrapped = counted(key, orig)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is orig:
