@@ -16,13 +16,13 @@ input document, flags and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .exceptions import NumericalError, ValidationError
 from .io import (
     build_bipartite_system,
     correlation_report_dict,
+    extended_real,
     load_input_document,
     relation_dict,
     report_document,
@@ -39,11 +39,8 @@ SWEEP_AXES = ("beta", "lambda", "omega_S", "omega_B")
 
 
 def _csv_num(x: float) -> str:
-    if math.isnan(x):
-        return "undefined"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    v = extended_real(x)
+    return v if isinstance(v, str) else f"{v:.17g}"
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -76,22 +73,19 @@ def cmd_bipartite(args) -> int:
         raise ValidationError(f"bipartite expects kind = bipartite or model, got {doc.kind!r}")
     from .correlation import correlation_inverse_temperature
     from .relation import verify_universal_relation
-    from .thermometry import inverse_temperature
 
     clip = args.clip if args.clip is not None else doc.clip
     sys_ = build_bipartite_system(doc)
     corr = correlation_inverse_temperature(sys_, clip)
     rel = verify_universal_relation(sys_, clip)
-    local_s = inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff, clip)
-    local_b = inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff, clip)
     if args.strict and (
-        corr.clipped or local_s.rank_deficient or local_b.rank_deficient
+        corr.clipped or rel.local_S.rank_deficient or rel.local_B.rank_deficient
         or sys_.rho_SB.rank < sys_.rho_SB.dim
     ):
         raise NumericalError("strict mode: a state is rank deficient or a logarithm was clipped")
     body = {
-        "local_S": temperature_report_dict(local_s),
-        "local_B": temperature_report_dict(local_b),
+        "local_S": temperature_report_dict(rel.local_S),
+        "local_B": temperature_report_dict(rel.local_B),
         "correlation": correlation_report_dict(corr),
         "relation": relation_dict(rel),
     }
@@ -102,7 +96,7 @@ def cmd_bipartite(args) -> int:
 def cmd_sweep(args) -> int:
     from .models import TwoQubitXYParams, build_two_qubit_xy
     from .relation import verify_universal_relation
-    from .thermometry import DEFAULT_CLIP, inverse_temperature
+    from .thermometry import DEFAULT_CLIP
 
     if args.model != "two-qubit-xy":
         raise ValidationError(f"unknown model {args.model!r}; only two-qubit-xy is supported")
@@ -131,10 +125,8 @@ def cmd_sweep(args) -> int:
         )
         sys_ = build_two_qubit_xy(p)
         rel = verify_universal_relation(sys_, clip)
-        beta_s = inverse_temperature(sys_.rho_S, sys_.effective.H_S_eff, clip).beta
-        beta_b = inverse_temperature(sys_.rho_B, sys_.effective.H_B_eff, clip).beta
         cols = [
-            v, beta_s, beta_b, rel.beta_SB, rel.beta_chi,
+            v, rel.local_S.beta, rel.local_B.beta, rel.beta_SB, rel.beta_chi,
             rel.beta_tilde_S, rel.beta_tilde_B,
             rel.K_SB, rel.b_S, rel.b_B, rel.K_chi, rel.residual,
         ]

@@ -1,4 +1,4 @@
-"""Bipartite decomposition and the correlation temperature.
+"""Bipartite decomposition, the correlation temperature and the trace algebra.
 
 A bipartite system carries local Hamiltonians H_S, H_B, an interaction H_I on
 the joint space and a joint state rho_SB (S is always the left tensor
@@ -13,22 +13,34 @@ where HH_I = -log rho_SB + log rho_S x I + I x log rho_B, O_I is the unit
 direction of H_I_eff and O_chi the part of O_I orthogonal to the local
 directions. The 1/h_I factor is the Jacobian dU_chi = h_I h_chi dy_chi of
 the coordinate; it is required for the Gibbs identity beta_chi = -beta.
+beta_tilde_S is beta_S, the local inverse temperature of (rho_S, H_S_eff),
+minus dS_chi/dU_S = -(Tr[(O_S x I) HH_I] + overlap_S h_I beta_chi)/(d_B h_S)
+at fixed U_B and U_chi (d_B, the squared norm of O_S x I, is the printed
+divisor 2 at d_B = 2); beta_tilde_B mirrors it with divisor d_S.
 
-Every number is a trace, taken by trace algebra. Each direction (O_S x I,
+The four temperatures of the universal relation (:mod:`neqtemp.relation`)
+and both local reports form one record per system and clip, read by trace
+algebra from L = log rho_SB, log rho_S and log rho_B. Each direction (O_S x I,
 I x O_B, O_I, O_chi, O1_SB) is a combination of H_S_eff x I, I x H_B_eff,
-H_I_eff and I, and Tr[(X x I) M] = Tr[X Tr_B M], so with L = log rho_SB
+H_I_eff and I, and Tr[(X x I) M] = Tr[X Tr_B M], so
 
-    Tr[X HH_I] = -Tr[X L] + Tr[Tr_B(X) log rho_S] + Tr[Tr_S(X) log rho_B].
+    Tr[X HH_I] = -Tr[X L] + Tr[Tr_B(X) log rho_S] + Tr[Tr_S(X) log rho_B],
+
+and beta_SB = Cov(H_SB, -L)/Var(H_SB) never forms H_SB: Tr[H_SB^2] expands
+into local norms, traces and Tr[H_S Tr_B H_I] + Tr[H_B Tr_S H_I], Tr[H_SB L]
+into Tr[H_S Tr_B L] + Tr[H_B Tr_S L] + Tr[H_I L].
 
 A report's joint-space arrays are the inputs H_I and rho_SB, H_I_eff,
 rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
 is d_S x d_S or d_B x d_B (effective Hamiltonians, mean-field shifts lambda,
 partial traces of H_I, H_I_eff, L and HH_I, the marginals' logs) or scalar.
-O1_SB, O_I, O_chi, H_SB, chi and HH_I are built on first access and cached.
-Cross-checks compare independent assemblies: beta_chi takes Tr[O_I HH_I]
+O1_SB, O_I, O_chi, H_SB, chi and HH_I are built on first access. Each
+cross-check compares independent assemblies and runs once per record:
+beta_SB's moments against -Tr[O1_SB L]/h_SB through C, O_S, O_B and H_I_eff,
+at the bound of :func:`inverse_temperature`; beta_chi takes Tr[O_I HH_I]
 once from a vdot of H_I_eff with L and its partial traces (overlap form),
 once from H_I, lambda and the partial traces of H_I (direct form, through
-O_chi); U_chi is Tr[chi H_I_eff] (H_I_eff's vdot and product mean), Tr[chi
+O_chi). U_chi is Tr[chi H_I_eff] (H_I_eff's vdot and product mean), Tr[chi
 H_I] (mean through lambda_S) and Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]
 (rho_SB's raw partial traces, mean through lambda_B).
 
@@ -43,7 +55,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +64,9 @@ from .linalg import (
     RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _tr, matrix_log, partial_trace,
     tensor_product,
 )
-from .thermometry import DEFAULT_CLIP, von_neumann_entropy
+from .thermometry import (
+    DEFAULT_CLIP, TemperatureReport, _beta_of_moments, inverse_temperature, von_neumann_entropy,
+)
 
 __all__ = [
     "BipartiteSystem", "EffectiveHamiltonians", "BipartiteFrame", "CorrelationReport",
@@ -69,13 +82,13 @@ class BipartiteSystem:
     marginals are validated as density matrices here. Operators derived from
     them are wrapped through ``HermitianOperator._of_computed`` (symmetrized,
     checked finite). Marginals, effective Hamiltonians and mean-field shifts
-    are computed at construction, the frame and H_SB on first use, the traces
-    of the logarithms once per clip, and HH_I per clip only when asked for;
-    instances are immutable afterwards and safe to share.
+    are computed at construction, the frame and H_SB on first use and the
+    temperature record once per clip; instances are immutable afterwards and
+    safe to share.
     """
 
     __slots__ = ("d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB", "rho_S", "rho_B", "effective",
-                 "_shifts", "_H_SB", "_frame", "_log_hamiltonians", "_log_traces")
+                 "_shifts", "_H_SB", "_frame", "_temperatures")
 
     def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
                  H_I: HermitianOperator, rho_SB: DensityMatrix):
@@ -94,8 +107,7 @@ class BipartiteSystem:
         self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1))
         self.effective, self._shifts = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
-        self._log_hamiltonians: dict[float, MatrixLog] = {}
-        self._log_traces: dict[float, _LogTraces] = {}
+        self._temperatures: dict[float, _Temperatures] = {}
 
     @property
     def dim(self) -> int:
@@ -193,46 +205,12 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
     """HH_I = -log rho_SB + log rho_S x I + I x log rho_B.
 
     Vanishes identically iff the state is the product of its marginals. The
-    clipped flag propagates from any of the three (cached) logarithms. Built
-    once per clip and cached on ``sys``; no temperature builds it.
+    clipped flag propagates from any of the three (cached) logarithms. No
+    temperature builds it: they read its traces (module docstring).
     """
-    return _cached(sys._log_hamiltonians, clip, lambda: _build_log_hamiltonian(sys, clip))
-
-
-def _build_log_hamiltonian(sys: BipartiteSystem, clip: float) -> MatrixLog:
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     m = -log_sb.operator.matrix + sys.embed_S(log_s.operator) + sys.embed_B(log_b.operator)
     return MatrixLog(HermitianOperator._of_computed(m), log_sb.clipped or log_s.clipped or log_b.clipped)
-
-
-class _LogTraces(NamedTuple):
-    """What the temperatures read of L = log rho_SB at one clip."""
-
-    tr: float  #: Tr L
-    part_S: np.ndarray  #: Tr_B L
-    part_B: np.ndarray  #: Tr_S L
-    H_I: float  #: Tr[H_I L]
-    H_I_eff: float  #: Tr[H_I_eff L]
-    log_S: np.ndarray
-    log_B: np.ndarray
-    hh_S: np.ndarray  #: Tr_B HH_I = -Tr_B L + d_B log rho_S + Tr[log rho_B] I
-    hh_B: np.ndarray  #: Tr_S HH_I
-    clipped: bool
-
-
-def _log_traces(sys: BipartiteSystem, clip: float) -> _LogTraces:
-    def build():
-        log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
-        L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
-        part_s, part_b = partial_trace(L, (sys.d_S, sys.d_B), 0), partial_trace(L, (sys.d_S, sys.d_B), 1)
-        return _LogTraces(
-            float(np.trace(L).real), part_s, part_b, _tr(sys.H_I, L), _tr(sys.effective.H_I_eff, L), ls, lb,
-            -part_s + sys.d_B * ls + np.trace(lb).real * np.eye(sys.d_S),
-            -part_b + sys.d_S * lb + np.trace(ls).real * np.eye(sys.d_B),
-            log_sb.clipped or log_s.clipped or log_b.clipped,
-        )
-
-    return _cached(sys._log_traces, clip, build)
 
 
 @dataclass(frozen=True)
@@ -332,32 +310,77 @@ def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:
     return frame
 
 
-def _log_hamiltonian_traces(sys: BipartiteSystem, clip: float) -> tuple[float, float, float]:
-    """Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I] and beta_chi in the frame of ``sys``.
+@dataclass(frozen=True)
+class _Temperatures:
+    """Every temperature of a system at one clip, read from one set of log traces."""
 
-    beta_chi is assembled in two cross-asserted forms; it is NaN when the
-    interaction direction is degenerate.
-    """
-    f, lt, d = sys.frame, _log_traces(sys, clip), sys.dim
-    t_os, t_ob = _tr(f.O_S, lt.hh_S), _tr(f.O_B, lt.hh_B)
-    if f.h_I == 0.0:
-        return t_os, t_ob, math.nan
-    hh_id = float(np.trace(lt.hh_S).real)  # Tr HH_I
-    local = f.overlap_S * t_os / sys.d_B + f.overlap_B * t_ob / sys.d_S
-    # Overlap form: Tr[O_I HH_I] from H_I_eff, less its local components.
-    tr_e, e_s, e_b = f._interaction
-    by_eff = -lt.H_I_eff + _tr(e_s, lt.log_S) + _tr(e_b, lt.log_B)
-    beta_chi = -((by_eff - tr_e / d * hh_id) / f.h_I - local) / (f.h_I * f.h_chi**2)
-    # Direct form -Tr[O_chi HH_I]/(h_I h_chi), H_I_eff = H_I - lambda_S x I - I x lambda_B + mean.
+    beta_SB: float
+    beta_tilde_S: float
+    beta_tilde_B: float
+    beta_chi: float  #: NaN when the interaction direction is degenerate
+    local_S: TemperatureReport  #: of (rho_S, H_S_eff)
+    local_B: TemperatureReport  #: of (rho_B, H_B_eff)
+    clipped: bool  #: any of the three logarithms was clipped
+
+
+def _temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
+    """The temperature record of ``sys`` at ``clip``, built once and cached on ``sys``."""
+    return _cached(sys._temperatures, clip, lambda: _build_temperatures(sys, clip))
+
+
+def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
+    f, d_s, d_b, d = sys.frame, sys.d_S, sys.d_B, sys.dim
+    hs, hb, hi, hi_eff = sys.H_S, sys.H_B, sys.H_I, sys.effective.H_I_eff
     lamb_s, lamb_b, mean, hi_s, hi_b = sys._shifts
-    by_hi = (-lt.H_I + _tr(hi_s, lt.log_S) + _tr(hi_b, lt.log_B)
-             - _tr(lamb_s, lt.hh_S) - _tr(lamb_b, lt.hh_B) + mean * hh_id)
-    tr_hi = sys.H_I.trace - sys.d_B * lamb_s.trace().real - sys.d_S * lamb_b.trace().real + d * mean
-    t_ochi = ((by_hi - tr_hi / d * hh_id) / f.h_I - local) / f.h_chi
-    beta_alt = -t_ochi / (f.h_I * f.h_chi)
-    if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
-        raise NumericalError(f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}")
-    return t_os, t_ob, beta_chi
+    log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
+    L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
+    part_s, part_b = partial_trace(L, (d_s, d_b), 0), partial_trace(L, (d_s, d_b), 1)
+    tr_l, hi_l, hi_eff_l = float(np.trace(L).real), _tr(hi, L), _tr(hi_eff, L)
+    hh_s = -part_s + d_b * ls + np.trace(lb).real * np.eye(d_s)  # Tr_B HH_I
+    hh_b = -part_b + d_s * lb + np.trace(ls).real * np.eye(d_b)  # Tr_S HH_I
+
+    # beta_SB: the moments of (rho_SB, H_SB), checked against -Tr[O1_SB L]/h_SB.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_h = d_b * hs.trace + d_s * hb.trace + hi.trace
+        tr_hh = (d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi)
+                 + 2.0 * (hs.trace * hb.trace + _tr(hs, hi_s) + _tr(hb, hi_b)))
+        tr_hl = _tr(hs, part_s) + _tr(hb, part_b) + hi_l
+    s_l, b_l = _tr(f.O_S, part_s), _tr(f.O_B, part_b)  # Tr[(O_S x I) L], Tr[(I x O_B) L]
+    o1_l = f.C_S * s_l + f.C_B * b_l
+    if f.h_I != 0.0:
+        oi_l = (hi_eff_l - f._interaction[0] / d * tr_l) / f.h_I  # Tr[O_I L]
+        o1_l += f.C_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
+    # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
+    cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
+    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_h, tr_l, tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
+
+    # beta_chi in two cross-asserted forms.
+    t_os, t_ob = _tr(f.O_S, hh_s), _tr(f.O_B, hh_b)  # Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I]
+    beta_chi = math.nan
+    if f.h_I != 0.0:
+        hh_id = float(np.trace(hh_s).real)  # Tr HH_I
+        local = f.overlap_S * t_os / d_b + f.overlap_B * t_ob / d_s
+        # Overlap form: Tr[O_I HH_I] from H_I_eff, less its local components.
+        tr_e, e_s, e_b = f._interaction
+        by_eff = -hi_eff_l + _tr(e_s, ls) + _tr(e_b, lb)
+        beta_chi = -((by_eff - tr_e / d * hh_id) / f.h_I - local) / (f.h_I * f.h_chi**2)
+        # Direct form -Tr[O_chi HH_I]/(h_I h_chi), H_I_eff = H_I - lambda_S x I - I x lambda_B + mean.
+        by_hi = (-hi_l + _tr(hi_s, ls) + _tr(hi_b, lb)
+                 - _tr(lamb_s, hh_s) - _tr(lamb_b, hh_b) + mean * hh_id)
+        tr_hi = hi.trace - d_b * lamb_s.trace().real - d_s * lamb_b.trace().real + d * mean
+        t_ochi = ((by_hi - tr_hi / d * hh_id) / f.h_I - local) / f.h_chi
+        beta_alt = -t_ochi / (f.h_I * f.h_chi)
+        if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
+            raise NumericalError(f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}")
+
+    # beta_tilde = beta_local - dS_chi/dU_local; without an interaction direction the overlaps vanish.
+    chi_part = 0.0 if f.h_I == 0.0 else f.h_I * beta_chi
+    ds_du_s = -(t_os + f.overlap_S * chi_part) / (d_b * f.h_S)
+    ds_du_b = -(t_ob + f.overlap_B * chi_part) / (d_s * f.h_B)
+    local_s = inverse_temperature(sys.rho_S, sys.effective.H_S_eff, clip)
+    local_b = inverse_temperature(sys.rho_B, sys.effective.H_B_eff, clip)
+    return _Temperatures(beta_sb, local_s.beta - ds_du_s, local_b.beta - ds_du_b, beta_chi, local_s, local_b,
+                         log_sb.clipped or log_s.clipped or log_b.clipped)
 
 
 @dataclass(frozen=True)
@@ -382,7 +405,7 @@ class CorrelationReport:
     def O_I(self) -> HermitianOperator:
         return self._sys.frame.O_I
 
-    @property
+    @cached_property
     def H_corr(self) -> HermitianOperator:
         return correlation_log_hamiltonian(self._sys, self._clip).operator
 
@@ -397,7 +420,7 @@ def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_
     which is -Tr[O_chi HH_I]/(h_I h_chi). For a globally Gibbs state this is
     exactly -beta; for a product state HH_I vanishes and beta_chi = 0.
     """
-    frame, beta_chi = chi_unit(sys), _log_hamiltonian_traces(sys, clip)[2]
+    frame, temps = chi_unit(sys), _temperatures(sys, clip)
     return CorrelationReport(
-        U_chi=binding_energy(sys), S_chi=mutual_information(sys), beta_chi=beta_chi, h_I=frame.h_I,
-        h_chi=frame.h_chi, clipped=_log_traces(sys, clip).clipped, _sys=sys, _clip=clip)
+        U_chi=binding_energy(sys), S_chi=mutual_information(sys), beta_chi=temps.beta_chi, h_I=frame.h_I,
+        h_chi=frame.h_chi, clipped=temps.clipped, _sys=sys, _clip=clip)

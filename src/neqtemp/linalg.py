@@ -370,9 +370,12 @@ class MatrixLog:
 def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
     """Spectral logarithm V diag(log max(lambda_i, clip)) V^dag.
 
+    The ``dim - resolved_rank`` eigenvalues not resolved from zero count as 0,
+    so they become log(clip) whatever round-off the eigensolver left in them.
     Clipping is explicit and never silent: whenever any eigenvalue sat below
-    ``clip`` the result carries ``clipped=True``. For full-rank states with
-    min eigenvalue above ``clip`` this is the exact natural log.
+    ``clip``, or was not resolved, the result carries ``clipped=True``. For
+    full-rank states with min eigenvalue above ``clip`` this is the exact
+    natural log.
 
     The result is computed once per (state, clip) and cached on ``rho``, so
     every caller of one state's log shares one operator.
@@ -381,7 +384,7 @@ def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
         raise ValidationError("matrix_log expects a DensityMatrix")
     if not (clip > 0.0):
         raise ValidationError(f"clip must be positive, got {clip!r}")
-    return _cached(rho._logs, clip, lambda: _spectral_log(rho.spectrum, clip))
+    return _cached(rho._logs, clip, lambda: _spectral_log(rho, clip))
 
 
 def _cached(cache: dict, key, build):
@@ -394,10 +397,12 @@ def _cached(cache: dict, key, build):
     return cache.setdefault(key, build()) if value is None else value
 
 
-def _spectral_log(spec: SpectralDecomposition, clip: float) -> MatrixLog:
-    clipped = bool(np.any(spec.eigenvalues < clip))
-    mat = spec.apply(lambda x: np.log(np.maximum(x, clip)))
-    return MatrixLog(HermitianOperator._of_computed(mat), clipped)
+def _spectral_log(rho: DensityMatrix, clip: float) -> MatrixLog:
+    unresolved = rho.dim - rho.resolved_rank  # the lowest eigenvalues, as they ascend
+    w = np.maximum(rho.eigenvalues, clip)
+    w[:unresolved] = clip
+    mat = rho.spectrum.apply(lambda _: np.log(w))
+    return MatrixLog(HermitianOperator._of_computed(mat), unresolved > 0 or bool(rho.eigenvalues[0] < clip))
 
 
 def matrix_exp(A: HermitianOperator) -> HermitianOperator:

@@ -11,21 +11,11 @@ tie the four inverse temperatures together:
 
     K_SB beta_SB = b_S beta_tilde_S + b_B beta_tilde_B - K_chi beta_chi.
 
-beta_tilde_S is the subsystem temperature seen with global information: the
-local inverse temperature of (rho_S, H_S_eff) minus the constrained partial
-derivative dS_chi/dU_S at fixed U_B and U_chi, evaluated in the operator
-frame frozen at the state. The first divisor of that derivative is the
-squared joint-space norm d_B of the embedded local direction (the printed
-special case with divisor 2 is its d_B = 2 instance).
-
-Units, overlaps and C are read from the system's BipartiteFrame, whose
-builder (in :mod:`neqtemp.correlation`) defines the degenerate-interaction
-convention C_chi = h_I = 0. Temperatures come from the trace algebra of
-:mod:`neqtemp.correlation`. beta_SB = Cov(H_SB, -L)/Var(H_SB), L = log rho_SB,
-never forms H_SB: Tr[H_SB^2] expands into local norms, traces and Tr[H_S Tr_B
-H_I] + Tr[H_B Tr_S H_I], Tr[H_SB L] into Tr[H_S Tr_B L] + Tr[H_B Tr_S L] +
-Tr[H_I L]; at the bound of :func:`inverse_temperature`, these moments are
-checked against -Tr[O1_SB L]/h_SB through C, O_S, O_B and H_I_eff.
+This module holds the weights and the residual of that relation. Units,
+overlaps and C are read from the system's BipartiteFrame, whose builder
+defines the degenerate-interaction convention C_chi = h_I = 0; the
+temperatures are read from the system's temperature record. Both live in
+:mod:`neqtemp.correlation`, with the trace algebra that defines them.
 """
 
 from __future__ import annotations
@@ -33,12 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .correlation import BipartiteSystem, _log_hamiltonian_traces, _log_traces
+from .correlation import BipartiteSystem, _temperatures
 from .exceptions import NumericalError, ValidationError
-from .linalg import HermitianOperator, _tr, matrix_log
-from .thermometry import DEFAULT_CLIP, _beta_of_moments, inverse_temperature
+from .linalg import HermitianOperator
+from .thermometry import DEFAULT_CLIP, TemperatureReport
 
 __all__ = [
     "AuxiliaryBasis", "RelationCoefficients", "expansion_coefficients", "auxiliary_basis",
@@ -52,7 +40,8 @@ class RelationCoefficients:
     """Expansion coefficients, relation weights and (optionally) the betas.
 
     ``residual`` = K_SB beta_SB - b_S beta_tilde_S - b_B beta_tilde_B + K_chi beta_chi
-    vanishes where the relation is exact. Temperatures are NaN until
+    vanishes where the relation is exact. Temperatures are NaN, and the local
+    reports of (rho_S, H_S_eff) and (rho_B, H_B_eff) None, until
     :func:`verify_universal_relation` fills them in.
     """
 
@@ -70,6 +59,8 @@ class RelationCoefficients:
     beta_chi: float = math.nan
     residual: float = math.nan
     interaction_degenerate: bool = False
+    local_S: TemperatureReport | None = None
+    local_B: TemperatureReport | None = None
 
 
 def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
@@ -127,64 +118,27 @@ def relation_coefficients(sys: BipartiteSystem) -> RelationCoefficients:
 def tilde_inverse_temperatures(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> tuple[float, float]:
     """Subsystem inverse temperatures corrected by the correlation entropy.
 
-    beta_tilde_S = beta_S - dS_chi/dU_S, the derivative at fixed U_B and U_chi:
-
-        dS_chi/dU_S = -(Tr[(O_S x I) HH_I] + overlap_S h_I beta_chi)/(d_B h_S)
-
-    and the mirror image for B (divisor d_S); beta_S is the local inverse
-    temperature of (rho_S, H_S_eff). Without an interaction direction only the
-    first term (HH_I of the possibly still correlated state) remains.
+    beta_tilde_S = beta_S - dS_chi/dU_S at fixed U_B and U_chi, beta_S the
+    local inverse temperature of (rho_S, H_S_eff), and the mirror image for B
+    (derivative in :mod:`neqtemp.correlation`). Without an interaction
+    direction only the HH_I term of the possibly still correlated state remains.
     """
-    return _log_hamiltonian_temperatures(sys, clip)[:2]
-
-
-def _log_hamiltonian_temperatures(sys: BipartiteSystem, clip: float) -> tuple[float, float, float]:
-    """beta_tilde_S, beta_tilde_B and beta_chi (NaN if undefined) from one set of log traces."""
-    f = sys.frame
-    t_os, t_ob, beta_chi = _log_hamiltonian_traces(sys, clip)
-    # Without an interaction direction the overlaps vanish and so does this term.
-    chi_part = 0.0 if f.h_I == 0.0 else f.h_I * beta_chi
-    ds_du_s = -(t_os + f.overlap_S * chi_part) / (sys.d_B * f.h_S)
-    ds_du_b = -(t_ob + f.overlap_B * chi_part) / (sys.d_S * f.h_B)
-    beta_s = inverse_temperature(sys.rho_S, sys.effective.H_S_eff, clip).beta
-    beta_b = inverse_temperature(sys.rho_B, sys.effective.H_B_eff, clip).beta
-    return beta_s - ds_du_s, beta_b - ds_du_b, beta_chi
+    temps = _temperatures(sys, clip)
+    return temps.beta_tilde_S, temps.beta_tilde_B
 
 
 def verify_universal_relation(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> RelationCoefficients:
     """Evaluate every temperature in the relation and its residual.
 
-    beta_SB is the inverse temperature of rho_SB w.r.t. H_SB. Without an
-    interaction direction K_chi = 0 and beta_chi is NaN.
+    beta_SB is the inverse temperature of rho_SB w.r.t. H_SB; ``local_S`` and
+    ``local_B`` are the reports beta_tilde_S and beta_tilde_B start from.
+    Without an interaction direction K_chi = 0 and beta_chi is NaN.
     """
-    coeffs = relation_coefficients(sys)
-    beta_sb = _global_beta(sys, clip)
-    bt_s, bt_b, beta_chi = _log_hamiltonian_temperatures(sys, clip)
-    chi_term = 0.0 if coeffs.interaction_degenerate else coeffs.K_chi * beta_chi
-    residual = coeffs.K_SB * beta_sb - coeffs.b_S * bt_s - coeffs.b_B * bt_b + chi_term
-    return replace(coeffs, beta_SB=beta_sb, beta_tilde_S=bt_s, beta_tilde_B=bt_b, beta_chi=beta_chi,
-                   residual=residual)
-
-
-def _global_beta(sys: BipartiteSystem, clip: float) -> float:
-    """beta_SB of (rho_SB, H_SB) by trace algebra (see the module docstring)."""
-    f, lt, d_s, d_b = sys.frame, _log_traces(sys, clip), sys.d_S, sys.d_B
-    hs, hb, hi = sys.H_S, sys.H_B, sys.H_I
-    hi_s, hi_b = sys._shifts[3:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr_h = d_b * hs.trace + d_s * hb.trace + hi.trace
-        tr_hh = (d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi)
-                 + 2.0 * (hs.trace * hb.trace + _tr(hs, hi_s) + _tr(hb, hi_b)))
-        tr_hl = _tr(hs, lt.part_S) + _tr(hb, lt.part_B) + lt.H_I
-    s_l, b_l = _tr(f.O_S, lt.part_S), _tr(f.O_B, lt.part_B)  # Tr[(O_S x I) L], Tr[(I x O_B) L]
-    o1_l = f.C_S * s_l + f.C_B * b_l
-    if f.h_I != 0.0:
-        oi_l = (lt.H_I_eff - f._interaction[0] / sys.dim * lt.tr) / f.h_I  # Tr[O_I L]
-        o1_l += f.C_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
-    # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
-    max_l = float(np.max(np.abs(matrix_log(sys.rho_SB, clip).operator.matrix)))
-    cond = lambda: sys.dim * float(np.max(np.abs(sys.H_SB().matrix))) * max_l / f.h_SB**2
-    return _beta_of_moments(sys.rho_SB, f.h_SB, (tr_h, lt.tr, tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
+    coeffs, t = relation_coefficients(sys), _temperatures(sys, clip)
+    chi_term = 0.0 if coeffs.interaction_degenerate else coeffs.K_chi * t.beta_chi
+    residual = coeffs.K_SB * t.beta_SB - coeffs.b_S * t.beta_tilde_S - coeffs.b_B * t.beta_tilde_B + chi_term
+    return replace(coeffs, beta_SB=t.beta_SB, beta_tilde_S=t.beta_tilde_S, beta_tilde_B=t.beta_tilde_B,
+                   beta_chi=t.beta_chi, residual=residual, local_S=t.local_S, local_B=t.local_B)
 
 
 def large_bath_coefficients(sys: BipartiteSystem) -> RelationCoefficients:

@@ -295,17 +295,12 @@ def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     v = spec.eigenvectors
     r = v.conj().T @ rho.matrix @ v
     # Commutation: rho must not mix distinct energy clusters.
-    boundaries = np.cumsum([0] + [len(c) for c in clusters])
-    for a in range(len(clusters)):
-        for b in range(len(clusters)):
-            if a == b:
-                continue
-            block = r[boundaries[a]:boundaries[a + 1], boundaries[b]:boundaries[b + 1]]
-            if float(np.max(np.abs(block))) > 1e-10:
-                return False
+    labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    if float(np.max(np.abs(r[labels[:, None] != labels]), initial=0.0)) > 1e-10:
+        return False
     prev_min = math.inf
-    for a in range(len(clusters)):
-        block = r[boundaries[a]:boundaries[a + 1], boundaries[a]:boundaries[a + 1]]
+    for idx in clusters:
+        block = r[np.ix_(idx, idx)]
         pops = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
         if float(pops[-1]) > prev_min + 1e-12:
             return False

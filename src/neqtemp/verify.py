@@ -169,8 +169,7 @@ def suite_relation(seed: int, count: int) -> SuiteResult:
             1e-12,
         )
         cf = closed_form(p)
-        num = inverse_temperature(sys.rho_S, sys.effective.H_S_eff).beta
-        res.record("|beta_S closed - numeric|", abs(cf.beta_S - num), 1e-10)
+        res.record("|beta_S closed - numeric|", abs(cf.beta_S - rel.local_S.beta), 1e-10)
     return res
 
 

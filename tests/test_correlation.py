@@ -247,21 +247,22 @@ class TestComputedOperators:
             assert np.all(np.isfinite(m)), name
             assert not m.flags.writeable, name
 
-    def test_log_hamiltonian_cached_per_clip(self):
+    def test_log_hamiltonian_per_clip(self):
         sys = sample_bipartite(2, 2, 0.3, np.random.default_rng(61))
         hh = correlation_log_hamiltonian(sys)
-        assert correlation_log_hamiltonian(sys, DEFAULT_CLIP) is hh
-        assert correlation_inverse_temperature(sys).H_corr is hh.operator
+        report = correlation_inverse_temperature(sys)
+        assert report.H_corr is report.H_corr
+        np.testing.assert_array_equal(report.H_corr.matrix, hh.operator.matrix)
         assert not hh.clipped
-        # A clip above the smallest joint eigenvalue gives a fresh, clipped HH_I.
+        # A clip above the smallest joint eigenvalue gives a different, clipped HH_I.
         clip = 1.5 * float(sys.rho_SB.eigenvalues[0])
         assert clip < float(sys.rho_S.eigenvalues[0])
         hh_clip = correlation_log_hamiltonian(sys, clip)
-        assert hh_clip is not hh
         assert hh_clip.clipped
         assert not np.array_equal(hh_clip.operator.matrix, hh.operator.matrix)
-        assert correlation_log_hamiltonian(sys, clip) is hh_clip
-        assert correlation_log_hamiltonian(sys) is hh
+        h_corr = correlation_inverse_temperature(sys, clip).H_corr
+        np.testing.assert_array_equal(h_corr.matrix, hh_clip.operator.matrix)
+        np.testing.assert_array_equal(correlation_log_hamiltonian(sys).operator.matrix, hh.operator.matrix)
 
 
 class TestTraceAlgebra:
@@ -289,8 +290,9 @@ class TestTraceAlgebra:
         assert f.O_chi is f.O_chi and f.O1_SB is f.O1_SB
         assert report.chi is report.chi
         np.testing.assert_array_equal(report.chi.matrix, correlation_operator(sys).matrix)
-        assert report.H_corr is correlation_log_hamiltonian(sys, 1e-6).operator
-        assert report.H_corr is not correlation_log_hamiltonian(sys).operator
+        assert report.H_corr is report.H_corr
+        hh = correlation_log_hamiltonian(sys, 1e-6)
+        np.testing.assert_array_equal(report.H_corr.matrix, hh.operator.matrix)
 
 
 class TestUnits:

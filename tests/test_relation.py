@@ -24,7 +24,7 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp import relation
+from neqtemp import correlation
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import (
     auxiliary_basis,
@@ -287,6 +287,26 @@ class TestTildeTemperatures:
         assert bts == pytest.approx(beta, abs=1e-10)
         assert btb == pytest.approx(beta, abs=1e-10)
 
+    @pytest.mark.parametrize("d_b", [3, 4, 6])
+    def test_rank_deficient_marginal_ignores_round_off(self, d_b):
+        # A pure entangled 2 x d_B state: rho_B has rank 2, and its other eigenvalues
+        # are zero, whatever round-off the eigensolver returns for them.
+        rng = np.random.default_rng(70 + d_b)
+        d = 2 * d_b
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        ops = [HermitianOperator(s * gue_matrix(n, rng)) for n, s in ((2, 1.0), (d_b, 1.0), (d, 0.3))]
+
+        def betas(nudge):
+            sys = BipartiteSystem(2, d_b, *ops, DensityMatrix(rho + nudge * np.eye(d)))
+            rel = verify_universal_relation(sys)
+            return np.array([rel.beta_chi, rel.beta_tilde_S, rel.beta_tilde_B])
+
+        ref = betas(0.0)
+        assert np.all(np.isfinite(ref))
+        for nudge in (1e-17, -1e-17):
+            np.testing.assert_allclose(betas(nudge), ref, rtol=1e-9)
+
 
 class TestUniversalRelation:
     def test_gibbs_grid_point_residual(self):
@@ -359,13 +379,13 @@ class TestGlobalTemperature:
 
     def test_cross_check_scale_reads_total_hamiltonian(self, monkeypatch):
         scales = []
-        beta_of_moments = relation._beta_of_moments
+        beta_of_moments = correlation._beta_of_moments
 
         def spy(rho, h, moments, beta_dir, cond):
             scales.append(cond())
             return beta_of_moments(rho, h, moments, beta_dir, cond)
 
-        monkeypatch.setattr(relation, "_beta_of_moments", spy)
+        monkeypatch.setattr(correlation, "_beta_of_moments", spy)
         sys = sample_bipartite(2, 3, 0.5, np.random.default_rng(64))
         verify_universal_relation(sys)
         log = matrix_log(sys.rho_SB, DEFAULT_CLIP).operator.matrix

@@ -141,9 +141,13 @@ class TestInverseTemperature:
         for _ in range(20):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             v /= np.linalg.norm(v)
-            report = inverse_temperature(DensityMatrix(np.outer(v, v.conj())), gue(d, rng))
+            h = gue(d, rng)
+            report = inverse_temperature(DensityMatrix(np.outer(v, v.conj())), h)
             assert report.temperature == 0.0
-            assert math.isinf(report.beta)
+            # The null space enters log rho as log(clip), not as round-off, so the
+            # sign says on which side of the mean energy Tr H/d the state lies.
+            assert report.beta == (math.inf if np.vdot(v, h.matrix @ v).real < h.trace / d else -math.inf)
+            assert report.clipped
 
     def test_identity_hamiltonian_rejected(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
@@ -266,6 +270,15 @@ class TestPassivity:
         rho = DensityMatrix(np.diag([0.2, 0.8, 0.0]))
         h = HermitianOperator(np.diag([1.0, 1.0, 2.0]))
         assert is_passive(rho, h)
+
+    def test_coherence_only_within_degenerate_clusters(self):
+        # Two degenerate clusters: coherence inside a cluster is allowed, across them it is not.
+        h = HermitianOperator(np.diag([1.0, 1.0, 2.0, 2.0]))
+        rho = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
+        rho[0, 1] = rho[1, 0] = 0.1
+        assert is_passive(DensityMatrix(rho), h)
+        rho[1, 2] = rho[2, 1] = 0.05
+        assert not is_passive(DensityMatrix(rho), h)
 
     def test_rotated_frame(self):
         rng = np.random.default_rng(3)

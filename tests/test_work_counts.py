@@ -1,21 +1,23 @@
 """Deterministic work counts of one bipartite and one generalized-Gibbs report.
 
-A bipartite report is what ``neqtemp bipartite`` computes: the system, its
-correlation temperature, the universal relation and both local temperatures.
-Its counts are exact and independent of the dimension, so a change that adds
-an eigendecomposition, a matrix logarithm, a joint-space unit-direction
-build, an HH_I build, a joint-space d^3 product, Kronecker product or
-computed operator, or an operator validation to the report fails here. The
-report builds no joint-space operator beyond rho_SB, log rho_SB and H_I_eff:
-every temperature is taken by trace algebra. A generalized-Gibbs report
-builds a basis, decomposes and reconstructs the state over it and evaluates
-the Helmholtz free energy; its counts are pinned at d=8. The basis validates
-its d^2 members as one stack, so they add no ``HermitianOperator``
-validation of their own.
+A bipartite report is the library calls behind ``neqtemp bipartite``: the
+system, its correlation temperature and the universal relation, whose result
+carries both local temperatures. Its counts are exact and independent of the
+dimension, so a change that adds an eigendecomposition, a matrix logarithm,
+a joint-space unit-direction build, an HH_I build, a joint-space d^3
+product, Kronecker product or computed operator, or an operator validation
+to the report fails here. The report builds no joint-space operator beyond
+rho_SB, log rho_SB and H_I_eff: every temperature is taken by trace algebra.
+The CLI report itself is pinned by its temperature work: one temperature
+record per clip, and one ``inverse_temperature`` per marginal. A
+generalized-Gibbs report builds a basis, decomposes and reconstructs the
+state over it and evaluates the Helmholtz free energy; its counts are pinned
+at d=8. The basis validates its d^2 members as one stack, so they add no
+``HermitianOperator`` validation of their own.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
-user's matrices and the two marginals. Logarithms and HH_I are cached on
-their state and system, so ``logs`` and ``log_hamiltonians`` count the
+user's matrices and the two marginals. Logarithms and temperature records
+are cached on their state and system, so ``logs`` and ``records`` count the
 builds (cache misses), not the calls. ``products`` counts the d^3 products
 at the full dimension d, which ``linalg`` makes through ``_matmul``: the
 eigenvector Gram check, the reconstruction check and each spectral function.
@@ -24,16 +26,19 @@ full dimension. Calls are counted by wrapping from the test; the package has
 no hooks.
 """
 
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from neqtemp import basis, correlation, linalg
+from neqtemp import basis, cli, correlation, linalg, thermometry
 from neqtemp.correlation import BipartiteSystem, correlation_inverse_temperature
+from neqtemp.io import matrix_to_pairs
 from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import (
+    DEFAULT_CLIP,
     generalized_gibbs_decomposition,
     helmholtz_free_energy,
     inverse_temperature,
@@ -67,16 +72,18 @@ def gibbs_inputs(d_s, d_b, beta, rng):
     return h_s, h_b, h_i, (rho + rho.conj().T) / 2.0
 
 
-def report(d_s, d_b, h_s, h_b, h_i, rho):
-    system = BipartiteSystem(
+def system_of(d_s, d_b, h_s, h_b, h_i, rho):
+    return BipartiteSystem(
         d_s, d_b,
         HermitianOperator(h_s), HermitianOperator(h_b), HermitianOperator(h_i),
         DensityMatrix(rho),
     )
+
+
+def report(d_s, d_b, h_s, h_b, h_i, rho):
+    system = system_of(d_s, d_b, h_s, h_b, h_i, rho)
     correlation_inverse_temperature(system)
     verify_universal_relation(system)
-    inverse_temperature(system.rho_S, system.effective.H_S_eff)
-    inverse_temperature(system.rho_B, system.effective.H_B_eff)
 
 
 def basis_report(H, rho):
@@ -124,12 +131,14 @@ def install_counters(monkeypatch, keys, dim):
         monkeypatch.setattr(np, "kron", counted_at_dim(
             "kron", np.kron, lambda a, b: np.shape(a)[0] * np.shape(b)[0]))
     for key, mod, attr in (("logs", linalg, "_spectral_log"),
-                           ("log_hamiltonians", correlation, "_build_log_hamiltonian")):
+                           ("log_hamiltonians", correlation, "correlation_log_hamiltonian"),
+                           ("records", correlation, "_build_temperatures")):
         if key in counts:
             monkeypatch.setattr(mod, attr, counted(key, getattr(mod, attr)))
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
     for key, orig in (("hamiltonian_unit", basis.hamiltonian_unit),
-                      ("hs_inner", linalg.hs_inner)):
+                      ("hs_inner", linalg.hs_inner),
+                      ("inverse_temperature", thermometry.inverse_temperature)):
         if key not in counts:
             continue
         if key == "hamiltonian_unit":
@@ -149,6 +158,29 @@ def test_bipartite_report_work_counts(monkeypatch, d_s, d_b):
     counts = install_counters(monkeypatch, EXPECTED, d_s * d_b)
     report(d_s, d_b, *inputs)
     assert counts == EXPECTED
+
+
+@pytest.mark.parametrize("clip", [[], ["--clip", "0.2"]])
+def test_cli_bipartite_temperature_work(monkeypatch, tmp_path, clip):
+    inputs = gibbs_inputs(2, 3, 0.7, np.random.default_rng(23))
+    names = ("H_S", "H_B", "H_I", "rho_SB")
+    matrices = {n: matrix_to_pairs(m) for n, m in zip(names, inputs)}
+    doc = {"kind": "bipartite", "dims": [2, 3], "matrices": matrices}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    expected = {"eigh": 3, "HermitianOperator": 6, "products": 3, "inverse_temperature": 2, "records": 1}
+    counts = install_counters(monkeypatch, expected, 6)
+    assert cli.main(["bipartite", str(path), "--out", str(tmp_path / "out.json"), *clip]) == 0
+    assert counts == expected
+
+
+@pytest.mark.parametrize("clip", [DEFAULT_CLIP, 0.2])
+def test_relation_carries_local_temperatures(clip):
+    system = system_of(2, 3, *gibbs_inputs(2, 3, 0.7, np.random.default_rng(23)))
+    rel = verify_universal_relation(system, clip)
+    assert rel.local_S == inverse_temperature(system.rho_S, system.effective.H_S_eff, clip)
+    assert rel.local_B == inverse_temperature(system.rho_B, system.effective.H_B_eff, clip)
+    assert rel.local_B.clipped == (clip == 0.2)
 
 
 def test_basis_report_work_counts(monkeypatch):
