@@ -67,9 +67,9 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     """Normalized traceless part of H and its Hilbert-Schmidt weight h.
 
     Returns ``(O1, h)`` with ``O1 = (H - (Tr H / d) I)/h`` and
-    ``h = sqrt(Tr[H^2] - (Tr H)^2/d)``. Adding a multiple of the identity to
-    H leaves the output unchanged, and so does rescaling H (up to h), however
-    small its entries.
+    ``h = sqrt(Tr[H^2] - (Tr H)^2/d)``. Adding c I to H leaves the output
+    unchanged up to the rounding of H + c I itself, however large c, and so
+    does rescaling H (up to h), however small its entries.
 
     :raises DegenerateDirectionError: if H is proportional to the identity
         (the temperature direction is then undefined, the energy variance
@@ -97,6 +97,7 @@ def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         traceless = np.array(m, dtype=complex)  # m - (Tr m / d) I without a d x d identity
         traceless.flat[:: d + 1] -= float(np.trace(m).real) / d
+        traceless.flat[:: d + 1] -= float(np.trace(traceless).real) / d  # the first mean's rounding
         h_sq = float(np.sum(np.abs(traceless) ** 2))
     if not math.isfinite(h_sq):
         raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")

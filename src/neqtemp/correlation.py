@@ -28,7 +28,7 @@ H_I_eff and I, and Tr[(X x I) M] = Tr[X Tr_B M], so
 
 and beta_SB = Cov(H_SB, -L)/Var(H_SB) never forms H_SB: Tr[H_SB^2] expands
 into local norms, traces and Tr[H_S Tr_B H_I] + Tr[H_B Tr_S H_I], Tr[H_SB L]
-into Tr[H_S Tr_B L] + Tr[H_B Tr_S L] + Tr[H_I L].
+into Tr[H_S Tr_B L] + Tr[H_B Tr_S L] + Tr[H_I L], with H_S and H_B traceless.
 
 A report's joint-space arrays are the inputs H_I and rho_SB, H_I_eff,
 rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
@@ -65,7 +65,7 @@ from .linalg import (
     tensor_product,
 )
 from .thermometry import (
-    DEFAULT_CLIP, TemperatureReport, _beta_of_moments, inverse_temperature, von_neumann_entropy,
+    DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
 )
 
 __all__ = [
@@ -166,7 +166,7 @@ def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians
     hi_eff.flat[:: sys.dim + 1] += mean
     eff = EffectiveHamiltonians(*(HermitianOperator._of_computed(m) for m in (
         sys.H_S.matrix + lamb_S.matrix, sys.H_B.matrix + lamb_B.matrix, hi_eff)))
-    return eff, (lamb_S.matrix, lamb_B.matrix, mean, *(partial_trace(hi, t.shape[:2], k) for k in (0, 1)))
+    return eff, (lamb_S.matrix, lamb_B.matrix, mean, *(partial_trace(sys.H_I, t.shape[:2], k) for k in (0, 1)))
 
 
 def correlation_operator(sys: BipartiteSystem) -> HermitianOperator:
@@ -180,7 +180,7 @@ def binding_energy(sys: BipartiteSystem) -> float:
     Equal to Tr[chi H_I] and to Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]; the
     three are assembled independently (module docstring) and cross-asserted.
     """
-    rho, rho_s, rho_b = sys.rho_SB.matrix, sys.rho_S.matrix, sys.rho_B.matrix
+    rho, rho_s, rho_b = sys.rho_SB, sys.rho_S.matrix, sys.rho_B.matrix
     lamb_s, lamb_b = sys._shifts[:2]
     hi_eff = sys.effective.H_I_eff.matrix.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
     rho_hi = _tr(rho, sys.H_I)
@@ -282,7 +282,7 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
     if h_i <= RANK_TOL * scale:
         h_i, h_chi, c_s, c_b, interaction = 0.0, 1.0, 0.0, 0.0, None
     else:
-        parts = partial_trace(hi_eff, (d_s, d_b), 0), partial_trace(hi_eff, (d_s, d_b), 1)
+        parts = partial_trace(eff.H_I_eff, (d_s, d_b), 0), partial_trace(eff.H_I_eff, (d_s, d_b), 1)
         interaction = (float(np.trace(hi_eff).real), *parts)
         # O_S and O_B are traceless, so the identity part of H_I_eff drops out.
         c_s, c_b = _tr(o_s, parts[0]) / h_i, _tr(o_b, parts[1]) / h_i
@@ -330,20 +330,19 @@ def _temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
 
 def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
     f, d_s, d_b, d = sys.frame, sys.d_S, sys.d_B, sys.dim
-    hs, hb, hi, hi_eff = sys.H_S, sys.H_B, sys.H_I, sys.effective.H_I_eff
+    hi, hi_eff = sys.H_I, sys.effective.H_I_eff
     lamb_s, lamb_b, mean, hi_s, hi_b = sys._shifts
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
-    part_s, part_b = partial_trace(L, (d_s, d_b), 0), partial_trace(L, (d_s, d_b), 1)
+    part_s, part_b = (partial_trace(log_sb.operator, (d_s, d_b), k) for k in (0, 1))
     tr_l, hi_l, hi_eff_l = float(np.trace(L).real), _tr(hi, L), _tr(hi_eff, L)
     hh_s = -part_s + d_b * ls + np.trace(lb).real * np.eye(d_s)  # Tr_B HH_I
     hh_b = -part_b + d_s * lb + np.trace(ls).real * np.eye(d_b)  # Tr_S HH_I
 
-    # beta_SB: the moments of (rho_SB, H_SB), checked against -Tr[O1_SB L]/h_SB.
+    # beta_SB: the moments of (rho_SB, H_SB), H_S and H_B traceless, checked against -Tr[O1_SB L]/h_SB.
+    hs, hb = (_traceless_weight(m.matrix)[0] for m in (sys.H_S, sys.H_B))
     with np.errstate(over="ignore", invalid="ignore"):
-        tr_h = d_b * hs.trace + d_s * hb.trace + hi.trace
-        tr_hh = (d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi)
-                 + 2.0 * (hs.trace * hb.trace + _tr(hs, hi_s) + _tr(hb, hi_b)))
+        tr_hh = d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi) + 2.0 * (_tr(hs, hi_s) + _tr(hb, hi_b))
         tr_hl = _tr(hs, part_s) + _tr(hb, part_b) + hi_l
     s_l, b_l = _tr(f.O_S, part_s), _tr(f.O_B, part_b)  # Tr[(O_S x I) L], Tr[(I x O_B) L]
     o1_l = f.C_S * s_l + f.C_B * b_l
@@ -352,7 +351,7 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
         o1_l += f.C_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
     # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
     cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
-    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_h, tr_l, tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
+    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (hi.trace, tr_l, tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
 
     # beta_chi in two cross-asserted forms.
     t_os, t_ob = _tr(f.O_S, hh_s), _tr(f.O_B, hh_b)  # Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I]
@@ -377,8 +376,8 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
     chi_part = 0.0 if f.h_I == 0.0 else f.h_I * beta_chi
     ds_du_s = -(t_os + f.overlap_S * chi_part) / (d_b * f.h_S)
     ds_du_b = -(t_ob + f.overlap_B * chi_part) / (d_s * f.h_B)
-    local_s = inverse_temperature(sys.rho_S, sys.effective.H_S_eff, clip)
-    local_b = inverse_temperature(sys.rho_B, sys.effective.H_B_eff, clip)
+    local_s = _inverse_temperature(sys.rho_S, sys.effective.H_S_eff, f.O_S, f.h_S, clip)
+    local_b = _inverse_temperature(sys.rho_B, sys.effective.H_B_eff, f.O_B, f.h_B, clip)
     return _Temperatures(beta_sb, local_s.beta - ds_du_s, local_b.beta - ds_du_b, beta_chi, local_s, local_b,
                          log_sb.clipped or log_s.clipped or log_b.clipped)
 

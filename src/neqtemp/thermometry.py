@@ -7,7 +7,8 @@ The central object is the nonequilibrium inverse temperature
 with covariance and variance taken with respect to the maximally mixed state
 I/d. Equivalently beta = -(1/h) Tr[O1 log rho] where O1 is the normalized
 traceless Hamiltonian direction and h its weight; both forms are computed
-independently here and cross-asserted. On Gibbs states beta recovers the
+independently here, from (O1, h) only, and cross-asserted. So c I on H moves
+U and F by c and changes no temperature. On Gibbs states beta recovers the
 thermodynamic inverse temperature exactly; beta = 0 for maximally mixed
 states and T = 0 for pure states.
 
@@ -125,23 +126,25 @@ def inverse_temperature(
     :raises DegenerateDirectionError: if H is proportional to the identity.
     :raises NumericalError: if h, the energy moments or beta overflow.
     """
-    O1, h = hamiltonian_unit(H)
-    if rho.dim != H.dim:
-        raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
+    return _inverse_temperature(rho, H, *hamiltonian_unit(H), clip)
+
+
+def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: HermitianOperator, h: float, clip: float):
+    """:func:`inverse_temperature` with H's unit (O1, h) given: moments of h O1, raw H only in U."""
+    u = internal_energy(rho, H)  # checks the dimensions first
     logr = matrix_log(rho, clip)
     L = logr.operator.matrix
-    Hm = H.matrix
+    E = h * O1.matrix
     with np.errstate(over="ignore", invalid="ignore"):
         # Tr[A B] = vdot(A, B) for Hermitian A.
-        moments = tuple(float(x.real) for x in (np.trace(Hm), np.trace(L), np.vdot(Hm, Hm), np.vdot(Hm, L)))
-    # Direct coordinate form, assembled through O1 rather than raw moments.
+        moments = tuple(float(x.real) for x in (np.trace(E), np.trace(L), np.vdot(E, E), np.vdot(E, L)))
+    # Direct coordinate form, assembled through O1 rather than the moments.
     beta_dir = -hs_inner(O1, logr.operator) / h
     beta, temperature, cov, var = _beta_of_moments(
         rho, h, moments, beta_dir,
-        lambda: rho.dim * float(np.max(np.abs(Hm))) * float(np.max(np.abs(L))) / (h * h),
+        lambda: rho.dim * float(np.max(np.abs(E))) * float(np.max(np.abs(L))) / (h * h),
     )
     s = von_neumann_entropy(rho)
-    u = internal_energy(rho, H)
     if math.isfinite(temperature) and temperature != 0.0:
         f = u - temperature * s
     else:
@@ -220,23 +223,26 @@ def generalized_gibbs_decomposition(
 
     ``basis[1]`` must be the Hamiltonian direction of H. The coefficients are
     beta from :func:`inverse_temperature` and c_i = Tr[O_i log rho] for
-    i >= 2; the normalization is fixed by unit trace of the reconstruction
-    (a closed-form expression for the normalization printed alongside the
-    original derivation does not satisfy the trace condition and is not used).
+    i >= 2. The exponent -beta H + sum_i c_i O_i is log rho - (Tr log rho +
+    beta Tr H)/d I, so unit trace fixes log_norm = log sum_i max(lambda_i,
+    clip) - (Tr log rho + beta Tr H)/d, not the closed form printed with the
+    original derivation, which fails the trace condition.
     """
     if rho.rank < rho.dim:
         raise RankDeficiencyError("generalized-Gibbs decomposition needs a full-rank state")
-    O1, _h = hamiltonian_unit(H)
-    if float(np.max(np.abs(basis[1].matrix - O1.matrix))) > 1e-8:
-        raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
-    report = inverse_temperature(rho, H, clip)
-    logr = matrix_log(rho, clip).operator
-    c = basis.coordinates(logr)[2:]
-    exponent = -report.beta * H.matrix + np.tensordot(c, basis.mats[2:], axes=1)
-    w = eig_hermitian(HermitianOperator._of_computed(exponent)).eigenvalues
-    m = float(w[-1])
-    log_norm = m + math.log(float(np.sum(np.exp(w - m))))
+    report = _basis_report(rho, H, basis, clip)
+    c = basis.coordinates(matrix_log(rho, clip).operator)[2:]
+    w = np.maximum(rho.eigenvalues, clip)
+    log_norm = math.log(float(np.sum(w))) - (float(np.sum(np.log(w))) + report.beta * H.trace) / rho.dim
     return GeneralizedGibbsForm(beta=report.beta, c=c, log_norm=log_norm)
+
+
+def _basis_report(rho: DensityMatrix, H: HermitianOperator, basis: OperatorBasis, clip: float):
+    """The temperature report of (rho, H), once ``basis[1]`` is checked to be H's unit direction."""
+    O1, h = hamiltonian_unit(H)
+    if basis.dim != H.dim or float(np.max(np.abs(basis[1].matrix - O1.matrix))) > 1e-8:
+        raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
+    return _inverse_temperature(rho, H, O1, h, clip)
 
 
 def reconstruct_generalized_gibbs(
@@ -257,7 +263,7 @@ def helmholtz_free_energy(
     basis: OperatorBasis,
     clip: float = DEFAULT_CLIP,
 ) -> float:
-    """F = U - T S for a full-rank state with nonzero beta.
+    """F = U - T S for a full-rank state with nonzero beta; ``basis[1]`` must be H's direction.
 
     Cross-checked internally against the coordinate-space expression
     T * (sum_{i>=2} Tr[O_i log rho] x_i + Tr[log rho]/d) + Tr[H]/d, which is
@@ -265,11 +271,10 @@ def helmholtz_free_energy(
     """
     if rho.rank < rho.dim:
         raise RankDeficiencyError("free energy evaluation needs a full-rank state")
-    report = inverse_temperature(rho, H, clip)
+    report = _basis_report(rho, H, basis, clip)
     if not math.isfinite(report.beta) or abs(report.beta) * report.h <= BETA_ZERO_TOL:
         raise UndefinedQuantityError("free energy is undefined at beta = 0")
-    t = 1.0 / report.beta
-    f = report.internal_energy - t * report.entropy
+    f, t = report.free_energy, report.temperature
     logr = matrix_log(rho, clip).operator
     coords = expand_state(rho, basis)
     tail = float(basis.coordinates(logr)[2:] @ coords.x[2:])

@@ -235,9 +235,7 @@ def run_suite(name: str, seed: int, count: int | None = None) -> SuiteResult:
 
 def run_suites(name: str, seed: int, count: int | None = None) -> list[SuiteResult]:
     """Run one suite, or all of them for name = 'all'."""
-    if name == "all":
-        return [run_suite(n, seed, count if count is not None else None) for n in SUITES]
-    return [run_suite(name, seed, count)]
+    return [run_suite(n, seed, count) for n in (SUITES if name == "all" else [name])]
 
 
 def format_results(results: list[SuiteResult]) -> str:

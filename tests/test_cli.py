@@ -252,8 +252,11 @@ class TestVerifyCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_unknown_suite_exits_1(self, capsys):
-        assert main(["verify", "frobnicate"]) == 1
-        capsys.readouterr()
+        assert main(["verify", "nosuch"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown suite 'nosuch'; choose from gibbs, passivity, basis-invariance, "
+            "extension, relation, heat, all\n"
+        )
 
 
 class TestDocumentParsing:

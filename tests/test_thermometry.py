@@ -194,11 +194,14 @@ class TestInverseTemperature:
             inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_energy_moment_overflow_raises(self):
-        # A finite weight h on top of an overflowing Tr[H^2].
+    def test_energy_offset_past_moment_overflow(self):
+        # Tr[H^2] overflows, but beta reads H only through its finite traceless part:
+        # the beta of 1e150 sigma_z, up to the rounding of the stored diagonal.
         h = HermitianOperator(1e155 * np.eye(2) + 1e150 * SZ)
-        with pytest.raises(NumericalError, match="overflow"):
-            inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
+        gap = float(h.matrix[0, 0].real - h.matrix[1, 1].real)
+        report = inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
+        assert report.beta == pytest.approx(-math.log(1.5) / gap, rel=1e-14)
+        assert report.beta == pytest.approx(-math.log(1.5) / 2e150, rel=1e-10)
 
     def test_cross_check_scale_only_past_unit_bound(self):
         # The conditioning scale of the beta_cov vs beta_dir check is computed
@@ -427,6 +430,15 @@ class TestHelmholtz:
         h = HermitianOperator(SZ)
         basis = complete_basis(2, [hamiltonian_unit(h)[0]])
         with pytest.raises(UndefinedQuantityError):
+            helmholtz_free_energy(rho, h, basis)
+
+    def test_rejects_mismatched_basis(self):
+        # The basis of another Hamiltonian's direction is refused up front, as
+        # generalized_gibbs_decomposition refuses it.
+        rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
+        h = HermitianOperator(np.diag([1.0, 0.0, -1.0]))
+        basis = complete_basis(3, [hamiltonian_unit(HermitianOperator(np.diag([1.0, -1.0, 0.0])))[0]])
+        with pytest.raises(ValidationError, match=r"basis\[1\]"):
             helmholtz_free_energy(rho, h, basis)
 
 

@@ -9,7 +9,10 @@ product, Kronecker product or computed operator, or an operator validation
 to the report fails here. The report builds no joint-space operator beyond
 rho_SB, log rho_SB and H_I_eff: every temperature is taken by trace algebra.
 The CLI report itself is pinned by its temperature work: one temperature
-record per clip, and one ``inverse_temperature`` per marginal. A
+record per clip, and one temperature per marginal, taken from the unit
+direction the frame already holds (no public ``inverse_temperature``, one
+``hamiltonian_unit`` per local Hamiltonian). Of the joint-space matrices,
+``as_complex_matrix`` copies and scans only the user's H_I and rho_SB. A
 generalized-Gibbs report builds a basis, decomposes and reconstructs the
 state over it and evaluates the Helmholtz free energy; its counts are pinned
 at d=8. The basis validates its d^2 members as one stack, so they add no
@@ -21,9 +24,9 @@ are cached on their state and system, so ``logs`` and ``records`` count the
 builds (cache misses), not the calls. ``products`` counts the d^3 products
 at the full dimension d, which ``linalg`` makes through ``_matmul``: the
 eigenvector Gram check, the reconstruction check and each spectral function.
-``hamiltonian_unit``, ``of_computed`` and ``kron`` count the calls at the
-full dimension. Calls are counted by wrapping from the test; the package has
-no hooks.
+``hamiltonian_unit``, ``of_computed``, ``kron`` and ``coerced`` count the
+calls at the full dimension. Calls are counted by wrapping from the test; the
+package has no hooks.
 """
 
 import json
@@ -52,8 +55,8 @@ EXPECTED = {
 
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
-    "eigh": 3, "HermitianOperator": 2, "hamiltonian_unit": 4, "logs": 1, "hs_inner": 2,
-    "products": 8,
+    "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 3, "logs": 1, "hs_inner": 2,
+    "products": 6,
 }
 
 
@@ -130,6 +133,9 @@ def install_counters(monkeypatch, keys, dim):
     if "kron" in counts:
         monkeypatch.setattr(np, "kron", counted_at_dim(
             "kron", np.kron, lambda a, b: np.shape(a)[0] * np.shape(b)[0]))
+    if "coerced" in counts:
+        monkeypatch.setattr(linalg, "as_complex_matrix", counted_at_dim(
+            "coerced", linalg.as_complex_matrix, lambda a: np.shape(a)[0]))
     for key, mod, attr in (("logs", linalg, "_spectral_log"),
                            ("log_hamiltonians", correlation, "correlation_log_hamiltonian"),
                            ("records", correlation, "_build_temperatures")):
@@ -138,7 +144,8 @@ def install_counters(monkeypatch, keys, dim):
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
     for key, orig in (("hamiltonian_unit", basis.hamiltonian_unit),
                       ("hs_inner", linalg.hs_inner),
-                      ("inverse_temperature", thermometry.inverse_temperature)):
+                      ("inverse_temperature", thermometry.inverse_temperature),
+                      ("temperatures", thermometry._inverse_temperature)):
         if key not in counts:
             continue
         if key == "hamiltonian_unit":
@@ -155,9 +162,10 @@ def install_counters(monkeypatch, keys, dim):
 @pytest.mark.parametrize("d_s,d_b", [(2, 2), (4, 8)])
 def test_bipartite_report_work_counts(monkeypatch, d_s, d_b):
     inputs = gibbs_inputs(d_s, d_b, 0.7, np.random.default_rng(d_s * d_b))
-    counts = install_counters(monkeypatch, EXPECTED, d_s * d_b)
+    counts = install_counters(monkeypatch, {**EXPECTED, "coerced": 0}, d_s * d_b)
     report(d_s, d_b, *inputs)
-    assert counts == EXPECTED
+    # Of the joint-space matrices only the user's H_I and rho_SB are coerced (copied and scanned).
+    assert counts == {**EXPECTED, "coerced": 2}
 
 
 @pytest.mark.parametrize("clip", [[], ["--clip", "0.2"]])
@@ -168,10 +176,21 @@ def test_cli_bipartite_temperature_work(monkeypatch, tmp_path, clip):
     doc = {"kind": "bipartite", "dims": [2, 3], "matrices": matrices}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    expected = {"eigh": 3, "HermitianOperator": 6, "products": 3, "inverse_temperature": 2, "records": 1}
+    expected = {"eigh": 3, "HermitianOperator": 6, "products": 3, "inverse_temperature": 0, "temperatures": 2,
+                "records": 1}
     counts = install_counters(monkeypatch, expected, 6)
+    unit_dims, orig_unit = [], basis.hamiltonian_unit
+
+    def unit(H):
+        unit_dims.append(H.dim)
+        return orig_unit(H)
+
+    for mod in (correlation, thermometry):
+        monkeypatch.setattr(mod, "hamiltonian_unit", unit)
     assert cli.main(["bipartite", str(path), "--out", str(tmp_path / "out.json"), *clip]) == 0
     assert counts == expected
+    assert unit_dims == [2, 3]  # H_S_eff and H_B_eff, once each
+
 
 
 @pytest.mark.parametrize("clip", [DEFAULT_CLIP, 0.2])
