@@ -13,16 +13,25 @@ unchanged.
 
 The completion runs in coefficient space. ``{I/sqrt(d)}`` together with the
 Gell-Mann family is itself an orthonormal frame, so every Hermitian operator
-is a real vector of length d^2 over it: candidate i is the unit vector e_i
-and each seed's coordinates come from one matrix product with the frame.
-Gram-Schmidt then works on those real vectors, projecting each candidate
-twice against the accepted rows (classical Gram-Schmidt with one
-reorthogonalization), and the operators come out of one contraction of the
-accepted rows with the frame. Candidate order and the ``DROP_TOL`` drop
-rule are those of the operator-space algorithm, so the bases agree with it
-to rounding; the second projection keeps them orthonormal to about 1e-15.
-The work grows as d^6, so :func:`complete_basis` refuses dimensions above
-``MAX_BASIS_DIM`` instead of running for minutes.
+is a real vector of length d^2 over it: candidate k is the unit vector e_k,
+and the seeds' coordinates t_j on each e_j come from their entries by index
+arithmetic. Gram-Schmidt over the candidates then has a closed form. Before
+candidate k, the span holds I, the seeds and every kept e_j, so k's residual
+is e_k - z_k, where z_k is the least-norm vector over k's free candidates
+(those after k, and the dropped ones before k) with sum_j z_k[j] t_j = t_k.
+Its norm is 1/sqrt(1 + |z_k|^2). One batched SVD of the seeds' coordinates
+over each candidate's free set gives every z_k at once. With one seed and no
+drop before k, tau_k^2 = sum_{j>=k} t_j^2 and the normalized residual has
+tau_(k+1)/tau_k on e_k and -t_k t_j/(tau_k tau_(k+1)) on each later e_j.
+A drop frees its candidate for the ones after it, and a further pass settles
+them; at most one pass per seed is added. Candidate order and the
+``DROP_TOL`` drop rule are those of the operator-space algorithm, so the
+bases agree with it to rounding, and the SVD keeps them orthonormal to about
+1e-15 however ill-conditioned the seeds' coordinates. The operators come out
+of the kept rows by the same index arithmetic. The completion costs
+O(d^4 m^2) for m seeds; at large d the O(d^6) Gram check of the finished
+basis dominates, so :func:`complete_basis` still refuses dimensions above
+``MAX_BASIS_DIM``.
 
 :class:`OperatorBasis` owns its members as one read-only (d^2, d, d) array,
 ``mats``, validated as a whole; the members it hands out are views of that
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,10 +65,16 @@ __all__ = [
 #: Candidates whose post-projection norm falls below this are discarded.
 DROP_TOL = 1e-8
 
-#: Largest dimension :func:`complete_basis` accepts: the largest d whose
-#: completion finishes in under 1 s. Measured on a 2-core x86-64 VM (numpy
-#: 2.4, OpenBLAS, two threads): 0.62 s at d=32, 0.79 s at d=34, 1.2 s at
-#: d=35 and 1.8 s at d=36.
+#: Singular values of the seeds' coordinates over a candidate's free set at or
+#: below this are taken as zero, and so are the candidate's coordinates along
+#: them: well above the rounding of unit-norm seeds.
+RANGE_TOL = 1e-13
+
+#: Largest dimension :func:`complete_basis` accepts, set when a completion took
+#: 0.8 s at d=34. It now takes 0.17 s at d=32, 0.18 s at d=34, 0.22 s at d=35
+#: and 0.24 s at d=36, about half of it the O(d^6) Gram check of
+#: :class:`OperatorBasis`. Measured on a 2-core x86-64 VM (numpy 2.4,
+#: OpenBLAS, two threads).
 MAX_BASIS_DIM = 34
 
 
@@ -112,19 +127,67 @@ def gell_mann_candidates(d: int) -> np.ndarray:
     then the antisymmetric generators ``(-i|j><k| + i|k><j|)/sqrt(2)``, then
     the diagonal generators ``diag(1,...,1,-l,0,...)/sqrt(l(l+1))``.
     """
-    j, k = np.triu_indices(d, 1)
-    pairs = np.arange(j.size)
+    upper, lower, _, diag = _frame_layout(d)
+    pairs = np.arange(upper.size)
     s = 1.0 / math.sqrt(2.0)
-    out = np.zeros((d * d - 1, d, d), dtype=complex)
-    out[pairs, j, k] = out[pairs, k, j] = s
-    out[j.size + pairs, j, k] = -1j * s
-    out[j.size + pairs, k, j] = 1j * s
+    out = np.zeros((d * d - 1, d * d), dtype=complex)
+    out[pairs, upper] = out[pairs, lower] = s
+    out[upper.size + pairs, upper] = -1j * s
+    out[upper.size + pairs, lower] = 1j * s
+    out[2 * upper.size:, :: d + 1] = diag[1:]
+    return out.reshape(-1, d, d)
+
+
+@cache
+def _frame_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the members of the frame ``{I/sqrt(d)} + gell_mann_candidates(d)`` sit.
+
+    Returns the flat positions of entries (j, k) and (k, j) of each pair
+    j < k, the frame indices of the diagonal members (I/sqrt(d), then the
+    diagonal generators) and their (d, d) diagonals. Read-only, one per d.
+    """
+    j, k = np.triu_indices(d, 1)
     level = np.arange(1, d)
     norm = np.sqrt(level * (level + 1.0))
-    diag = (np.arange(d) < level[:, None]) / norm[:, None]
-    diag[level - 1, level] = -level / norm
-    out[2 * j.size + level[:, None] - 1, np.arange(d), np.arange(d)] = diag
-    return out
+    diag = np.empty((d, d))
+    diag[0] = 1.0 / math.sqrt(d)
+    diag[1:] = (np.arange(d) < level[:, None]) / norm[:, None]
+    diag[level, level] = -level / norm
+    layout = (j * d + k, k * d + j, np.r_[0, 2 * j.size + 1:d * d], diag)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _frame_coordinates(mats: np.ndarray) -> np.ndarray:
+    """(m, d^2) real coordinates of a Hermitian (m, d, d) stack over the frame.
+
+    Pair (j, k) has sqrt(2) Re and -sqrt(2) Im of entry (j, k) as its
+    symmetric and antisymmetric coordinates; the diagonal takes one product.
+    """
+    d = mats.shape[-1]
+    upper, _, _, diag = _frame_layout(d)
+    flat = mats.reshape(len(mats), -1)
+    off = flat[:, upper] * math.sqrt(2.0)
+    on = flat[:, :: d + 1].real @ diag.T
+    return np.concatenate([on[:, :1], off.real, -off.imag, on[:, 1:]], axis=1)
+
+
+def _frame_operators(rows: np.ndarray, d: int) -> np.ndarray:
+    """(N, d, d) operators with the given (N, d^2) frame coordinates.
+
+    The inverse of :func:`_frame_coordinates`, by the same index arithmetic.
+    """
+    upper, lower, diag_members, diag = _frame_layout(d)
+    p = upper.size
+    sym = rows[:, 1:p + 1] / math.sqrt(2.0)
+    anti = rows[:, p + 1:2 * p + 1] / math.sqrt(2.0)
+    out = np.zeros((len(rows), d * d, 2))
+    out[:, upper, 0] = out[:, lower, 0] = sym
+    out[:, upper, 1] = -anti
+    out[:, lower, 1] = anti
+    out[:, :: d + 1, 0] = rows[:, diag_members] @ diag
+    return out.view(complex).reshape(-1, d, d)
 
 
 def _real_rows(mats: np.ndarray) -> np.ndarray:
@@ -226,8 +289,8 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     Seeds must be traceless, unit-norm and mutually orthogonal; they are kept
     at positions 1..len(seeds). Gell-Mann candidates are then orthogonalized
     against everything accepted so far, keeping those whose residual norm is
-    at least ``DROP_TOL``. The work is done on real coordinate vectors over
-    the frame ``{I/sqrt(d)} + gell_mann_candidates(d)`` (see the module
+    at least ``DROP_TOL``. Every residual comes from a closed form over the
+    frame ``{I/sqrt(d)} + gell_mann_candidates(d)`` (see the module
     docstring).
 
     :raises ValidationError: for d outside ``1..MAX_BASIS_DIM``, before any
@@ -252,33 +315,45 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
             raise ValidationError("seeds must have unit Hilbert-Schmidt norm")
         seed_mats.append(m)
     n = d * d
-    frame = np.concatenate([np.eye(d, dtype=complex)[None] / math.sqrt(d), gell_mann_candidates(d)])
-    # Row k holds the frame coordinates of accepted operator k.
-    rows = np.zeros((n, n))
-    rows[0, 0] = 1.0
-    kept = 1 + len(seed_mats)
-    if seed_mats:
-        rows[1:kept] = _real_rows(np.stack(seed_mats)) @ _real_rows(frame).T
-    for i in range(1, n):
-        if kept == n:
+    need = n - 1 - len(seed_mats)
+    # Row a of s holds seed a's frame coordinates; candidate k is frame member
+    # k + 1, and t[k] holds the seeds' coordinates on it. Candidate k's
+    # residual is e_k - z_k (see the module docstring). A pass settles every
+    # decision up to its first drop not yet freed, and at most len(seeds)
+    # candidates drop before the last one kept.
+    s = _frame_coordinates(np.array(seed_mats)) if seed_mats else np.zeros((0, n))
+    t = s[:, 1:].T
+    later = np.arange(n - 1) > np.arange(n - 1)[:, None]
+    skipped = np.zeros(n - 1, dtype=bool)
+    for _ in range(len(seed_mats) + 1):
+        free = later | skipped
+        free.flat[::n] = False
+        # The free part of t is u sig vh for candidate k, so z_k = u (vh t[k] / sig).
+        u, sig, vh = np.linalg.svd(free[:, :, None] * t, full_matrices=False)
+        c = (vh @ t[:, :, None])[:, :, 0]
+        null = sig <= RANGE_TOL
+        ratio = np.divide(c, sig, out=np.zeros_like(c), where=~null)
+        gamma = 1.0 + (ratio * ratio).sum(axis=1)
+        # t[k] along a null direction puts e_k in the span: residual 0.
+        drop = (gamma * DROP_TOL**2 > 1.0) | (null & (np.abs(c) > RANGE_TOL)).any(axis=1)
+        idx = np.flatnonzero(~drop)[:need]
+        first = np.flatnonzero(drop & ~skipped)[:1]
+        if not first.size or idx.size == need and not (first < idx[-1:]).any():
             break
-        acc = rows[:kept]
-        # Candidate e_i minus its projection on the accepted rows, then a
-        # second projection to remove what rounding left of them.
-        v = -(acc[:, i] @ acc)
-        v[i] += 1.0
-        v -= (acc @ v) @ acc
-        norm = math.sqrt(float(v @ v))
-        if norm >= DROP_TOL:
-            rows[kept] = v / norm
-            kept += 1
-    if kept != n:
+        skipped[first] = True
+    if idx.size != need:
         raise ValidationError(
-            f"basis completion produced {kept} of {n} operators; "
+            f"basis completion produced {n - need + idx.size} of {n} operators; "
             "seeds were likely not independent of the candidate family"
         )
-    mats = (rows @ _real_rows(frame)).view(complex).reshape(n, d, d)
-    return OperatorBasis(d, mats)
+    # Row of candidate k: (e_k - z_k)/sqrt(gamma_k), zero off k's free set.
+    scale = 1.0 / np.sqrt(gamma[idx])
+    rows = np.zeros((n, n))
+    rows[0, 0] = 1.0
+    rows[1:n - need] = s
+    rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], ratio[idx] * -scale[:, None]) * free[idx]
+    rows[n - need + np.arange(need), idx + 1] = scale
+    return OperatorBasis(d, _frame_operators(rows, d))
 
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:

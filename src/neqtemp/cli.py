@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .exceptions import NumericalError, ValidationError
 from .io import (
@@ -143,7 +144,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="neqtemp",
         description="Nonequilibrium temperatures of finite-dimensional quantum states.",

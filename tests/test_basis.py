@@ -60,15 +60,20 @@ def reference_candidates(d):
     return out
 
 
-def reference_completion(d, seeds):
-    """Modified Gram-Schmidt on the operators themselves, one candidate at a time."""
+def reference_completion(d, seeds, projections=1):
+    """Modified Gram-Schmidt on the operators themselves, one candidate at a time.
+
+    ``projections=2`` projects each candidate twice, which keeps the result
+    orthonormal when a candidate is nearly in the span of those before it.
+    """
     accepted = [np.eye(d, dtype=complex) / math.sqrt(d)] + [s.matrix for s in seeds]
     for cand in reference_candidates(d):
         if len(accepted) == d * d:
             break
         v = cand.copy()
-        for prev in accepted:
-            v -= np.sum(prev.conj() * v) * prev
+        for _ in range(projections):
+            for prev in accepted:
+                v -= np.sum(prev.conj() * v) * prev
         v = (v + v.conj().T) / 2.0
         norm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
         if norm >= 1e-8:
@@ -163,10 +168,42 @@ class TestCompleteBasis:
         # Same candidates, order and drop rule; only the rounding differs.
         rng = np.random.default_rng(40 + d)
         o1, _ = hamiltonian_unit(gue(d, rng))
-        diagonal = HermitianOperator(reference_candidates(d)[-1])
-        for seeds in ([], [o1], [diagonal]):
+        cands = reference_candidates(d)
+        diagonal = HermitianOperator(cands[-1])
+        # Equal to the first candidate, which is then dropped at once.
+        first = HermitianOperator(cands[0])
+        # Two mid-sequence candidates: the later one is dropped mid-sequence.
+        a, b = len(cands) // 3, 2 * len(cands) // 3
+        mid = HermitianOperator((cands[a] + cands[b]) / math.sqrt(2.0))
+        o2, _ = hamiltonian_unit(gue(d, rng))
+        o2 = o2.matrix - hs_inner(o1, o2) * o1.matrix
+        o2 = HermitianOperator(o2 / math.sqrt(hs_inner(o2, o2)))
+        for seeds in ([], [o1], [diagonal], [first], [mid], [o1, o2]):
             np.testing.assert_allclose(
                 complete_basis(d, seeds).mats, reference_completion(d, seeds), atol=1e-12
+            )
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("diagonal_scale", [1e-9, 1e-7, 1e-4])
+    def test_nearly_off_diagonal_seeds(self, d, diagonal_scale):
+        # Seeds whose diagonal (last) coordinates are small leave some
+        # candidates a residual just below or above DROP_TOL; one projection
+        # is then not enough for the reference to stay orthonormal.
+        rng = np.random.default_rng(60 + d)
+
+        def nearly_off_diagonal():
+            g = gue(d, rng).matrix
+            h = g - np.diag(np.diag(g)) + diagonal_scale * np.diag(rng.normal(size=d))
+            return hamiltonian_unit(HermitianOperator(h))[0]
+
+        o1, o2 = nearly_off_diagonal(), nearly_off_diagonal()
+        o2 = o2.matrix - hs_inner(o1, o2) * o1.matrix
+        o2 = HermitianOperator(o2 / math.sqrt(hs_inner(o2, o2)))
+        for seeds in ([o1], [o1, o2]):
+            np.testing.assert_allclose(
+                complete_basis(d, seeds).mats,
+                reference_completion(d, seeds, projections=2),
+                atol=1e-12,
             )
 
     def test_rejects_traceful_seed(self):

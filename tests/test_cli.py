@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from neqtemp.cli import SWEEP_HEADER, main
+from neqtemp.cli import SWEEP_HEADER, build_parser, main
 from neqtemp.exceptions import ValidationError
 from neqtemp.io import (
     correlation_report_dict,
@@ -190,6 +190,29 @@ class TestBipartite:
     def test_wrong_kind_exits_1(self, tmp_path, capsys):
         assert main(["bipartite", write_doc(tmp_path, gibbs_qubit_doc())]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main() reuses one parser, so no option may carry over to the next call."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_strict_does_not_carry_over(self, tmp_path, capsys):
+        path = write_doc(tmp_path, coupled_qubits_doc(np.diag([0.4, 0.3, 0.3 - 1e-14, 1e-14])))
+        assert main(["bipartite", path, "--strict"]) == 2
+        assert "strict mode" in capsys.readouterr().err
+        assert main(["bipartite", path]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_clip_does_not_carry_over(self, tmp_path, capsys):
+        path = write_doc(tmp_path, gibbs_qubit_doc())
+        assert main(["temp", path]) == 0
+        default = capsys.readouterr().out
+        assert main(["temp", path, "--clip", "0.3"]) == 0
+        assert capsys.readouterr().out != default
+        assert main(["temp", path]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestSweep:

@@ -16,7 +16,9 @@ direction the frame already holds (no public ``inverse_temperature``, one
 generalized-Gibbs report builds a basis, decomposes and reconstructs the
 state over it and evaluates the Helmholtz free energy; its counts are pinned
 at d=8. The basis validates its d^2 members as one stack, so they add no
-``HermitianOperator`` validation of their own.
+``HermitianOperator`` validation of their own, and its completion takes
+every candidate's residual from one batched SVD (``svd``), with no pass
+beyond the first when no candidate drops before the last one kept.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
 user's matrices and the two marginals. Logarithms and temperature records
@@ -56,7 +58,7 @@ EXPECTED = {
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
     "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 3, "logs": 1, "hs_inner": 2,
-    "products": 6,
+    "products": 6, "svd": 1,
 }
 
 
@@ -133,6 +135,8 @@ def install_counters(monkeypatch, keys, dim):
     if "kron" in counts:
         monkeypatch.setattr(np, "kron", counted_at_dim(
             "kron", np.kron, lambda a, b: np.shape(a)[0] * np.shape(b)[0]))
+    if "svd" in counts:
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     if "coerced" in counts:
         monkeypatch.setattr(linalg, "as_complex_matrix", counted_at_dim(
             "coerced", linalg.as_complex_matrix, lambda a: np.shape(a)[0]))
