@@ -28,10 +28,11 @@ them; at most one pass per seed is added. Candidate order and the
 ``DROP_TOL`` drop rule are those of the operator-space algorithm, so the
 bases agree with it to rounding, and the SVD keeps them orthonormal to about
 1e-15 however ill-conditioned the seeds' coordinates. The operators come out
-of the kept rows by the same index arithmetic. The completion costs
-O(d^4 m^2) for m seeds; at large d the O(d^6) Gram check of the finished
-basis dominates, so :func:`complete_basis` still refuses dimensions above
-``MAX_BASIS_DIM``.
+of the kept rows by the same index arithmetic, exactly Hermitian, and the
+basis is checked on the rows alone: its Gram matrix is ``rows @ rows.T``, one
+O(d^6) product. The completion costs O(d^4 m^2) for m seeds, so at large d
+that product and the operator build dominate, and :func:`complete_basis`
+still refuses dimensions above ``MAX_BASIS_DIM``.
 
 :class:`OperatorBasis` owns its members as one read-only (d^2, d, d) array,
 ``mats``, validated as a whole; the members it hands out are views of that
@@ -48,7 +49,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
-from .linalg import HERM_TOL, RANK_TOL, DensityMatrix, HermitianOperator
+from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _frozen
 
 __all__ = [
     "MAX_BASIS_DIM",
@@ -71,10 +72,10 @@ DROP_TOL = 1e-8
 RANGE_TOL = 1e-13
 
 #: Largest dimension :func:`complete_basis` accepts, set when a completion took
-#: 0.8 s at d=34. It now takes 0.17 s at d=32, 0.18 s at d=34, 0.22 s at d=35
-#: and 0.24 s at d=36, about half of it the O(d^6) Gram check of
-#: :class:`OperatorBasis`. Measured on a 2-core x86-64 VM (numpy 2.4,
-#: OpenBLAS, two threads).
+#: 0.8 s at d=34. It now takes 51 ms at d=32, 69 ms at d=34 and 98 ms at
+#: d=36, about a quarter of it the O(d^6) Gram check in frame coordinates
+#: and 40% the build of the operator stack. Measured on a 2-core x86-64 VM
+#: (numpy 2.4, OpenBLAS, two threads).
 MAX_BASIS_DIM = 34
 
 
@@ -87,15 +88,15 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     does rescaling H (up to h), however small its entries.
 
     :raises DegenerateDirectionError: if H is proportional to the identity
-        (the temperature direction is then undefined, the energy variance
-        w.r.t. I/d being zero).
+        (the temperature direction is then undefined): h is at most
+        16 sqrt(d) eps |Tr H|/d, the rounding an offset can leave in it.
     :raises NumericalError: if h^2 overflows a double (entries of H beyond
         about 1e154).
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
     traceless, h = _traceless_weight(H.matrix)
-    if h <= RANK_TOL * float(np.max(np.abs(H.matrix))):
+    if h <= 16.0 * np.finfo(float).eps * abs(H.trace) / math.sqrt(H.dim):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
@@ -190,13 +191,25 @@ def _frame_operators(rows: np.ndarray, d: int) -> np.ndarray:
     return out.view(complex).reshape(-1, d, d)
 
 
-def _real_rows(mats: np.ndarray) -> np.ndarray:
-    """(n, 2 d^2) real view of a complex (n, d, d) stack.
+def _check_frame_rows(rows: np.ndarray) -> None:
+    """Raise ValidationError unless (d^2, d^2) frame coordinates are a basis.
 
-    Re Tr[A^dag B] is the dot product of two such rows, so Hilbert-Schmidt
-    inner products over a stack become one real matrix product.
+    Row 0 must be e_0 within sqrt(d) 1e-12 (an entry-wise 1e-12 bound on
+    ops[0] - I/sqrt(d)), the rows' Tr O_i/sqrt(d) within 1e-12/sqrt(d), and
+    ``rows @ rows.T`` the identity within 1e-10.
     """
-    return np.ascontiguousarray(mats).reshape(len(mats), -1).view(np.float64)
+    n, d = len(rows), math.isqrt(len(rows))
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("basis has non-finite entries")
+    if float(np.max(np.abs(rows[0] - (np.arange(n) == 0)))) > math.sqrt(d) * 1e-12:
+        raise ValidationError("ops[0] must be the normalized identity I/sqrt(d)")
+    if np.any(np.abs(rows[1:, 0]) > 1e-12 / math.sqrt(d)):
+        raise ValidationError("basis operators beyond ops[0] must be traceless")
+    gram = rows @ rows.T
+    gram.flat[:: n + 1] -= 1.0
+    dev = float(np.max(np.abs(gram)))
+    if dev > 1e-10:
+        raise ValidationError(f"basis is not HS-orthonormal: Gram deviation {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,19 +247,19 @@ class OperatorBasis:
         dev = float(np.max(np.abs(adj)))
         if dev > HERM_TOL:
             raise ValidationError(f"basis operators are not Hermitian: max deviation {dev:.3e}")
-        mats.setflags(write=False)
-        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "mats", _frozen(mats))
         if float(np.max(np.abs(mats[0] - np.eye(d) / math.sqrt(d)))) > 1e-12:
             raise ValidationError("ops[0] must be the normalized identity I/sqrt(d)")
-        traces = np.einsum("kii->k", mats[1:])
-        if traces.size and float(np.max(np.abs(traces))) > 1e-12:
-            raise ValidationError("basis operators beyond ops[0] must be traceless")
-        rows = _real_rows(mats)
-        gram = rows @ rows.T
-        gram[np.diag_indices(d * d)] -= 1.0
-        dev = float(np.max(np.abs(gram)))
-        if dev > 1e-10:
-            raise ValidationError(f"basis is not HS-orthonormal: Gram deviation {dev:.3e}")
+        _check_frame_rows(_frame_coordinates(mats))
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> "OperatorBasis":
+        """The basis with frame coordinates ``rows``; they alone are checked."""
+        _check_frame_rows(rows)
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "dim", math.isqrt(len(rows)))
+        object.__setattr__(basis, "mats", _frozen(_frame_operators(rows, basis.dim)))
+        return basis
 
     @cached_property
     def ops(self) -> tuple[HermitianOperator, ...]:
@@ -257,7 +270,7 @@ class OperatorBasis:
         return len(self.mats)
 
     def __getitem__(self, i: int) -> HermitianOperator:
-        return self.ops[i]
+        return HermitianOperator._of_checked(self.mats[i])
 
     def coordinates(self, A: HermitianOperator) -> np.ndarray:
         """Tr[O_i A] for every member O_i.
@@ -269,7 +282,9 @@ class OperatorBasis:
             A = HermitianOperator(A)
         if A.dim != self.dim:
             raise ValidationError(f"dimension mismatch: operator {A.dim}, basis {self.dim}")
-        return _real_rows(self.mats) @ _real_rows(A.matrix[None])[0]
+        # Re Tr[O_i^dag A] is the dot product of the real views of O_i and A.
+        real = np.ascontiguousarray(A.matrix).reshape(-1).view(np.float64)
+        return self.mats.reshape(len(self), -1).view(np.float64) @ real
 
 
 @dataclass(frozen=True)
@@ -279,8 +294,7 @@ class StateCoordinates:
     x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.array(self.x, dtype=float))
-        self.x.setflags(write=False)
+        object.__setattr__(self, "x", _frozen(np.array(self.x, dtype=float)))
 
 
 def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
@@ -353,7 +367,7 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     rows[1:n - need] = s
     rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], ratio[idx] * -scale[:, None]) * free[idx]
     rows[n - need + np.arange(need), idx + 1] = scale
-    return OperatorBasis(d, _frame_operators(rows, d))
+    return OperatorBasis._of_rows(rows)
 
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:

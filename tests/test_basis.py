@@ -110,6 +110,15 @@ class TestHamiltonianUnit:
         with pytest.raises(DegenerateDirectionError):
             hamiltonian_unit(HermitianOperator(2.0 * np.eye(3)))
 
+    @pytest.mark.parametrize("offset", [1e11, 1e13])
+    def test_direction_resolved_under_large_offset(self, offset):
+        # 0.5 is a multiple of the spacing of doubles near both offsets, so
+        # H + c I is stored exactly. Degeneracy is judged on the rounding an
+        # offset can leave (at most 0.05 at 1e13), not on max|H|.
+        o1, h = hamiltonian_unit(HermitianOperator(np.diag([0.5, -0.5]) + offset * np.eye(2)))
+        assert h == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        np.testing.assert_allclose(o1.matrix, SZ / math.sqrt(2.0), atol=1e-15)
+
 
 class TestGellMannCandidates:
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -240,6 +249,43 @@ class TestCompleteBasis:
             assert np.shares_memory(op.matrix, basis.mats)
             np.testing.assert_array_equal(op.matrix, m)
             np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_completion_equals_its_validated_stack(self, d):
+        # The completion's own check in frame coordinates stores what the
+        # public constructor would store from the same stack, every member
+        # exactly Hermitian.
+        rng = np.random.default_rng(100 + d)
+        seeds = []
+        for _ in range(min(2, d * d - 1)):
+            o = hamiltonian_unit(gue(d, rng))[0].matrix
+            for prev in seeds:
+                o = o - hs_inner(prev, o) * prev.matrix
+            seeds.append(HermitianOperator(o / math.sqrt(float(np.sum(np.abs(o) ** 2)))))
+        for m in range(len(seeds) + 1):
+            mats = complete_basis(d, seeds[:m]).mats
+            np.testing.assert_array_equal(mats, OperatorBasis(d, mats).mats)
+            np.testing.assert_array_equal(mats, mats.conj().transpose(0, 2, 1))
+
+    def test_frame_rows_checked(self):
+        # A completion is checked on its frame coordinates alone; each
+        # corruption is refused with the public constructor's message.
+        rng = np.random.default_rng(9)
+        o1, _ = hamiltonian_unit(gue(3, rng))
+        good = basis_module._frame_coordinates(complete_basis(3, [o1]).mats)
+        accepted = OperatorBasis._of_rows(good.copy())
+        np.testing.assert_array_equal(accepted.mats, basis_module._frame_operators(good, 3))
+        corruptions = {
+            "not HS-orthonormal": (np.s_[5], good[5] * (1.0 + 1e-9)),
+            "non-finite": (np.s_[4, 7], np.nan),
+            "normalized identity": (np.s_[0, 3], 1e-9),
+            "traceless": (np.s_[6, 0], 1e-9),
+        }
+        for message, (where, value) in corruptions.items():
+            rows = good.copy()
+            rows[where] = value
+            with pytest.raises(ValidationError, match=message):
+                OperatorBasis._of_rows(rows)
 
     def test_basis_invariant_checks(self):
         good = complete_basis(2, [])

@@ -18,7 +18,10 @@ state over it and evaluates the Helmholtz free energy; its counts are pinned
 at d=8. The basis validates its d^2 members as one stack, so they add no
 ``HermitianOperator`` validation of their own, and its completion takes
 every candidate's residual from one batched SVD (``svd``), with no pass
-beyond the first when no candidate drops before the last one kept.
+beyond the first when no candidate drops before the last one kept. The
+completion checks its basis in frame coordinates, so the public
+validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``), runs only
+for a basis built from the user's matrices.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
 user's matrices and the two marginals. Logarithms and temperature records
@@ -58,7 +61,7 @@ EXPECTED = {
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
     "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 3, "logs": 1, "hs_inner": 2,
-    "products": 6, "svd": 1,
+    "products": 6, "svd": 1, "OperatorBasis": 0,
 }
 
 
@@ -135,6 +138,9 @@ def install_counters(monkeypatch, keys, dim):
     if "kron" in counts:
         monkeypatch.setattr(np, "kron", counted_at_dim(
             "kron", np.kron, lambda a, b: np.shape(a)[0] * np.shape(b)[0]))
+    if "OperatorBasis" in counts:
+        monkeypatch.setattr(basis.OperatorBasis, "__post_init__", counted(
+            "OperatorBasis", basis.OperatorBasis.__post_init__))
     if "svd" in counts:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     if "coerced" in counts:
@@ -216,3 +222,10 @@ def test_basis_report_work_counts(monkeypatch):
     counts = install_counters(monkeypatch, EXPECTED_BASIS, 8)
     basis_report(H, (rho + rho.conj().T) / 2.0)
     assert counts == EXPECTED_BASIS
+
+
+def test_user_basis_is_validated_once(monkeypatch):
+    mats = basis.complete_basis(8, []).mats
+    counts = install_counters(monkeypatch, {"OperatorBasis": 0, "HermitianOperator": 0}, 8)
+    basis.OperatorBasis(8, mats)
+    assert counts == {"OperatorBasis": 1, "HermitianOperator": 0}
