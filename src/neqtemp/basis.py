@@ -104,16 +104,21 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     return HermitianOperator._of_computed(traceless / h), h
 
 
-def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """The traceless part m - (Tr m / d) I of a Hermitian matrix and its norm h.
-
-    :raises NumericalError: if h^2 overflows a double.
-    """
+def _traceless(m: np.ndarray) -> np.ndarray:
+    """m - (Tr m / d) I as a fresh array; the second pass takes out the first mean's rounding."""
     d = m.shape[0]
+    traceless = np.array(m, dtype=complex, order="C")  # m - (Tr m / d) I without a d x d identity
+    diag = traceless.reshape(-1)[:: d + 1]  # a view, as the copy is C-contiguous
     with np.errstate(over="ignore", invalid="ignore"):
-        traceless = np.array(m, dtype=complex)  # m - (Tr m / d) I without a d x d identity
-        traceless.flat[:: d + 1] -= float(np.trace(m).real) / d
-        traceless.flat[:: d + 1] -= float(np.trace(traceless).real) / d  # the first mean's rounding
+        diag -= m.trace().real / d
+        diag -= diag.sum().real / d
+    return traceless
+
+
+def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The traceless part of a Hermitian matrix and its norm h; NumericalError if h^2 overflows."""
+    traceless = _traceless(m)
+    with np.errstate(over="ignore", invalid="ignore"):
         h_sq = float(np.sum(np.abs(traceless) ** 2))
     if not math.isfinite(h_sq):
         raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")

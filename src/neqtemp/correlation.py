@@ -26,22 +26,27 @@ H_I_eff and I, and Tr[(X x I) M] = Tr[X Tr_B M], so
 
     Tr[X HH_I] = -Tr[X L] + Tr[Tr_B(X) log rho_S] + Tr[Tr_S(X) log rho_B],
 
-and beta_SB = Cov(H_SB, -L)/Var(H_SB) never forms H_SB: Tr[H_SB^2] expands
-into local norms, traces and Tr[H_S Tr_B H_I] + Tr[H_B Tr_S H_I], Tr[H_SB L]
-into Tr[H_S Tr_B L] + Tr[H_B Tr_S L] + Tr[H_I L], with H_S and H_B traceless.
+and beta_SB = Cov(H_SB, -L)/Var(H_SB) never forms H_SB: Tr[H_SB0^2] expands
+into local norms and Tr[H_S0 Tr_B H_I0] + Tr[H_B0 Tr_S H_I0], Tr[H_SB0 L] into
+Tr[H_S0 Tr_B L] + Tr[H_B0 Tr_S L] + Tr[H_I0 L].
 
-A report's joint-space arrays are the inputs H_I and rho_SB, H_I_eff,
+Every trace form reads only the traceless parts H_S0, H_B0 and H_I0 (H less
+its mean, taken once per system); Tr H_I/d enters only the identity parts of
+H_S_eff and H_B_eff. So c I on H_S, H_B or H_I moves no temperature and not
+U_chi. Raw H is read only there, by H_SB and by the frame's degeneracy scale.
+
+A report's joint-space arrays are the inputs H_I and rho_SB, H_I0, H_I_eff,
 rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
 is d_S x d_S or d_B x d_B (effective Hamiltonians, mean-field shifts lambda,
-partial traces of H_I, H_I_eff, L and HH_I, the marginals' logs) or scalar.
+partial traces of H_I0, H_I_eff, L and HH_I, the marginals' logs) or scalar.
 O1_SB, O_I, O_chi, H_SB, chi and HH_I are built on first access. Each
 cross-check compares independent assemblies and runs once per record:
 beta_SB's moments against -Tr[O1_SB L]/h_SB through C, O_S, O_B and H_I_eff,
 at the bound of :func:`inverse_temperature`; beta_chi takes Tr[O_I HH_I]
 once from a vdot of H_I_eff with L and its partial traces (overlap form),
-once from H_I, lambda and the partial traces of H_I (direct form, through
+once from H_I0, lambda and the partial traces of H_I0 (direct form, through
 O_chi). U_chi is Tr[chi H_I_eff] (H_I_eff's vdot and product mean), Tr[chi
-H_I] (mean through lambda_S) and Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]
+H_I0] (less the mean) and Tr[rho_SB H_SB0] - Tr[rho_S x rho_B H_SB0]
 (rho_SB's raw partial traces, mean through lambda_B).
 
 The clip-independent geometry (weights, overlaps and the coefficients C of
@@ -58,10 +63,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import _traceless_weight, hamiltonian_unit
+from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _tr, matrix_log, partial_trace,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _frozen, _tr, matrix_log, partial_trace,
     tensor_product,
 )
 from .thermometry import (
@@ -81,14 +86,14 @@ class BipartiteSystem:
     H_S, H_B, H_I and rho_SB are validated when the caller builds them; the
     marginals are validated as density matrices here. Operators derived from
     them are wrapped through ``HermitianOperator._of_computed`` (symmetrized,
-    checked finite). Marginals, effective Hamiltonians and mean-field shifts
-    are computed at construction, the frame and H_SB on first use and the
-    temperature record once per clip; instances are immutable afterwards and
-    safe to share.
+    checked finite). Marginals, traceless parts, effective Hamiltonians and
+    mean-field shifts are computed at construction, the frame and H_SB on
+    first use and the temperature record once per clip; instances are
+    immutable afterwards and safe to share.
     """
 
     __slots__ = ("d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB", "rho_S", "rho_B", "effective",
-                 "_shifts", "_H_SB", "_frame", "_temperatures")
+                 "_parts", "_H_SB", "_frame", "_temperatures")
 
     def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
                  H_I: HermitianOperator, rho_SB: DensityMatrix):
@@ -105,7 +110,7 @@ class BipartiteSystem:
         self.rho_SB = rho_SB
         self.rho_S = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=0))
         self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1))
-        self.effective, self._shifts = _effective_hamiltonians(self)
+        self.effective, self._parts = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
         self._temperatures: dict[float, _Temperatures] = {}
 
@@ -151,22 +156,26 @@ class EffectiveHamiltonians:
 
 
 def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians, tuple]:
-    """The effective Hamiltonians, and (lambda_S, lambda_B, mean, Tr_B H_I, Tr_S H_I)."""
-    hi = sys.H_I.matrix
-    t = hi.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
-    # Tr_B[(I x rho_B) H_I], Tr_S[(rho_S x I) H_I] and Tr[(rho_S x rho_B) H_I], contracted
+    """The effective Hamiltonians, and the traceless parts every trace form reads:
+    (H_S0, H_B0, H_I0, lambda_S, lambda_B, mean, Tr_B H_I0, Tr_S H_I0), H0 = H - (Tr H/d) I."""
+    hs0, hb0, hi0 = (_frozen(_traceless(m.matrix)) for m in (sys.H_S, sys.H_B, sys.H_I))
+    t = hi0.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
+    # Tr_B[(I x rho_B) H_I0], Tr_S[(rho_S x I) H_I0] and Tr[(rho_S x rho_B) H_I0], contracted
     # index by index; symmetrizing the shifts drops rounding residue before it enters H_I_eff.
     lamb_S = HermitianOperator._of_computed(np.einsum("ab,ibja->ij", sys.rho_B.matrix, t))
     lamb_B = HermitianOperator._of_computed(np.einsum("ik,kaic->ac", sys.rho_S.matrix, t))
     mean = _tr(sys.rho_S, lamb_S)
-    hi_eff = hi.copy()  # H_I - lambda_S x I - I x lambda_B + mean I, on the entries each term touches
+    hi_eff = hi0.copy()  # H_I0 - lambda_S x I - I x lambda_B + mean I, on the entries each term touches
     t_eff, s, b = hi_eff.reshape(t.shape), np.arange(sys.d_S), np.arange(sys.d_B)
     t_eff[:, b, :, b] -= lamb_S.matrix
     t_eff[s, :, s, :] -= lamb_B.matrix
     hi_eff.flat[:: sys.dim + 1] += mean
+    mean_i = sys.H_I.trace / sys.dim  # H_I's identity part, which only the local Hamiltonians carry
     eff = EffectiveHamiltonians(*(HermitianOperator._of_computed(m) for m in (
-        sys.H_S.matrix + lamb_S.matrix, sys.H_B.matrix + lamb_B.matrix, hi_eff)))
-    return eff, (lamb_S.matrix, lamb_B.matrix, mean, *(partial_trace(sys.H_I, t.shape[:2], k) for k in (0, 1)))
+        hs0 + lamb_S.matrix + (sys.H_S.trace / sys.d_S + mean_i) * np.eye(sys.d_S),
+        hb0 + lamb_B.matrix + (sys.H_B.trace / sys.d_B + mean_i) * np.eye(sys.d_B), hi_eff)))
+    parts = np.einsum("ibjb->ij", t), np.einsum("aiaj->ij", t)  # Tr_B H_I0, Tr_S H_I0
+    return eff, (hs0, hb0, hi0, lamb_S.matrix, lamb_B.matrix, mean, *parts)
 
 
 def correlation_operator(sys: BipartiteSystem) -> HermitianOperator:
@@ -181,15 +190,15 @@ def binding_energy(sys: BipartiteSystem) -> float:
     three are assembled independently (module docstring) and cross-asserted.
     """
     rho, rho_s, rho_b = sys.rho_SB, sys.rho_S.matrix, sys.rho_B.matrix
-    lamb_s, lamb_b = sys._shifts[:2]
+    hs, hb, hi, _, lamb_b, mean = sys._parts[:6]
     hi_eff = sys.effective.H_I_eff.matrix.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
-    rho_hi = _tr(rho, sys.H_I)
+    rho_hi = _tr(rho, hi)
     # Tr[(rho_S x rho_B) X] = Tr[rho_S Tr_B[(I x rho_B) X]], contracted as for lambda_S.
     u1 = _tr(rho, sys.effective.H_I_eff) - _tr(rho_s, np.einsum("ab,ibja->ij", rho_b, hi_eff))
-    u2 = rho_hi - _tr(rho_s, lamb_s)
+    u2 = rho_hi - mean
     dims = (sys.d_S, sys.d_B)
-    u3 = (_tr(partial_trace(rho, dims, 0), sys.H_S) + _tr(partial_trace(rho, dims, 1), sys.H_B) + rho_hi
-          - _tr(rho_s, sys.H_S) - _tr(rho_b, sys.H_B) - _tr(rho_b, lamb_b))
+    u3 = (_tr(partial_trace(rho, dims, 0), hs) + _tr(partial_trace(rho, dims, 1), hb) + rho_hi
+          - _tr(rho_s, hs) - _tr(rho_b, hb) - _tr(rho_b, lamb_b))
     scale = max(1.0, abs(u1))
     if abs(u1 - u2) > 1e-10 * scale or abs(u1 - u3) > 1e-10 * scale:
         raise NumericalError(f"binding-energy expressions disagree: {u1!r}, {u2!r}, {u3!r}")
@@ -254,14 +263,14 @@ class BipartiteFrame:
     @cached_property
     def O1_SB(self) -> HermitianOperator:
         # H_SB is H_S_eff x I + I x H_B_eff + H_I_eff up to a multiple of the identity.
-        (emb_s, emb_b), (e, _) = self._embedded(), _traceless_weight(self._H_I_eff.matrix)
+        (emb_s, emb_b), e = self._embedded(), _traceless(self._H_I_eff.matrix)
         return HermitianOperator._of_computed((self.h_S * emb_s + self.h_B * emb_b + e) / self.h_SB)
 
     @cached_property
     def O_I(self) -> HermitianOperator | None:
         if self.h_I == 0.0:
             return None
-        return HermitianOperator._of_computed(_traceless_weight(self._H_I_eff.matrix)[0] / self.h_I)
+        return HermitianOperator._of_computed(_traceless(self._H_I_eff.matrix) / self.h_I)
 
     @cached_property
     def O_chi(self) -> HermitianOperator | None:
@@ -330,17 +339,15 @@ def _temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
 
 def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
     f, d_s, d_b, d = sys.frame, sys.d_S, sys.d_B, sys.dim
-    hi, hi_eff = sys.H_I, sys.effective.H_I_eff
-    lamb_s, lamb_b, mean, hi_s, hi_b = sys._shifts
+    hs, hb, hi, lamb_s, lamb_b, mean, hi_s, hi_b = sys._parts
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
     part_s, part_b = (partial_trace(log_sb.operator, (d_s, d_b), k) for k in (0, 1))
-    tr_l, hi_l, hi_eff_l = float(np.trace(L).real), _tr(hi, L), _tr(hi_eff, L)
+    tr_l, hi_l, hi_eff_l = float(np.trace(L).real), _tr(hi, L), _tr(sys.effective.H_I_eff, L)
     hh_s = -part_s + d_b * ls + np.trace(lb).real * np.eye(d_s)  # Tr_B HH_I
     hh_b = -part_b + d_s * lb + np.trace(ls).real * np.eye(d_b)  # Tr_S HH_I
 
-    # beta_SB: the moments of (rho_SB, H_SB), H_S and H_B traceless, checked against -Tr[O1_SB L]/h_SB.
-    hs, hb = (_traceless_weight(m.matrix)[0] for m in (sys.H_S, sys.H_B))
+    # beta_SB: the moments of (rho_SB, H_SB0), checked against -Tr[O1_SB L]/h_SB.
     with np.errstate(over="ignore", invalid="ignore"):
         tr_hh = d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi) + 2.0 * (_tr(hs, hi_s) + _tr(hb, hi_b))
         tr_hl = _tr(hs, part_s) + _tr(hb, part_b) + hi_l
@@ -351,7 +358,7 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
         o1_l += f.C_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
     # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
     cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
-    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (hi.trace, tr_l, tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
+    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
 
     # beta_chi in two cross-asserted forms.
     t_os, t_ob = _tr(f.O_S, hh_s), _tr(f.O_B, hh_b)  # Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I]
@@ -363,10 +370,10 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
         tr_e, e_s, e_b = f._interaction
         by_eff = -hi_eff_l + _tr(e_s, ls) + _tr(e_b, lb)
         beta_chi = -((by_eff - tr_e / d * hh_id) / f.h_I - local) / (f.h_I * f.h_chi**2)
-        # Direct form -Tr[O_chi HH_I]/(h_I h_chi), H_I_eff = H_I - lambda_S x I - I x lambda_B + mean.
+        # Direct form -Tr[O_chi HH_I]/(h_I h_chi), H_I_eff = H_I0 - lambda_S x I - I x lambda_B + mean.
         by_hi = (-hi_l + _tr(hi_s, ls) + _tr(hi_b, lb)
                  - _tr(lamb_s, hh_s) - _tr(lamb_b, hh_b) + mean * hh_id)
-        tr_hi = hi.trace - d_b * lamb_s.trace().real - d_s * lamb_b.trace().real + d * mean
+        tr_hi = d * mean - d_b * lamb_s.trace().real - d_s * lamb_b.trace().real
         t_ochi = ((by_hi - tr_hi / d * hh_id) / f.h_I - local) / f.h_chi
         beta_alt = -t_ochi / (f.h_I * f.h_chi)
         if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):

@@ -91,7 +91,7 @@ def parse_input_document(doc: dict) -> InputDocument:
     if clip <= 0 or tol <= 0:
         raise ValidationError("clip and tol must be positive")
 
-    matrices: dict[str, np.ndarray] = {}
+    shapes: dict[str, int] = {}  # matrix name -> dimension; the model kind reads none
     model_params = None
     if kind == "model":
         params = doc.get("model_params")
@@ -111,14 +111,7 @@ def parse_input_document(doc: dict) -> InputDocument:
         dims_raw = doc.get("dims")
         if not isinstance(dims_raw, int):
             raise ValidationError("single kind requires integer dims")
-        dims = (dims_raw,)
-        for name in ("H", "rho"):
-            if name not in doc.get("matrices", {}):
-                raise ValidationError(f"single kind requires matrix {name!r}")
-            m = matrix_from_pairs(doc["matrices"][name])
-            if m.shape != (dims_raw, dims_raw):
-                raise ValidationError(f"matrix {name!r} shape {m.shape} does not match dims {dims_raw}")
-            matrices[name] = m
+        dims, shapes = (dims_raw,), {"H": dims_raw, "rho": dims_raw}
     else:
         dims_raw = doc.get("dims")
         if not (isinstance(dims_raw, (list, tuple)) and len(dims_raw) == 2):
@@ -126,13 +119,14 @@ def parse_input_document(doc: dict) -> InputDocument:
         d_s, d_b = int(dims_raw[0]), int(dims_raw[1])
         dims = (d_s, d_b)
         shapes = {"H_S": d_s, "H_B": d_b, "H_I": d_s * d_b, "rho_SB": d_s * d_b}
-        for name, d in shapes.items():
-            if name not in doc.get("matrices", {}):
-                raise ValidationError(f"bipartite kind requires matrix {name!r}")
-            m = matrix_from_pairs(doc["matrices"][name])
-            if m.shape != (d, d):
-                raise ValidationError(f"matrix {name!r} shape {m.shape} does not match dims {dims}")
-            matrices[name] = m
+    matrices: dict[str, np.ndarray] = {}
+    for name, d in shapes.items():
+        if name not in doc.get("matrices", {}):
+            raise ValidationError(f"{kind} kind requires matrix {name!r}")
+        m = matrices[name] = matrix_from_pairs(doc["matrices"][name])
+        if m.shape != (d, d):
+            shown = dims[0] if kind == "single" else dims
+            raise ValidationError(f"matrix {name!r} shape {m.shape} does not match dims {shown}")
     return InputDocument(
         kind=kind, dims=dims, matrices=matrices,
         model_params=model_params, clip=clip, tol=tol, raw=doc,
@@ -162,14 +156,9 @@ def build_bipartite_system(doc: InputDocument) -> BipartiteSystem:
         from .models import build_two_qubit_xy
 
         return build_two_qubit_xy(doc.model_params)
-    d_s, d_b = doc.dims
-    return BipartiteSystem(
-        d_s, d_b,
-        HermitianOperator(doc.matrices["H_S"], tol_herm=doc.tol),
-        HermitianOperator(doc.matrices["H_B"], tol_herm=doc.tol),
-        HermitianOperator(doc.matrices["H_I"], tol_herm=doc.tol),
-        DensityMatrix(HermitianOperator(doc.matrices["rho_SB"], tol_herm=doc.tol)),
-    )
+    names = ("H_S", "H_B", "H_I", "rho_SB")
+    h_s, h_b, h_i, rho = (HermitianOperator(doc.matrices[n], tol_herm=doc.tol) for n in names)
+    return BipartiteSystem(*doc.dims, h_s, h_b, h_i, DensityMatrix(rho))
 
 
 def extended_real(x: float):
@@ -191,15 +180,10 @@ def temperature_report_dict(r: TemperatureReport) -> dict:
     out: dict = {}
     _put_extended(out, "beta", r.beta, "Cov/Var is not a number (non-finite moments)")
     _put_extended(out, "temperature", r.temperature, "beta is undefined")
-    out["h"] = r.h
-    out["covariance"] = r.covariance
-    out["variance"] = r.variance
-    out["entropy"] = r.entropy
-    out["internal_energy"] = r.internal_energy
+    out.update((k, getattr(r, k)) for k in ("h", "covariance", "variance", "entropy", "internal_energy"))
     _put_extended(out, "free_energy", r.free_energy,
                   "free energy undefined at beta = 0 or T = 0")
-    out["rank_deficient"] = r.rank_deficient
-    out["clipped"] = r.clipped
+    out.update(rank_deficient=r.rank_deficient, clipped=r.clipped)
     return out
 
 
@@ -222,12 +206,9 @@ def relation_dict(r: RelationCoefficients) -> dict:
         "h_SB": r.h_SB,
         "interaction_degenerate": r.interaction_degenerate,
     }
-    _put_extended(out, "beta_SB", r.beta_SB, "not evaluated")
-    _put_extended(out, "beta_tilde_S", r.beta_tilde_S, "not evaluated")
-    _put_extended(out, "beta_tilde_B", r.beta_tilde_B, "not evaluated")
-    _put_extended(out, "beta_chi", r.beta_chi,
-                  "correlation direction undefined without interaction")
-    _put_extended(out, "residual", r.residual, "not evaluated")
+    for name in ("beta_SB", "beta_tilde_S", "beta_tilde_B", "beta_chi", "residual"):
+        why = "correlation direction undefined without interaction" if name == "beta_chi" else "not evaluated"
+        _put_extended(out, name, getattr(r, name), why)
     return out
 
 

@@ -170,13 +170,9 @@ class SpectralDecomposition:
     __slots__ = ("eigenvalues", "eigenvectors")
 
     def __init__(self, eigenvalues, eigenvectors):
-        w = np.array(eigenvalues, dtype=float)
-        v = as_complex_matrix(eigenvectors)
-        if w.ndim != 1 or v.shape != (w.size, w.size):
-            raise ValidationError("inconsistent spectral data shapes")
+        w, v = _spectral_data(eigenvalues, eigenvectors)
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be ascending")
-        _check_unitary(v)
         self.eigenvalues: np.ndarray = _frozen(w)
         self.eigenvectors: np.ndarray = _frozen(v)
 
@@ -221,6 +217,18 @@ class SpectralDecomposition:
             p = _matmul(cols, cols.conj().T)
             out.append((p + p.conj().T) / 2.0)
         return out
+
+
+def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
+    """Coerced spectral data: finite real eigenvalues and a unitary eigenvector matrix of matching shape."""
+    w = np.array(eigenvalues, dtype=float)
+    v = as_complex_matrix(eigenvectors)
+    if w.ndim != 1 or v.shape != (w.size, w.size):
+        raise ValidationError("inconsistent spectral data shapes")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("eigenvalues must be finite")
+    _check_unitary(v)
+    return w, v
 
 
 def _check_unitary(v: np.ndarray) -> None:
@@ -302,18 +310,13 @@ class DensityMatrix:
         Analytic constructions (Gibbs states, explicit mixtures) know their
         eigenvalues exactly; going through the assembled matrix and back
         through the eigensolver would lose all relative precision on the
-        small ones. Eigenvalues need not be sorted.
+        small ones. Eigenvalues need not be sorted; the data are checked as by
+        :class:`SpectralDecomposition`.
         """
-        w = np.array(eigenvalues, dtype=float)
-        v = as_complex_matrix(eigenvectors)
-        if w.ndim != 1 or v.shape != (w.size, w.size):
-            raise ValidationError("inconsistent spectral data shapes")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("eigenvalues must be finite")
+        w, v = _spectral_data(eigenvalues, eigenvectors)
         order = np.argsort(w, kind="stable")
-        spec = SpectralDecomposition(w[order], v[:, order])
         obj = object.__new__(cls)
-        obj._install(spec.eigenvalues, spec.eigenvectors, 0.0)
+        obj._install(w[order], v[:, order], 0.0)
         return obj
 
     def _install(self, w: np.ndarray, v: np.ndarray, noise: float, recon: np.ndarray | None = None) -> None:

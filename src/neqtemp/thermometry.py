@@ -137,7 +137,7 @@ def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: Hermitian
     E = h * O1.matrix
     with np.errstate(over="ignore", invalid="ignore"):
         # Tr[A B] = vdot(A, B) for Hermitian A.
-        moments = tuple(float(x.real) for x in (np.trace(E), np.trace(L), np.vdot(E, E), np.vdot(E, L)))
+        moments = float(np.vdot(E, E).real), float(np.vdot(E, L).real)
     # Direct coordinate form, assembled through O1 rather than the moments.
     beta_dir = -hs_inner(O1, logr.operator) / h
     beta, temperature, cov, var = _beta_of_moments(
@@ -164,23 +164,20 @@ def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: Hermitian
 
 
 def _beta_of_moments(rho: DensityMatrix, h: float, moments, beta_dir: float, cond) -> tuple:
-    """beta, T, Cov and Var of ``rho`` from (Tr H, Tr log rho, Tr H^2, Tr[H log rho]).
+    """beta, T, Cov and Var of ``rho`` from (Tr[H0^2], Tr[H0 log rho]), H0 traceless.
 
+    Both callers pass the moments of a traceless H0 (h O1, or H_SB less its
+    mean), so the moments w.r.t. I/d carry no mean terms: Cov = -Tr[H0 log
+    rho]/d and Var = Tr[H0^2]/d, and an offset on H never enters them.
     ``beta_dir`` is the direct form -Tr[O1 log rho]/h, assembled by the
     caller independently of the moments; ``cond()`` is the conditioning
     scale of their cross-check, evaluated only when the two differ by more
     than its unit-scale bound. Branches as in :func:`inverse_temperature`.
     """
-    tr_h, tr_l, tr_hh, tr_hl = moments
-    if not all(map(math.isfinite, moments)):
-        raise NumericalError(
-            f"energy moments overflow: Tr[H] = {tr_h!r}, Tr[H^2] = {tr_hh!r}, Tr[H log rho] = {tr_hl!r}"
-        )
-    d = rho.dim
-    # Covariance form (moments w.r.t. I/d). (Tr H)^2 <= d Tr[H^2], so the
-    # square below cannot overflow once Tr[H^2] is finite.
-    cov = -tr_hl / d - (tr_h / d) * (-tr_l / d)
-    var = tr_hh / d - (tr_h / d) ** 2
+    tr_hh, tr_hl = moments
+    if not (math.isfinite(tr_hh) and math.isfinite(tr_hl)):
+        raise NumericalError(f"energy moments overflow: Tr[H^2] = {tr_hh!r}, Tr[H log rho] = {tr_hl!r}")
+    cov, var = -tr_hl / rho.dim, tr_hh / rho.dim  # covariance form, moments w.r.t. I/d
     if var <= 0.0:  # unreachable past a nonzero weight h, kept as a hard guard
         raise NumericalError("vanishing energy variance")
     beta_cov = cov / var

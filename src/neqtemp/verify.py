@@ -151,10 +151,14 @@ def suite_extension(seed: int, count: int) -> SuiteResult:
 
 
 def suite_relation(seed: int, count: int) -> SuiteResult:
-    """Two-qubit Gibbs grid: relation residual, tilde and chi temperatures."""
+    """Two-qubit Gibbs states: relation residual, tilde and chi temperatures, at the first
+    ``count`` grid points, then count - 27 seeded points uniform in the grid's parameter box."""
     res = SuiteResult("relation")
-    del seed, count  # the reference grid is fixed
-    for p in GRID:
+    rng = np.random.default_rng(seed)
+    span = np.array([[p.omega_S, p.omega_B, p.lam, p.beta] for p in GRID])
+    extra = [TwoQubitXYParams(*map(float, rng.uniform(span.min(0), span.max(0))))
+             for _ in range(count - len(GRID))]
+    for p in GRID[: max(count, 0)] + extra:
         sys = build_two_qubit_xy(p)
         rel = verify_universal_relation(sys)
         bound = 1e-8 * max(abs(rel.K_SB * p.beta), 1.0)

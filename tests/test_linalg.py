@@ -214,6 +214,11 @@ class TestSpectralDecomposition:
         with pytest.raises(ValidationError):
             SpectralDecomposition([0.0, 1.0], 2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [1.0, np.inf]])
+    def test_rejects_non_finite_eigenvalues(self, w):
+        with pytest.raises(ValidationError, match="finite"):
+            SpectralDecomposition(w, np.eye(2))
+
     def test_clusters_and_projectors(self):
         spec = SpectralDecomposition([0.0, 0.0, 1.0], np.eye(3))
         groups = spec.clusters(1e-9)

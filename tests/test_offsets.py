@@ -1,19 +1,20 @@
 """An energy offset c I changes no temperature (hypothesis, derandomized).
 
 Every temperature is dS/dU along the Hamiltonian direction, so it reads H only
-through its unit direction: adding c I to H, H_S or H_B moves U by c and leaves
-beta where it was. The Hamiltonians here have entries that are multiples of
-2^-8 and c = +-2^k with k <= 30, so H + c I is exact in a double. What an
-offset may still cost is the rounding of a mean of size |c|, about eps |c| per
-entry of a direction of weight h, hence the bound (1e-12 + 16 eps |c|/h)
-max(1, |beta|).
+through its unit direction: adding c I to H, H_S, H_B or H_I moves U by c and
+leaves beta where it was. A bipartite system reads only the traceless parts of
+H_S, H_B and H_I, so the binding energy U_chi does not move either. The
+Hamiltonians here have entries that are multiples of 2^-8 and c = +-2^k with
+k <= 30, so H + c I is exact in a double. What an offset may still cost is the
+rounding of a mean of size |c|, about eps |c| per entry of a direction of
+weight h, hence the bound (1e-12 + 16 eps |c|/h) max(1, |beta|).
 """
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from neqtemp.correlation import BipartiteSystem
+from neqtemp.correlation import BipartiteSystem, binding_energy, correlation_inverse_temperature
 from neqtemp.linalg import HermitianOperator, eig_hermitian
 from neqtemp.models import TwoQubitXYParams, _gibbs_state, build_two_qubit_xy, sample_full_rank
 from neqtemp.relation import verify_universal_relation
@@ -83,26 +84,36 @@ def gue_gibbs_system(seed):
     return BipartiteSystem(2, 3, *ops, _gibbs_state(eig_hermitian(total), 0.7))
 
 
-def temperatures(sys):
+systems = st.one_of(st.sampled_from([0.05, 0.2, 1.0]).map(model_system),
+                    st.integers(0, 2**16).map(gue_gibbs_system))
+
+
+def observables(sys):
+    """The six temperatures, the binding energy and the correlation report's beta_chi."""
     rel = verify_universal_relation(sys)
-    return (rel.beta_SB, rel.beta_tilde_S, rel.beta_tilde_B, rel.beta_chi, rel.local_S.beta, rel.local_B.beta)
+    return (rel.beta_SB, rel.beta_tilde_S, rel.beta_tilde_B, rel.beta_chi, rel.local_S.beta, rel.local_B.beta,
+            binding_energy(sys), correlation_inverse_temperature(sys).beta_chi)
+
+
+def offset(sys, c, which):
+    """``sys`` with c I added to H_S (which = 0), H_B (1) or H_I (2)."""
+    hams = [sys.H_S.matrix, sys.H_B.matrix, sys.H_I.matrix]
+    hams[which] = hams[which] + c * np.eye(len(hams[which]))
+    return BipartiteSystem(sys.d_S, sys.d_B, *map(HermitianOperator, hams), sys.rho_SB)
 
 
 @SETTINGS
-@given(
-    system=st.one_of(st.sampled_from([0.05, 0.2, 1.0]).map(model_system),
-                     st.integers(0, 2**16).map(gue_gibbs_system)),
-    on_bath=st.booleans(),
-    c=offsets,
-)
+@given(system=systems, on_bath=st.booleans(), c=offsets)
 def test_bipartite_local_offset(system, on_bath, c):
-    hs, hb = system.H_S.matrix, system.H_B.matrix
-    if on_bath:
-        hb = hb + c * np.eye(system.d_B)
-    else:
-        hs = hs + c * np.eye(system.d_S)
-    shifted = BipartiteSystem(system.d_S, system.d_B, HermitianOperator(hs), HermitianOperator(hb),
-                              system.H_I, system.rho_SB)
     h = system.frame.h_B if on_bath else system.frame.h_S
-    for got, want in zip(temperatures(shifted), temperatures(system)):
+    for got, want in zip(observables(offset(system, c, int(on_bath))), observables(system)):
         assert within(got, want, c, h)
+
+
+@SETTINGS
+@given(system=systems, c=offsets)
+def test_bipartite_interaction_offset(system, c):
+    # Tr H_I/d enters H_S_eff and H_B_eff, so its rounding can reach every direction.
+    f = system.frame
+    for got, want in zip(observables(offset(system, c, 2)), observables(system)):
+        assert within(got, want, c, min(f.h_S, f.h_B, f.h_I))

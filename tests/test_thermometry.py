@@ -207,8 +207,8 @@ class TestInverseTemperature:
         # The conditioning scale of the beta_cov vs beta_dir check is computed
         # only when the two differ by more than 1e-12 max(1, |beta|).
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        moments = (0.0, math.log(0.3) + math.log(0.7), 2.0, math.log(0.3) - math.log(0.7))  # H = diag(1, -1)
-        beta = -moments[3] / 2.0
+        moments = (2.0, math.log(0.3) - math.log(0.7))  # Tr[H^2], Tr[H log rho] of H = diag(1, -1)
+        beta = -moments[1] / 2.0
 
         def unused():
             raise AssertionError("scale evaluated")

@@ -3,7 +3,7 @@
 import pytest
 
 from neqtemp.exceptions import ValidationError
-from neqtemp.verify import SUITES, format_results, run_suite, run_suites
+from neqtemp.verify import GRID, SUITES, format_results, run_suite, run_suites
 
 REDUCED = {
     "gibbs": 30,
@@ -46,3 +46,15 @@ def test_format_reports_failures():
     out = format_results([res])
     assert "FAIL" in out
     assert "synthetic failure" in out
+
+
+def test_relation_follows_seed_and_count():
+    # Seven checks per point: the first count grid points, then seeded off-grid points past the grid.
+    checks = {count: run_suite("relation", seed=5, count=count).checks for count in (3, len(GRID), 30)}
+    assert checks == {3: 21, len(GRID): 7 * len(GRID), 30: 210}
+    assert run_suite("relation", seed=0).checks == 7 * len(GRID)
+    on_grid = [format_results([run_suite("relation", seed=s, count=len(GRID))]) for s in (0, 3)]
+    assert on_grid[0] == on_grid[1]
+    off_grid = [run_suite("relation", seed=s, count=len(GRID) + 3) for s in (0, 3)]
+    assert all(r.passed for r in off_grid)
+    assert format_results(off_grid[:1]) != format_results(off_grid[1:])
