@@ -49,7 +49,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
-from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _frozen
+from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _frozen, _operator, _real_array
 
 __all__ = [
     "MAX_BASIS_DIM",
@@ -93,15 +93,32 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     :raises NumericalError: if h^2 overflows a double (entries of H beyond
         about 1e154).
     """
-    if not isinstance(H, HermitianOperator):
-        H = HermitianOperator(H)
+    traceless, h = _unit_weight(_operator(H))
+    return HermitianOperator._of_computed(traceless / h), h
+
+
+def _unit_weight(H: HermitianOperator) -> tuple[np.ndarray, float]:
+    """The traceless part of H and its weight h, under :func:`hamiltonian_unit`'s rules."""
     traceless, h = _traceless_weight(H.matrix)
     if h <= 16.0 * np.finfo(float).eps * abs(H.trace) / math.sqrt(H.dim):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
         )
-    return HermitianOperator._of_computed(traceless / h), h
+    return traceless, h
+
+
+def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[HermitianOperator, float]:
+    """``(basis[1], h)``, once ``basis[1]`` is checked to be H's unit direction: the one reading of it.
+
+    :raises DegenerateDirectionError: if H is proportional to the identity.
+    :raises ValidationError: if the dimensions differ or max|H_0/h - basis[1]|
+        exceeds 1e-8, H_0 being the traceless part of H.
+    """
+    traceless, h = _unit_weight(H)
+    if basis.dim != H.dim or float(np.max(np.abs(traceless / h - basis.mats[1]))) > 1e-8:
+        raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
+    return basis[1], h
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -236,7 +253,7 @@ class OperatorBasis:
             src = [getattr(m, "matrix", m) for m in src]
         try:
             a = np.asarray(src, dtype=complex)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"basis members must be {d}x{d} matrices") from exc
         if a.ndim != 3 or a.shape[1:] != (d, d):
             raise ValidationError(f"basis members must be {d}x{d} matrices, got shape {a.shape}")
@@ -283,8 +300,7 @@ class OperatorBasis:
         :raises ValidationError: if A is not Hermitian (then some Tr[O_i A]
             are not real) or not d x d.
         """
-        if not isinstance(A, HermitianOperator):
-            A = HermitianOperator(A)
+        A = _operator(A)
         if A.dim != self.dim:
             raise ValidationError(f"dimension mismatch: operator {A.dim}, basis {self.dim}")
         # Re Tr[O_i^dag A] is the dot product of the real views of O_i and A.
@@ -321,7 +337,7 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
         )
     seed_mats: list[np.ndarray] = []
     for s in seeds:
-        m = s.matrix if isinstance(s, HermitianOperator) else HermitianOperator(s).matrix
+        m = _operator(s).matrix
         if m.shape != (d, d):
             raise ValidationError("seed dimension mismatch")
         if abs(np.trace(m)) > 1e-10:
@@ -396,7 +412,7 @@ def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
     Physical outputs (beta, the Helmholtz tail sum) are invariant under this.
     """
     n = len(basis) - 2
-    r = np.array(R, dtype=float)
+    r = _real_array(R, "rotation")
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")
     dev = float(np.max(np.abs(r.T @ r - np.eye(n))))

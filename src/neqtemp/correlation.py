@@ -66,8 +66,8 @@ import numpy as np
 from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _frozen, _tr, matrix_log, partial_trace,
-    tensor_product,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _frozen, _operator, _state, _tr,
+    matrix_log, partial_trace, tensor_product,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
@@ -83,10 +83,12 @@ __all__ = [
 class BipartiteSystem:
     """Bipartite Hamiltonian data and joint state, with cached derived parts.
 
-    H_S, H_B, H_I and rho_SB are validated when the caller builds them; the
-    marginals are validated as density matrices here. Operators derived from
-    them are wrapped through ``HermitianOperator._of_computed`` (symmetrized,
-    checked finite). Marginals, traceless parts, effective Hamiltonians and
+    H_S, H_B, H_I and rho_SB are validated when the caller builds them; a raw
+    Hamiltonian matrix is validated here, and rho_SB must be a
+    :class:`DensityMatrix`. Operators derived from them, the marginals among
+    them, are wrapped through ``HermitianOperator._of_computed`` (symmetrized,
+    checked finite); the marginals' trace and positivity are checked as
+    density matrices. Marginals, traceless parts, effective Hamiltonians and
     mean-field shifts are computed at construction, the frame and H_SB on
     first use and the temperature record once per clip; instances are
     immutable afterwards and safe to share.
@@ -101,6 +103,7 @@ class BipartiteSystem:
         if d_S < 2 or d_B < 2:
             raise ValidationError("both factors must have dimension at least 2")
         d = d_S * d_B
+        H_S, H_B, H_I, rho_SB = _operator(H_S), _operator(H_B), _operator(H_I), _state(rho_SB)
         if H_S.dim != d_S or H_B.dim != d_B:
             raise ValidationError("local Hamiltonian dimensions do not match (d_S, d_B)")
         if H_I.dim != d or rho_SB.dim != d:
@@ -108,8 +111,8 @@ class BipartiteSystem:
         self.d_S, self.d_B = d_S, d_B
         self.H_S, self.H_B, self.H_I = H_S, H_B, H_I
         self.rho_SB = rho_SB
-        self.rho_S = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=0))
-        self.rho_B = DensityMatrix(partial_trace(rho_SB, (d_S, d_B), keep=1))
+        self.rho_S = DensityMatrix(HermitianOperator._of_computed(partial_trace(rho_SB, (d_S, d_B), keep=0)))
+        self.rho_B = DensityMatrix(HermitianOperator._of_computed(partial_trace(rho_SB, (d_S, d_B), keep=1)))
         self.effective, self._parts = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
         self._temperatures: dict[float, _Temperatures] = {}

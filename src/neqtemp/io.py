@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -86,8 +87,8 @@ def parse_input_document(doc: dict) -> InputDocument:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object")
-    clip = float(options.get("clip", DEFAULT_CLIP))
-    tol = float(options.get("tol", HERM_TOL))
+    clip = _finite_number(options.get("clip", DEFAULT_CLIP), "options.clip")
+    tol = _finite_number(options.get("tol", HERM_TOL), "options.tol")
     if clip <= 0 or tol <= 0:
         raise ValidationError("clip and tol must be positive")
 
@@ -98,25 +99,21 @@ def parse_input_document(doc: dict) -> InputDocument:
         if not isinstance(params, dict):
             raise ValidationError("model kind requires model_params")
         try:
-            model_params = TwoQubitXYParams(
-                omega_S=float(params["omega_S"]),
-                omega_B=float(params["omega_B"]),
-                lam=float(params["lam"]),
-                beta=float(params["beta"]),
-            )
+            values = {key: params[key] for key in ("omega_S", "omega_B", "lam", "beta")}
         except KeyError as exc:
             raise ValidationError(f"model_params missing key {exc}") from exc
+        model_params = TwoQubitXYParams(**{k: _finite_number(v, f"model_params.{k}") for k, v in values.items()})
         dims = (2, 2)
     elif kind == "single":
         dims_raw = doc.get("dims")
-        if not isinstance(dims_raw, int):
+        if not _is_integer(dims_raw):
             raise ValidationError("single kind requires integer dims")
         dims, shapes = (dims_raw,), {"H": dims_raw, "rho": dims_raw}
     else:
         dims_raw = doc.get("dims")
-        if not (isinstance(dims_raw, (list, tuple)) and len(dims_raw) == 2):
-            raise ValidationError("bipartite kind requires dims = [d_S, d_B]")
-        d_s, d_b = int(dims_raw[0]), int(dims_raw[1])
+        if not (isinstance(dims_raw, (list, tuple)) and len(dims_raw) == 2 and all(map(_is_integer, dims_raw))):
+            raise ValidationError("bipartite kind requires integer dims = [d_S, d_B]")
+        d_s, d_b = dims_raw
         dims = (d_s, d_b)
         shapes = {"H_S": d_s, "H_B": d_b, "H_I": d_s * d_b, "rho_SB": d_s * d_b}
     matrices: dict[str, np.ndarray] = {}
@@ -133,10 +130,20 @@ def parse_input_document(doc: dict) -> InputDocument:
     )
 
 
+def _is_integer(value) -> bool:
+    """True for a JSON integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_number(value, name: str) -> float:
+    """A JSON number as a finite float; ValidationError for anything else (a bool, a string, 1e400)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_input_document(path: str) -> InputDocument:
     """Read a JSON input document from a file ('-' for stdin)."""
-    import sys
-
     try:
         if path == "-":
             doc = json.load(sys.stdin)

@@ -74,7 +74,10 @@ IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce input to a finite complex 2-d array (copying, C-contiguous)."""
-    a = np.array(entries, dtype=complex, order="C")
+    try:
+        a = np.array(entries, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix entries must be numbers in rectangular rows: {exc}") from exc
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got array of shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
@@ -84,6 +87,14 @@ def as_complex_matrix(entries) -> np.ndarray:
             f"matrix dimension {max(a.shape)} exceeds the supported cap {MAX_DIM}"
         )
     return a
+
+
+def _real_array(entries, what: str) -> np.ndarray:
+    """Coerce input to a float array (copying); ValidationError, naming ``what``, if it is not numeric."""
+    try:
+        return np.array(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from exc
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -221,10 +232,12 @@ class SpectralDecomposition:
 
 def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
     """Coerced spectral data: finite real eigenvalues and a unitary eigenvector matrix of matching shape."""
-    w = np.array(eigenvalues, dtype=float)
+    w = _real_array(eigenvalues, "eigenvalues")
     v = as_complex_matrix(eigenvectors)
     if w.ndim != 1 or v.shape != (w.size, w.size):
         raise ValidationError("inconsistent spectral data shapes")
+    if w.size == 0:
+        raise ValidationError("empty spectrum")
     if not np.all(np.isfinite(w)):
         raise ValidationError("eigenvalues must be finite")
     _check_unitary(v)
@@ -246,9 +259,7 @@ def eig_hermitian(A: HermitianOperator) -> SpectralDecomposition:
     Uses tridiagonalization plus a divide-and-conquer/QR backend (LAPACK
     ``heevd``); dimensions here are tiny, so robustness wins over speed.
     """
-    if not isinstance(A, HermitianOperator):
-        A = HermitianOperator(A)
-    return _checked_eigh(A)[0]
+    return _checked_eigh(_operator(A))[0]
 
 
 def _checked_eigh(A: HermitianOperator) -> tuple[SpectralDecomposition, np.ndarray]:
@@ -291,7 +302,7 @@ class DensityMatrix:
     __slots__ = ("operator", "spectrum", "rank", "resolved_rank", "_logs")
 
     def __init__(self, matrix):
-        op = matrix if isinstance(matrix, HermitianOperator) else HermitianOperator(matrix)
+        op = _operator(matrix)
         tr = op.trace
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} deviates from 1 beyond tolerance")
@@ -383,8 +394,7 @@ def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
     The result is computed once per (state, clip) and cached on ``rho``, so
     every caller of one state's log shares one operator.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise ValidationError("matrix_log expects a DensityMatrix")
+    _state(rho)
     if not (clip > 0.0):
         raise ValidationError(f"clip must be positive, got {clip!r}")
     return _cached(rho._logs, clip, lambda: _spectral_log(rho, clip))
@@ -415,6 +425,18 @@ def matrix_exp(A: HermitianOperator) -> HermitianOperator:
     if top > EXP_OVERFLOW_BOUND:
         raise NumericalError(f"matrix_exp overflow: max eigenvalue {top:.3e} > {EXP_OVERFLOW_BOUND}")
     return HermitianOperator._of_computed(spec.apply(np.exp))
+
+
+def _operator(A) -> HermitianOperator:
+    """A if it is a validated operator, else A validated through :class:`HermitianOperator`."""
+    return A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+
+
+def _state(rho) -> DensityMatrix:
+    """rho, once checked to be a :class:`DensityMatrix`; a raw matrix is not diagonalized on the side."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValidationError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    return rho
 
 
 def _matrix_of(A) -> np.ndarray:

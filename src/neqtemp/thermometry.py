@@ -12,10 +12,10 @@ U and F by c and changes no temperature. On Gibbs states beta recovers the
 thermodynamic inverse temperature exactly; beta = 0 for maximally mixed
 states and T = 0 for pure states.
 
-The module also provides the generalized-Gibbs decomposition of an arbitrary
-full-rank state, the Helmholtz free energy with its coordinate-space
-cross-check, passivity testing, and the eigenvalue/eigenprojector variation
-split with its conventional and entropic heat/work functionals.
+Over an operator basis, O1 is ``basis[1]``, checked once to be H's unit
+direction: the generalized-Gibbs decomposition, the Helmholtz free energy
+(cross-checked in coordinates) and the finite-difference dS/dU all read it.
+Passivity tests and the eigenvalue/eigenprojector heat-work split follow.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, expand_state, hamiltonian_unit
+from .basis import OperatorBasis, _basis_direction, expand_state, hamiltonian_unit
 from .exceptions import (
     NumericalError,
     RankDeficiencyError,
@@ -37,6 +37,8 @@ from .linalg import (
     DEGENERACY_TOL,
     DensityMatrix,
     HermitianOperator,
+    _operator,
+    _state,
     eig_hermitian,
     hs_inner,
     matrix_exp,
@@ -126,6 +128,7 @@ def inverse_temperature(
     :raises DegenerateDirectionError: if H is proportional to the identity.
     :raises NumericalError: if h, the energy moments or beta overflow.
     """
+    rho, H = _state(rho), _operator(H)
     return _inverse_temperature(rho, H, *hamiltonian_unit(H), clip)
 
 
@@ -219,33 +222,33 @@ def generalized_gibbs_decomposition(
     """Write a full-rank state in generalized-Gibbs form over ``basis``.
 
     ``basis[1]`` must be the Hamiltonian direction of H. The coefficients are
-    beta from :func:`inverse_temperature` and c_i = Tr[O_i log rho] for
-    i >= 2. The exponent -beta H + sum_i c_i O_i is log rho - (Tr log rho +
-    beta Tr H)/d I, so unit trace fixes log_norm = log sum_i max(lambda_i,
-    clip) - (Tr log rho + beta Tr H)/d, not the closed form printed with the
-    original derivation, which fails the trace condition.
+    beta, taken along ``basis[1]``, and c_i = Tr[O_i log rho] for i >= 2.
+    The exponent -beta H + sum_i c_i O_i is log rho - (Tr log rho + beta Tr
+    H)/d I, so unit trace fixes log_norm = log sum_i max(lambda_i, clip) -
+    (Tr log rho + beta Tr H)/d, not the closed form printed with the original
+    derivation, which fails the trace condition.
     """
-    if rho.rank < rho.dim:
-        raise RankDeficiencyError("generalized-Gibbs decomposition needs a full-rank state")
-    report = _basis_report(rho, H, basis, clip)
-    c = basis.coordinates(matrix_log(rho, clip).operator)[2:]
+    H, report, c = _log_coordinates(rho, H, basis, clip, "generalized-Gibbs decomposition")
     w = np.maximum(rho.eigenvalues, clip)
     log_norm = math.log(float(np.sum(w))) - (float(np.sum(np.log(w))) + report.beta * H.trace) / rho.dim
-    return GeneralizedGibbsForm(beta=report.beta, c=c, log_norm=log_norm)
+    return GeneralizedGibbsForm(beta=report.beta, c=c[2:], log_norm=log_norm)
 
 
-def _basis_report(rho: DensityMatrix, H: HermitianOperator, basis: OperatorBasis, clip: float):
-    """The temperature report of (rho, H), once ``basis[1]`` is checked to be H's unit direction."""
-    O1, h = hamiltonian_unit(H)
-    if basis.dim != H.dim or float(np.max(np.abs(basis[1].matrix - O1.matrix))) > 1e-8:
-        raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
-    return _inverse_temperature(rho, H, O1, h, clip)
+def _log_coordinates(rho: DensityMatrix, H, basis: OperatorBasis, clip: float, what: str):
+    """H validated, the report of full-rank (rho, H) along the checked ``basis[1]``, every Tr[O_i log rho]."""
+    if _state(rho).rank < rho.dim:
+        raise RankDeficiencyError(f"{what} needs a full-rank state")
+    H = _operator(H)
+    report = _inverse_temperature(rho, H, *_basis_direction(H, basis), clip)
+    return H, report, basis.coordinates(matrix_log(rho, clip).operator)
 
 
 def reconstruct_generalized_gibbs(
     form: GeneralizedGibbsForm, H: HermitianOperator, basis: OperatorBasis
 ) -> np.ndarray:
-    """Evaluate exp(-beta H + sum c_i O_i - log_norm I)."""
+    """Evaluate exp(-beta H + sum c_i O_i - log_norm I); ``basis[1]`` must be H's direction."""
+    H = _operator(H)
+    _basis_direction(H, basis)
     exponent = (
         -form.beta * H.matrix
         - form.log_norm * np.eye(H.dim)
@@ -266,17 +269,12 @@ def helmholtz_free_energy(
     T * (sum_{i>=2} Tr[O_i log rho] x_i + Tr[log rho]/d) + Tr[H]/d, which is
     the basis-invariant tail sum plus its identity-direction closure.
     """
-    if rho.rank < rho.dim:
-        raise RankDeficiencyError("free energy evaluation needs a full-rank state")
-    report = _basis_report(rho, H, basis, clip)
+    H, report, c = _log_coordinates(rho, H, basis, clip, "free energy evaluation")
     if not math.isfinite(report.beta) or abs(report.beta) * report.h <= BETA_ZERO_TOL:
         raise UndefinedQuantityError("free energy is undefined at beta = 0")
     f, t = report.free_energy, report.temperature
-    logr = matrix_log(rho, clip).operator
-    coords = expand_state(rho, basis)
-    tail = float(basis.coordinates(logr)[2:] @ coords.x[2:])
-    d = rho.dim
-    f_alt = t * (tail + float(np.trace(logr.matrix).real) / d) + H.trace / d
+    x = expand_state(rho, basis).x
+    f_alt = t * (float(c[2:] @ x[2:]) + float(c[0]) / math.sqrt(rho.dim)) + H.trace / rho.dim
     if abs(f - f_alt) > 1e-10 * max(1.0, abs(f)):
         raise NumericalError(f"free-energy cross-check failed: {f!r} vs {f_alt!r}")
     return f
@@ -386,7 +384,7 @@ def finite_difference_beta(
     basis: OperatorBasis,
     step: float,
 ) -> float:
-    """Central-difference dS/dU along the Hamiltonian direction basis[1].
+    """Central-difference dS/dU along the Hamiltonian direction basis[1], checked to be H's.
 
     Perturbing only along O1 holds every other coordinate x_i fixed, so this
     is a direct numerical partial derivative of entropy w.r.t. internal
@@ -394,7 +392,8 @@ def finite_difference_beta(
     """
     if not (step > 0.0):
         raise ValidationError(f"step must be positive, got {step!r}")
-    o1 = basis[1].matrix
+    rho, H = _state(rho), _operator(H)
+    o1 = _basis_direction(H, basis)[0].matrix
     states = []
     for sgn in (+1.0, -1.0):
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import complete_basis, expand_state, hamiltonian_unit
+from .basis import complete_basis, expand_state, hamiltonian_unit, rotate_tail
 from .exceptions import ValidationError
 from .linalg import DensityMatrix, HermitianOperator, eig_hermitian, hs_inner, matrix_log, tensor_product
 from .models import (
@@ -113,8 +113,6 @@ def suite_basis_invariance(seed: int, count: int) -> SuiteResult:
         basis = complete_basis(d, [o1])
         n = d * d - 2
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        from .basis import rotate_tail
-
         rotated = rotate_tail(basis, q)
         logr = matrix_log(rho, 1e-12).operator
         beta0 = -hs_inner(basis[1], logr) / hw

@@ -314,6 +314,38 @@ class TestDocumentParsing:
         with pytest.raises(ValidationError):
             parse_input_document(doc)
 
+    @pytest.mark.parametrize("command,path,value", [
+        pytest.param("bipartite", ("dims",), ["a", 2], id="dims-string"),
+        pytest.param("bipartite", ("dims",), [2.5, 2], id="dims-fraction"),
+        pytest.param("bipartite", ("dims",), [True, 2], id="dims-bool"),
+        pytest.param("temp", ("dims",), True, id="single-dims-bool"),
+        pytest.param("temp", ("options", "clip"), "x", id="clip-string"),
+        pytest.param("temp", ("options", "clip"), None, id="clip-null"),
+        pytest.param("temp", ("options", "tol"), "x", id="tol-string"),
+        pytest.param("temp", ("options", "tol"), None, id="tol-null"),
+        # Written as a bare JSON number, which the parser reads as inf.
+        pytest.param("temp", ("options", "clip"), "1e400", id="clip-overflow"),
+        pytest.param("bipartite", ("model_params", "omega_S"), "a", id="model-string"),
+        pytest.param("bipartite", ("model_params", "lam"), [1], id="model-list"),
+    ])
+    def test_malformed_fields_are_input_errors(self, tmp_path, capsys, command, path, value):
+        if command == "temp":
+            doc = gibbs_qubit_doc()
+        elif path[0] == "dims":
+            doc = coupled_qubits_doc(np.eye(4) / 4.0)
+        else:
+            doc = {"kind": "model", "model_params": {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2, "beta": 1.0}}
+        *outer, key = path
+        target = doc
+        for name in outer:
+            target = target.setdefault(name, {})
+        target[key] = "VALUE"
+        text = json.dumps(doc).replace('"VALUE"', value if value == "1e400" else json.dumps(value))
+        (tmp_path / "in.json").write_text(text)
+        assert main([command, str(tmp_path / "in.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_extended_real_values(self):
         assert extended_real(1.5) == 1.5
         assert extended_real(math.inf) == "inf"

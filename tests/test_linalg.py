@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from neqtemp import linalg
+from neqtemp.basis import OperatorBasis, complete_basis, rotate_tail
+from neqtemp.correlation import BipartiteSystem
 from neqtemp.exceptions import NumericalError, ValidationError
 from neqtemp.linalg import (
     DensityMatrix,
@@ -27,7 +29,7 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp.thermometry import is_passive
+from neqtemp.thermometry import inverse_temperature, is_passive
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -429,3 +431,38 @@ def test_threshold_boundary(name):
     probe, inside, outside = THRESHOLD_BOUNDARIES[name]
     assert probe(inside)
     assert not probe(outside)
+
+
+def _bipartite(H_S, rho_SB):
+    return BipartiteSystem(2, 2, H_S, np.diag([1.0, -1.0]), np.zeros((4, 4)), rho_SB)
+
+
+#: Library inputs that are not numbers, not a spectrum or not a state.
+MALFORMED_INPUTS = {
+    "string matrix": lambda: HermitianOperator("ab"),
+    "non-numeric entries": lambda: HermitianOperator([["1", "x"], ["0", "1"]]),
+    "ragged rows": lambda: HermitianOperator([[1, 2], [3]]),
+    "empty spectrum": lambda: DensityMatrix.from_spectrum([], np.zeros((0, 0))),
+    "non-numeric eigenvalues": lambda: SpectralDecomposition(["a"], np.eye(1)),
+    "non-numeric rotation": lambda: rotate_tail(complete_basis(2, []), "x"),
+    "non-matrix basis members": lambda: OperatorBasis(2, [object()] * 4),
+    "raw temperature state": lambda: inverse_temperature(np.diag([0.5, 0.5]), np.diag([1.0, -1.0])),
+    "raw bipartite state": lambda: _bipartite(np.eye(2), np.eye(4) / 4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INPUTS))
+def test_malformed_input_is_a_validation_error(name):
+    with pytest.raises(ValidationError):
+        MALFORMED_INPUTS[name]()
+
+
+def test_raw_hamiltonians_are_validated_operators():
+    rho = DensityMatrix(np.diag([0.3, 0.7]))
+    assert inverse_temperature(rho, np.diag([1.0, -1.0])) == inverse_temperature(rho, HermitianOperator(SZ))
+    rho_SB = DensityMatrix(np.kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6])))
+    raw, ops = _bipartite(SZ, rho_SB), _bipartite(HermitianOperator(SZ), rho_SB)
+    assert isinstance(raw.H_I, HermitianOperator)
+    assert inverse_temperature(raw.rho_S, raw.effective.H_S_eff) == inverse_temperature(ops.rho_S, ops.effective.H_S_eff)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        _bipartite(np.array([[0.0, 1.0], [0.0, 0.0]]), rho_SB)

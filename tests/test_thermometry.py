@@ -21,6 +21,7 @@ from neqtemp.exceptions import (
 )
 from neqtemp.linalg import DensityMatrix, HermitianOperator, tensor_product
 from neqtemp.thermometry import (
+    GeneralizedGibbsForm,
     _beta_of_moments,
     finite_difference_beta,
     generalized_gibbs_decomposition,
@@ -440,6 +441,42 @@ class TestHelmholtz:
         basis = complete_basis(3, [hamiltonian_unit(HermitianOperator(np.diag([1.0, -1.0, 0.0])))[0]])
         with pytest.raises(ValidationError, match=r"basis\[1\]"):
             helmholtz_free_energy(rho, h, basis)
+
+
+#: The four analyses over a basis, on a full-rank state.
+BASIS_ANALYSES = {
+    "decomposition": generalized_gibbs_decomposition,
+    "reconstruction": lambda rho, h, basis: reconstruct_generalized_gibbs(
+        GeneralizedGibbsForm(beta=0.5, c=np.zeros(rho.dim**2 - 2), log_norm=0.0), h, basis),
+    "free energy": helmholtz_free_energy,
+    "finite difference": lambda rho, h, basis: finite_difference_beta(rho, h, basis, 1e-4),
+}
+
+
+class TestBasisDirection:
+    """Every analysis over a basis reads H's direction from basis[1], checked once."""
+
+    @pytest.mark.parametrize("name", list(BASIS_ANALYSES))
+    def test_rejects_basis_of_another_hamiltonian(self, name):
+        # Unchecked, finite_difference_beta gives 0.889 here, close to beta = 0.879.
+        rng = np.random.default_rng(4)
+        h, other = gue(3, rng), gue(3, rng)
+        basis = complete_basis(3, [hamiltonian_unit(other)[0]])
+        with pytest.raises(ValidationError, match=r"basis\[1\]"):
+            BASIS_ANALYSES[name](full_rank(3, rng), h, basis)
+
+    @pytest.mark.parametrize("name", list(BASIS_ANALYSES))
+    def test_rejects_basis_of_another_dimension(self, name):
+        rng = np.random.default_rng(5)
+        h = gue(3, rng)
+        with pytest.raises(ValidationError, match=r"basis\[1\]"):
+            BASIS_ANALYSES[name](full_rank(3, rng), h, complete_basis(2, [hamiltonian_unit(h.matrix[:2, :2])[0]]))
+
+    @pytest.mark.parametrize("name", list(BASIS_ANALYSES))
+    def test_identity_hamiltonian_is_degenerate(self, name):
+        rng = np.random.default_rng(6)
+        with pytest.raises(DegenerateDirectionError):
+            BASIS_ANALYSES[name](full_rank(3, rng), HermitianOperator(2.5 * np.eye(3)), complete_basis(3, []))
 
 
 class TestFiniteDifference:

@@ -21,10 +21,12 @@ every candidate's residual from one batched SVD (``svd``), with no pass
 beyond the first when no candidate drops before the last one kept. The
 completion checks its basis in frame coordinates, so the public
 validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``), runs only
-for a basis built from the user's matrices.
+for a basis built from the user's matrices. The report takes H's unit
+direction once, to seed the basis (``hamiltonian_unit``); every analysis
+over the basis reads it from ``basis[1]``.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
-user's matrices and the two marginals. Logarithms and temperature records
+user's matrices (the marginals are computed operators). Logarithms and temperature records
 are cached on their state and system, so ``logs`` and ``records`` count the
 builds (cache misses), not the calls. ``products`` counts the d^3 products
 at the full dimension d, which ``linalg`` makes through ``_matmul``: the
@@ -54,13 +56,13 @@ from neqtemp.thermometry import (
 )
 
 EXPECTED = {
-    "eigh": 3, "HermitianOperator": 6, "hamiltonian_unit": 0, "logs": 3,
+    "eigh": 3, "HermitianOperator": 4, "hamiltonian_unit": 0, "logs": 3,
     "log_hamiltonians": 0, "products": 3, "of_computed": 3, "kron": 0,
 }
 
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
-    "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 3, "logs": 1, "hs_inner": 2,
+    "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "hs_inner": 2,
     "products": 6, "svd": 1, "OperatorBasis": 0,
 }
 
@@ -186,7 +188,7 @@ def test_cli_bipartite_temperature_work(monkeypatch, tmp_path, clip):
     doc = {"kind": "bipartite", "dims": [2, 3], "matrices": matrices}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    expected = {"eigh": 3, "HermitianOperator": 6, "products": 3, "inverse_temperature": 0, "temperatures": 2,
+    expected = {"eigh": 3, "HermitianOperator": 4, "products": 3, "inverse_temperature": 0, "temperatures": 2,
                 "records": 1}
     counts = install_counters(monkeypatch, expected, 6)
     unit_dims, orig_unit = [], basis.hamiltonian_unit
