@@ -5,6 +5,10 @@ Input documents are JSON with every complex entry written as a two-element
 or one of the strings ``"inf"``, ``"-inf"``, ``"undefined"``; undefined
 fields carry a companion ``<field>_reason`` entry. Numbers round-trip at
 full double precision (shortest-repr JSON floats).
+
+A report is one line of JSON, in the C encoder's default layout, with the
+top-level keys ``input``, ``report``, ``tool_version`` and ``convention``;
+``python -m json.tool`` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -227,4 +231,4 @@ def report_document(doc: InputDocument, body: dict) -> str:
         "tool_version": __version__,
         "convention": CONVENTION_NOTE,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload) + "\n"

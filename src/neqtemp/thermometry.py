@@ -96,13 +96,14 @@ class TemperatureReport:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[rho log rho] with 0 log 0 := 0; lies in [0, ln d]."""
-    w = rho.eigenvalues
+    w = _state(rho).eigenvalues
     pos = w[w > 0.0]
     return max(0.0, float(-np.sum(pos * np.log(pos))))
 
 
 def internal_energy(rho: DensityMatrix, H: HermitianOperator) -> float:
     """U = Tr[rho H]."""
+    rho, H = _state(rho), _operator(H)
     if rho.dim != H.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
     return float(np.vdot(rho.matrix, H.matrix).real)
@@ -287,6 +288,7 @@ def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     energy clusters); within a degenerate cluster any population ordering
     counts as passive.
     """
+    rho, H = _state(rho), _operator(H)
     if rho.dim != H.dim:
         raise ValidationError("dimension mismatch")
     spec = eig_hermitian(H)
@@ -323,6 +325,7 @@ def variation_split(rho: DensityMatrix, drho: HermitianOperator) -> VariationSpl
     of rho; d_ep is the remainder. d_ev carries the entropy change, d_ep the
     purely rotational (isentropic) part.
     """
+    rho, drho = _state(rho), _operator(drho)
     if rho.dim != drho.dim:
         raise ValidationError("dimension mismatch")
     tr = float(np.trace(drho.matrix).real)
@@ -365,6 +368,7 @@ def heat_and_work(
     variation changes entropy, so only it can carry heat; the eigenprojector
     part is counted as work together with the Hamiltonian variation.
     """
+    rho, drho, H, dH = _state(rho), _operator(drho), _operator(H), _operator(dH)
     split = variation_split(rho, drho)
     dq = float(np.vdot(drho.matrix, H.matrix).real)
     dw = float(np.vdot(rho.matrix, dH.matrix).real)

@@ -16,6 +16,7 @@ from neqtemp.io import (
     parse_input_document,
     temperature_report_dict,
 )
+from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
 from neqtemp.thermometry import inverse_temperature
 
@@ -190,6 +191,63 @@ class TestBipartite:
     def test_wrong_kind_exits_1(self, tmp_path, capsys):
         assert main(["bipartite", write_doc(tmp_path, gibbs_qubit_doc())]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+MODEL_PARAMS = {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2, "beta": 1.0}
+
+
+def library_betas_temp(doc):
+    rho, h = (matrix_from_pairs(doc["matrices"][k]) for k in ("rho", "H"))
+    return {"temperature_report": inverse_temperature(DensityMatrix(rho), HermitianOperator(h)).beta}
+
+
+def library_betas_bipartite(doc):
+    from neqtemp.correlation import correlation_inverse_temperature
+    from neqtemp.relation import verify_universal_relation
+
+    sys_ = build_two_qubit_xy(TwoQubitXYParams(**doc["model_params"]))
+    rel = verify_universal_relation(sys_)
+    return {
+        "local_S": rel.local_S.beta,
+        "local_B": rel.local_B.beta,
+        "correlation": correlation_inverse_temperature(sys_).beta_chi,
+        "relation": (rel.beta_SB, rel.beta_tilde_S, rel.beta_tilde_B, rel.beta_chi),
+    }
+
+
+def reported_betas(report):
+    out = {}
+    for section, fields in report.items():
+        betas = tuple(v for k, v in fields.items() if k.startswith("beta") and not k.endswith("_reason"))
+        out[section] = betas[0] if len(betas) == 1 else betas
+    return out
+
+
+class TestReportLayout:
+    """A report is one line of JSON in the C encoder's default layout."""
+
+    @pytest.mark.parametrize(
+        "command, doc, library_betas",
+        [
+            ("temp", gibbs_qubit_doc(beta=2.0), library_betas_temp),
+            ("bipartite", {"kind": "model", "model_params": MODEL_PARAMS}, library_betas_bipartite),
+        ],
+        ids=["temp", "bipartite"],
+    )
+    def test_one_line_report(self, tmp_path, command, doc, library_betas):
+        path = write_doc(tmp_path, doc)
+        outs = [tmp_path / f"out{i}.json" for i in range(2)]
+        for out in outs:
+            assert main([command, path, "--out", str(out)]) == 0
+        raw = [out.read_bytes() for out in outs]
+        assert raw[0] == raw[1]
+        text = raw[0].decode("utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        payload = json.loads(text)
+        assert text == json.dumps(payload) + "\n"
+        assert list(payload) == ["input", "report", "tool_version", "convention"]
+        assert payload["input"] == doc
+        assert reported_betas(payload["report"]) == library_betas(doc)
 
 
 class TestParserReuse:

@@ -29,7 +29,15 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp.thermometry import inverse_temperature, is_passive
+from neqtemp.thermometry import (
+    VariationSplit,
+    heat_and_work,
+    internal_energy,
+    inverse_temperature,
+    is_passive,
+    variation_split,
+    von_neumann_entropy,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -455,6 +463,34 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_a_validation_error(name):
     with pytest.raises(ValidationError):
         MALFORMED_INPUTS[name]()
+
+
+_DRHO = np.array([[0.0, 0.1], [0.1, 0.0]])
+
+#: The other public thermometry calls, given a state and a maker for their operators.
+THERMOMETRY_CALLS = {
+    "von_neumann_entropy": lambda rho, op: von_neumann_entropy(rho),
+    "internal_energy": lambda rho, op: internal_energy(rho, op(SZ)),
+    "is_passive": lambda rho, op: is_passive(rho, op(SZ)),
+    "variation_split": lambda rho, op: variation_split(rho, op(_DRHO)),
+    "heat_and_work": lambda rho, op: heat_and_work(rho, op(_DRHO), op(SZ), op(0.1 * SX)),
+}
+
+
+@pytest.mark.parametrize("name", list(THERMOMETRY_CALLS))
+def test_thermometry_raw_arguments(name):
+    """A raw Hermitian operator gets the validated operator's answer; a raw state is refused."""
+    call = THERMOMETRY_CALLS[name]
+
+    def values(result):
+        if isinstance(result, VariationSplit):
+            return result.d_ev.matrix.tolist(), result.d_ep.matrix.tolist()
+        return result
+
+    rho = DensityMatrix(np.diag([0.3, 0.7]))
+    assert values(call(rho, np.asarray)) == values(call(rho, HermitianOperator))
+    with pytest.raises(ValidationError, match="expected a DensityMatrix"):
+        call(np.diag([0.3, 0.7]), HermitianOperator)
 
 
 def test_raw_hamiltonians_are_validated_operators():
