@@ -150,15 +150,7 @@ def gell_mann_candidates(d: int) -> np.ndarray:
     then the antisymmetric generators ``(-i|j><k| + i|k><j|)/sqrt(2)``, then
     the diagonal generators ``diag(1,...,1,-l,0,...)/sqrt(l(l+1))``.
     """
-    upper, lower, _, diag = _frame_layout(d)
-    pairs = np.arange(upper.size)
-    s = 1.0 / math.sqrt(2.0)
-    out = np.zeros((d * d - 1, d * d), dtype=complex)
-    out[pairs, upper] = out[pairs, lower] = s
-    out[upper.size + pairs, upper] = -1j * s
-    out[upper.size + pairs, lower] = 1j * s
-    out[2 * upper.size:, :: d + 1] = diag[1:]
-    return out.reshape(-1, d, d)
+    return _frame_operators(np.eye(d * d)[1:], d)
 
 
 @cache

@@ -39,7 +39,11 @@ A report's joint-space arrays are the inputs H_I and rho_SB, H_I0, H_I_eff,
 rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
 is d_S x d_S or d_B x d_B (effective Hamiltonians, mean-field shifts lambda,
 partial traces of H_I0, H_I_eff, L and HH_I, the marginals' logs) or scalar.
-O1_SB, O_I, O_chi, H_SB, chi and HH_I are built on first access. Each
+The frame's O1_SB, O_I and O_chi and the system's H_SB are built on first
+access and cached; chi and HH_I are built on each call of
+:func:`correlation_operator` and :func:`correlation_log_hamiltonian`. Each
+local-plus-joint sum X x I + I x Y + Z (H_I_eff, H_SB, HH_I, O1_SB, O_chi) is
+assembled block-wise by ``linalg._local_sum``, with no Kronecker product. Each
 cross-check compares independent assemblies and runs once per record:
 beta_SB's moments against -Tr[O1_SB L]/h_SB through C, O_S, O_B and H_I_eff,
 at the bound of :func:`inverse_temperature`; beta_chi takes Tr[O_I HH_I]
@@ -66,8 +70,8 @@ import numpy as np
 from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _frozen, _operator, _state, _tr,
-    matrix_log, partial_trace, tensor_product,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _frozen, _local_sum, _operator, _state,
+    _tr, matrix_log, partial_trace, tensor_product,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
@@ -124,8 +128,7 @@ class BipartiteSystem:
     def H_SB(self) -> HermitianOperator:
         """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space."""
         if self._H_SB is None:
-            hsb = self.embed_S(self.H_S) + self.embed_B(self.H_B) + self.H_I.matrix
-            self._H_SB = HermitianOperator._of_computed(hsb)
+            self._H_SB = HermitianOperator._of_computed(_local_sum(self.H_S, self.H_B, self.H_I))
         return self._H_SB
 
     @property
@@ -168,10 +171,7 @@ def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians
     lamb_S = HermitianOperator._of_computed(np.einsum("ab,ibja->ij", sys.rho_B.matrix, t))
     lamb_B = HermitianOperator._of_computed(np.einsum("ik,kaic->ac", sys.rho_S.matrix, t))
     mean = _tr(sys.rho_S, lamb_S)
-    hi_eff = hi0.copy()  # H_I0 - lambda_S x I - I x lambda_B + mean I, on the entries each term touches
-    t_eff, s, b = hi_eff.reshape(t.shape), np.arange(sys.d_S), np.arange(sys.d_B)
-    t_eff[:, b, :, b] -= lamb_S.matrix
-    t_eff[s, :, s, :] -= lamb_B.matrix
+    hi_eff = _local_sum(-lamb_S.matrix, -lamb_B.matrix, hi0)  # H_I0 - lambda_S x I - I x lambda_B + mean I
     hi_eff.flat[:: sys.dim + 1] += mean
     mean_i = sys.H_I.trace / sys.dim  # H_I's identity part, which only the local Hamiltonians carry
     eff = EffectiveHamiltonians(*(HermitianOperator._of_computed(m) for m in (
@@ -221,7 +221,7 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
     temperature builds it: they read its traces (module docstring).
     """
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
-    m = -log_sb.operator.matrix + sys.embed_S(log_s.operator) + sys.embed_B(log_b.operator)
+    m = _local_sum(log_s.operator, log_b.operator, -log_sb.operator.matrix)
     return MatrixLog(HermitianOperator._of_computed(m), log_sb.clipped or log_s.clipped or log_b.clipped)
 
 
@@ -260,14 +260,12 @@ class BipartiteFrame:
     _H_I_eff: HermitianOperator = field(repr=False, compare=False)
     _interaction: tuple | None = field(repr=False, compare=False)
 
-    def _embedded(self) -> tuple[np.ndarray, np.ndarray]:  # O_S x I and I x O_B
-        return tensor_product(self.O_S, np.eye(self.O_B.dim)), tensor_product(np.eye(self.O_S.dim), self.O_B)
-
     @cached_property
     def O1_SB(self) -> HermitianOperator:
         # H_SB is H_S_eff x I + I x H_B_eff + H_I_eff up to a multiple of the identity.
-        (emb_s, emb_b), e = self._embedded(), _traceless(self._H_I_eff.matrix)
-        return HermitianOperator._of_computed((self.h_S * emb_s + self.h_B * emb_b + e) / self.h_SB)
+        o1 = _local_sum(self.h_S * self.O_S.matrix, self.h_B * self.O_B.matrix,
+                        _traceless(self._H_I_eff.matrix))
+        return HermitianOperator._of_computed(o1 / self.h_SB)
 
     @cached_property
     def O_I(self) -> HermitianOperator | None:
@@ -279,8 +277,8 @@ class BipartiteFrame:
     def O_chi(self) -> HermitianOperator | None:
         if self.O_I is None:
             return None
-        (emb_s, emb_b), d_s, d_b = self._embedded(), self.O_S.dim, self.O_B.dim
-        rest = self.O_I.matrix - (self.overlap_S / d_b) * emb_s - (self.overlap_B / d_s) * emb_b
+        o_s, o_b = self.O_S.matrix, self.O_B.matrix
+        rest = _local_sum(-(self.overlap_S / len(o_b)) * o_s, -(self.overlap_B / len(o_s)) * o_b, self.O_I)
         return HermitianOperator._of_computed(rest / self.h_chi)
 
 
@@ -394,8 +392,13 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation energy, entropy and temperature; the operators chi, O_I and
-    H_corr (HH_I at the report's clip) are built on first access and cached."""
+    """Correlation energy, entropy and temperature of a system at one clip.
+
+    A plain value that keeps no reference to its system. The operators are
+    read from the system: ``sys.frame.O_I`` (cached on the frame), and
+    :func:`correlation_operator` and :func:`correlation_log_hamiltonian`,
+    built on each call.
+    """
 
     U_chi: float
     S_chi: float
@@ -403,20 +406,6 @@ class CorrelationReport:
     h_I: float
     h_chi: float
     clipped: bool
-    _sys: BipartiteSystem = field(repr=False, compare=False)
-    _clip: float = field(repr=False, compare=False)
-
-    @cached_property
-    def chi(self) -> HermitianOperator:
-        return correlation_operator(self._sys)
-
-    @property
-    def O_I(self) -> HermitianOperator:
-        return self._sys.frame.O_I
-
-    @cached_property
-    def H_corr(self) -> HermitianOperator:
-        return correlation_log_hamiltonian(self._sys, self._clip).operator
 
 
 def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> CorrelationReport:
@@ -432,4 +421,4 @@ def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_
     frame, temps = chi_unit(sys), _temperatures(sys, clip)
     return CorrelationReport(
         U_chi=binding_energy(sys), S_chi=mutual_information(sys), beta_chi=temps.beta_chi, h_I=frame.h_I,
-        h_chi=frame.h_chi, clipped=temps.clipped, _sys=sys, _clip=clip)
+        h_chi=frame.h_chi, clipped=temps.clipped)

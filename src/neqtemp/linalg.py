@@ -455,6 +455,21 @@ def tensor_product(A, B) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _local_sum(a, b, m=None) -> np.ndarray:
+    """a x I + I x b + m as a fresh complex array (m = 0 when None), d_S and d_B read from a and b.
+
+    Each local term is added into the diagonal blocks of a (d_S, d_B, d_S, d_B)
+    view, after m, so no Kronecker product and no identity is formed.
+    """
+    a, b = getattr(a, "matrix", a), getattr(b, "matrix", b)
+    d_s, d_b = len(a), len(b)
+    out = np.zeros((d_s * d_b,) * 2, complex) if m is None else np.array(getattr(m, "matrix", m), complex)
+    t, s, j = out.reshape(d_s, d_b, d_s, d_b), np.arange(d_s), np.arange(d_b)
+    t[:, j, :, j] += a
+    t[s, :, s, :] += b
+    return out
+
+
 def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one factor of a (d_S * d_B)-dimensional square matrix.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .correlation import BipartiteSystem, _temperatures
 from .exceptions import NumericalError, ValidationError
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, _local_sum
 from .thermometry import DEFAULT_CLIP, TemperatureReport
 
 __all__ = [
@@ -87,13 +87,12 @@ def auxiliary_basis(sys: BipartiteSystem) -> AuxiliaryBasis:
     """O2_SB and O3_SB spanning, with O1_SB, the local-plus-chi subspace."""
     f = sys.frame
     c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
-    emb_s, emb_b = sys.embed_S(f.O_S), sys.embed_B(f.O_B)
-    o2 = HermitianOperator._of_computed((c_b / sys.d_B) * emb_s - (c_s / sys.d_S) * emb_b)
+    o_s, o_b = f.O_S.matrix, f.O_B.matrix
+    o2 = HermitianOperator._of_computed(_local_sum((c_b / sys.d_B) * o_s, -(c_s / sys.d_S) * o_b))
     if c_chi == 0.0:
         return AuxiliaryBasis(O2_SB=o2, O3_SB=None, interaction_degenerate=True)
     o3 = HermitianOperator._of_computed(
-        c_s * emb_s + c_b * emb_b - ((c_s**2 * sys.d_B + c_b**2 * sys.d_S) / c_chi) * f.O_chi.matrix
-    )
+        _local_sum(c_s * o_s, c_b * o_b, -((c_s**2 * sys.d_B + c_b**2 * sys.d_S) / c_chi) * f.O_chi.matrix))
     return AuxiliaryBasis(O2_SB=o2, O3_SB=o3, interaction_degenerate=False)
 
 

@@ -39,6 +39,7 @@ from .linalg import (
     HermitianOperator,
     _operator,
     _state,
+    _tr,
     eig_hermitian,
     hs_inner,
     matrix_exp,
@@ -106,7 +107,7 @@ def internal_energy(rho: DensityMatrix, H: HermitianOperator) -> float:
     rho, H = _state(rho), _operator(H)
     if rho.dim != H.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
-    return float(np.vdot(rho.matrix, H.matrix).real)
+    return _tr(rho, H)
 
 
 def inverse_temperature(
@@ -140,8 +141,7 @@ def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: Hermitian
     L = logr.operator.matrix
     E = h * O1.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        # Tr[A B] = vdot(A, B) for Hermitian A.
-        moments = float(np.vdot(E, E).real), float(np.vdot(E, L).real)
+        moments = _tr(E, E), _tr(E, L)
     # Direct coordinate form, assembled through O1 rather than the moments.
     beta_dir = -hs_inner(O1, logr.operator) / h
     beta, temperature, cov, var = _beta_of_moments(
@@ -370,10 +370,8 @@ def heat_and_work(
     """
     rho, drho, H, dH = _state(rho), _operator(drho), _operator(H), _operator(dH)
     split = variation_split(rho, drho)
-    dq = float(np.vdot(drho.matrix, H.matrix).real)
-    dw = float(np.vdot(rho.matrix, dH.matrix).real)
-    dq_e = float(np.vdot(split.d_ev.matrix, H.matrix).real)
-    dw_e = float(np.vdot(split.d_ep.matrix, H.matrix).real) + dw
+    dq, dw = _tr(drho, H), _tr(rho, dH)
+    dq_e, dw_e = _tr(split.d_ev, H), _tr(split.d_ep, H) + dw
     return HeatWork(
         conventional_heat=dq,
         conventional_work=dw,

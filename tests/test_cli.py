@@ -118,6 +118,11 @@ class TestTemp:
         assert main(["temp", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_wrong_kind_exits_1(self, tmp_path, capsys):
+        rho = np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3]))
+        assert main(["temp", write_doc(tmp_path, coupled_qubits_doc(rho))]) == 1
+        assert capsys.readouterr().err == "error: temp expects kind = single, got 'bipartite'\n"
+
 
 class TestBipartite:
     def test_model_document(self, tmp_path, capsys):
@@ -191,6 +196,16 @@ class TestBipartite:
     def test_wrong_kind_exits_1(self, tmp_path, capsys):
         assert main(["bipartite", write_doc(tmp_path, gibbs_qubit_doc())]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_no_interaction_is_numerical_failure(self, tmp_path, capsys):
+        # H_I = 0 leaves no correlation direction, so beta_chi and the report are undefined;
+        # verify_universal_relation gives the no-interaction relation with beta_chi NaN.
+        doc = coupled_qubits_doc(np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3])))
+        doc["matrices"]["H_I"] = pairs(np.zeros((4, 4)))
+        assert main(["bipartite", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: H_I_eff is proportional to the identity\n"
 
 
 MODEL_PARAMS = {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2, "beta": 1.0}
@@ -325,6 +340,10 @@ class TestSweep:
     def test_bad_values_exit_1(self, capsys):
         assert main(["sweep", "--axis", "beta", "--values", "1.0,zap"]) == 1
         capsys.readouterr()
+
+    def test_empty_values_exit_1(self, capsys):
+        assert main(["sweep", "--axis", "beta", "--values", ","]) == 1
+        assert capsys.readouterr().err == "error: no sweep values given\n"
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ and the mutual information against the relative entropy S(rho || rho_S x
 rho_B), both independent of the library internals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,18 +251,18 @@ class TestComputedOperators:
     def test_log_hamiltonian_per_clip(self):
         sys = sample_bipartite(2, 2, 0.3, np.random.default_rng(61))
         hh = correlation_log_hamiltonian(sys)
-        report = correlation_inverse_temperature(sys)
-        assert report.H_corr is report.H_corr
-        np.testing.assert_array_equal(report.H_corr.matrix, hh.operator.matrix)
-        assert not hh.clipped
+        logs = [matrix_log(r, DEFAULT_CLIP).operator.matrix for r in (sys.rho_SB, sys.rho_S, sys.rho_B)]
+        by_kron = -logs[0] + np.kron(logs[1], np.eye(2)) + np.kron(np.eye(2), logs[2])
+        np.testing.assert_array_equal(hh.operator.matrix, by_kron)
+        assert not hh.clipped and not correlation_inverse_temperature(sys).clipped
         # A clip above the smallest joint eigenvalue gives a different, clipped HH_I.
         clip = 1.5 * float(sys.rho_SB.eigenvalues[0])
         assert clip < float(sys.rho_S.eigenvalues[0])
         hh_clip = correlation_log_hamiltonian(sys, clip)
-        assert hh_clip.clipped
+        assert hh_clip.clipped and correlation_inverse_temperature(sys, clip).clipped
         assert not np.array_equal(hh_clip.operator.matrix, hh.operator.matrix)
-        h_corr = correlation_inverse_temperature(sys, clip).H_corr
-        np.testing.assert_array_equal(h_corr.matrix, hh_clip.operator.matrix)
+        np.testing.assert_array_equal(correlation_log_hamiltonian(sys, clip).operator.matrix,
+                                      hh_clip.operator.matrix)
         np.testing.assert_array_equal(correlation_log_hamiltonian(sys).operator.matrix, hh.operator.matrix)
 
 
@@ -283,16 +284,23 @@ class TestTraceAlgebra:
 
     def test_operator_fields_lazy_and_cached(self):
         sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
-        report = correlation_inverse_temperature(sys, 1e-6)
+        correlation_inverse_temperature(sys, 1e-6)
         f = sys.frame
         assert not {"O1_SB", "O_I", "O_chi"} & set(vars(f))
-        assert report.O_I is f.O_I is f.O_I
-        assert f.O_chi is f.O_chi and f.O1_SB is f.O1_SB
-        assert report.chi is report.chi
-        np.testing.assert_array_equal(report.chi.matrix, correlation_operator(sys).matrix)
-        assert report.H_corr is report.H_corr
-        hh = correlation_log_hamiltonian(sys, 1e-6)
-        np.testing.assert_array_equal(report.H_corr.matrix, hh.operator.matrix)
+        assert f.O_I is f.O_I and f.O_chi is f.O_chi and f.O1_SB is f.O1_SB
+        # The operators a report once cached are built afresh by the free functions, equal each time.
+        chi = correlation_operator(sys).matrix
+        np.testing.assert_array_equal(chi, sys.rho_SB.matrix - np.kron(sys.rho_S.matrix, sys.rho_B.matrix))
+        np.testing.assert_array_equal(correlation_operator(sys).matrix, chi)
+        np.testing.assert_array_equal(correlation_log_hamiltonian(sys, 1e-6).operator.matrix,
+                                      correlation_log_hamiltonian(sys, 1e-6).operator.matrix)
+
+    def test_report_is_a_plain_value(self):
+        sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
+        report = correlation_inverse_temperature(sys)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "U_chi", "S_chi", "beta_chi", "h_I", "h_chi", "clipped"]
+        assert not any(isinstance(v, (BipartiteSystem, np.ndarray)) for v in vars(report).values())
 
 
 class TestUnits:

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from neqtemp import linalg
-from neqtemp.basis import OperatorBasis, complete_basis, rotate_tail
+from neqtemp.basis import (
+    OperatorBasis,
+    StateCoordinates,
+    complete_basis,
+    expand_state,
+    reconstruct_state,
+    rotate_tail,
+)
 from neqtemp.correlation import BipartiteSystem
 from neqtemp.exceptions import NumericalError, ValidationError
 from neqtemp.linalg import (
@@ -29,6 +36,7 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
+from neqtemp.models import sample_passive_pair
 from neqtemp.thermometry import (
     VariationSplit,
     heat_and_work,
@@ -367,6 +375,19 @@ class TestTensorAndPartialTrace:
         with pytest.raises(ValidationError):
             partial_trace(np.eye(6), (2, 3), keep=2)
 
+    @pytest.mark.parametrize("d_s,d_b", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_local_sum_matches_kron(self, d_s, d_b, joint):
+        rng = np.random.default_rng(10 * d_s + d_b)
+        a, b, m = gue(d_s, rng), gue(d_b, rng), gue(d_s * d_b, rng)
+        m_before = m.copy()
+        out = linalg._local_sum(a, b, m if joint else None)
+        expected = np.kron(a, np.eye(d_b)) + np.kron(np.eye(d_s), b) + (m if joint else 0.0)
+        assert out.dtype == complex and out.shape == (d_s * d_b, d_s * d_b)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(m, m_before)
+        assert not np.shares_memory(out, m)
+
 
 class TestHsInner:
     def test_matches_trace_formula(self):
@@ -456,6 +477,25 @@ MALFORMED_INPUTS = {
     "non-matrix basis members": lambda: OperatorBasis(2, [object()] * 4),
     "raw temperature state": lambda: inverse_temperature(np.diag([0.5, 0.5]), np.diag([1.0, -1.0])),
     "raw bipartite state": lambda: _bipartite(np.eye(2), np.eye(4) / 4.0),
+    "3-d operator": lambda: HermitianOperator(np.zeros((2, 2, 2))),
+    "empty operator": lambda: HermitianOperator(np.zeros((0, 0))),
+    "spectrum size mismatch": lambda: SpectralDecomposition([0.0, 1.0], np.eye(3)),
+    "spectrum trace below 1": lambda: DensityMatrix.from_spectrum([0.3, 0.3], np.eye(2)),
+    "tensor product over the cap": lambda: tensor_product(np.eye(33), np.eye(32)),
+    "zero factor dimension": lambda: partial_trace(np.eye(4), (0, 4), 0),
+    "bipartite factor below 2": lambda: BipartiteSystem(
+        1, 2, np.eye(1), np.eye(2), np.eye(2), DensityMatrix(np.eye(2) / 2.0)),
+    "bipartite H_I dimension": lambda: BipartiteSystem(
+        2, 2, np.eye(2), np.eye(2), np.eye(3), DensityMatrix(np.eye(4) / 4.0)),
+    "seed dimension": lambda: complete_basis(2, [np.diag([1.0, 0.0, -1.0]) / math.sqrt(2.0)]),
+    "equal seeds": lambda: complete_basis(2, [np.diag([1.0, -1.0]) / math.sqrt(2.0)] * 2),
+    "expand_state dimension": lambda: expand_state(DensityMatrix(np.eye(3) / 3.0), complete_basis(2, [])),
+    "reconstruct_state size": lambda: reconstruct_state(StateCoordinates([0.5, 0.0]), complete_basis(2, [])),
+    "basis member shape": lambda: OperatorBasis(2, np.zeros((4, 3, 3))),
+    "all-NaN basis": lambda: OperatorBasis(2, np.full((4, 2, 2), np.nan)),
+    "is_passive dimension": lambda: is_passive(DensityMatrix(np.eye(2) / 2.0), np.eye(3)),
+    "variation_split dimension": lambda: variation_split(DensityMatrix(np.eye(2) / 2.0), np.zeros((3, 3))),
+    "passive pair below 2": lambda: sample_passive_pair(1, np.random.default_rng(0)),
 }
 
 
