@@ -9,6 +9,16 @@ full double precision (shortest-repr JSON floats).
 A report is one line of JSON, in the C encoder's default layout, with the
 top-level keys ``input``, ``report``, ``tool_version`` and ``convention``;
 ``python -m json.tool`` pretty-prints it.
+
+``input`` is the input's JSON text as read, not the parsed document encoded
+again: stripped of leading and trailing whitespace, with every line break and
+tab turned into a space and every non-ASCII character written as its
+``\\uXXXX`` escape (a surrogate pair above U+FFFF). It keeps the input's number
+spelling, spacing and repeated keys, and it parses to the value the report
+was computed from (the parser keeps the last of a repeated key). A document
+written by ``json.dump`` with default settings is its own echo, byte for byte
+the parsed document encoded again. A dict given to
+:func:`parse_input_document` echoes as its ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class InputDocument:
-    """Parsed CLI input: kind, dims, named matrices, options."""
+    """Parsed CLI input: kind, dims, named matrices, options, and the JSON text a report echoes."""
 
     kind: str
     dims: tuple[int, ...]
@@ -78,11 +88,21 @@ class InputDocument:
     model_params: TwoQubitXYParams | None
     clip: float
     tol: float
-    raw: dict
+    text: str
 
 
 def parse_input_document(doc: dict) -> InputDocument:
-    """Validate and parse a JSON-shaped input document."""
+    """Validate and parse a JSON-shaped input document; a report echoes it as ``json.dumps(doc)``."""
+    fields = _validated_fields(doc)
+    try:
+        text = json.dumps(doc)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"input document is not JSON-encodable: {exc}") from exc
+    return InputDocument(**fields, text=text)
+
+
+def _validated_fields(doc) -> dict:
+    """Every InputDocument field but ``text``, from a validated document."""
     if not isinstance(doc, dict):
         raise ValidationError("input document must be a JSON object")
     kind = doc.get("kind")
@@ -91,6 +111,9 @@ def parse_input_document(doc: dict) -> InputDocument:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object")
+    given = doc.get("matrices", {})
+    if not isinstance(given, dict):
+        raise ValidationError("matrices must be an object")
     clip = _finite_number(options.get("clip", DEFAULT_CLIP), "options.clip")
     tol = _finite_number(options.get("tol", HERM_TOL), "options.tol")
     if clip <= 0 or tol <= 0:
@@ -122,16 +145,13 @@ def parse_input_document(doc: dict) -> InputDocument:
         shapes = {"H_S": d_s, "H_B": d_b, "H_I": d_s * d_b, "rho_SB": d_s * d_b}
     matrices: dict[str, np.ndarray] = {}
     for name, d in shapes.items():
-        if name not in doc.get("matrices", {}):
+        if name not in given:
             raise ValidationError(f"{kind} kind requires matrix {name!r}")
-        m = matrices[name] = matrix_from_pairs(doc["matrices"][name])
+        m = matrices[name] = matrix_from_pairs(given[name])
         if m.shape != (d, d):
             shown = dims[0] if kind == "single" else dims
             raise ValidationError(f"matrix {name!r} shape {m.shape} does not match dims {shown}")
-    return InputDocument(
-        kind=kind, dims=dims, matrices=matrices,
-        model_params=model_params, clip=clip, tol=tol, raw=doc,
-    )
+    return dict(kind=kind, dims=dims, matrices=matrices, model_params=model_params, clip=clip, tol=tol)
 
 
 def _is_integer(value) -> bool:
@@ -147,18 +167,37 @@ def _finite_number(value, name: str) -> float:
 
 
 def load_input_document(path: str) -> InputDocument:
-    """Read a JSON input document from a file ('-' for stdin)."""
+    """Read a JSON input document from a file ('-' for stdin); a report echoes its text as read."""
     try:
         if path == "-":
-            doc = json.load(sys.stdin)
+            text = sys.stdin.read()
+            # A stdin decoding with surrogateescape keeps undecodable bytes as lone
+            # surrogates; restoring and decoding the bytes reports the first one.
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8")
+        doc = json.loads(text)
     except OSError as exc:
         raise ValidationError(f"cannot read input: {exc}") from exc
+    except UnicodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
-    return parse_input_document(doc)
+    return InputDocument(**_validated_fields(doc), text=_echo_form(text))
+
+
+def _echo_form(text: str) -> str:
+    """Valid JSON text as one ASCII line holding the same value.
+
+    Strict JSON holds a raw control character only as whitespace between
+    tokens, and a non-ASCII character only inside a string, so neither
+    rewrite changes the value.
+    """
+    line = text.strip().replace("\r", " ").replace("\n", " ").replace("\t", " ")
+    if line.isascii():
+        return line
+    return "".join(ch if ch.isascii() else json.dumps(ch)[1:-1] for ch in line)
 
 
 def build_bipartite_system(doc: InputDocument) -> BipartiteSystem:
@@ -224,11 +263,6 @@ def relation_dict(r: RelationCoefficients) -> dict:
 
 
 def report_document(doc: InputDocument, body: dict) -> str:
-    """Assemble the final JSON report: echoed input, body, version, note."""
-    payload = {
-        "input": doc.raw,
-        "report": body,
-        "tool_version": __version__,
-        "convention": CONVENTION_NOTE,
-    }
-    return json.dumps(payload) + "\n"
+    """Assemble the final JSON report: the input's text spliced in as read, body, version, note."""
+    rest = json.dumps({"report": body, "tool_version": __version__, "convention": CONVENTION_NOTE})
+    return '{"input": ' + doc.text + ", " + rest[1:] + "\n"

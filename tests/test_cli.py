@@ -265,6 +265,84 @@ class TestReportLayout:
         assert reported_betas(payload["report"]) == library_betas(doc)
 
 
+NOTE, NOTE_ESCAPED = "\u03b2 \u2248 \u00bd \u2014 \U0001f321", r"\u03b2 \u2248 \u00bd \u2014 \ud83c\udf21"
+
+#: Documents no json.dump default writes: indent=2 with CRLF line ends and a
+#: tab, numbers spelled 1.0E0, -0.0 and 5e-1, a repeated key (the parser keeps
+#: the last) and a non-ASCII note with a character above U+FFFF.
+NONCANONICAL = {
+    "temp": [
+        "{",
+        '  "kind": "single",',
+        '  "dims": 3,',
+        '\t"dims": 2,',
+        '  "matrices": {',
+        '    "H": [[[1.0E0, -0.0], [0, 0]], [[0, 0], [5e-1, 0]]],',
+        '    "rho": [[[0.25, 0], [0, 0]], [[0, 0], [0.75, 0]]]',
+        "  },",
+        f'  "note": "{NOTE}"',
+        "}",
+    ],
+    "bipartite": [
+        "{",
+        '  "kind": "model",',
+        '  "model_params": {',
+        '    "omega_S": 2.0,',
+        '    "omega_B": 1.0E0,',
+        '    "lam": -0.0,',
+        '\t"lam": 0.2,',
+        '    "beta": 5e-1',
+        "  },",
+        f'  "note": "{NOTE}"',
+        "}",
+    ],
+}
+
+
+class TestInputEcho:
+    """``input`` is the input's text as read: one ASCII line holding the same JSON value."""
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["temp", "bipartite"])
+    def test_noncanonical_document_is_echoed_as_read(self, tmp_path, monkeypatch, capsys, command, source):
+        import io as _io
+
+        text = "\r\n".join(NONCANONICAL[command]) + "\r\n"
+        if source == "file":
+            path = tmp_path / "in.json"
+            path.write_bytes(text.encode("utf-8"))
+            assert main([command, str(path)]) == 0
+        else:
+            monkeypatch.setattr("sys.stdin", _io.StringIO(text))
+            assert main([command, "-"]) == 0
+        report = capsys.readouterr().out
+        assert report.endswith("\n") and report.count("\n") == 1 and report.isascii()
+        assert json.loads(report)["input"] == json.loads(text)
+        echo = text.strip().replace("\r", " ").replace("\n", " ").replace("\t", " ").replace(NOTE, NOTE_ESCAPED)
+        assert report.startswith('{"input": ' + echo + ', "report": ')
+
+    def test_parsed_dict_echoes_as_its_encoding(self):
+        doc = gibbs_qubit_doc()
+        assert parse_input_document(doc).text == json.dumps(doc)
+
+    BAD_UTF8 = b'{"kind": "single", "note": "\xff\xfe"}'
+
+    def test_invalid_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.BAD_UTF8)
+        assert main(["temp", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: input is not UTF-8 text: ")
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_invalid_utf8_stdin_is_input_error(self, monkeypatch, capsys, errors):
+        import io as _io
+
+        stdin = _io.TextIOWrapper(_io.BytesIO(self.BAD_UTF8), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["temp", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error: input is not UTF-8 text: ")
+
+
 class TestParserReuse:
     """main() reuses one parser, so no option may carry over to the next call."""
 
@@ -404,6 +482,9 @@ class TestDocumentParsing:
         pytest.param("temp", ("options", "clip"), "1e400", id="clip-overflow"),
         pytest.param("bipartite", ("model_params", "omega_S"), "a", id="model-string"),
         pytest.param("bipartite", ("model_params", "lam"), [1], id="model-list"),
+        pytest.param("temp", ("matrices",), "H rho", id="matrices-string"),
+        pytest.param("temp", ("matrices",), None, id="matrices-null"),
+        pytest.param("temp", ("matrices",), 5, id="matrices-number"),
     ])
     def test_malformed_fields_are_input_errors(self, tmp_path, capsys, command, path, value):
         if command == "temp":
@@ -422,6 +503,12 @@ class TestDocumentParsing:
         assert main([command, str(tmp_path / "in.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unencodable_dict_is_input_error(self):
+        doc = gibbs_qubit_doc()
+        doc["matrices"]["rho"] = np.asarray(doc["matrices"]["rho"])
+        with pytest.raises(ValidationError, match="not JSON-encodable"):
+            parse_input_document(doc)
 
     def test_extended_real_values(self):
         assert extended_real(1.5) == 1.5

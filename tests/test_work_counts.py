@@ -12,14 +12,15 @@ The CLI report itself is pinned by its temperature work: one temperature
 record per clip, and one temperature per marginal, taken from the unit
 direction the frame already holds (no public ``inverse_temperature``, one
 ``hamiltonian_unit`` per local Hamiltonian). Of the joint-space matrices,
-``as_complex_matrix`` copies and scans only the user's H_I and rho_SB. A
-generalized-Gibbs report builds a basis, decomposes and reconstructs the
-state over it and evaluates the Helmholtz free energy; its counts are pinned
-at d=8. The basis validates its d^2 members as one stack, so they add no
-``HermitianOperator`` validation of their own, and its completion takes
-every candidate's residual from one batched SVD (``svd``), with no pass
-beyond the first when no candidate drops before the last one kept. The
-completion checks its basis in frame coordinates, so the public
+``as_complex_matrix`` copies and scans only the user's H_I and rho_SB. The
+report echoes the input's text as read: ``json.dumps`` never receives the
+document's matrices. A generalized-Gibbs report builds a basis, decomposes
+and reconstructs the state over it and evaluates the Helmholtz free energy;
+its counts are pinned at d=8. The basis validates its d^2 members as one
+stack, so they add no ``HermitianOperator`` validation of their own, and its
+completion takes every candidate's residual from one batched SVD (``svd``),
+with no pass beyond the first when no candidate drops before the last one
+kept. The completion checks its basis in frame coordinates, so the public
 validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``), runs only
 for a basis built from the user's matrices. The report takes H's unit
 direction once, to seed the basis (``hamiltonian_unit``); every analysis
@@ -203,6 +204,33 @@ def test_cli_bipartite_temperature_work(monkeypatch, tmp_path, clip):
     assert counts == expected
     assert unit_dims == [2, 3]  # H_S_eff and H_B_eff, once each
 
+
+def holds(obj, target) -> bool:
+    """True when target is obj or sits anywhere inside its dicts, lists and tuples."""
+    if obj == target:
+        return True
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(holds(item, target) for item in obj)
+
+
+def test_cli_report_never_reencodes_the_input(monkeypatch, tmp_path):
+    inputs = gibbs_inputs(4, 4, 0.7, np.random.default_rng(44))
+    matrices = {n: matrix_to_pairs(m) for n, m in zip(("H_S", "H_B", "H_I", "rho_SB"), inputs)}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "bipartite", "dims": [4, 4], "matrices": matrices}))
+    encoded, dumps = [], json.dumps
+
+    def recording(obj, *args, **kwargs):
+        encoded.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr("neqtemp.io.json.dumps", recording)
+    assert cli.main(["bipartite", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert encoded, "the report body is encoded"
+    assert not any(holds(obj, matrices) for obj in encoded)
 
 
 @pytest.mark.parametrize("clip", [DEFAULT_CLIP, 0.2])
