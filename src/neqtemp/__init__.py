@@ -62,8 +62,8 @@ from .thermometry import (
 )
 from .correlation import (
     BipartiteFrame,
+    BipartiteReport,
     BipartiteSystem,
-    CorrelationReport,
     EffectiveHamiltonians,
     binding_energy,
     chi_unit,
@@ -74,10 +74,8 @@ from .correlation import (
 )
 from .relation import (
     AuxiliaryBasis,
-    RelationCoefficients,
     auxiliary_basis,
     expansion_coefficients,
-    large_bath_coefficients,
     relation_coefficients,
     tilde_inverse_temperatures,
     verify_universal_relation,

@@ -5,7 +5,9 @@ Subcommands:
 * ``temp`` — single-system temperature report from a JSON input document;
 * ``bipartite`` — full bipartite report (local, global, correlation and
   tilde temperatures, relation coefficients and residual);
-* ``sweep`` — two-qubit model parameter sweep to CSV;
+* ``sweep`` — two-qubit model parameter sweep to CSV, one row per point; a
+  point whose computation fails numerically has ``undefined`` columns and is
+  named on stderr, and the sweep then exits 2;
 * ``verify`` — run a named invariant suite.
 
 Exit codes: 0 ok, 1 input/validation error, 2 numerical failure,
@@ -16,6 +18,7 @@ input document, flags and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import cache
 
@@ -72,23 +75,21 @@ def cmd_bipartite(args) -> int:
     doc = load_input_document(args.input)
     if doc.kind not in ("bipartite", "model"):
         raise ValidationError(f"bipartite expects kind = bipartite or model, got {doc.kind!r}")
-    from .correlation import correlation_inverse_temperature
     from .relation import verify_universal_relation
 
     clip = args.clip if args.clip is not None else doc.clip
     sys_ = build_bipartite_system(doc)
-    corr = correlation_inverse_temperature(sys_, clip)
-    rel = verify_universal_relation(sys_, clip)
+    rep = verify_universal_relation(sys_, clip)
     if args.strict and (
-        corr.clipped or rel.local_S.rank_deficient or rel.local_B.rank_deficient
+        rep.clipped or rep.local_S.rank_deficient or rep.local_B.rank_deficient
         or sys_.rho_SB.rank < sys_.rho_SB.dim
     ):
         raise NumericalError("strict mode: a state is rank deficient or a logarithm was clipped")
     body = {
-        "local_S": temperature_report_dict(rel.local_S),
-        "local_B": temperature_report_dict(rel.local_B),
-        "correlation": correlation_report_dict(corr),
-        "relation": relation_dict(rel),
+        "local_S": temperature_report_dict(rep.local_S),
+        "local_B": temperature_report_dict(rep.local_B),
+        "correlation": correlation_report_dict(rep),
+        "relation": relation_dict(rep),
     }
     _write_out(report_document(doc, body), args.out)
     return 0
@@ -116,7 +117,7 @@ def cmd_sweep(args) -> int:
         "beta": args.beta,
     }
     clip = args.clip if args.clip is not None else DEFAULT_CLIP
-    rows = [SWEEP_HEADER]
+    rows, failed = [SWEEP_HEADER], False
     for v in values:
         params = dict(base)
         params[args.axis] = v
@@ -124,16 +125,20 @@ def cmd_sweep(args) -> int:
             omega_S=params["omega_S"], omega_B=params["omega_B"],
             lam=params["lambda"], beta=params["beta"],
         )
-        sys_ = build_two_qubit_xy(p)
-        rel = verify_universal_relation(sys_, clip)
-        cols = [
-            v, rel.local_S.beta, rel.local_B.beta, rel.beta_SB, rel.beta_chi,
-            rel.beta_tilde_S, rel.beta_tilde_B,
-            rel.K_SB, rel.b_S, rel.b_B, rel.K_chi, rel.residual,
-        ]
-        rows.append(",".join(_csv_num(c) for c in cols))
+        try:
+            rel = verify_universal_relation(build_two_qubit_xy(p), clip)
+        except NumericalError as exc:
+            print(f"numerical failure at {args.axis}={_csv_num(v)}: {exc}", file=sys.stderr)
+            failed, cols = True, [math.nan] * SWEEP_HEADER.count(",")
+        else:
+            cols = [
+                rel.local_S.beta, rel.local_B.beta, rel.beta_SB, rel.beta_chi,
+                rel.beta_tilde_S, rel.beta_tilde_B,
+                rel.K_SB, rel.b_S, rel.b_B, rel.K_chi, rel.residual,
+            ]
+        rows.append(",".join(_csv_num(c) for c in [v, *cols]))
     _write_out("\n".join(rows) + "\n", args.out)
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_verify(args) -> int:

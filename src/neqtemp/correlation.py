@@ -18,11 +18,14 @@ minus dS_chi/dU_S = -(Tr[(O_S x I) HH_I] + overlap_S h_I beta_chi)/(d_B h_S)
 at fixed U_B and U_chi (d_B, the squared norm of O_S x I, is the printed
 divisor 2 at d_B = 2); beta_tilde_B mirrors it with divisor d_S.
 
-The four temperatures of the universal relation (:mod:`neqtemp.relation`)
-and both local reports form one record per system and clip, read by trace
-algebra from L = log rho_SB, log rho_S and log rho_B. Each direction (O_S x I,
-I x O_B, O_I, O_chi, O1_SB) is a combination of H_S_eff x I, I x H_B_eff,
-H_I_eff and I, and Tr[(X x I) M] = Tr[X Tr_B M], so
+The four temperatures of the universal relation (:mod:`neqtemp.relation`), its
+weights and residual, U_chi, S_chi and both local reports form one
+:class:`BipartiteReport` per system and clip. Its one builder reads every
+temperature by trace algebra from L = log rho_SB, log rho_S and log rho_B, and
+applies the degenerate-interaction convention (beta_chi NaN, K_chi = 0) for
+every caller. Each direction (O_S x I, I x O_B, O_I, O_chi, O1_SB) is a
+combination of H_S_eff x I, I x H_B_eff, H_I_eff and I, and Tr[(X x I) M] =
+Tr[X Tr_B M], so
 
     Tr[X HH_I] = -Tr[X L] + Tr[Tr_B(X) log rho_S] + Tr[Tr_S(X) log rho_B],
 
@@ -78,7 +81,7 @@ from .thermometry import (
 )
 
 __all__ = [
-    "BipartiteSystem", "EffectiveHamiltonians", "BipartiteFrame", "CorrelationReport",
+    "BipartiteSystem", "EffectiveHamiltonians", "BipartiteFrame", "BipartiteReport",
     "correlation_operator", "binding_energy", "mutual_information",
     "correlation_log_hamiltonian", "chi_unit", "correlation_inverse_temperature",
 ]
@@ -94,12 +97,12 @@ class BipartiteSystem:
     checked finite); the marginals' trace and positivity are checked as
     density matrices. Marginals, traceless parts, effective Hamiltonians and
     mean-field shifts are computed at construction, the frame and H_SB on
-    first use and the temperature record once per clip; instances are
+    first use and the :class:`BipartiteReport` once per clip; instances are
     immutable afterwards and safe to share.
     """
 
     __slots__ = ("d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB", "rho_S", "rho_B", "effective",
-                 "_parts", "_H_SB", "_frame", "_temperatures")
+                 "_parts", "_H_SB", "_frame", "_reports")
 
     def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
                  H_I: HermitianOperator, rho_SB: DensityMatrix):
@@ -119,7 +122,7 @@ class BipartiteSystem:
         self.rho_B = DensityMatrix(HermitianOperator._of_computed(partial_trace(rho_SB, (d_S, d_B), keep=1)))
         self.effective, self._parts = _effective_hamiltonians(self)
         self._H_SB = self._frame = None
-        self._temperatures: dict[float, _Temperatures] = {}
+        self._reports: dict[float, BipartiteReport] = {}
 
     @property
     def dim(self) -> int:
@@ -137,14 +140,6 @@ class BipartiteSystem:
         if self._frame is None:
             self._frame = _build_frame(self)
         return self._frame
-
-    def embed_S(self, op: HermitianOperator | np.ndarray) -> np.ndarray:
-        """op x I_B on the joint space."""
-        return tensor_product(op, np.eye(self.d_B))
-
-    def embed_B(self, op: HermitianOperator | np.ndarray) -> np.ndarray:
-        """I_S x op on the joint space."""
-        return tensor_product(np.eye(self.d_S), op)
 
 
 @dataclass(frozen=True)
@@ -321,25 +316,58 @@ def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:
 
 
 @dataclass(frozen=True)
-class _Temperatures:
-    """Every temperature of a system at one clip, read from one set of log traces."""
+class BipartiteReport:
+    """Every temperature of a system at one clip, and the weights that relate them.
+
+    A plain value, cached on the system per clip, that keeps no reference to
+    it. ``residual`` = K_SB beta_SB - b_S beta_tilde_S - b_B beta_tilde_B +
+    K_chi beta_chi vanishes where the universal relation is exact. Without an
+    interaction direction (``interaction_degenerate``) h_I = C_chi = K_chi =
+    0, h_chi = 1, beta_chi is NaN and the residual has no beta_chi term.
+    """
 
     beta_SB: float
     beta_tilde_S: float
     beta_tilde_B: float
-    beta_chi: float  #: NaN when the interaction direction is degenerate
+    beta_chi: float
+    residual: float
+    C_S: float
+    C_B: float
+    C_chi: float
+    K_SB: float
+    b_S: float
+    b_B: float
+    K_chi: float
+    h_SB: float
+    h_I: float
+    h_chi: float
+    U_chi: float
+    S_chi: float
     local_S: TemperatureReport  #: of (rho_S, H_S_eff)
     local_B: TemperatureReport  #: of (rho_B, H_B_eff)
     clipped: bool  #: any of the three logarithms was clipped
 
+    @property
+    def interaction_degenerate(self) -> bool:
+        return self.h_I == 0.0
 
-def _temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
-    """The temperature record of ``sys`` at ``clip``, built once and cached on ``sys``."""
-    return _cached(sys._temperatures, clip, lambda: _build_temperatures(sys, clip))
+
+def _report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
+    """The report of ``sys`` at ``clip``, built once and cached on ``sys``."""
+    return _cached(sys._reports, clip, lambda: _build_report(sys, clip))
 
 
-def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
+def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
     f, d_s, d_b, d = sys.frame, sys.d_S, sys.d_B, sys.dim
+    # Relation weights; h_I = C_chi = 0 without an interaction, so K_chi = 0.
+    c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
+    denom = c_s**2 * d_b + c_b**2 * d_s
+    if denom < 1e-14:
+        raise NumericalError("both local expansion coefficients vanish; relation weights undefined")
+    k_sb = f.h_SB * (c_s**2 + c_b**2 + c_chi**2 * (c_s**2 + c_b**2) / denom)
+    k_chi = f.h_I * (c_chi * f.h_chi * (c_s**2 + c_b**2) / denom + (c_s / d_b) * f.overlap_S
+                     + (c_b / d_s) * f.overlap_B)
+
     hs, hb, hi, lamb_s, lamb_b, mean, hi_s, hi_b = sys._parts
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
@@ -353,10 +381,10 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
         tr_hh = d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi) + 2.0 * (_tr(hs, hi_s) + _tr(hb, hi_b))
         tr_hl = _tr(hs, part_s) + _tr(hb, part_b) + hi_l
     s_l, b_l = _tr(f.O_S, part_s), _tr(f.O_B, part_b)  # Tr[(O_S x I) L], Tr[(I x O_B) L]
-    o1_l = f.C_S * s_l + f.C_B * b_l
+    o1_l = c_s * s_l + c_b * b_l
     if f.h_I != 0.0:
         oi_l = (hi_eff_l - f._interaction[0] / d * tr_l) / f.h_I  # Tr[O_I L]
-        o1_l += f.C_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
+        o1_l += c_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
     # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
     cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
     beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
@@ -386,30 +414,19 @@ def _build_temperatures(sys: BipartiteSystem, clip: float) -> _Temperatures:
     ds_du_b = -(t_ob + f.overlap_B * chi_part) / (d_s * f.h_B)
     local_s = _inverse_temperature(sys.rho_S, sys.effective.H_S_eff, f.O_S, f.h_S, clip)
     local_b = _inverse_temperature(sys.rho_B, sys.effective.H_B_eff, f.O_B, f.h_B, clip)
-    return _Temperatures(beta_sb, local_s.beta - ds_du_s, local_b.beta - ds_du_b, beta_chi, local_s, local_b,
-                         log_sb.clipped or log_s.clipped or log_b.clipped)
+    bt_s, bt_b = local_s.beta - ds_du_s, local_b.beta - ds_du_b
+    b_s, b_b = c_s * f.h_S, c_b * f.h_B
+    chi_term = 0.0 if f.h_I == 0.0 else k_chi * beta_chi
+    return BipartiteReport(
+        beta_SB=beta_sb, beta_tilde_S=bt_s, beta_tilde_B=bt_b, beta_chi=beta_chi,
+        residual=k_sb * beta_sb - b_s * bt_s - b_b * bt_b + chi_term, C_S=c_s, C_B=c_b, C_chi=c_chi,
+        K_SB=k_sb, b_S=b_s, b_B=b_b, K_chi=k_chi, h_SB=f.h_SB, h_I=f.h_I, h_chi=f.h_chi,
+        U_chi=binding_energy(sys), S_chi=mutual_information(sys), local_S=local_s, local_B=local_b,
+        clipped=log_sb.clipped or log_s.clipped or log_b.clipped)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Correlation energy, entropy and temperature of a system at one clip.
-
-    A plain value that keeps no reference to its system. The operators are
-    read from the system: ``sys.frame.O_I`` (cached on the frame), and
-    :func:`correlation_operator` and :func:`correlation_log_hamiltonian`,
-    built on each call.
-    """
-
-    U_chi: float
-    S_chi: float
-    beta_chi: float
-    h_I: float
-    h_chi: float
-    clipped: bool
-
-
-def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> CorrelationReport:
-    """Correlation inverse temperature 1/T_chi and full report.
+def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> BipartiteReport:
+    """The system's :class:`BipartiteReport` at ``clip``, if it has a correlation direction.
 
     beta_chi = -(1/(h_I h_chi^2)) (Tr[O_I HH_I]
                - overlap_S Tr[(O_S x I) HH_I]/d_B
@@ -417,8 +434,8 @@ def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_
 
     which is -Tr[O_chi HH_I]/(h_I h_chi). For a globally Gibbs state this is
     exactly -beta; for a product state HH_I vanishes and beta_chi = 0.
+
+    :raises DegenerateDirectionError: when H_I_eff is proportional to the identity (see chi_unit).
     """
-    frame, temps = chi_unit(sys), _temperatures(sys, clip)
-    return CorrelationReport(
-        U_chi=binding_energy(sys), S_chi=mutual_information(sys), beta_chi=temps.beta_chi, h_I=frame.h_I,
-        h_chi=frame.h_chi, clipped=temps.clipped)
+    chi_unit(sys)
+    return _report(sys, clip)

@@ -32,11 +32,10 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .correlation import BipartiteSystem, CorrelationReport
+from .correlation import BipartiteReport, BipartiteSystem
 from .exceptions import ValidationError
 from .linalg import HERM_TOL, DensityMatrix, HermitianOperator
 from .models import TwoQubitXYParams
-from .relation import RelationCoefficients
 from .thermometry import DEFAULT_CLIP, TemperatureReport
 
 __all__ = [
@@ -167,16 +166,14 @@ def _finite_number(value, name: str) -> float:
 
 
 def load_input_document(path: str) -> InputDocument:
-    """Read a JSON input document from a file ('-' for stdin); a report echoes its text as read."""
+    """Read a UTF-8 JSON input document from a file ('-' for stdin's bytes); a report echoes its text as read."""
     try:
         if path == "-":
-            text = sys.stdin.read()
-            # A stdin decoding with surrogateescape keeps undecodable bytes as lone
-            # surrogates; restoring and decoding the bytes reports the first one.
-            text.encode("utf-8", "surrogateescape").decode("utf-8")
+            data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
-                text = fh.read().decode("utf-8")
+                data = fh.read()
+        text = data.decode("utf-8")
         doc = json.loads(text)
     except OSError as exc:
         raise ValidationError(f"cannot read input: {exc}") from exc
@@ -237,7 +234,11 @@ def temperature_report_dict(r: TemperatureReport) -> dict:
     return out
 
 
-def correlation_report_dict(r: CorrelationReport) -> dict:
+#: A report holds beta_chi as NaN exactly when no interaction direction exists.
+_NO_CHI_DIRECTION = "correlation direction undefined without interaction"
+
+
+def correlation_report_dict(r: BipartiteReport) -> dict:
     out: dict = {
         "U_chi": r.U_chi,
         "S_chi": r.S_chi,
@@ -245,11 +246,11 @@ def correlation_report_dict(r: CorrelationReport) -> dict:
         "h_chi": r.h_chi,
         "clipped": r.clipped,
     }
-    _put_extended(out, "beta_chi", r.beta_chi, "non-finite correlation log-Hamiltonian")
+    _put_extended(out, "beta_chi", r.beta_chi, _NO_CHI_DIRECTION)
     return out
 
 
-def relation_dict(r: RelationCoefficients) -> dict:
+def relation_dict(r: BipartiteReport) -> dict:
     out: dict = {
         "C_S": r.C_S, "C_B": r.C_B, "C_chi": r.C_chi,
         "K_SB": r.K_SB, "b_S": r.b_S, "b_B": r.b_B, "K_chi": r.K_chi,
@@ -257,7 +258,7 @@ def relation_dict(r: RelationCoefficients) -> dict:
         "interaction_degenerate": r.interaction_degenerate,
     }
     for name in ("beta_SB", "beta_tilde_S", "beta_tilde_B", "beta_chi", "residual"):
-        why = "correlation direction undefined without interaction" if name == "beta_chi" else "not evaluated"
+        why = _NO_CHI_DIRECTION if name == "beta_chi" else "infinite terms of opposite sign"
         _put_extended(out, name, getattr(r, name), why)
     return out
 

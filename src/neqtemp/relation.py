@@ -6,61 +6,29 @@ exactly over the embedded local directions and the correlation direction,
     O1_SB = C_S (O_S x I) + C_B (I x O_B) + C_chi O_chi,
 
 because H_SB = H_S_eff x I + I x H_B_eff + H_I_eff up to a multiple of the
-identity. The coefficients C and the derived weights K_SB, b_S, b_B, K_chi
-tie the four inverse temperatures together:
+identity. The coefficients C and the derived weights K_SB, b_S = C_S h_S,
+b_B = C_B h_B and K_chi tie the four inverse temperatures together:
 
     K_SB beta_SB = b_S beta_tilde_S + b_B beta_tilde_B - K_chi beta_chi.
 
-This module holds the weights and the residual of that relation. Units,
-overlaps and C are read from the system's BipartiteFrame, whose builder
-defines the degenerate-interaction convention C_chi = h_I = 0; the
-temperatures are read from the system's temperature record. Both live in
-:mod:`neqtemp.correlation`, with the trace algebra that defines them.
+Without an interaction direction the weights reduce continuously to K_SB =
+(h_S^2 + h_B^2)/h_SB, b = h^2/h_SB and K_chi = 0. The weights, temperatures
+and residual are fields of the system's BipartiteReport, whose one builder in
+:mod:`neqtemp.correlation` computes them; the functions here read it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .correlation import BipartiteSystem, _temperatures
-from .exceptions import NumericalError, ValidationError
+from .correlation import BipartiteReport, BipartiteSystem, _report
 from .linalg import HermitianOperator, _local_sum
-from .thermometry import DEFAULT_CLIP, TemperatureReport
+from .thermometry import DEFAULT_CLIP
 
 __all__ = [
-    "AuxiliaryBasis", "RelationCoefficients", "expansion_coefficients", "auxiliary_basis",
+    "AuxiliaryBasis", "expansion_coefficients", "auxiliary_basis",
     "relation_coefficients", "tilde_inverse_temperatures", "verify_universal_relation",
-    "large_bath_coefficients",
 ]
-
-
-@dataclass(frozen=True)
-class RelationCoefficients:
-    """Expansion coefficients, relation weights and (optionally) the betas.
-
-    ``residual`` = K_SB beta_SB - b_S beta_tilde_S - b_B beta_tilde_B + K_chi beta_chi
-    vanishes where the relation is exact. Temperatures are NaN, and the local
-    reports of (rho_S, H_S_eff) and (rho_B, H_B_eff) None, until
-    :func:`verify_universal_relation` fills them in.
-    """
-
-    C_S: float
-    C_B: float
-    C_chi: float
-    K_SB: float
-    b_S: float
-    b_B: float
-    K_chi: float
-    h_SB: float
-    beta_SB: float = math.nan
-    beta_tilde_S: float = math.nan
-    beta_tilde_B: float = math.nan
-    beta_chi: float = math.nan
-    residual: float = math.nan
-    interaction_degenerate: bool = False
-    local_S: TemperatureReport | None = None
-    local_B: TemperatureReport | None = None
 
 
 def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
@@ -96,22 +64,12 @@ def auxiliary_basis(sys: BipartiteSystem) -> AuxiliaryBasis:
     return AuxiliaryBasis(O2_SB=o2, O3_SB=o3, interaction_degenerate=False)
 
 
-def relation_coefficients(sys: BipartiteSystem) -> RelationCoefficients:
-    """Relation weights K_SB, b_S, b_B, K_chi from the Hamiltonian geometry.
+def relation_coefficients(sys: BipartiteSystem) -> BipartiteReport:
+    """The system's report at the default clip, read for its weights K_SB, b_S, b_B, K_chi.
 
-    In the no-interaction degenerate case the weights reduce continuously to
-    K_SB = (h_S^2 + h_B^2)/h_SB, b = h^2/h_SB, K_chi = 0.
+    :raises NumericalError: if both local expansion coefficients vanish (weights undefined).
     """
-    f = sys.frame
-    c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
-    denom = c_s**2 * sys.d_B + c_b**2 * sys.d_S
-    if denom < 1e-14:
-        raise NumericalError("both local expansion coefficients vanish; relation weights undefined")
-    k_sb = f.h_SB * (c_s**2 + c_b**2 + c_chi**2 * (c_s**2 + c_b**2) / denom)
-    k_chi = f.h_I * (c_chi * f.h_chi * (c_s**2 + c_b**2) / denom
-                     + (c_s / sys.d_B) * f.overlap_S + (c_b / sys.d_S) * f.overlap_B)
-    return RelationCoefficients(C_S=c_s, C_B=c_b, C_chi=c_chi, K_SB=k_sb, b_S=c_s * f.h_S, b_B=c_b * f.h_B,
-                                K_chi=k_chi, h_SB=f.h_SB, interaction_degenerate=f.h_I == 0.0)
+    return _report(sys, DEFAULT_CLIP)
 
 
 def tilde_inverse_temperatures(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> tuple[float, float]:
@@ -122,35 +80,15 @@ def tilde_inverse_temperatures(sys: BipartiteSystem, clip: float = DEFAULT_CLIP)
     (derivative in :mod:`neqtemp.correlation`). Without an interaction
     direction only the HH_I term of the possibly still correlated state remains.
     """
-    temps = _temperatures(sys, clip)
-    return temps.beta_tilde_S, temps.beta_tilde_B
+    report = _report(sys, clip)
+    return report.beta_tilde_S, report.beta_tilde_B
 
 
-def verify_universal_relation(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> RelationCoefficients:
-    """Evaluate every temperature in the relation and its residual.
+def verify_universal_relation(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> BipartiteReport:
+    """The system's report at ``clip``: every temperature in the relation and its residual.
 
     beta_SB is the inverse temperature of rho_SB w.r.t. H_SB; ``local_S`` and
     ``local_B`` are the reports beta_tilde_S and beta_tilde_B start from.
     Without an interaction direction K_chi = 0 and beta_chi is NaN.
     """
-    coeffs, t = relation_coefficients(sys), _temperatures(sys, clip)
-    chi_term = 0.0 if coeffs.interaction_degenerate else coeffs.K_chi * t.beta_chi
-    residual = coeffs.K_SB * t.beta_SB - coeffs.b_S * t.beta_tilde_S - coeffs.b_B * t.beta_tilde_B + chi_term
-    return replace(coeffs, beta_SB=t.beta_SB, beta_tilde_S=t.beta_tilde_S, beta_tilde_B=t.beta_tilde_B,
-                   beta_chi=t.beta_chi, residual=residual, local_S=t.local_S, local_B=t.local_B)
-
-
-def large_bath_coefficients(sys: BipartiteSystem) -> RelationCoefficients:
-    """Asymptotic relation weights in the C_S -> 0 (large-bath) regime.
-
-    Valid when the bath dominates: requires d_B >= 4 d_S. The exact weights
-    converge to these as the bath grows; b_S is dropped entirely.
-    """
-    if sys.d_B < 4 * sys.d_S:
-        raise ValidationError(f"large-bath form needs d_B >= 4 d_S, got d_B={sys.d_B}, d_S={sys.d_S}")
-    f = sys.frame
-    c_b, c_chi = f.C_B, f.C_chi
-    k_sb = f.h_SB * (c_b**2 + c_chi**2 / sys.d_S)
-    k_chi = f.h_I * (c_chi * f.h_chi / sys.d_S + (c_b / sys.d_S) * f.overlap_B)
-    return RelationCoefficients(C_S=f.C_S, C_B=c_b, C_chi=c_chi, K_SB=k_sb, b_S=0.0, b_B=f.h_B * c_b,
-                                K_chi=k_chi, h_SB=f.h_SB, interaction_degenerate=f.h_I == 0.0)
+    return _report(sys, clip)

@@ -106,7 +106,7 @@ class TestTemp:
     def test_stdin_and_out_file(self, tmp_path, monkeypatch, capsys):
         import io as _io
 
-        monkeypatch.setattr("sys.stdin", _io.StringIO(json.dumps(gibbs_qubit_doc())))
+        monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(json.dumps(gibbs_qubit_doc()).encode())))
         out = tmp_path / "report.json"
         assert main(["temp", "-", "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
@@ -197,15 +197,36 @@ class TestBipartite:
         assert main(["bipartite", write_doc(tmp_path, gibbs_qubit_doc())]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_no_interaction_is_numerical_failure(self, tmp_path, capsys):
-        # H_I = 0 leaves no correlation direction, so beta_chi and the report are undefined;
-        # verify_universal_relation gives the no-interaction relation with beta_chi NaN.
-        doc = coupled_qubits_doc(np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3])))
+    def test_no_interaction_reports_undefined_beta_chi(self, tmp_path, capsys):
+        # H_I = 0 leaves no correlation direction: the full report, with beta_chi undefined
+        # for the same reason in both sections and the no-interaction relation (K_chi = 0).
+        beta, energies = 0.8, (np.array([0.5, -0.5]), np.array([0.25, -0.25]))  # of H_S and H_B
+        local = [np.exp(-beta * e) / np.sum(np.exp(-beta * e)) for e in energies]
+        doc = coupled_qubits_doc(np.kron(np.diag(local[0]), np.diag(local[1])))
         doc["matrices"]["H_I"] = pairs(np.zeros((4, 4)))
-        assert main(["bipartite", write_doc(tmp_path, doc)]) == 2
+        assert main(["bipartite", write_doc(tmp_path, doc)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "numerical failure: H_I_eff is proportional to the identity\n"
+        assert captured.err == ""
+        report = json.loads(captured.out)["report"]
+        why = "correlation direction undefined without interaction"
+        corr, rel = report["correlation"], report["relation"]
+        assert corr == {"U_chi": 0.0, "S_chi": pytest.approx(0.0, abs=1e-12), "h_I": 0.0, "h_chi": 1.0,
+                        "clipped": False, "beta_chi": "undefined", "beta_chi_reason": why}
+        assert (rel["interaction_degenerate"], rel["C_chi"], rel["K_chi"]) == (True, 0.0, 0.0)
+        assert (rel["beta_chi"], rel["beta_chi_reason"]) == ("undefined", why)
+        for name in ("beta_SB", "beta_tilde_S", "beta_tilde_B"):
+            assert rel[name] == pytest.approx(beta, abs=1e-10)
+        assert report["local_S"]["beta"] == pytest.approx(beta, abs=1e-10)
+        assert abs(rel["residual"]) < 1e-12
+        assert not any(key.endswith("_reason") and key != "beta_chi_reason" for key in rel)
+
+    def test_infinite_temperatures_leave_the_residual_undefined(self, tmp_path, capsys):
+        # A pure product state: every temperature but beta_chi is infinite and K_SB beta_SB
+        # meets b_S beta_tilde_S with the opposite sign, so the residual is inf - inf.
+        assert main(["bipartite", write_doc(tmp_path, coupled_qubits_doc(np.diag([1.0, 0.0, 0.0, 0.0])))]) == 0
+        rel = json.loads(capsys.readouterr().out)["report"]["relation"]
+        assert [rel[k] for k in ("beta_SB", "beta_tilde_S", "beta_tilde_B")] == ["-inf"] * 3
+        assert (rel["residual"], rel["residual_reason"]) == ("undefined", "infinite terms of opposite sign")
 
 
 MODEL_PARAMS = {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2, "beta": 1.0}
@@ -313,7 +334,7 @@ class TestInputEcho:
             path.write_bytes(text.encode("utf-8"))
             assert main([command, str(path)]) == 0
         else:
-            monkeypatch.setattr("sys.stdin", _io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(text.encode("utf-8"))))
             assert main([command, "-"]) == 0
         report = capsys.readouterr().out
         assert report.endswith("\n") and report.count("\n") == 1 and report.isascii()
@@ -333,11 +354,16 @@ class TestInputEcho:
         assert main(["temp", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: input is not UTF-8 text: ")
 
-    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
-    def test_invalid_utf8_stdin_is_input_error(self, monkeypatch, capsys, errors):
+    @pytest.mark.parametrize(
+        "encoding, errors",
+        [("utf-8", "strict"), ("utf-8", "surrogateescape"), ("latin-1", "strict")],
+        ids=["strict", "surrogateescape", "latin-1"],
+    )
+    def test_invalid_utf8_stdin_is_input_error(self, monkeypatch, capsys, encoding, errors):
+        # Stdin's bytes are decoded as UTF-8, as a file's are, whatever the stream's own encoding.
         import io as _io
 
-        stdin = _io.TextIOWrapper(_io.BytesIO(self.BAD_UTF8), encoding="utf-8", errors=errors)
+        stdin = _io.TextIOWrapper(_io.BytesIO(self.BAD_UTF8), encoding=encoding, errors=errors)
         monkeypatch.setattr("sys.stdin", stdin)
         assert main(["temp", "-"]) == 1
         assert capsys.readouterr().err.startswith("error: input is not UTF-8 text: ")
@@ -422,6 +448,28 @@ class TestSweep:
     def test_empty_values_exit_1(self, capsys):
         assert main(["sweep", "--axis", "beta", "--values", ","]) == 1
         assert capsys.readouterr().err == "error: no sweep values given\n"
+
+    def test_undefined_point_keeps_every_row(self, capsys):
+        # omega_B = 0 leaves H_B proportional to the identity: that row is undefined after
+        # param, the other rows are as in a sweep of their own, and the sweep exits 2.
+        assert main(["sweep", "--axis", "omega_B", "--values", "1.0,0.0,0.5"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == SWEEP_HEADER and len(lines) == 4
+        assert lines[2] == "0" + ",undefined" * (len(lines[0].split(",")) - 1)
+        for line, value in ((lines[1], "1.0"), (lines[3], "0.5")):
+            assert main(["sweep", "--axis", "omega_B", "--values", value]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == line
+        assert captured.err == (
+            "numerical failure at omega_B=0: Hamiltonian is proportional to the identity; "
+            "its traceless direction (and hence the temperature) is undefined\n"
+        )
+
+    def test_invalid_point_exits_1_without_rows(self, capsys):
+        assert main(["sweep", "--axis", "lambda", "--values", "1.0,0.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coupling must be positive, got 0.0\n"
 
 
 class TestVerifyCommand:

@@ -32,7 +32,7 @@ from neqtemp.linalg import (
     tensor_product,
 )
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
-from neqtemp.relation import verify_universal_relation
+from neqtemp.relation import relation_coefficients, tilde_inverse_temperatures, verify_universal_relation
 from neqtemp.thermometry import DEFAULT_CLIP
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,8 +108,8 @@ class TestEffectiveHamiltonians:
             sys = sample_bipartite(2, 3, 0.5, rng)
             eff = sys.effective
             hi = eff.H_I_eff.matrix
-            mean_s = partial_trace(sys.embed_B(sys.rho_B.matrix) @ hi, (2, 3), 0)
-            mean_b = partial_trace(sys.embed_S(sys.rho_S.matrix) @ hi, (2, 3), 1)
+            mean_s = partial_trace(np.kron(np.eye(2), sys.rho_B.matrix) @ hi, (2, 3), 0)
+            mean_b = partial_trace(np.kron(sys.rho_S.matrix, np.eye(3)) @ hi, (2, 3), 1)
             assert np.max(np.abs(mean_s)) < 1e-12
             assert np.max(np.abs(mean_b)) < 1e-12
 
@@ -275,7 +275,7 @@ class TestTraceAlgebra:
         sys = sample_bipartite(d_s, d_b, 0.4, np.random.default_rng(d_s + 10 * d_b))
         f = sys.frame
         o1, h_sb = hamiltonian_unit(sys.H_SB())
-        es, eb = sys.embed_S(f.O_S), sys.embed_B(f.O_B)
+        es, eb = np.kron(f.O_S.matrix, np.eye(d_b)), np.kron(np.eye(d_s), f.O_B.matrix)
         assert f.h_SB == pytest.approx(h_sb, rel=1e-12)
         assert f.overlap_S == pytest.approx(hs_inner(f.O_I, es), abs=1e-12)
         assert f.overlap_B == pytest.approx(hs_inner(f.O_I, eb), abs=1e-12)
@@ -299,8 +299,26 @@ class TestTraceAlgebra:
         sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
         report = correlation_inverse_temperature(sys)
         assert [f.name for f in dataclasses.fields(report)] == [
-            "U_chi", "S_chi", "beta_chi", "h_I", "h_chi", "clipped"]
+            "beta_SB", "beta_tilde_S", "beta_tilde_B", "beta_chi", "residual", "C_S", "C_B", "C_chi",
+            "K_SB", "b_S", "b_B", "K_chi", "h_SB", "h_I", "h_chi", "U_chi", "S_chi",
+            "local_S", "local_B", "clipped"]
         assert not any(isinstance(v, (BipartiteSystem, np.ndarray)) for v in vars(report).values())
+        # No placeholder: every field is a number, a local report or the clip flag.
+        assert all(math.isfinite(getattr(report, f.name)) for f in dataclasses.fields(report)[:17])
+        f = sys.frame
+        assert (report.C_S, report.C_B, report.C_chi, report.h_SB, report.h_I, report.h_chi) == (
+            f.C_S, f.C_B, f.C_chi, f.h_SB, f.h_I, f.h_chi)
+        assert (report.U_chi, report.S_chi) == (binding_energy(sys), mutual_information(sys))
+        assert not report.interaction_degenerate
+
+    @pytest.mark.parametrize("clip", [DEFAULT_CLIP, 0.2])
+    def test_every_view_reads_one_cached_record(self, clip):
+        sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(72))
+        report = correlation_inverse_temperature(sys, clip)
+        assert verify_universal_relation(sys, clip) is report
+        assert correlation_inverse_temperature(sys, clip) is report
+        assert tilde_inverse_temperatures(sys, clip) == (report.beta_tilde_S, report.beta_tilde_B)
+        assert relation_coefficients(sys) is verify_universal_relation(sys, DEFAULT_CLIP)
 
 
 class TestUnits:
@@ -371,8 +389,8 @@ class TestUnits:
         for _ in range(20):
             sys = sample_bipartite(2, 3, 0.5, rng)
             cu = chi_unit(sys)
-            emb_s = sys.embed_S(cu.O_S)
-            emb_b = sys.embed_B(cu.O_B)
+            emb_s = np.kron(cu.O_S.matrix, np.eye(3))
+            emb_b = np.kron(np.eye(2), cu.O_B.matrix)
             assert abs(np.sum(emb_s.conj() * cu.O_chi.matrix).real) < 1e-10
             assert abs(np.sum(emb_b.conj() * cu.O_chi.matrix).real) < 1e-10
             assert np.sum(np.abs(cu.O_chi.matrix) ** 2) == pytest.approx(1.0, rel=1e-10)

@@ -14,7 +14,7 @@ import pytest
 
 from neqtemp.basis import hamiltonian_unit
 from neqtemp.correlation import chi_unit, correlation_inverse_temperature
-from neqtemp.exceptions import NumericalError, ValidationError
+from neqtemp.exceptions import NumericalError
 from neqtemp.linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -29,7 +29,6 @@ from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartit
 from neqtemp.relation import (
     auxiliary_basis,
     expansion_coefficients,
-    large_bath_coefficients,
     relation_coefficients,
     tilde_inverse_temperatures,
     verify_universal_relation,
@@ -96,7 +95,9 @@ def constrained_derivative(sys, k, eps=1e-6):
     cu = chi_unit(sys)
     eff = sys.effective
     dims = (sys.d_S, sys.d_B)
-    directions = [sys.embed_S(cu.O_S), sys.embed_B(cu.O_B), cu.O_chi.matrix]
+    directions = [
+        np.kron(cu.O_S.matrix, np.eye(sys.d_B)), np.kron(np.eye(sys.d_S), cu.O_B.matrix), cu.O_chi.matrix,
+    ]
     frame = (eff.H_S_eff.matrix, eff.H_B_eff.matrix, eff.H_I_eff.matrix)
 
     def coords(rho):
@@ -138,8 +139,8 @@ class TestExpansion:
             cu = chi_unit(sys)
             c_s, c_b, c_chi = expansion_coefficients(sys)
             recon = (
-                c_s * sys.embed_S(cu.O_S)
-                + c_b * sys.embed_B(cu.O_B)
+                c_s * np.kron(cu.O_S.matrix, np.eye(d_b))
+                + c_b * np.kron(np.eye(2), cu.O_B.matrix)
                 + c_chi * cu.O_chi.matrix
             )
             worst = max(worst, float(np.max(np.abs(recon - o1.matrix))))
@@ -178,7 +179,7 @@ class TestAuxiliaryBasis:
             cu = chi_unit(sys)
             ops = [
                 o1.matrix, aux.O2_SB.matrix, aux.O3_SB.matrix,
-                sys.embed_S(cu.O_S), sys.embed_B(cu.O_B), cu.O_chi.matrix,
+                np.kron(cu.O_S.matrix, np.eye(2)), np.kron(np.eye(2), cu.O_B.matrix), cu.O_chi.matrix,
             ]
             gram = np.array(
                 [[np.sum(a.conj() * b).real for b in ops] for a in ops]
@@ -395,33 +396,6 @@ class TestGlobalTemperature:
 
 
 class TestLargeBath:
-    def _weak_system(self, d_b, rng, coupling=0.05):
-        return sample_bipartite(2, d_b, coupling, rng)
-
-    def test_precondition(self):
-        rng = np.random.default_rng(59)
-        with pytest.raises(ValidationError):
-            large_bath_coefficients(self._weak_system(4, rng))
-
-    def test_asymptotic_weights_close_to_exact(self):
-        rng = np.random.default_rng(60)
-        sys = self._weak_system(16, rng)
-        exact = relation_coefficients(sys)
-        asym = large_bath_coefficients(sys)
-        # The dropped pieces are O(C_S): same order as the bound below.
-        c_s = abs(exact.C_S)
-        assert abs(asym.K_SB - exact.K_SB) < 10.0 * c_s * max(1.0, exact.h_SB)
-        assert abs(asym.K_chi - exact.K_chi) < 10.0 * c_s
-        assert asym.b_S == 0.0
-        assert asym.b_B == pytest.approx(exact.b_B, rel=1e-10)
-
-    def test_no_interaction_limit(self):
-        rng = np.random.default_rng(61)
-        sys = sample_bipartite(2, 8, 0.0, rng)
-        asym = large_bath_coefficients(sys)
-        _, h_b = hamiltonian_unit(sys.effective.H_B_eff)
-        assert asym.K_SB == pytest.approx(h_b**2 / asym.h_SB, rel=1e-10)
-
     def test_b_s_decreases_with_bath_size(self):
         # Fixed-range bath spectra make h_SB grow like sqrt(d_B), so the
         # system's share C_S h_S of the global direction shrinks.

@@ -27,9 +27,9 @@ direction once, to seed the basis (``hamiltonian_unit``); every analysis
 over the basis reads it from ``basis[1]``.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
-user's matrices (the marginals are computed operators). Logarithms and temperature records
-are cached on their state and system, so ``logs`` and ``records`` count the
-builds (cache misses), not the calls. ``products`` counts the d^3 products
+user's matrices (the marginals are computed operators). Logarithms and
+bipartite reports are cached on their state and system, so ``logs`` and
+``records`` count the builds (cache misses), not the calls. ``products`` counts the d^3 products
 at the full dimension d, which ``linalg`` makes through ``_matmul``: the
 eigenvector Gram check, the reconstruction check and each spectral function.
 ``hamiltonian_unit``, ``of_computed``, ``kron`` and ``coerced`` count the
@@ -151,7 +151,7 @@ def install_counters(monkeypatch, keys, dim):
             "coerced", linalg.as_complex_matrix, lambda a: np.shape(a)[0]))
     for key, mod, attr in (("logs", linalg, "_spectral_log"),
                            ("log_hamiltonians", correlation, "correlation_log_hamiltonian"),
-                           ("records", correlation, "_build_temperatures")):
+                           ("records", correlation, "_build_report")):
         if key in counts:
             monkeypatch.setattr(mod, attr, counted(key, getattr(mod, attr)))
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
