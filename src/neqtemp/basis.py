@@ -19,20 +19,22 @@ arithmetic. Gram-Schmidt over the candidates then has a closed form. Before
 candidate k, the span holds I, the seeds and every kept e_j, so k's residual
 is e_k - z_k, where z_k is the least-norm vector over k's free candidates
 (those after k, and the dropped ones before k) with sum_j z_k[j] t_j = t_k.
-Its norm is 1/sqrt(1 + |z_k|^2). One batched SVD of the seeds' coordinates
-over each candidate's free set gives every z_k at once. With one seed and no
-drop before k, tau_k^2 = sum_{j>=k} t_j^2 and the normalized residual has
-tau_(k+1)/tau_k on e_k and -t_k t_j/(tau_k tau_(k+1)) on each later e_j.
+Its norm is 1/sqrt(1 + |z_k|^2). With one seed (or none), the coordinates
+over k's free set are one column, whose SVD is its norm: with G_k the sum of
+t_j^2 over the free set, z_k = (t_k/G_k) sum_j t_j e_j and |z_k|^2 =
+t_k^2/G_k, so two running sums of t_j^2 give every residual. With m >= 2 one
+batched SVD of their coordinates over each candidate's free set gives every
+z_k at once; an m x m Gram matrix would square their conditioning.
 A drop frees its candidate for the ones after it, and a further pass settles
 them; at most one pass per seed is added. Candidate order and the
 ``DROP_TOL`` drop rule are those of the operator-space algorithm, so the
-bases agree with it to rounding, and the SVD keeps them orthonormal to about
-1e-15 however ill-conditioned the seeds' coordinates. The operators come out
-of the kept rows by the same index arithmetic, exactly Hermitian, and the
-basis is checked on the rows alone: its Gram matrix is ``rows @ rows.T``, one
-O(d^6) product. The completion costs O(d^4 m^2) for m seeds, so at large d
-that product and the operator build dominate, and :func:`complete_basis`
-still refuses dimensions above ``MAX_BASIS_DIM``.
+bases agree with it to rounding, and either path keeps them orthonormal to
+about 1e-15 however ill-conditioned the seeds' coordinates. The operators
+come out of the kept rows by the same index arithmetic, exactly Hermitian,
+and the basis is checked on the rows alone: its Gram matrix is
+``rows @ rows.T``, one O(d^6) product. The completion costs O(d^4 m^2) for
+m seeds, so at large d that product and the operator build dominate, and
+:func:`complete_basis` still refuses dimensions above ``MAX_BASIS_DIM``.
 
 :class:`OperatorBasis` owns its members as one read-only (d^2, d, d) array,
 ``mats``, validated as a whole; the members it hands out are views of that
@@ -72,10 +74,10 @@ DROP_TOL = 1e-8
 RANGE_TOL = 1e-13
 
 #: Largest dimension :func:`complete_basis` accepts, set when a completion took
-#: 0.8 s at d=34. It now takes 51 ms at d=32, 69 ms at d=34 and 98 ms at
-#: d=36, about a quarter of it the O(d^6) Gram check in frame coordinates
-#: and 40% the build of the operator stack. Measured on a 2-core x86-64 VM
-#: (numpy 2.4, OpenBLAS, two threads).
+#: 0.8 s at d=34. A one-seed completion now takes about 95 ms at d=32 and 34
+#: and 135 ms at d=36 (0.5 ms at d=12), 30% of it the O(d^6) Gram check in
+#: frame coordinates and over half the build of the operator stack. Best of 25
+#: on a shared 2-core Intel Xeon VM (numpy 2.4.6, OpenBLAS, two threads).
 MAX_BASIS_DIM = 34
 
 
@@ -344,20 +346,25 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     n = d * d
     need = n - 1 - len(seed_mats)
     # Row a of s holds seed a's frame coordinates; candidate k is frame member
-    # k + 1, and t[k] holds the seeds' coordinates on it. Candidate k's
+    # k + 1, and t[k] holds the seeds' coordinates on it (one zero column
+    # without seeds, which keeps every candidate as it is). Candidate k's
     # residual is e_k - z_k (see the module docstring). A pass settles every
     # decision up to its first drop not yet freed, and at most len(seeds)
     # candidates drop before the last one kept.
     s = _frame_coordinates(np.array(seed_mats)) if seed_mats else np.zeros((0, n))
-    t = s[:, 1:].T
-    later = np.arange(n - 1) > np.arange(n - 1)[:, None]
+    t = s[:, 1:].T if seed_mats else np.zeros((n - 1, 1))
+    order = np.arange(n - 1)
     skipped = np.zeros(n - 1, dtype=bool)
     for _ in range(len(seed_mats) + 1):
-        free = later | skipped
-        free.flat[::n] = False
-        # The free part of t is u sig vh for candidate k, so z_k = u (vh t[k] / sig).
-        u, sig, vh = np.linalg.svd(free[:, :, None] * t, full_matrices=False)
-        c = (vh @ t[:, :, None])[:, :, 0]
+        if len(seed_mats) > 1:
+            free = (order > order[:, None]) | skipped
+            free.flat[::n] = False
+            # The free part of t is u sig vh for candidate k, so z_k = u (vh t[k] / sig).
+            u, sig, vh = np.linalg.svd(free[:, :, None] * t, full_matrices=False)
+            c = (vh @ t[:, :, None])[:, :, 0]
+        else:
+            # One column's SVD is its norm: u = free t / sig, vh = 1 and c = t[k].
+            sig, c = _free_norms(t, skipped), t
         null = sig <= RANGE_TOL
         ratio = np.divide(c, sig, out=np.zeros_like(c), where=~null)
         gamma = 1.0 + (ratio * ratio).sum(axis=1)
@@ -378,9 +385,28 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     rows = np.zeros((n, n))
     rows[0, 0] = 1.0
     rows[1:n - need] = s
-    rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], ratio[idx] * -scale[:, None]) * free[idx]
+    weight = ratio[idx] * -scale[:, None]
+    if len(seed_mats) > 1:
+        rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], weight) * free[idx]
+    else:
+        # u[k] is t over k's free set, divided by sig_k.
+        weight = np.divide(weight, sig[idx], out=np.zeros_like(weight), where=~null[idx])
+        rows[n - need:, 1:] = weight * t.T * ((order > idx[:, None]) | skipped)
     rows[n - need + np.arange(need), idx + 1] = scale
     return OperatorBasis._of_rows(rows)
+
+
+def _free_norms(t: np.ndarray, skipped: np.ndarray) -> np.ndarray:
+    """sqrt(sum t_j^2) over each candidate's free set, for the (n - 1, 1) coordinates t of one seed.
+
+    Each sum accumulates from zero, never as a total less a partial sum, so a
+    norm at the rounding level is not left over from a cancellation.
+    """
+    sq = t * t
+    norms = np.zeros_like(sq)
+    norms[:-1] = np.cumsum(sq[:0:-1], axis=0)[::-1]
+    norms[1:] += np.cumsum(sq[:-1] * skipped[:-1, None], axis=0)
+    return np.sqrt(norms)
 
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:

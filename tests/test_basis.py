@@ -224,12 +224,16 @@ class TestCompleteBasis:
             complete_basis(2, [HermitianOperator(SZ)])
 
     def test_rejects_dimension_above_cap_before_allocating(self, monkeypatch):
-        def no_candidates(d):
-            raise AssertionError("candidates built above the dimension cap")
+        # Every step of a completion that allocates beyond the seed fails here.
+        def no_completion(*args, **kwargs):
+            raise AssertionError("completion started above the dimension cap")
 
-        monkeypatch.setattr(basis_module, "gell_mann_candidates", no_candidates)
+        seed, _ = hamiltonian_unit(gue(MAX_BASIS_DIM + 1, np.random.default_rng(35)))
+        for name in ("_frame_coordinates", "_frame_operators", "_free_norms"):
+            monkeypatch.setattr(basis_module, name, no_completion)
+        monkeypatch.setattr(np.linalg, "svd", no_completion)
         with pytest.raises(ValidationError, match="unsupported basis dimension"):
-            complete_basis(MAX_BASIS_DIM + 1, [])
+            complete_basis(MAX_BASIS_DIM + 1, [seed])
 
     def test_builds_at_cap(self):
         d = MAX_BASIS_DIM

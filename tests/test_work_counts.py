@@ -17,14 +17,15 @@ report echoes the input's text as read: ``json.dumps`` never receives the
 document's matrices. A generalized-Gibbs report builds a basis, decomposes
 and reconstructs the state over it and evaluates the Helmholtz free energy;
 its counts are pinned at d=8. The basis validates its d^2 members as one
-stack, so they add no ``HermitianOperator`` validation of their own, and its
-completion takes every candidate's residual from one batched SVD (``svd``),
-with no pass beyond the first when no candidate drops before the last one
-kept. The completion checks its basis in frame coordinates, so the public
-validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``), runs only
-for a basis built from the user's matrices. The report takes H's unit
-direction once, to seed the basis (``hamiltonian_unit``); every analysis
-over the basis reads it from ``basis[1]``.
+stack, so they add no ``HermitianOperator`` validation of their own. Its
+completion from the one seed O1 takes every candidate's residual in closed
+form, with no SVD (``svd``); a completion from two seeds takes them from one
+batched SVD, with no pass beyond the first when no candidate drops before
+the last one kept. The completion checks its basis in frame coordinates, so
+the public validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``),
+runs only for a basis built from the user's matrices. The report takes H's
+unit direction once, to seed the basis (``hamiltonian_unit``); every
+analysis over the basis reads it from ``basis[1]``.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
 user's matrices (the marginals are computed operators). Logarithms and
@@ -64,7 +65,7 @@ EXPECTED = {
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
     "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "hs_inner": 2,
-    "products": 6, "svd": 1, "OperatorBasis": 0,
+    "products": 6, "svd": 0, "OperatorBasis": 0,
 }
 
 
@@ -252,6 +253,18 @@ def test_basis_report_work_counts(monkeypatch):
     counts = install_counters(monkeypatch, EXPECTED_BASIS, 8)
     basis_report(H, (rho + rho.conj().T) / 2.0)
     assert counts == EXPECTED_BASIS
+
+
+def test_two_seed_completion_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    o1, _ = basis.hamiltonian_unit(HermitianOperator(g[0] + g[0].conj().T))
+    h2 = g[1] + g[1].conj().T
+    h2 -= np.sum(o1.matrix.conj() * h2).real * o1.matrix
+    o2, _ = basis.hamiltonian_unit(HermitianOperator(h2))
+    counts = install_counters(monkeypatch, {"svd": 0, "OperatorBasis": 0}, 8)
+    basis.complete_basis(8, [o1, o2])
+    assert counts == {"svd": 1, "OperatorBasis": 0}
 
 
 def test_user_basis_is_validated_once(monkeypatch):
