@@ -73,8 +73,6 @@ from .correlation import (
     mutual_information,
 )
 from .relation import (
-    AuxiliaryBasis,
-    auxiliary_basis,
     expansion_coefficients,
     relation_coefficients,
     tilde_inverse_temperatures,

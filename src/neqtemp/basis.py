@@ -4,27 +4,30 @@ A basis here is an ordered family of d^2 Hermitian operators with
 ``ops[0] = I/sqrt(d)`` and the remaining members traceless and mutually
 orthonormal in the Hilbert-Schmidt inner product. The normalized traceless
 Hamiltonian direction is installed as ``ops[1]`` and the rest of the family
-is completed by Gram-Schmidt over the generalized Gell-Mann candidates in a
-fixed, documented order (symmetric pairs (j,k) lexicographically, then
-antisymmetric pairs, then diagonal generators). That ordering makes bases
-deterministic and therefore golden-testable; any other completion is related
-to it by a tail rotation, which leaves every reported physical quantity
-unchanged.
+is completed by Gram-Schmidt over the d^2 - 1 generalized Gell-Mann
+candidates of unit HS norm, in this fixed order: the symmetric generators
+``(|j><k| + |k><j|)/sqrt(2)`` for j < k lexicographically, then the
+antisymmetric ``(-i|j><k| + i|k><j|)/sqrt(2)``, then the diagonal
+``diag(1,...,1,-l,0,...)/sqrt(l(l+1))`` for l = 1..d-1. That ordering makes
+bases deterministic and therefore golden-testable; any other completion is
+related to it by a tail rotation, which leaves every reported physical
+quantity unchanged.
 
-The completion runs in coefficient space. ``{I/sqrt(d)}`` together with the
-Gell-Mann family is itself an orthonormal frame, so every Hermitian operator
-is a real vector of length d^2 over it: candidate k is the unit vector e_k,
+The completion runs in coefficient space. ``I/sqrt(d)`` followed by the
+candidates is itself an orthonormal frame, so every Hermitian operator is a
+real vector of length d^2 over it: candidate k is the unit vector e_k,
 and the seeds' coordinates t_j on each e_j come from their entries by index
 arithmetic. Gram-Schmidt over the candidates then has a closed form. Before
 candidate k, the span holds I, the seeds and every kept e_j, so k's residual
-is e_k - z_k, where z_k is the least-norm vector over k's free candidates
-(those after k, and the dropped ones before k) with sum_j z_k[j] t_j = t_k.
-Its norm is 1/sqrt(1 + |z_k|^2). With one seed (or none), the coordinates
-over k's free set are one column, whose SVD is its norm: with G_k the sum of
-t_j^2 over the free set, z_k = (t_k/G_k) sum_j t_j e_j and |z_k|^2 =
-t_k^2/G_k, so two running sums of t_j^2 give every residual. With m >= 2 one
-batched SVD of their coordinates over each candidate's free set gives every
-z_k at once; an m x m Gram matrix would square their conditioning.
+is e_k - z_k, where z_k is the least-norm vector over k's free set F_k
+(every candidate after k, and the dropped ones before k) with
+sum_j z_k[j] t_j = t_k. Its norm is 1/sqrt(1 + |z_k|^2). One boolean mask per
+pass holds every F_k, and both paths read it. With one seed (or none), the
+coordinates over F_k are one column, whose SVD is its norm: with G_k the sum
+of t_j^2 over F_k, z_k = (t_k/G_k) sum_j t_j e_j and |z_k|^2 = t_k^2/G_k, so
+one product of the mask with t^2 gives every residual. With m >= 2 one
+batched SVD of their coordinates over each F_k gives every z_k at once; an
+m x m Gram matrix would square their conditioning.
 A drop frees its candidate for the ones after it, and a further pass settles
 them; at most one pass per seed is added. Candidate order and the
 ``DROP_TOL`` drop rule are those of the operator-space algorithm, so the
@@ -58,7 +61,6 @@ __all__ = [
     "OperatorBasis",
     "StateCoordinates",
     "hamiltonian_unit",
-    "gell_mann_candidates",
     "complete_basis",
     "expand_state",
     "reconstruct_state",
@@ -144,20 +146,9 @@ def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
     return traceless, math.sqrt(h_sq)
 
 
-def gell_mann_candidates(d: int) -> np.ndarray:
-    """Generalized Gell-Mann family for dimension d, unit HS norm.
-
-    Returns a (d^2 - 1, d, d) stack holding, in this fixed order: symmetric
-    generators ``(|j><k| + |k><j|)/sqrt(2)`` for j < k lexicographically,
-    then the antisymmetric generators ``(-i|j><k| + i|k><j|)/sqrt(2)``, then
-    the diagonal generators ``diag(1,...,1,-l,0,...)/sqrt(l(l+1))``.
-    """
-    return _frame_operators(np.eye(d * d)[1:], d)
-
-
 @cache
 def _frame_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the members of the frame ``{I/sqrt(d)} + gell_mann_candidates(d)`` sit.
+    """Where the members of the frame, I/sqrt(d) and the candidates, sit.
 
     Returns the flat positions of entries (j, k) and (k, j) of each pair
     j < k, the frame indices of the diagonal members (I/sqrt(d), then the
@@ -316,11 +307,12 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     """Complete ``(I/sqrt(d), *seeds)`` to a full orthonormal basis.
 
     Seeds must be traceless, unit-norm and mutually orthogonal; they are kept
-    at positions 1..len(seeds). Gell-Mann candidates are then orthogonalized
+    at positions 1..len(seeds), and checked once, on their frame
+    coordinates, to 1e-10. The Gell-Mann candidates are then orthogonalized
     against everything accepted so far, keeping those whose residual norm is
-    at least ``DROP_TOL``. Every residual comes from a closed form over the
-    frame ``{I/sqrt(d)} + gell_mann_candidates(d)`` (see the module
-    docstring).
+    at least ``DROP_TOL``. Candidate k's residual is taken over its free set,
+    every candidate after k and those dropped before k, in closed form over
+    the frame of I/sqrt(d) and the candidates (see the module docstring).
 
     :raises ValidationError: for d outside ``1..MAX_BASIS_DIM``, before any
         allocation, or for seeds that break the conditions above.
@@ -329,42 +321,39 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
         raise ValidationError(
             f"unsupported basis dimension {d}; complete_basis accepts 1..{MAX_BASIS_DIM}"
         )
-    seed_mats: list[np.ndarray] = []
-    for s in seeds:
-        m = _operator(s).matrix
-        if m.shape != (d, d):
-            raise ValidationError("seed dimension mismatch")
-        if abs(np.trace(m)) > 1e-10:
-            raise ValidationError("seeds must be traceless")
-        for prev in seed_mats:
-            if abs(np.sum(prev.conj() * m).real) > 1e-10:
-                raise ValidationError("seeds must be mutually orthogonal")
-        norm = math.sqrt(float(np.sum(np.abs(m) ** 2)))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError("seeds must have unit Hilbert-Schmidt norm")
-        seed_mats.append(m)
-    n = d * d
-    need = n - 1 - len(seed_mats)
-    # Row a of s holds seed a's frame coordinates; candidate k is frame member
-    # k + 1, and t[k] holds the seeds' coordinates on it (one zero column
-    # without seeds, which keeps every candidate as it is). Candidate k's
-    # residual is e_k - z_k (see the module docstring). A pass settles every
-    # decision up to its first drop not yet freed, and at most len(seeds)
-    # candidates drop before the last one kept.
-    s = _frame_coordinates(np.array(seed_mats)) if seed_mats else np.zeros((0, n))
-    t = s[:, 1:].T if seed_mats else np.zeros((n - 1, 1))
+    mats = [_operator(seed).matrix for seed in seeds]
+    if any(a.shape != (d, d) for a in mats):
+        raise ValidationError("seed dimension mismatch")
+    m, n = len(mats), d * d
+    need = n - 1 - m
+    # Row a of s holds seed a's frame coordinates: s[a, 0] is Tr/sqrt(d) and
+    # s @ s.T the seeds' Hilbert-Schmidt Gram matrix.
+    s = _frame_coordinates(np.array(mats)) if m else np.zeros((0, n))
+    gram = s @ s.T
+    if (math.sqrt(d) * np.abs(s[:, 0]) > 1e-10).any():
+        raise ValidationError("seeds must be traceless")
+    if (np.abs(gram - np.diag(gram.diagonal())) > 1e-10).any():
+        raise ValidationError("seeds must be mutually orthogonal")
+    if (np.abs(np.sqrt(gram.diagonal()) - 1.0) > 1e-10).any():
+        raise ValidationError("seeds must have unit Hilbert-Schmidt norm")
+    # Candidate k is frame member k + 1, t[k] holds the seeds' coordinates on
+    # it (one zero column without seeds, which keeps every candidate as it
+    # is), and free[k] is its free set (see the module docstring). A pass
+    # settles every decision up to its first drop not yet freed, and at most
+    # m candidates drop before the last one kept.
+    t = s[:, 1:].T if m else np.zeros((n - 1, 1))
     order = np.arange(n - 1)
     skipped = np.zeros(n - 1, dtype=bool)
-    for _ in range(len(seed_mats) + 1):
-        if len(seed_mats) > 1:
-            free = (order > order[:, None]) | skipped
-            free.flat[::n] = False
+    for _ in range(m + 1):
+        free = (order > order[:, None]) | skipped
+        free.flat[::n] = False
+        if m > 1:
             # The free part of t is u sig vh for candidate k, so z_k = u (vh t[k] / sig).
             u, sig, vh = np.linalg.svd(free[:, :, None] * t, full_matrices=False)
             c = (vh @ t[:, :, None])[:, :, 0]
         else:
             # One column's SVD is its norm: u = free t / sig, vh = 1 and c = t[k].
-            sig, c = _free_norms(t, skipped), t
+            sig, c = np.sqrt(free @ (t * t)), t
         null = sig <= RANGE_TOL
         ratio = np.divide(c, sig, out=np.zeros_like(c), where=~null)
         gamma = 1.0 + (ratio * ratio).sum(axis=1)
@@ -386,27 +375,14 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     rows[0, 0] = 1.0
     rows[1:n - need] = s
     weight = ratio[idx] * -scale[:, None]
-    if len(seed_mats) > 1:
+    if m > 1:
         rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], weight) * free[idx]
     else:
         # u[k] is t over k's free set, divided by sig_k.
         weight = np.divide(weight, sig[idx], out=np.zeros_like(weight), where=~null[idx])
-        rows[n - need:, 1:] = weight * t.T * ((order > idx[:, None]) | skipped)
+        rows[n - need:, 1:] = weight * t.T * free[idx]
     rows[n - need + np.arange(need), idx + 1] = scale
     return OperatorBasis._of_rows(rows)
-
-
-def _free_norms(t: np.ndarray, skipped: np.ndarray) -> np.ndarray:
-    """sqrt(sum t_j^2) over each candidate's free set, for the (n - 1, 1) coordinates t of one seed.
-
-    Each sum accumulates from zero, never as a total less a partial sum, so a
-    norm at the rounding level is not left over from a cancellation.
-    """
-    sq = t * t
-    norms = np.zeros_like(sq)
-    norms[:-1] = np.cumsum(sq[:0:-1], axis=0)[::-1]
-    norms[1:] += np.cumsum(sq[:-1] * skipped[:-1, None], axis=0)
-    return np.sqrt(norms)
 
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:

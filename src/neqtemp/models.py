@@ -32,6 +32,7 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
+    _local_sum,
     eig_hermitian,
     tensor_product,
 )
@@ -118,9 +119,7 @@ def build_two_qubit_xy(p: TwoQubitXYParams) -> BipartiteSystem:
     h_i = HermitianOperator(
         p.lam * (tensor_product(SIGMA_PLUS, SIGMA_MINUS) + tensor_product(SIGMA_MINUS, SIGMA_PLUS))
     )
-    h_sb = HermitianOperator(
-        tensor_product(h_s, np.eye(2)) + tensor_product(np.eye(2), h_b) + h_i.matrix
-    )
+    h_sb = HermitianOperator._of_computed(_local_sum(h_s, h_b, h_i))
     return BipartiteSystem(2, 2, h_s, h_b, h_i, _gibbs_state(eig_hermitian(h_sb), p.beta))
 
 

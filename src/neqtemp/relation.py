@@ -19,15 +19,12 @@ and residual are fields of the system's BipartiteReport, whose one builder in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .correlation import BipartiteReport, BipartiteSystem, _report
-from .linalg import HermitianOperator, _local_sum
 from .thermometry import DEFAULT_CLIP
 
 __all__ = [
-    "AuxiliaryBasis", "expansion_coefficients", "auxiliary_basis",
-    "relation_coefficients", "tilde_inverse_temperatures", "verify_universal_relation",
+    "expansion_coefficients", "relation_coefficients", "tilde_inverse_temperatures",
+    "verify_universal_relation",
 ]
 
 
@@ -37,31 +34,6 @@ def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
     C_S = Tr[O1_SB (O_S x I)]/d_B, C_B = Tr[O1_SB (I x O_B)]/d_S, C_chi = Tr[O1_SB O_chi] (0 if degenerate).
     """
     return sys.frame.C_S, sys.frame.C_B, sys.frame.C_chi
-
-
-@dataclass(frozen=True)
-class AuxiliaryBasis:
-    """The two directions completing O1_SB over the three-operator span.
-
-    ``O3_SB`` is None in the degenerate case (C_chi = 0, ``interaction_degenerate``).
-    """
-
-    O2_SB: HermitianOperator
-    O3_SB: HermitianOperator | None
-    interaction_degenerate: bool
-
-
-def auxiliary_basis(sys: BipartiteSystem) -> AuxiliaryBasis:
-    """O2_SB and O3_SB spanning, with O1_SB, the local-plus-chi subspace."""
-    f = sys.frame
-    c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
-    o_s, o_b = f.O_S.matrix, f.O_B.matrix
-    o2 = HermitianOperator._of_computed(_local_sum((c_b / sys.d_B) * o_s, -(c_s / sys.d_S) * o_b))
-    if c_chi == 0.0:
-        return AuxiliaryBasis(O2_SB=o2, O3_SB=None, interaction_degenerate=True)
-    o3 = HermitianOperator._of_computed(
-        _local_sum(c_s * o_s, c_b * o_b, -((c_s**2 * sys.d_B + c_b**2 * sys.d_S) / c_chi) * f.O_chi.matrix))
-    return AuxiliaryBasis(O2_SB=o2, O3_SB=o3, interaction_degenerate=False)
 
 
 def relation_coefficients(sys: BipartiteSystem) -> BipartiteReport:

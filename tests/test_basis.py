@@ -11,7 +11,6 @@ from neqtemp.basis import (
     OperatorBasis,
     complete_basis,
     expand_state,
-    gell_mann_candidates,
     hamiltonian_unit,
     reconstruct_state,
     rotate_tail,
@@ -58,6 +57,11 @@ def reference_candidates(d):
         m[level, level] = -level / norm
         out.append(m)
     return out
+
+
+def gell_mann_candidates(d):
+    """The completion's candidates: the frame members after I/sqrt(d), from unit coordinates."""
+    return basis_module._frame_operators(np.eye(d * d)[1:], d)
 
 
 def reference_completion(d, seeds, projections=1):
@@ -216,12 +220,42 @@ class TestCompleteBasis:
             )
 
     def test_rejects_traceful_seed(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="seeds must be traceless"):
             complete_basis(2, [HermitianOperator(np.eye(2) / math.sqrt(2.0))])
 
     def test_rejects_unnormalized_seed(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="seeds must have unit Hilbert-Schmidt norm"):
             complete_basis(2, [HermitianOperator(SZ)])
+
+    def test_rejects_non_orthogonal_seeds(self):
+        # Both seeds are traceless and of unit norm; their overlap is 1/sqrt(2).
+        seeds = [HermitianOperator(SZ / math.sqrt(2.0)), HermitianOperator((SX + SZ) / 2.0)]
+        with pytest.raises(ValidationError, match="seeds must be mutually orthogonal"):
+            complete_basis(2, seeds)
+
+    def test_rejects_seed_of_wrong_dimension(self):
+        seed, _ = hamiltonian_unit(HermitianOperator(np.diag([1.0, 0.0, -1.0])))
+        with pytest.raises(ValidationError, match="seed dimension mismatch"):
+            complete_basis(2, [seed])
+
+    @pytest.mark.parametrize("rule", ["trace", "norm", "overlap"])
+    def test_seeds_just_inside_each_bound_pass_the_seed_checks(self, rule):
+        # Each seed set misses one seed rule by 0.9e-10, inside its 1e-10
+        # bound. The completed basis is then held to its own bounds: Tr O_i
+        # within 1e-12 and a Gram deviation within 1e-10, which a seed norm
+        # of 1 + 0.9e-10 (Gram entry 1 + 1.8e-10) breaks.
+        eps, z = 0.9e-10, SZ / math.sqrt(2.0)
+        seeds, refusal = {
+            "trace": ([z + (eps / 2.0) * np.eye(2)], "basis operators beyond ops\\[0\\] must be traceless"),
+            "norm": ([(1.0 + eps) * z], "basis is not HS-orthonormal"),
+            "overlap": ([z, math.sqrt(1.0 - eps**2) * SX / math.sqrt(2.0) + eps * z], None),
+        }[rule]
+        seeds = [HermitianOperator(m) for m in seeds]
+        if refusal is None:
+            assert len(complete_basis(2, seeds)) == 4
+        else:
+            with pytest.raises(ValidationError, match=refusal):
+                complete_basis(2, seeds)
 
     def test_rejects_dimension_above_cap_before_allocating(self, monkeypatch):
         # Every step of a completion that allocates beyond the seed fails here.
@@ -229,7 +263,7 @@ class TestCompleteBasis:
             raise AssertionError("completion started above the dimension cap")
 
         seed, _ = hamiltonian_unit(gue(MAX_BASIS_DIM + 1, np.random.default_rng(35)))
-        for name in ("_frame_coordinates", "_frame_operators", "_free_norms"):
+        for name in ("_operator", "_frame_coordinates", "_frame_operators", "_check_frame_rows"):
             monkeypatch.setattr(basis_module, name, no_completion)
         monkeypatch.setattr(np.linalg, "svd", no_completion)
         with pytest.raises(ValidationError, match="unsupported basis dimension"):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from neqtemp import basis as basis_module
-from neqtemp.basis import DROP_TOL, RANGE_TOL, complete_basis, gell_mann_candidates, hamiltonian_unit
+from neqtemp.basis import DROP_TOL, RANGE_TOL, complete_basis, hamiltonian_unit
 from neqtemp.linalg import HermitianOperator
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
@@ -53,6 +53,11 @@ def svd_completion(d, seeds):
     rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], ratio[idx] * -scale[:, None]) * free[idx]
     rows[n - need + np.arange(need), idx + 1] = scale
     return rows, passes
+
+
+def gell_mann_candidates(d):
+    """The completion's candidates: the frame members after I/sqrt(d), from unit coordinates."""
+    return basis_module._frame_operators(np.eye(d * d)[1:], d)
 
 
 def gue(d, rng):

@@ -19,7 +19,6 @@ from neqtemp.linalg import (
     DensityMatrix,
     HermitianOperator,
     eig_hermitian,
-    hs_inner,
     matrix_log,
     partial_trace,
     tensor_product,
@@ -27,7 +26,6 @@ from neqtemp.linalg import (
 from neqtemp import correlation
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import (
-    auxiliary_basis,
     expansion_coefficients,
     relation_coefficients,
     tilde_inverse_temperatures,
@@ -154,45 +152,6 @@ class TestExpansion:
         assert c_s == pytest.approx(p.omega_S / math.sqrt(2.0) / h_sb, rel=1e-10)
         assert c_b == pytest.approx(p.omega_B / math.sqrt(2.0) / h_sb, rel=1e-10)
         assert c_chi == pytest.approx(math.sqrt(2.0) * p.lam / h_sb, rel=1e-10)
-
-
-class TestAuxiliaryBasis:
-    def test_orthogonality(self):
-        rng = np.random.default_rng(52)
-        for _ in range(10):
-            sys = sample_bipartite(2, 3, 0.5, rng)
-            o1 = sys.frame.O1_SB
-            aux = auxiliary_basis(sys)
-            assert not aux.interaction_degenerate
-            assert abs(hs_inner(o1, aux.O2_SB)) < 1e-10
-            assert abs(hs_inner(o1, aux.O3_SB)) < 1e-10
-
-    def test_span_rank_oracle(self):
-        # {O1, O2, O3} and {O_S x I, I x O_B, O_chi} must span the same
-        # three-dimensional operator subspace: the joint Gram matrix of all
-        # six has rank exactly 3.
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            sys = sample_bipartite(2, 2, 0.5, rng)
-            o1 = sys.frame.O1_SB
-            aux = auxiliary_basis(sys)
-            cu = chi_unit(sys)
-            ops = [
-                o1.matrix, aux.O2_SB.matrix, aux.O3_SB.matrix,
-                np.kron(cu.O_S.matrix, np.eye(2)), np.kron(np.eye(2), cu.O_B.matrix), cu.O_chi.matrix,
-            ]
-            gram = np.array(
-                [[np.sum(a.conj() * b).real for b in ops] for a in ops]
-            )
-            rank = int(np.sum(np.linalg.eigvalsh(gram) > 1e-10))
-            assert rank == 3
-
-    def test_degenerate_flag(self):
-        rng = np.random.default_rng(54)
-        sys = sample_bipartite(2, 2, 0.0, rng)
-        aux = auxiliary_basis(sys)
-        assert aux.interaction_degenerate
-        assert aux.O3_SB is None
 
 
 class TestCoefficients:
