@@ -54,7 +54,10 @@ from functools import cache, cached_property
 import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
-from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _frozen, _operator, _real_array
+from .linalg import (
+    HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _operator, _real_array,
+    _symmetrize, as_complex_matrix,
+)
 
 __all__ = [
     "MAX_BASIS_DIM",
@@ -198,25 +201,24 @@ def _frame_operators(rows: np.ndarray, d: int) -> np.ndarray:
     return out.view(complex).reshape(-1, d, d)
 
 
-def _check_frame_rows(rows: np.ndarray) -> None:
-    """Raise ValidationError unless (d^2, d^2) frame coordinates are a basis.
+def _check_frame_rows(rows: np.ndarray, what: str = "basis operators") -> None:
+    """Raise ValidationError, naming ``what``, unless frame coordinates are orthonormal rows led by e_0.
 
-    Row 0 must be e_0 within sqrt(d) 1e-12 (an entry-wise 1e-12 bound on
-    ops[0] - I/sqrt(d)), the rows' Tr O_i/sqrt(d) within 1e-12/sqrt(d), and
-    ``rows @ rows.T`` the identity within 1e-10.
+    ``rows`` is (m, d^2): a whole basis, or I/sqrt(d) followed by seeds. Row
+    0 must be e_0 within sqrt(d) 1e-12 in every coordinate, the other rows'
+    Tr O_i/sqrt(d) within 1e-12/sqrt(d), and ``rows @ rows.T`` the identity
+    within 1e-10.
     """
-    n, d = len(rows), math.isqrt(len(rows))
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError("basis has non-finite entries")
+    n, d = rows.shape[1], math.isqrt(rows.shape[1])
     if float(np.max(np.abs(rows[0] - (np.arange(n) == 0)))) > math.sqrt(d) * 1e-12:
         raise ValidationError("ops[0] must be the normalized identity I/sqrt(d)")
     if np.any(np.abs(rows[1:, 0]) > 1e-12 / math.sqrt(d)):
-        raise ValidationError("basis operators beyond ops[0] must be traceless")
+        raise ValidationError(f"{what} must be traceless")
     gram = rows @ rows.T
-    gram.flat[:: n + 1] -= 1.0
+    gram.flat[:: len(gram) + 1] -= 1.0
     dev = float(np.max(np.abs(gram)))
     if dev > 1e-10:
-        raise ValidationError(f"basis is not HS-orthonormal: Gram deviation {dev:.3e}")
+        raise ValidationError(f"{what} are not HS-orthonormal: Gram deviation {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,43 +227,29 @@ class OperatorBasis:
 
     ``mats`` is given as a (d^2, d, d) stack or a sequence of d^2 matrices or
     :class:`HermitianOperator` s. The basis validates it once, stores it
-    symmetrized and read-only, and hands out its members as views of it.
+    symmetrized and read-only, and hands out its members as views of it: the
+    stack is coerced and symmetrized under :class:`HermitianOperator`'s rules,
+    and ops[0], the traces and the Gram matrix are checked by
+    :func:`_check_frame_rows` alone.
     """
 
     dim: int
     mats: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d = self.dim
-        src = self.mats
+        d, src = _dimension(self.dim), self.mats
         if not isinstance(src, np.ndarray):
             src = [getattr(m, "matrix", m) for m in src]
-        try:
-            a = np.asarray(src, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"basis members must be {d}x{d} matrices") from exc
-        if a.ndim != 3 or a.shape[1:] != (d, d):
-            raise ValidationError(f"basis members must be {d}x{d} matrices, got shape {a.shape}")
-        if len(a) != d * d:
-            raise ValidationError(f"basis must contain {d * d} operators, got {len(a)}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("basis has non-finite entries")
-        # Symmetrize and measure the deviation with two stack-sized buffers.
-        adj = a.conj().transpose(0, 2, 1)
-        mats = a + adj
-        mats *= 0.5
-        adj -= a
-        dev = float(np.max(np.abs(adj)))
-        if dev > HERM_TOL:
-            raise ValidationError(f"basis operators are not Hermitian: max deviation {dev:.3e}")
-        object.__setattr__(self, "mats", _frozen(mats))
-        if float(np.max(np.abs(mats[0] - np.eye(d) / math.sqrt(d)))) > 1e-12:
-            raise ValidationError("ops[0] must be the normalized identity I/sqrt(d)")
-        _check_frame_rows(_frame_coordinates(mats))
+        a = as_complex_matrix(src, ndim=3)
+        if a.shape != (d * d, d, d):
+            raise ValidationError(f"basis must hold {d * d} matrices of {d}x{d}, got shape {a.shape}")
+        object.__setattr__(self, "mats", _frozen(_symmetrize(a, HERM_TOL)))
+        _check_frame_rows(_frame_coordinates(self.mats))
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray) -> "OperatorBasis":
         """The basis with frame coordinates ``rows``; they alone are checked."""
+        _check_finite(rows, "basis")
         _check_frame_rows(rows)
         basis = object.__new__(cls)
         object.__setattr__(basis, "dim", math.isqrt(len(rows)))
@@ -307,35 +295,29 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     """Complete ``(I/sqrt(d), *seeds)`` to a full orthonormal basis.
 
     Seeds must be traceless, unit-norm and mutually orthogonal; they are kept
-    at positions 1..len(seeds), and checked once, on their frame
-    coordinates, to 1e-10. The Gell-Mann candidates are then orthogonalized
+    at positions 1..len(seeds), and checked once, on their frame coordinates
+    after those of I/sqrt(d), by the basis's own rules (see
+    :func:`_check_frame_rows`): Tr O/sqrt(d) within 1e-12/sqrt(d) and the
+    Gram matrix within 1e-10. The Gell-Mann candidates are then orthogonalized
     against everything accepted so far, keeping those whose residual norm is
     at least ``DROP_TOL``. Candidate k's residual is taken over its free set,
     every candidate after k and those dropped before k, in closed form over
     the frame of I/sqrt(d) and the candidates (see the module docstring).
 
-    :raises ValidationError: for d outside ``1..MAX_BASIS_DIM``, before any
-        allocation, or for seeds that break the conditions above.
+    :raises ValidationError: for d not an integer in ``1..MAX_BASIS_DIM``,
+        before any allocation, or for seeds that break the conditions above.
     """
-    if d < 1 or d > MAX_BASIS_DIM:
-        raise ValidationError(
-            f"unsupported basis dimension {d}; complete_basis accepts 1..{MAX_BASIS_DIM}"
-        )
+    if _dimension(d) > MAX_BASIS_DIM:
+        raise ValidationError(f"unsupported basis dimension {d}; complete_basis accepts 1..{MAX_BASIS_DIM}")
     mats = [_operator(seed).matrix for seed in seeds]
     if any(a.shape != (d, d) for a in mats):
         raise ValidationError("seed dimension mismatch")
     m, n = len(mats), d * d
     need = n - 1 - m
-    # Row a of s holds seed a's frame coordinates: s[a, 0] is Tr/sqrt(d) and
-    # s @ s.T the seeds' Hilbert-Schmidt Gram matrix.
+    # Row a of s holds seed a's frame coordinates; after e_0, the coordinates
+    # of I/sqrt(d), they are held to the basis rules before the completion.
     s = _frame_coordinates(np.array(mats)) if m else np.zeros((0, n))
-    gram = s @ s.T
-    if (math.sqrt(d) * np.abs(s[:, 0]) > 1e-10).any():
-        raise ValidationError("seeds must be traceless")
-    if (np.abs(gram - np.diag(gram.diagonal())) > 1e-10).any():
-        raise ValidationError("seeds must be mutually orthogonal")
-    if (np.abs(np.sqrt(gram.diagonal()) - 1.0) > 1e-10).any():
-        raise ValidationError("seeds must have unit Hilbert-Schmidt norm")
+    _check_frame_rows(np.vstack([np.eye(1, n), s]), "seeds")
     # Candidate k is frame member k + 1, t[k] holds the seeds' coordinates on
     # it (one zero column without seeds, which keeps every candidate as it
     # is), and free[k] is its free set (see the module docstring). A pass
@@ -387,8 +369,6 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:
     """Coordinates x_i = Tr[rho O_i]; satisfies Parseval and reconstruction."""
-    if rho.dim != basis.dim:
-        raise ValidationError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
     return StateCoordinates(basis.coordinates(rho.operator))
 
 

@@ -73,8 +73,8 @@ import numpy as np
 from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _frozen, _local_sum, _operator, _state,
-    _tr, matrix_log, partial_trace, tensor_product,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _local_sum, _operator,
+    _state, _tr, matrix_log, partial_trace, tensor_product,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
@@ -106,9 +106,7 @@ class BipartiteSystem:
 
     def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
                  H_I: HermitianOperator, rho_SB: DensityMatrix):
-        d_S, d_B = int(d_S), int(d_B)
-        if d_S < 2 or d_B < 2:
-            raise ValidationError("both factors must have dimension at least 2")
+        d_S, d_B = _dimension(d_S, 2), _dimension(d_B, 2)
         d = d_S * d_B
         H_S, H_B, H_I, rho_SB = _operator(H_S), _operator(H_B), _operator(H_I), _state(rho_SB)
         if H_S.dim != d_S or H_B.dim != d_B:

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .correlation import BipartiteReport, BipartiteSystem
 from .exceptions import ValidationError
-from .linalg import HERM_TOL, DensityMatrix, HermitianOperator
+from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _dimension
 from .models import TwoQubitXYParams
 from .thermometry import DEFAULT_CLIP, TemperatureReport
 
@@ -131,16 +131,13 @@ def _validated_fields(doc) -> dict:
         model_params = TwoQubitXYParams(**{k: _finite_number(v, f"model_params.{k}") for k, v in values.items()})
         dims = (2, 2)
     elif kind == "single":
-        dims_raw = doc.get("dims")
-        if not _is_integer(dims_raw):
-            raise ValidationError("single kind requires integer dims")
-        dims, shapes = (dims_raw,), {"H": dims_raw, "rho": dims_raw}
+        d = _dimension(doc.get("dims"), 1, "single kind requires integer dims")
+        dims, shapes = (d,), {"H": d, "rho": d}
     else:
-        dims_raw = doc.get("dims")
-        if not (isinstance(dims_raw, (list, tuple)) and len(dims_raw) == 2 and all(map(_is_integer, dims_raw))):
-            raise ValidationError("bipartite kind requires integer dims = [d_S, d_B]")
-        d_s, d_b = dims_raw
-        dims = (d_s, d_b)
+        dims_raw, bad = doc.get("dims"), "bipartite kind requires integer dims = [d_S, d_B]"
+        if not (isinstance(dims_raw, (list, tuple)) and len(dims_raw) == 2):
+            raise ValidationError(bad)
+        dims = d_s, d_b = _dimension(dims_raw[0], 1, bad), _dimension(dims_raw[1], 1, bad)
         shapes = {"H_S": d_s, "H_B": d_b, "H_I": d_s * d_b, "rho_SB": d_s * d_b}
     matrices: dict[str, np.ndarray] = {}
     for name, d in shapes.items():
@@ -151,11 +148,6 @@ def _validated_fields(doc) -> dict:
             shown = dims[0] if kind == "single" else dims
             raise ValidationError(f"matrix {name!r} shape {m.shape} does not match dims {shown}")
     return dict(kind=kind, dims=dims, matrices=matrices, model_params=model_params, clip=clip, tol=tol)
-
-
-def _is_integer(value) -> bool:
-    """True for a JSON integer; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_number(value, name: str) -> float:

@@ -14,8 +14,10 @@ Conventions used throughout the package:
 Validation happens once, at the boundary. ``HermitianOperator(matrix)``
 (and through it ``DensityMatrix(matrix)``) is the entry for matrices from
 outside the package: it copies, checks finiteness, shape and Hermiticity,
-and symmetrizes. Operators the package computes from operators it has
-already validated go through ``HermitianOperator._of_computed`` instead,
+and symmetrizes, by the same ``as_complex_matrix`` and ``_symmetrize`` that
+an ``OperatorBasis`` applies to its (d^2, d, d) stack; ``_dimension`` checks
+every dimension argument. Operators the package computes from operators it
+has already validated go through ``HermitianOperator._of_computed`` instead,
 which takes ownership of the fresh array, symmetrizes it in place and checks
 only finiteness; ``_of_checked`` wraps views of a stack validated as a
 whole. Likewise the eigenvector Gram check runs once per eigendecomposition
@@ -72,21 +74,45 @@ DEGENERACY_TOL = 1e-9  #: relative eigenvalue gap within one degenerate cluster
 IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |value|)
 
 
-def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce input to a finite complex 2-d array (copying, C-contiguous)."""
+def as_complex_matrix(entries, ndim: int = 2) -> np.ndarray:
+    """Coerce input to a finite complex array of rank ``ndim`` (copying, C-contiguous).
+
+    Only the matrix sides are capped at ``MAX_DIM``, not a stack's length.
+    """
     try:
         a = np.array(entries, dtype=complex, order="C")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix entries must be numbers in rectangular rows: {exc}") from exc
-    if a.ndim != 2:
-        raise ValidationError(f"expected a 2-d matrix, got array of shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValidationError("matrix has non-finite entries")
-    if max(a.shape, default=0) > MAX_DIM:
-        raise ValidationError(
-            f"matrix dimension {max(a.shape)} exceeds the supported cap {MAX_DIM}"
-        )
+    if a.ndim != ndim:
+        raise ValidationError(f"expected a {ndim}-d array of matrices, got shape {a.shape}")
+    _check_finite(a, "matrix")
+    if max(a.shape[-2:], default=0) > MAX_DIM:
+        raise ValidationError(f"matrix dimension {max(a.shape[-2:])} exceeds the supported cap {MAX_DIM}")
     return a
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValidationError, naming ``what``, unless every entry of a is finite."""
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} has non-finite entries")
+
+
+def _symmetrize(a: np.ndarray, tol: float) -> np.ndarray:
+    """A fresh (..., d, d) array a, symmetrized in place to (A + A^dag)/2; ValidationError if max|A - A^dag| > tol."""
+    adj = a.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(a - adj)))
+    if dev > tol:
+        raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.3e}")
+    a += adj
+    a *= 0.5
+    return a
+
+
+def _dimension(d, least: int = 1, error: str | None = None) -> int:
+    """d as an int, once it is an integer (Python or numpy, not a bool) of at least ``least``; else ``error``."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least:
+        raise ValidationError(error or f"dimension must be an integer of at least {least}, got {d!r}")
+    return int(d)
 
 
 def _real_array(entries, what: str) -> np.ndarray:
@@ -122,14 +148,7 @@ class HermitianOperator:
             raise ValidationError(f"Hermitian operator must be square, got {a.shape}")
         if a.shape[0] == 0:
             raise ValidationError("empty matrix")
-        a_dag = a.conj().T
-        dev = float(np.max(np.abs(a - a_dag)))
-        if dev > tol_herm:
-            raise ValidationError(
-                f"matrix is not Hermitian: max deviation {dev:.3e} > {tol_herm:.3e}"
-            )
-        a += a_dag  # a is a fresh copy: symmetrize it in place
-        a /= 2.0
+        _symmetrize(a, tol_herm)
         self.matrix: np.ndarray = _frozen(a)
 
     @classmethod
@@ -148,8 +167,8 @@ class HermitianOperator:
         """Wrap a square matrix the package computed from validated operators.
 
         Takes ownership of ``matrix``, a fresh array no caller keeps: it is
-        symmetrized in place to (A + A^dag)/2, exactly as the public
-        constructor would, checked for finiteness and frozen. There is no
+        symmetrized in place to (A + A^dag)/2, as by the public constructor,
+        checked for finiteness and frozen. There is no
         Hermiticity tolerance: the operands were Hermitian, so any deviation
         is rounding on their scale, whatever that scale is.
 
@@ -282,7 +301,8 @@ def _checked_eigh(A: HermitianOperator) -> tuple[SpectralDecomposition, np.ndarr
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix with cached spectrum.
 
-    Construction validates trace and positivity; eigenvalues in
+    Construction validates trace and positivity once, on the spectrum (the
+    sum of the eigenvalues is the trace); eigenvalues in
     ``[-PSD_TOL, 0)`` are clipped to zero and the spectrum renormalized, so
     the stored matrix and spectrum are exactly consistent with each other.
 
@@ -303,9 +323,6 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         op = _operator(matrix)
-        tr = op.trace
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix trace {tr!r} deviates from 1 beyond tolerance")
         spec, recon = _checked_eigh(op)
         # Round-off eigenvalues of Haar pure states stayed below 0.94 d eps
         # lambda_max (50,000 draws at d = 2, less at larger d): a 4x margin.
@@ -338,7 +355,7 @@ class DensityMatrix:
         clipped eigenvalues' rank-k term is removed and it is renormalized, so
         no second d^3 product is made.
         """
-        if abs(float(w.sum()) - 1.0) > TRACE_TOL:
+        if not abs(float(w.sum()) - 1.0) <= TRACE_TOL:
             raise ValidationError(f"density matrix trace {float(w.sum())!r} deviates from 1")
         if w[0] < -PSD_TOL:
             raise ValidationError(
@@ -476,9 +493,7 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
     ``keep=0`` keeps the S (left) factor, ``keep=1`` the B (right) factor.
     """
     m = _matrix_of(M)
-    d_s, d_b = int(dims[0]), int(dims[1])
-    if d_s < 1 or d_b < 1:
-        raise ValidationError(f"invalid factor dims {dims!r}")
+    d_s, d_b = _dimension(dims[0]), _dimension(dims[1])
     if m.shape != (d_s * d_b, d_s * d_b):
         raise ValidationError(f"matrix shape {m.shape} does not match dims {dims!r}")
     if keep not in (0, 1):

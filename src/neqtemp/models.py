@@ -32,6 +32,7 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
+    _dimension,
     _local_sum,
     eig_hermitian,
     tensor_product,
@@ -183,16 +184,13 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_gibbs(d: int, beta: float, rng: np.random.Generator) -> tuple[HermitianOperator, DensityMatrix]:
     """Random GUE Hamiltonian and its Gibbs state at inverse temperature beta."""
-    if d < 2:
-        raise ValidationError("dimension must be at least 2")
-    h = gue_sample(d, rng)
+    h = gue_sample(_dimension(d, 2), rng)
     return h, _gibbs_state(eig_hermitian(h), beta)
 
 
 def _commuting_pair(d: int, rng: np.random.Generator, inverted: bool) -> tuple[HermitianOperator, DensityMatrix]:
     """Commuting (H, rho), populations ascending in energy if ``inverted``, else descending."""
-    if d < 2:
-        raise ValidationError("dimension must be at least 2")
+    d = _dimension(d, 2)
     energies = np.sort(rng.normal(scale=2.0, size=d))
     probs = np.sort(rng.dirichlet(np.ones(d)))
     if not inverted:

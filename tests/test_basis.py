@@ -224,13 +224,13 @@ class TestCompleteBasis:
             complete_basis(2, [HermitianOperator(np.eye(2) / math.sqrt(2.0))])
 
     def test_rejects_unnormalized_seed(self):
-        with pytest.raises(ValidationError, match="seeds must have unit Hilbert-Schmidt norm"):
+        with pytest.raises(ValidationError, match="seeds are not HS-orthonormal"):
             complete_basis(2, [HermitianOperator(SZ)])
 
     def test_rejects_non_orthogonal_seeds(self):
         # Both seeds are traceless and of unit norm; their overlap is 1/sqrt(2).
         seeds = [HermitianOperator(SZ / math.sqrt(2.0)), HermitianOperator((SX + SZ) / 2.0)]
-        with pytest.raises(ValidationError, match="seeds must be mutually orthogonal"):
+        with pytest.raises(ValidationError, match="seeds are not HS-orthonormal"):
             complete_basis(2, seeds)
 
     def test_rejects_seed_of_wrong_dimension(self):
@@ -239,15 +239,16 @@ class TestCompleteBasis:
             complete_basis(2, [seed])
 
     @pytest.mark.parametrize("rule", ["trace", "norm", "overlap"])
-    def test_seeds_just_inside_each_bound_pass_the_seed_checks(self, rule):
-        # Each seed set misses one seed rule by 0.9e-10, inside its 1e-10
-        # bound. The completed basis is then held to its own bounds: Tr O_i
-        # within 1e-12 and a Gram deviation within 1e-10, which a seed norm
-        # of 1 + 0.9e-10 (Gram entry 1 + 1.8e-10) breaks.
+    def test_seeds_meet_the_basis_bounds(self, rule):
+        # Each seed set misses one seed rule by 0.9e-10. The seeds are held to
+        # the basis's own bounds, Tr O/sqrt(d) within 1e-12/sqrt(d) and a Gram
+        # deviation within 1e-10: a trace of 0.9e-10 and a norm of 1 + 0.9e-10
+        # (Gram entry 1 + 1.8e-10) are refused as the seeds', an overlap of
+        # 0.9e-10 completes.
         eps, z = 0.9e-10, SZ / math.sqrt(2.0)
         seeds, refusal = {
-            "trace": ([z + (eps / 2.0) * np.eye(2)], "basis operators beyond ops\\[0\\] must be traceless"),
-            "norm": ([(1.0 + eps) * z], "basis is not HS-orthonormal"),
+            "trace": ([z + (eps / 2.0) * np.eye(2)], "seeds must be traceless"),
+            "norm": ([(1.0 + eps) * z], "seeds are not HS-orthonormal: Gram deviation 1.8"),
             "overlap": ([z, math.sqrt(1.0 - eps**2) * SX / math.sqrt(2.0) + eps * z], None),
         }[rule]
         seeds = [HermitianOperator(m) for m in seeds]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from neqtemp import verify
 from neqtemp.cli import SWEEP_HEADER, build_parser, main
 from neqtemp.exceptions import ValidationError
 from neqtemp.io import (
@@ -477,6 +478,23 @@ class TestVerifyCommand:
         assert main(["verify", "gibbs", "--seed", "3", "--count", "10"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_failing_suite_exits_3(self, monkeypatch, capsys):
+        def failing(seed, count):
+            res = verify.SuiteResult("failing")
+            res.record("residual", 2.0, 1.0, "(synthetic)")
+            res.require(False, "condition broken")
+            res.require(True, "condition held")
+            return res
+
+        monkeypatch.setattr(verify, "SUITES", {"failing": (failing, 1)})
+        assert main(["verify", "failing"]) == 3
+        assert capsys.readouterr().out == (
+            "suite failing: FAIL (3 checks, 2 failures)\n"
+            "  worst residual = 2.000000e+00\n"
+            "  FAIL residual = 2.000000e+00 exceeds 1.0e+00 (synthetic)\n"
+            "  FAIL condition broken\n"
+        )
+
     def test_unknown_suite_exits_1(self, capsys):
         assert main(["verify", "nosuch"]) == 1
         assert capsys.readouterr().err == (
@@ -551,6 +569,28 @@ class TestDocumentParsing:
         assert main([command, str(tmp_path / "in.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,text,message", [
+        pytest.param("temp", "[1, 2]", "input document must be a JSON object", id="array-document"),
+        pytest.param("temp", '{"kind": "single", "dims": 2, "options": [1], "matrices": {}}',
+                     "options must be an object", id="options-list"),
+        pytest.param("bipartite", '{"kind": "model"}', "model kind requires model_params", id="no-model-params"),
+        pytest.param("bipartite", '{"kind": "model", "model_params": {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2}}',
+                     "model_params missing key 'beta'", id="model-params-key"),
+        pytest.param("temp", '{"kind": "single", "dims": 1, "matrices": {"H": [[["a", 0]]], "rho": [[[1, 0]]]}}',
+                     "malformed matrix entries: ", id="non-numeric-pair"),
+    ])
+    def test_refused_documents_name_the_fault(self, tmp_path, capsys, command, text, message):
+        (tmp_path / "in.json").write_text(text)
+        assert main([command, str(tmp_path / "in.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+
+    def test_unreadable_path_is_input_error(self, tmp_path, capsys):
+        assert main(["temp", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input: ") and str(tmp_path) in err
 
     def test_unencodable_dict_is_input_error(self):
         doc = gibbs_qubit_doc()

@@ -496,6 +496,12 @@ MALFORMED_INPUTS = {
     "is_passive dimension": lambda: is_passive(DensityMatrix(np.eye(2) / 2.0), np.eye(3)),
     "variation_split dimension": lambda: variation_split(DensityMatrix(np.eye(2) / 2.0), np.zeros((3, 3))),
     "passive pair below 2": lambda: sample_passive_pair(1, np.random.default_rng(0)),
+    "fractional bipartite dims": lambda: BipartiteSystem(
+        2.9, 2.2, np.eye(2), np.eye(2), np.eye(4), DensityMatrix(np.eye(4) / 4.0)),
+    "fractional partial_trace dims": lambda: partial_trace(np.eye(4), (2.7, 2.2), 0),
+    "fractional basis dimension": lambda: complete_basis(2.5, []),
+    "bool basis dimension": lambda: complete_basis(True, []),
+    "bool passive pair dimension": lambda: sample_passive_pair(True, np.random.default_rng(0)),
 }
 
 
@@ -503,6 +509,15 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_a_validation_error(name):
     with pytest.raises(ValidationError):
         MALFORMED_INPUTS[name]()
+
+
+def test_numpy_integer_dimensions_are_dimensions():
+    d = np.int64(2)
+    rho = DensityMatrix(np.eye(4) / 4.0)
+    np.testing.assert_array_equal(partial_trace(rho, (d, d), 0), partial_trace(rho, (2, 2), 0))
+    system = BipartiteSystem(d, d, np.diag([1.0, -1.0]), np.diag([1.0, -1.0]), np.eye(4), rho)
+    assert (type(system.d_S), system.dim) == (int, 4)
+    np.testing.assert_array_equal(complete_basis(np.int64(3), []).mats, complete_basis(3, []).mats)
 
 
 _DRHO = np.array([[0.0, 0.1], [0.1, 0.0]])
