@@ -69,7 +69,6 @@ from .correlation import (
     chi_unit,
     correlation_inverse_temperature,
     correlation_log_hamiltonian,
-    correlation_operator,
     mutual_information,
 )
 from .relation import (

@@ -42,14 +42,17 @@ A report's joint-space arrays are the inputs H_I and rho_SB, H_I0, H_I_eff,
 rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
 is d_S x d_S or d_B x d_B (effective Hamiltonians, mean-field shifts lambda,
 partial traces of H_I0, H_I_eff, L and HH_I, the marginals' logs) or scalar.
-The frame's O1_SB, O_I and O_chi and the system's H_SB are built on first
-access and cached; chi and HH_I are built on each call of
-:func:`correlation_operator` and :func:`correlation_log_hamiltonian`. Each
-local-plus-joint sum X x I + I x Y + Z (H_I_eff, H_SB, HH_I, O1_SB, O_chi) is
-assembled block-wise by ``linalg._local_sum``, with no Kronecker product. Each
-cross-check compares independent assemblies and runs once per record:
-beta_SB's moments against -Tr[O1_SB L]/h_SB through C, O_S, O_B and H_I_eff,
-at the bound of :func:`inverse_temperature`; beta_chi takes Tr[O_I HH_I]
+No report forms chi or the joint directions O_I, O_chi and O1_SB; a caller
+who wants them builds them from public pieces: chi is ``rho_SB.matrix -
+tensor_product(rho_S, rho_B)``, O1_SB is ``hamiltonian_unit(sys.H_SB())[0]``
+and O_I the unit direction of ``effective.H_I_eff`` when ``frame.h_I > 0``.
+The system's H_SB is built on first access and cached, HH_I on each call of
+:func:`correlation_log_hamiltonian`; each local-plus-joint sum X x I + I x Y +
+Z (H_I_eff, H_SB, HH_I) is assembled block-wise by ``linalg._local_sum``,
+with no Kronecker product. Each cross-check compares independent assemblies
+and runs once per record: beta_SB's moments against -Tr[O1_SB L]/h_SB
+through C, O_S, O_B and H_I_eff, at the bound of
+:func:`inverse_temperature`; beta_chi takes Tr[O_I HH_I]
 once from a vdot of H_I_eff with L and its partial traces (overlap form),
 once from H_I0, lambda and the partial traces of H_I0 (direct form, through
 O_chi). U_chi is Tr[chi H_I_eff] (H_I_eff's vdot and product mean), Tr[chi
@@ -66,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -74,16 +76,15 @@ from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
     RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _local_sum, _operator,
-    _state, _tr, matrix_log, partial_trace, tensor_product,
+    _state, _tr, matrix_log, partial_trace,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
 )
 
 __all__ = [
-    "BipartiteSystem", "EffectiveHamiltonians", "BipartiteFrame", "BipartiteReport",
-    "correlation_operator", "binding_energy", "mutual_information",
-    "correlation_log_hamiltonian", "chi_unit", "correlation_inverse_temperature",
+    "BipartiteSystem", "EffectiveHamiltonians", "BipartiteFrame", "BipartiteReport", "binding_energy",
+    "mutual_information", "correlation_log_hamiltonian", "chi_unit", "correlation_inverse_temperature",
 ]
 
 
@@ -174,11 +175,6 @@ def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians
     return eff, (hs0, hb0, hi0, lamb_S.matrix, lamb_B.matrix, mean, *parts)
 
 
-def correlation_operator(sys: BipartiteSystem) -> HermitianOperator:
-    """chi = rho_SB - rho_S x rho_B: traceless with vanishing partial traces."""
-    return HermitianOperator._of_computed(sys.rho_SB.matrix - tensor_product(sys.rho_S, sys.rho_B))
-
-
 def binding_energy(sys: BipartiteSystem) -> float:
     """U_chi = Tr[chi H_I_eff], the interaction energy held in correlations.
 
@@ -222,19 +218,22 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
 class BipartiteFrame:
     """Unit directions, weights, overlaps and expansion coefficients of a system.
 
-    O_S, O_B, O_I, O1_SB are the unit directions of H_S_eff, H_B_eff, H_I_eff,
-    H_SB with weights h_S, h_B, h_I, h_SB; overlap_S = Tr[O_I (O_S x I)] and
-    overlap_B = Tr[O_I (I x O_B)] (O_S x I has squared norm d_B); O_chi is O_I
-    orthogonalized against the local directions, with norm h_chi = sqrt(1 -
-    overlap_S^2/d_B - overlap_B^2/d_S). H_SB's traceless part is a_S (O_S x I)
-    + a_B (I x O_B) + h_I h_chi O_chi, a_S = h_S + h_I overlap_S/d_B (a_B
-    likewise), three orthogonal terms: h_SB and the C of O1_SB = C_S (O_S x I)
-    + C_B (I x O_B) + C_chi O_chi are scalars; the operators are built lazily.
+    A plain value: O_S and O_B, the unit directions of H_S_eff and H_B_eff,
+    and scalars. h_S, h_B, h_I and h_SB are the weights of H_S_eff, H_B_eff,
+    H_I_eff and H_SB, whose unit directions are O_S, O_B, O_I and O1_SB;
+    overlap_S = Tr[O_I (O_S x I)] and overlap_B = Tr[O_I (I x O_B)] (O_S x I
+    has squared norm d_B); O_chi is O_I orthogonalized against the local
+    directions, with norm h_chi = sqrt(1 - overlap_S^2/d_B - overlap_B^2/d_S).
+    H_SB's traceless part is a_S (O_S x I) + a_B (I x O_B) + h_I h_chi O_chi,
+    a_S = h_S + h_I overlap_S/d_B (a_B likewise), three orthogonal terms: h_SB
+    and the C of O1_SB = C_S (O_S x I) + C_B (I x O_B) + C_chi O_chi are
+    scalars. No report forms O_I, O_chi or O1_SB; ``_interaction`` holds the
+    partial traces of H_I_eff that the report reads instead.
 
     Degenerate interaction (H_I_eff proportional to I within rounding on H_I's
-    scale, e.g. H_I = 0, H_I proportional to I, or a local H_I): O_I = O_chi =
-    None, h_I = overlap_S = overlap_B = C_chi = 0 and h_chi = 1, so every
-    relation weight reduces to its no-interaction form.
+    scale, e.g. H_I = 0, H_I proportional to I, or a local H_I): there is no
+    O_I or O_chi, h_I = overlap_S = overlap_B = C_chi = 0 and h_chi = 1, so
+    every relation weight reduces to its no-interaction form.
     """
 
     O_S: HermitianOperator
@@ -249,30 +248,8 @@ class BipartiteFrame:
     C_S: float
     C_B: float
     C_chi: float
-    #: H_I_eff (no reference to the system), and its Tr, Tr_B and Tr_S when h_I > 0
-    _H_I_eff: HermitianOperator = field(repr=False, compare=False)
+    #: Tr H_I_eff, Tr_B H_I_eff and Tr_S H_I_eff when h_I > 0, else None
     _interaction: tuple | None = field(repr=False, compare=False)
-
-    @cached_property
-    def O1_SB(self) -> HermitianOperator:
-        # H_SB is H_S_eff x I + I x H_B_eff + H_I_eff up to a multiple of the identity.
-        o1 = _local_sum(self.h_S * self.O_S.matrix, self.h_B * self.O_B.matrix,
-                        _traceless(self._H_I_eff.matrix))
-        return HermitianOperator._of_computed(o1 / self.h_SB)
-
-    @cached_property
-    def O_I(self) -> HermitianOperator | None:
-        if self.h_I == 0.0:
-            return None
-        return HermitianOperator._of_computed(_traceless(self._H_I_eff.matrix) / self.h_I)
-
-    @cached_property
-    def O_chi(self) -> HermitianOperator | None:
-        if self.O_I is None:
-            return None
-        o_s, o_b = self.O_S.matrix, self.O_B.matrix
-        rest = _local_sum(-(self.overlap_S / len(o_b)) * o_s, -(self.overlap_B / len(o_s)) * o_b, self.O_I)
-        return HermitianOperator._of_computed(rest / self.h_chi)
 
 
 def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
@@ -298,7 +275,7 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
     h_sb = math.hypot(math.sqrt(d_b) * a_s, math.sqrt(d_s) * a_b, a_chi)
     return BipartiteFrame(
         O_S=o_s, h_S=h_s, O_B=o_b, h_B=h_b, h_SB=h_sb, h_I=h_i, h_chi=h_chi, overlap_S=c_s, overlap_B=c_b,
-        C_S=a_s / h_sb, C_B=a_b / h_sb, C_chi=a_chi / h_sb, _H_I_eff=eff.H_I_eff, _interaction=interaction)
+        C_S=a_s / h_sb, C_B=a_b / h_sb, C_chi=a_chi / h_sb, _interaction=interaction)
 
 
 def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:

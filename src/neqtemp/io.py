@@ -17,8 +17,7 @@ tab turned into a space and every non-ASCII character written as its
 spelling, spacing and repeated keys, and it parses to the value the report
 was computed from (the parser keeps the last of a repeated key). A document
 written by ``json.dump`` with default settings is its own echo, byte for byte
-the parsed document encoded again. A dict given to
-:func:`parse_input_document` echoes as its ``json.dumps``.
+the parsed document encoded again.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .thermometry import DEFAULT_CLIP, TemperatureReport
 __all__ = [
     "CONVENTION_NOTE",
     "InputDocument",
-    "parse_input_document",
     "load_input_document",
     "matrix_from_pairs",
     "matrix_to_pairs",
@@ -88,16 +86,6 @@ class InputDocument:
     clip: float
     tol: float
     text: str
-
-
-def parse_input_document(doc: dict) -> InputDocument:
-    """Validate and parse a JSON-shaped input document; a report echoes it as ``json.dumps(doc)``."""
-    fields = _validated_fields(doc)
-    try:
-        text = json.dumps(doc)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"input document is not JSON-encodable: {exc}") from exc
-    return InputDocument(**fields, text=text)
 
 
 def _validated_fields(doc) -> dict:

@@ -14,19 +14,20 @@ Conventions used throughout the package:
 Validation happens once, at the boundary. ``HermitianOperator(matrix)``
 (and through it ``DensityMatrix(matrix)``) is the entry for matrices from
 outside the package: it copies, checks finiteness, shape and Hermiticity,
-and symmetrizes, by the same ``as_complex_matrix`` and ``_symmetrize`` that
-an ``OperatorBasis`` applies to its (d^2, d, d) stack; ``_dimension`` checks
-every dimension argument. Operators the package computes from operators it
-has already validated go through ``HermitianOperator._of_computed`` instead,
-which takes ownership of the fresh array, symmetrizes it in place and checks
-only finiteness; ``_of_checked`` wraps views of a stack validated as a
-whole. Likewise the eigenvector Gram check runs once per eigendecomposition
-(``from_spectrum`` checks the caller's spectrum itself), and ``hs_inner``,
-``partial_trace`` and ``tensor_product`` read a validated operator's matrix
-without copying it. Every matrix product of this module goes through
-``_matmul``. ``DensityMatrix(matrix)`` makes two d^3 products, the Gram
-check and the reconstruction check, and derives its stored matrix from the
-reconstruction; each logarithm makes one more.
+and symmetrizes (refusing entries whose sum A + A^dag overflows), by the same
+``as_complex_matrix`` and ``_symmetrize`` that an ``OperatorBasis`` applies to
+its (d^2, d, d) stack; ``_dimension`` checks every dimension argument.
+Operators the package computes from operators it has already validated go
+through ``HermitianOperator._of_computed`` instead, which takes ownership of
+the fresh array, symmetrizes it in place and checks only finiteness;
+``_of_checked`` wraps views of a stack validated as a whole. Likewise the
+eigenvector Gram check runs once per eigendecomposition (``from_spectrum``
+checks the caller's spectrum itself), and ``hs_inner``, ``partial_trace`` and
+``tensor_product`` read a validated operator's matrix without copying it.
+Every matrix product of this module goes through ``_matmul``.
+``DensityMatrix(matrix)`` makes two d^3 products, the Gram check and the
+reconstruction check, and derives its stored matrix from the reconstruction;
+each logarithm makes one more.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads. A ``DensityMatrix``
@@ -98,12 +99,18 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 
 def _symmetrize(a: np.ndarray, tol: float) -> np.ndarray:
-    """A fresh (..., d, d) array a, symmetrized in place to (A + A^dag)/2; ValidationError if max|A - A^dag| > tol."""
+    """A fresh finite (..., d, d) array a, symmetrized in place to (A + A^dag)/2.
+
+    :raises ValidationError: if max|A - A^dag| > tol, or if A + A^dag overflows.
+    """
     adj = a.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(a - adj)))
-    if dev > tol:
-        raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.3e}")
-    a += adj
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(a - adj)))
+        if dev > tol:
+            raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.3e}")
+        a += adj
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries overflow when symmetrized: A + A^dag is not finite")
     a *= 0.5
     return a
 
@@ -412,8 +419,8 @@ def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
     every caller of one state's log shares one operator.
     """
     _state(rho)
-    if not (clip > 0.0):
-        raise ValidationError(f"clip must be positive, got {clip!r}")
+    if not (0.0 < clip < np.inf):
+        raise ValidationError(f"clip must be finite and positive, got {clip!r}")
     return _cached(rho._logs, clip, lambda: _spectral_log(rho, clip))
 
 

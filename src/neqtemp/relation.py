@@ -11,6 +11,11 @@ b_B = C_B h_B and K_chi tie the four inverse temperatures together:
 
     K_SB beta_SB = b_S beta_tilde_S + b_B beta_tilde_B - K_chi beta_chi.
 
+The tie is exact only at special points: ``residual`` is about 1e-15 on the
+two-qubit family, but of order 1e-2 on generic states and on global Gibbs
+states of GUE Hamiltonians, e.g. -1.7e-2 for ``sample_bipartite(2, 3, 0.5,
+default_rng(0))``.
+
 Without an interaction direction the weights reduce continuously to K_SB =
 (h_S^2 + h_B^2)/h_SB, b = h^2/h_SB and K_chi = 0. The weights, temperatures
 and residual are fields of the system's BipartiteReport, whose one builder in

@@ -15,7 +15,9 @@ import numpy as np
 
 from .basis import complete_basis, expand_state, hamiltonian_unit, rotate_tail
 from .exceptions import ValidationError
-from .linalg import DensityMatrix, HermitianOperator, eig_hermitian, hs_inner, matrix_log, tensor_product
+from .linalg import (
+    DensityMatrix, HermitianOperator, _dimension, eig_hermitian, hs_inner, matrix_log, tensor_product,
+)
 from .models import (
     TwoQubitXYParams,
     _gibbs_state,
@@ -226,13 +228,16 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, count: int | None = None) -> SuiteResult:
-    """Run one named suite; ``count`` defaults per suite."""
+    """Run one named suite at a seed of at least 0; ``count`` (at least 1) defaults per suite."""
     if name not in SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}"
         )
     fn, default_count = SUITES[name]
-    return fn(seed, count if count is not None else default_count)
+    seed = _dimension(seed, 0, f"seed must be an integer of at least 0, got {seed!r}")
+    if count is not None:
+        count = _dimension(count, 1, f"count must be an integer of at least 1, got {count!r}")
+    return fn(seed, count or default_count)
 
 
 def run_suites(name: str, seed: int, count: int | None = None) -> list[SuiteResult]:

@@ -12,9 +12,9 @@ from neqtemp.exceptions import ValidationError
 from neqtemp.io import (
     correlation_report_dict,
     extended_real,
+    load_input_document,
     matrix_from_pairs,
     matrix_to_pairs,
-    parse_input_document,
     temperature_report_dict,
 )
 from neqtemp.linalg import DensityMatrix, HermitianOperator
@@ -118,6 +118,11 @@ class TestTemp:
         path.write_text("{not json")
         assert main(["temp", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_infinite_clip_exits_1(self, tmp_path, capsys):
+        # A document's clip must be finite; so must the flag's.
+        assert main(["temp", write_doc(tmp_path, gibbs_qubit_doc()), "--clip", "inf"]) == 1
+        assert capsys.readouterr().err == "error: clip must be finite and positive, got inf\n"
 
     def test_wrong_kind_exits_1(self, tmp_path, capsys):
         rho = np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3]))
@@ -343,9 +348,12 @@ class TestInputEcho:
         echo = text.strip().replace("\r", " ").replace("\n", " ").replace("\t", " ").replace(NOTE, NOTE_ESCAPED)
         assert report.startswith('{"input": ' + echo + ', "report": ')
 
-    def test_parsed_dict_echoes_as_its_encoding(self):
+    def test_parsed_dict_echoes_as_its_encoding(self, tmp_path):
+        # A document written by json.dump is its own echo.
         doc = gibbs_qubit_doc()
-        assert parse_input_document(doc).text == json.dumps(doc)
+        with open(tmp_path / "in.json", "w") as fh:
+            json.dump(doc, fh)
+        assert load_input_document(str(tmp_path / "in.json")).text == json.dumps(doc)
 
     BAD_UTF8 = b'{"kind": "single", "note": "\xff\xfe"}'
 
@@ -495,6 +503,17 @@ class TestVerifyCommand:
             "  FAIL condition broken\n"
         )
 
+    @pytest.mark.parametrize("flag,value,least", [
+        pytest.param("--seed", "-1", 0, id="negative-seed"),
+        pytest.param("--count", "0", 1, id="zero-count"),
+        pytest.param("--count", "-3", 1, id="negative-count"),
+    ])
+    def test_seed_and_count_below_their_least_exit_1(self, capsys, flag, value, least):
+        assert main(["verify", "gibbs", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[2:]} must be an integer of at least {least}, got {value}\n"
+
     def test_unknown_suite_exits_1(self, capsys):
         assert main(["verify", "nosuch"]) == 1
         assert capsys.readouterr().err == (
@@ -513,27 +532,27 @@ class TestDocumentParsing:
         with pytest.raises(ValidationError):
             matrix_from_pairs([[1.0, 0.0], [0.0, 1.0]])
 
-    def test_rejects_unknown_kind(self):
+    def test_rejects_unknown_kind(self, tmp_path):
         with pytest.raises(ValidationError):
-            parse_input_document({"kind": "tripartite"})
+            load_input_document(write_doc(tmp_path, {"kind": "tripartite"}))
 
-    def test_rejects_missing_matrix(self):
+    def test_rejects_missing_matrix(self, tmp_path):
         doc = gibbs_qubit_doc()
         del doc["matrices"]["rho"]
         with pytest.raises(ValidationError):
-            parse_input_document(doc)
+            load_input_document(write_doc(tmp_path, doc))
 
-    def test_rejects_shape_mismatch(self):
+    def test_rejects_shape_mismatch(self, tmp_path):
         doc = gibbs_qubit_doc()
         doc["dims"] = 3
         with pytest.raises(ValidationError):
-            parse_input_document(doc)
+            load_input_document(write_doc(tmp_path, doc))
 
-    def test_rejects_bad_options(self):
+    def test_rejects_bad_options(self, tmp_path):
         doc = gibbs_qubit_doc()
         doc["options"] = {"clip": 0.0}
         with pytest.raises(ValidationError):
-            parse_input_document(doc)
+            load_input_document(write_doc(tmp_path, doc))
 
     @pytest.mark.parametrize("command,path,value", [
         pytest.param("bipartite", ("dims",), ["a", 2], id="dims-string"),
@@ -591,12 +610,6 @@ class TestDocumentParsing:
         assert main(["temp", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read input: ") and str(tmp_path) in err
-
-    def test_unencodable_dict_is_input_error(self):
-        doc = gibbs_qubit_doc()
-        doc["matrices"]["rho"] = np.asarray(doc["matrices"]["rho"])
-        with pytest.raises(ValidationError, match="not JSON-encodable"):
-            parse_input_document(doc)
 
     def test_extended_real_values(self):
         assert extended_real(1.5) == 1.5

@@ -18,7 +18,6 @@ from neqtemp.correlation import (
     chi_unit,
     correlation_inverse_temperature,
     correlation_log_hamiltonian,
-    correlation_operator,
     mutual_information,
 )
 from neqtemp.exceptions import DegenerateDirectionError, NumericalError, ValidationError
@@ -34,6 +33,7 @@ from neqtemp.linalg import (
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import relation_coefficients, tilde_inverse_temperatures, verify_universal_relation
 from neqtemp.thermometry import DEFAULT_CLIP
+from oracles import correlations, frame_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -146,7 +146,7 @@ class TestCorrelationOperator:
             HermitianOperator(0.1 * tensor_product(SX, SX)),
             rho,
         )
-        chi = correlation_operator(sys).matrix
+        chi = correlations(sys)
         # Marginals are I/2, so chi = |Phi+><Phi+| - I/4: coherence 1/2 on the
         # antidiagonal corners, 1/4 on the outer diagonal, -1/4 inner.
         assert chi[0, 3] == pytest.approx(0.5)
@@ -157,14 +157,14 @@ class TestCorrelationOperator:
         rng = np.random.default_rng(9)
         for _ in range(50):
             sys = sample_bipartite(2, 3, 0.5, rng)
-            chi = correlation_operator(sys).matrix
+            chi = correlations(sys)
             assert np.max(np.abs(partial_trace(chi, (2, 3), 0))) < 1e-10
             assert np.max(np.abs(partial_trace(chi, (2, 3), 1))) < 1e-10
 
     def test_product_state_zero(self):
         rng = np.random.default_rng(10)
         sys = product_system(rng)
-        assert np.max(np.abs(correlation_operator(sys).matrix)) < 1e-12
+        assert np.max(np.abs(correlations(sys))) < 1e-12
 
 
 class TestBindingEnergyMutualInformation:
@@ -235,10 +235,8 @@ class TestComputedOperators:
         sys = sample_bipartite(d_s, d_b, 0.3, np.random.default_rng(d_s * d_b))
         f, eff = sys.frame, sys.effective
         ops = {
-            "O_S": f.O_S, "O_B": f.O_B, "O1_SB": f.O1_SB, "O_I": f.O_I, "O_chi": f.O_chi,
-            "H_SB": sys.H_SB(), "H_S_eff": eff.H_S_eff, "H_B_eff": eff.H_B_eff,
+            "O_S": f.O_S, "O_B": f.O_B, "H_SB": sys.H_SB(), "H_S_eff": eff.H_S_eff, "H_B_eff": eff.H_B_eff,
             "H_I_eff": eff.H_I_eff, "HH_I": correlation_log_hamiltonian(sys).operator,
-            "chi": correlation_operator(sys),
         }
         for name in ("rho_SB", "rho_S", "rho_B"):
             ops[f"log {name}"] = matrix_log(getattr(sys, name), DEFAULT_CLIP).operator
@@ -267,31 +265,28 @@ class TestComputedOperators:
 
 
 class TestTraceAlgebra:
-    """A report reads scalars and local matrices; the operator fields are built
-    on first access, cached, and agree with the frame's scalars."""
+    """A report reads scalars and local matrices; the frame's scalars agree with
+    the joint-space operators that the test oracles assemble independently."""
 
     @pytest.mark.parametrize("d_s,d_b", [(2, 3), (3, 4)])
     def test_frame_scalars_match_operators(self, d_s, d_b):
         sys = sample_bipartite(d_s, d_b, 0.4, np.random.default_rng(d_s + 10 * d_b))
-        f = sys.frame
+        f, ops = sys.frame, frame_operators(sys)
         o1, h_sb = hamiltonian_unit(sys.H_SB())
-        es, eb = np.kron(f.O_S.matrix, np.eye(d_b)), np.kron(np.eye(d_s), f.O_B.matrix)
+        es, eb = ops.O_S_I, ops.I_O_B
         assert f.h_SB == pytest.approx(h_sb, rel=1e-12)
-        assert f.overlap_S == pytest.approx(hs_inner(f.O_I, es), abs=1e-12)
-        assert f.overlap_B == pytest.approx(hs_inner(f.O_I, eb), abs=1e-12)
-        for c, op, norm in ((f.C_S, es, d_b), (f.C_B, eb, d_s), (f.C_chi, f.O_chi.matrix, 1)):
+        assert f.overlap_S == pytest.approx(hs_inner(ops.O_I, es), abs=1e-12)
+        assert f.overlap_B == pytest.approx(hs_inner(ops.O_I, eb), abs=1e-12)
+        # O_I is O_chi's unit multiple plus local parts, so Tr[O_chi O_I] is O_chi's unnormalized norm.
+        assert f.h_chi == pytest.approx(hs_inner(ops.O_chi, ops.O_I), abs=1e-12)
+        for c, op, norm in ((f.C_S, es, d_b), (f.C_B, eb, d_s), (f.C_chi, ops.O_chi, 1)):
             assert c == pytest.approx(hs_inner(o1, op) / norm, abs=1e-12)
+        np.testing.assert_allclose(ops.O1_SB, o1.matrix, atol=1e-12)
 
-    def test_operator_fields_lazy_and_cached(self):
+    def test_log_hamiltonian_rebuilt_equal_after_a_report(self):
         sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
         correlation_inverse_temperature(sys, 1e-6)
-        f = sys.frame
-        assert not {"O1_SB", "O_I", "O_chi"} & set(vars(f))
-        assert f.O_I is f.O_I and f.O_chi is f.O_chi and f.O1_SB is f.O1_SB
-        # The operators a report once cached are built afresh by the free functions, equal each time.
-        chi = correlation_operator(sys).matrix
-        np.testing.assert_array_equal(chi, sys.rho_SB.matrix - np.kron(sys.rho_S.matrix, sys.rho_B.matrix))
-        np.testing.assert_array_equal(correlation_operator(sys).matrix, chi)
+        # After a report, HH_I is built afresh by the free function, equal each time.
         np.testing.assert_array_equal(correlation_log_hamiltonian(sys, 1e-6).operator.matrix,
                                       correlation_log_hamiltonian(sys, 1e-6).operator.matrix)
 
@@ -331,22 +326,26 @@ class TestUnits:
         assert cu.h_chi == pytest.approx(1.0, abs=1e-12)
         assert cu.overlap_S == pytest.approx(0.0, abs=1e-12)
         assert cu.overlap_B == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(cu.O_chi.matrix, cu.O_I.matrix, atol=1e-12)
+        ops = frame_operators(sys)
+        np.testing.assert_allclose(ops.O_chi, ops.O_I, atol=1e-12)
 
     def test_interaction_unit_normalized(self):
         rng = np.random.default_rng(15)
         sys = sample_bipartite(2, 2, 0.6, rng)
-        o_i = sys.frame.O_I
-        assert np.trace(o_i.matrix).real == pytest.approx(0.0, abs=1e-12)
-        assert np.sum(np.abs(o_i.matrix) ** 2) == pytest.approx(1.0, rel=1e-12)
+        o_i = frame_operators(sys).O_I
+        assert np.trace(o_i).real == pytest.approx(0.0, abs=1e-12)
+        assert np.sum(np.abs(o_i) ** 2) == pytest.approx(1.0, rel=1e-12)
+        # h_I is the weight of that direction: h_I O_I is the traceless part of H_I_eff.
+        hi = sys.effective.H_I_eff.matrix
+        np.testing.assert_allclose(sys.frame.h_I * o_i, hi - np.trace(hi) / 4.0 * np.eye(4), atol=1e-12)
 
     def test_zero_interaction_degenerate(self):
         rng = np.random.default_rng(16)
         sys = sample_bipartite(2, 2, 0.0, rng)
         with pytest.raises(DegenerateDirectionError):
             chi_unit(sys)
-        frame = sys.frame
-        assert frame.O_I is None and frame.O_chi is None
+        frame, ops = sys.frame, frame_operators(sys)
+        assert ops.O_I is None and ops.O_chi is None
         assert (frame.h_I, frame.h_chi, frame.overlap_S, frame.C_chi) == (0.0, 1.0, 0.0, 0.0)
 
     def test_local_interaction_has_no_chi_direction(self):
@@ -379,7 +378,7 @@ class TestUnits:
             HermitianOperator(SZ), HermitianOperator(0.5 * SZ), HermitianOperator(h_i),
             DensityMatrix(tensor_product(rho_s, rho_b)),
         )
-        assert sys.frame.O_I is None
+        assert sys.frame.h_I == 0.0 and frame_operators(sys).O_I is None
         assert math.isnan(verify_universal_relation(sys).beta_chi)
         with pytest.raises(DegenerateDirectionError):
             correlation_inverse_temperature(sys)
@@ -388,12 +387,10 @@ class TestUnits:
         rng = np.random.default_rng(18)
         for _ in range(20):
             sys = sample_bipartite(2, 3, 0.5, rng)
-            cu = chi_unit(sys)
-            emb_s = np.kron(cu.O_S.matrix, np.eye(3))
-            emb_b = np.kron(np.eye(2), cu.O_B.matrix)
-            assert abs(np.sum(emb_s.conj() * cu.O_chi.matrix).real) < 1e-10
-            assert abs(np.sum(emb_b.conj() * cu.O_chi.matrix).real) < 1e-10
-            assert np.sum(np.abs(cu.O_chi.matrix) ** 2) == pytest.approx(1.0, rel=1e-10)
+            ops = frame_operators(sys)
+            assert abs(np.sum(ops.O_S_I.conj() * ops.O_chi).real) < 1e-10
+            assert abs(np.sum(ops.I_O_B.conj() * ops.O_chi).real) < 1e-10
+            assert np.sum(np.abs(ops.O_chi) ** 2) == pytest.approx(1.0, rel=1e-10)
 
 
 class TestCorrelationTemperature:

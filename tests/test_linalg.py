@@ -327,8 +327,9 @@ class TestMatrixFunctions:
 
     def test_log_rejects_bad_clip(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
-        with pytest.raises(ValidationError):
-            matrix_log(rho, 0.0)
+        for clip in (0.0, math.inf):
+            with pytest.raises(ValidationError):
+                matrix_log(rho, clip)
 
 
 class TestTensorAndPartialTrace:
@@ -493,6 +494,9 @@ MALFORMED_INPUTS = {
     "reconstruct_state size": lambda: reconstruct_state(StateCoordinates([0.5, 0.0]), complete_basis(2, [])),
     "basis member shape": lambda: OperatorBasis(2, np.zeros((4, 3, 3))),
     "all-NaN basis": lambda: OperatorBasis(2, np.full((4, 2, 2), np.nan)),
+    # Finite entries whose sum A + A^dag overflows.
+    "overflowing operator": lambda: HermitianOperator(np.full((2, 2), 1e308)),
+    "overflowing basis": lambda: OperatorBasis(2, np.full((4, 2, 2), 1e308)),
     "is_passive dimension": lambda: is_passive(DensityMatrix(np.eye(2) / 2.0), np.eye(3)),
     "variation_split dimension": lambda: variation_split(DensityMatrix(np.eye(2) / 2.0), np.zeros((3, 3))),
     "passive pair below 2": lambda: sample_passive_pair(1, np.random.default_rng(0)),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from neqtemp.basis import hamiltonian_unit
-from neqtemp.correlation import chi_unit, correlation_inverse_temperature
+from neqtemp.correlation import correlation_inverse_temperature
 from neqtemp.exceptions import NumericalError
 from neqtemp.linalg import (
     DensityMatrix,
@@ -33,6 +33,7 @@ from neqtemp.relation import (
 )
 from neqtemp.thermometry import DEFAULT_CLIP, inverse_temperature
 from neqtemp.correlation import BipartiteSystem
+from oracles import frame_operators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -90,12 +91,9 @@ def constrained_derivative(sys, k, eps=1e-6):
     at the base state. The perturbation lives in span{O_S x I, I x O_B,
     O_chi} and is solved from the numerically measured 3x3 Jacobian.
     """
-    cu = chi_unit(sys)
-    eff = sys.effective
+    eff, ops = sys.effective, frame_operators(sys)
     dims = (sys.d_S, sys.d_B)
-    directions = [
-        np.kron(cu.O_S.matrix, np.eye(sys.d_B)), np.kron(np.eye(sys.d_S), cu.O_B.matrix), cu.O_chi.matrix,
-    ]
+    directions = [ops.O_S_I, ops.I_O_B, ops.O_chi]
     frame = (eff.H_S_eff.matrix, eff.H_B_eff.matrix, eff.H_I_eff.matrix)
 
     def coords(rho):
@@ -133,15 +131,10 @@ class TestExpansion:
         for i in range(500):
             d_b = 2 + i % 2
             sys = sample_bipartite(2, d_b, 0.5, rng)
-            o1 = sys.frame.O1_SB
-            cu = chi_unit(sys)
+            ops = frame_operators(sys)
             c_s, c_b, c_chi = expansion_coefficients(sys)
-            recon = (
-                c_s * np.kron(cu.O_S.matrix, np.eye(d_b))
-                + c_b * np.kron(np.eye(2), cu.O_B.matrix)
-                + c_chi * cu.O_chi.matrix
-            )
-            worst = max(worst, float(np.max(np.abs(recon - o1.matrix))))
+            recon = c_s * ops.O_S_I + c_b * ops.I_O_B + c_chi * ops.O_chi
+            worst = max(worst, float(np.max(np.abs(recon - ops.O1_SB))))
         assert worst < 1e-10
 
     def test_two_qubit_coefficients(self):
