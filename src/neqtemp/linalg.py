@@ -71,7 +71,7 @@ PSD_TOL = 1e-10  #: eigenvalues in [-PSD_TOL, 0) are clipped to 0, lower ones re
 RANK_TOL = 1e-12  #: eigenvalues above it count toward ``DensityMatrix.rank``
 UNITARY_TOL = 1e-10  #: max|V^dag V - I| of an eigenvector matrix
 RECON_TOL = 1e-10  #: max spectral reconstruction error, relative to max(1, max|A|)
-DEGENERACY_TOL = 1e-9  #: relative eigenvalue gap within one degenerate cluster
+DEGENERACY_TOL = 1e-9  #: eigenvalue gap within a cluster, relative to max|eigenvalue|
 IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |value|)
 
 
@@ -144,12 +144,15 @@ class HermitianOperator:
     """A validated d x d Hermitian matrix.
 
     The stored matrix is the symmetrization (A + A^dag)/2 of the input, which
-    must already be Hermitian within ``tol_herm``.
+    must already be Hermitian within ``tol_herm``: a finite max|A - A^dag|
+    of at least 0, where 0 asks for exact Hermiticity.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol_herm: float = HERM_TOL):
+        if not (0.0 <= tol_herm < np.inf):
+            raise ValidationError(f"tol_herm must be a finite number of at least 0, got {tol_herm!r}")
         a = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if a.shape[0] != a.shape[1]:
             raise ValidationError(f"Hermitian operator must be square, got {a.shape}")
@@ -202,7 +205,11 @@ class HermitianOperator:
 
 
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
+
+    :meth:`clusters` labels its degenerate clusters, by the one rule that
+    passivity and the eigenvalue/eigenprojector heat split both read.
+    """
 
     __slots__ = ("eigenvalues", "eigenvectors")
 
@@ -234,26 +241,17 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return _matmul(v * fn(self.eigenvalues), v.conj().T)
 
-    def clusters(self, gap: float) -> list[np.ndarray]:
-        """Group indices of eigenvalues closer than ``gap`` into clusters."""
-        w = self.eigenvalues
-        groups: list[list[int]] = [[0]]
-        for i in range(1, w.size):
-            if w[i] - w[groups[-1][-1]] < gap:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return [np.array(g, dtype=int) for g in groups]
+    def clusters(self) -> np.ndarray:
+        """One integer label per eigenvalue: 0, 1, ... along the ascending spectrum.
 
-    def projectors(self, gap: float) -> list[np.ndarray]:
-        """Orthogonal projectors onto the degenerate clusters."""
-        v = self.eigenvectors
-        out = []
-        for idx in self.clusters(gap):
-            cols = v[:, idx]
-            p = _matmul(cols, cols.conj().T)
-            out.append((p + p.conj().T) / 2.0)
-        return out
+        Adjacent eigenvalues share a label, and so a degenerate cluster, when
+        their gap is below ``DEGENERACY_TOL`` times the spectrum's largest
+        |eigenvalue| (floored at 1e-300). This is the package's one
+        degeneracy rule; for a density matrix the scale is lambda_max.
+        """
+        w = self.eigenvalues
+        gap = DEGENERACY_TOL * max(abs(float(w[0])), abs(float(w[-1])), 1e-300)
+        return np.cumsum(np.diff(w, prepend=w[0]) >= gap)
 
 
 def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:

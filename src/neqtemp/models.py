@@ -20,9 +20,8 @@ stable across platforms, so fixed seeds give bit-identical instances.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +50,6 @@ __all__ = [
     "sample_pure",
     "sample_full_rank",
     "sample_bipartite",
-    "write_golden",
-    "read_golden",
-    "GOLDEN_FORMAT",
-    "GOLDEN_VERSION",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -251,45 +246,3 @@ def sample_bipartite(
     h_i = HermitianOperator(coupling_scale * gue_sample(d_S * d_B, rng).matrix)
     rho = sample_full_rank(d_S * d_B, rng)
     return BipartiteSystem(d_S, d_B, h_s, h_b, h_i, rho)
-
-
-# --- golden-file records -----------------------------------------------------
-
-GOLDEN_FORMAT = "two-qubit-xy-closed-form"
-GOLDEN_VERSION = 1
-
-
-def write_golden(path, records: list[dict]) -> None:
-    """Write versioned closed-form records as JSON lines.
-
-    The first line is a header identifying format and version; each following
-    line holds one ``{"params": {...}, "values": {...}}`` record.
-    """
-    lines = [json.dumps({"format": GOLDEN_FORMAT, "version": GOLDEN_VERSION})]
-    for rec in records:
-        lines.append(json.dumps(rec, sort_keys=True))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_golden(path) -> list[dict]:
-    """Read and version-check a golden file written by :func:`write_golden`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError(f"empty golden file {path}")
-    header = json.loads(lines[0])
-    if header.get("format") != GOLDEN_FORMAT or header.get("version") != GOLDEN_VERSION:
-        raise ValidationError(f"unsupported golden file header {header!r}")
-    return [json.loads(ln) for ln in lines[1:]]
-
-
-def golden_record(p: TwoQubitXYParams) -> dict:
-    """One golden record: parameters plus every closed-form value."""
-    cf = closed_form(p)
-    values = asdict(cf)
-    values["E"] = list(values["E"])
-    return {
-        "params": {"omega_S": p.omega_S, "omega_B": p.omega_B, "lam": p.lam, "beta": p.beta},
-        "values": values,
-    }

@@ -34,7 +34,6 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
-    DEGENERACY_TOL,
     DensityMatrix,
     HermitianOperator,
     _operator,
@@ -284,25 +283,22 @@ def helmholtz_free_energy(
 def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     """True iff populations are non-increasing along ascending energy.
 
-    The state must commute with H (block-diagonal across the degenerate
-    energy clusters); within a degenerate cluster any population ordering
-    counts as passive.
+    The state must commute with H (block-diagonal across H's degenerate
+    energy clusters, as ``SpectralDecomposition.clusters`` labels them);
+    within a degenerate cluster any population ordering counts as passive.
     """
     rho, H = _state(rho), _operator(H)
     if rho.dim != H.dim:
         raise ValidationError("dimension mismatch")
     spec = eig_hermitian(H)
-    scale = max(float(np.max(np.abs(spec.eigenvalues))), 1e-300)
-    clusters = spec.clusters(DEGENERACY_TOL * scale)
-    v = spec.eigenvectors
+    labels, v = spec.clusters(), spec.eigenvectors
     r = v.conj().T @ rho.matrix @ v
     # Commutation: rho must not mix distinct energy clusters.
-    labels = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
     if float(np.max(np.abs(r[labels[:, None] != labels]), initial=0.0)) > 1e-10:
         return False
     prev_min = math.inf
-    for idx in clusters:
-        block = r[np.ix_(idx, idx)]
+    for k in range(labels[-1] + 1):
+        block = r[np.ix_(labels == k, labels == k)]
         pops = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
         if float(pops[-1]) > prev_min + 1e-12:
             return False
@@ -321,9 +317,11 @@ class VariationSplit:
 def variation_split(rho: DensityMatrix, drho: HermitianOperator) -> VariationSplit:
     """Split drho into its eigenvalue and eigenprojector parts w.r.t. rho.
 
-    d_ev = sum_k P_k drho P_k over the degenerate eigenprojector clusters P_k
-    of rho; d_ep is the remainder. d_ev carries the entropy change, d_ep the
-    purely rotational (isentropic) part.
+    d_ev = sum_k P_k drho P_k over rho's degenerate eigenprojector clusters
+    P_k (as ``SpectralDecomposition.clusters`` labels them), taken as one
+    masked product V[(V^dag drho V) o (same cluster)]V^dag in rho's
+    eigenbasis; d_ep is the remainder. d_ev carries the entropy change, d_ep
+    the purely rotational (isentropic) part.
     """
     rho, drho = _state(rho), _operator(drho)
     if rho.dim != drho.dim:
@@ -331,11 +329,9 @@ def variation_split(rho: DensityMatrix, drho: HermitianOperator) -> VariationSpl
     tr = float(np.trace(drho.matrix).real)
     if abs(tr) > 1e-8:
         raise ValidationError(f"variation must be trace-free, got Tr drho = {tr!r}")
-    scale = max(float(rho.eigenvalues[-1]), 1e-300)
-    d_ev = np.zeros_like(drho.matrix)
-    for p in rho.spectrum.projectors(DEGENERACY_TOL * scale):
-        d_ev += p @ drho.matrix @ p
-    d_ev = HermitianOperator._of_computed(d_ev)
+    labels, v = rho.spectrum.clusters(), rho.spectrum.eigenvectors
+    blocks = np.where(labels[:, None] == labels, v.conj().T @ drho.matrix @ v, 0.0)
+    d_ev = HermitianOperator._of_computed(v @ blocks @ v.conj().T)
     return VariationSplit(
         d_ev=d_ev,
         d_ep=HermitianOperator._of_computed(drho.matrix - d_ev.matrix),

@@ -239,11 +239,7 @@ class TestSpectralDecomposition:
 
     def test_clusters_and_projectors(self):
         spec = SpectralDecomposition([0.0, 0.0, 1.0], np.eye(3))
-        groups = spec.clusters(1e-9)
-        assert [len(g) for g in groups] == [2, 1]
-        p0, p1 = spec.projectors(1e-9)
-        np.testing.assert_allclose(p0, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(p1, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
+        assert spec.clusters().tolist() == [0, 0, 1]
 
 
 class TestMatrixFunctions:
@@ -506,6 +502,10 @@ MALFORMED_INPUTS = {
     "fractional basis dimension": lambda: complete_basis(2.5, []),
     "bool basis dimension": lambda: complete_basis(True, []),
     "bool passive pair dimension": lambda: sample_passive_pair(True, np.random.default_rng(0)),
+    # A tolerance no comparison can fail, or none can pass.
+    "NaN tol_herm": lambda: HermitianOperator(np.array([[0, 1], [0, 0]]), tol_herm=float("nan")),
+    "infinite tol_herm": lambda: HermitianOperator(np.array([[0, 1], [0, 0]]), tol_herm=float("inf")),
+    "negative tol_herm": lambda: HermitianOperator(np.eye(2), tol_herm=-1.0),
 }
 
 
@@ -513,6 +513,18 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_a_validation_error(name):
     with pytest.raises(ValidationError):
         MALFORMED_INPUTS[name]()
+
+
+@pytest.mark.parametrize("name", ["NaN tol_herm", "infinite tol_herm", "negative tol_herm"])
+def test_unchecked_tol_herm_is_named(name):
+    with pytest.raises(ValidationError, match=r"^tol_herm must be a finite number of at least 0, got "):
+        MALFORMED_INPUTS[name]()
+
+
+def test_zero_tol_herm_means_exact_hermiticity():
+    np.testing.assert_array_equal(HermitianOperator(np.diag([1.0, -1.0]), tol_herm=0.0).matrix, np.diag([1.0, -1.0]))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        HermitianOperator(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]), tol_herm=0.0)
 
 
 def test_numpy_integer_dimensions_are_dimensions():

@@ -5,8 +5,10 @@ against direct diagonalization of the assembled four-level system, so a
 regression in either the formulas or the assembly shows up immediately.
 """
 
+import json
 import math
 import pathlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,19 +16,15 @@ import pytest
 from neqtemp.exceptions import ValidationError
 from neqtemp.linalg import eig_hermitian, partial_trace
 from neqtemp.models import (
-    GOLDEN_FORMAT,
     TwoQubitXYParams,
     build_two_qubit_xy,
     closed_form,
-    golden_record,
-    read_golden,
     sample_bipartite,
     sample_full_rank,
     sample_gibbs,
     sample_inverted_pair,
     sample_passive_pair,
     sample_pure,
-    write_golden,
 )
 from neqtemp.thermometry import inverse_temperature, is_passive
 from neqtemp.verify import GRID
@@ -36,10 +34,14 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "two_qubit_closed_form.go
 
 class TestClosedForm:
     def test_golden_file(self):
-        records = read_golden(GOLDEN_PATH)
-        assert len(records) == len(GRID)
-        for rec, p in zip(records, GRID):
-            assert rec == golden_record(p)
+        # A header line, then one {"params", "values"} JSON record per grid point.
+        header, *lines = GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
+        assert json.loads(header) == {"format": "two-qubit-xy-closed-form", "version": 1}
+        assert len(lines) == len(GRID)
+        for line, p in zip(lines, GRID):
+            values = asdict(closed_form(p))
+            values["E"] = list(values["E"])
+            assert json.loads(line) == {"params": asdict(p), "values": values}
 
     @pytest.mark.parametrize("p", GRID[:9], ids=lambda p: f"l{p.lam}w{p.omega_S}")
     def test_spectrum_matches_diagonalization(self, p):
@@ -156,27 +158,3 @@ class TestSamplers:
         rng = np.random.default_rng(37)
         with pytest.raises(ValidationError):
             sample_gibbs(1, 1.0, rng)
-
-
-class TestGoldenIO:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "g.golden"
-        recs = [golden_record(GRID[0]), golden_record(GRID[1])]
-        write_golden(path, recs)
-        assert read_golden(path) == recs
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.golden"
-        path.write_text('{"format": "other", "version": 1}\n')
-        with pytest.raises(ValidationError):
-            read_golden(path)
-
-    def test_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.golden"
-        path.write_text("")
-        with pytest.raises(ValidationError):
-            read_golden(path)
-
-    def test_header_format_constant(self):
-        with open(GOLDEN_PATH, encoding="utf-8") as fh:
-            assert GOLDEN_FORMAT in fh.readline()

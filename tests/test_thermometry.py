@@ -328,6 +328,26 @@ class TestVariationSplit:
         ds = von_neumann_entropy(perturbed) - von_neumann_entropy(rho)
         assert abs(ds) < 1e-10
 
+    def test_degenerate_pair_keeps_its_coherence(self):
+        # rho = U diag(0.4, 0.4, 0.2) U^dag. Coherence inside the degenerate pair moves
+        # eigenvalues only, so it stays in d_ev; coherence across the clusters is rotation.
+        rng = np.random.default_rng(23)
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+
+        def frame(m):
+            return u @ m @ u.conj().T
+
+        rho = DensityMatrix(frame(np.diag([0.4, 0.4, 0.2])))
+        inside = np.array([[1e-3, 2e-3 + 1e-3j, 0], [2e-3 - 1e-3j, 5e-4, 0], [0, 0, -1.5e-3]])
+        across = np.zeros((3, 3), dtype=complex)
+        across[:2, 2] = [1e-3j, -2e-3]
+        across[2, :2] = across[:2, 2].conj()
+        drho = HermitianOperator(frame(inside + across))
+        split = variation_split(rho, drho)
+        np.testing.assert_allclose(split.d_ev.matrix, frame(inside), atol=1e-14)
+        np.testing.assert_allclose(split.d_ep.matrix, frame(across), atol=1e-14)
+        np.testing.assert_allclose(split.d_ev.matrix + split.d_ep.matrix, drho.matrix, atol=1e-15)
+
     def test_rejects_traceful_variation(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         with pytest.raises(ValidationError):
