@@ -158,3 +158,13 @@ class TestSamplers:
         rng = np.random.default_rng(37)
         with pytest.raises(ValidationError):
             sample_gibbs(1, 1.0, rng)
+
+
+class TestGoldenIO:
+    def test_header_format_constant(self):
+        # The header names the format on the first line; the file is plain
+        # "\n"-separated JSON lines ending in a newline, so it stays byte-stable.
+        raw = GOLDEN_PATH.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        header = raw.split(b"\n", 1)[0].decode("utf-8")
+        assert json.loads(header)["format"] == "two-qubit-xy-closed-form"
