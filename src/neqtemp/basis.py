@@ -4,8 +4,8 @@ A basis here is an ordered family of d^2 Hermitian operators with
 ``ops[0] = I/sqrt(d)`` and the remaining members traceless and mutually
 orthonormal in the Hilbert-Schmidt inner product. The normalized traceless
 Hamiltonian direction is installed as ``ops[1]`` and the rest of the family
-is completed by Gram-Schmidt over the d^2 - 1 generalized Gell-Mann
-candidates of unit HS norm, in this fixed order: the symmetric generators
+is completed from the d^2 - 1 generalized Gell-Mann candidates of unit HS
+norm, in this fixed order: the symmetric generators
 ``(|j><k| + |k><j|)/sqrt(2)`` for j < k lexicographically, then the
 antisymmetric ``(-i|j><k| + i|k><j|)/sqrt(2)``, then the diagonal
 ``diag(1,...,1,-l,0,...)/sqrt(l(l+1))`` for l = 1..d-1. That ordering makes
@@ -15,28 +15,18 @@ quantity unchanged.
 
 The completion runs in coefficient space. ``I/sqrt(d)`` followed by the
 candidates is itself an orthonormal frame, so every Hermitian operator is a
-real vector of length d^2 over it: candidate k is the unit vector e_k,
-and the seeds' coordinates t_j on each e_j come from their entries by index
-arithmetic. Gram-Schmidt over the candidates then has a closed form. Before
-candidate k, the span holds I, the seeds and every kept e_j, so k's residual
-is e_k - z_k, where z_k is the least-norm vector over k's free set F_k
-(every candidate after k, and the dropped ones before k) with
-sum_j z_k[j] t_j = t_k. Its norm is 1/sqrt(1 + |z_k|^2). One boolean mask per
-pass holds every F_k, and both paths read it. With one seed (or none), the
-coordinates over F_k are one column, whose SVD is its norm: with G_k the sum
-of t_j^2 over F_k, z_k = (t_k/G_k) sum_j t_j e_j and |z_k|^2 = t_k^2/G_k, so
-one product of the mask with t^2 gives every residual. With m >= 2 one
-batched SVD of their coordinates over each F_k gives every z_k at once; an
-m x m Gram matrix would square their conditioning.
-A drop frees its candidate for the ones after it, and a further pass settles
-them; at most one pass per seed is added. Candidate order and the
-``DROP_TOL`` drop rule are those of the operator-space algorithm, so the
-bases agree with it to rounding, and either path keeps them orthonormal to
-about 1e-15 however ill-conditioned the seeds' coordinates. The operators
-come out of the kept rows by the same index arithmetic, exactly Hermitian,
-and the basis is checked on the rows alone: its Gram matrix is
-``rows @ rows.T``, one O(d^6) product. The completion costs O(d^4 m^2) for
-m seeds, so at large d that product and the operator build dominate, and
+real vector of length d^2 over it: candidate k is the unit vector e_k, and
+the seeds' coordinates come from their entries by index arithmetic. The
+head, e_0 followed by the m seeds' rows, is completed by one Householder QR
+of its transpose (Householder 1958): the m + 1 reflectors that take the
+head's columns to the first m + 1 unit vectors take e_{m+1}, ..., e_{d^2-1}
+back to an orthonormal tail orthogonal to the head, to about 1e-15 however
+the seeds lie. Without seeds the one reflector is the identity, and the
+basis is the frame itself, I/sqrt(d) and the candidates in the order above.
+The operators come out of the rows by the same index arithmetic, exactly
+Hermitian, and the basis is checked on the rows alone: its Gram matrix is
+``rows @ rows.T``, one O(d^6) product. The completion costs O(d^4 (m + 1))
+for m seeds, so that product and the operator build dominate, and
 :func:`complete_basis` still refuses dimensions above ``MAX_BASIS_DIM``.
 
 :class:`OperatorBasis` owns its members as one read-only (d^2, d, d) array,
@@ -56,7 +46,7 @@ import numpy as np
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
     HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _operator, _real_array,
-    _symmetrize, as_complex_matrix,
+    _state, _symmetrize, as_complex_matrix,
 )
 
 __all__ = [
@@ -70,19 +60,11 @@ __all__ = [
     "rotate_tail",
 ]
 
-#: Candidates whose post-projection norm falls below this are discarded.
-DROP_TOL = 1e-8
-
-#: Singular values of the seeds' coordinates over a candidate's free set at or
-#: below this are taken as zero, and so are the candidate's coordinates along
-#: them: well above the rounding of unit-norm seeds.
-RANGE_TOL = 1e-13
-
 #: Largest dimension :func:`complete_basis` accepts, set when a completion took
-#: 0.8 s at d=34. A one-seed completion now takes about 95 ms at d=32 and 34
-#: and 135 ms at d=36 (0.5 ms at d=12), 30% of it the O(d^6) Gram check in
-#: frame coordinates and over half the build of the operator stack. Best of 25
-#: on a shared 2-core Intel Xeon VM (numpy 2.4.6, OpenBLAS, two threads).
+#: 0.8 s at d=34. A one-seed completion now takes about 91 ms at d=34 and
+#: 0.53 ms at d=12, most of it the O(d^6) Gram check in frame coordinates and
+#: the build of the operator stack. Median of 12 rounds on a shared 2-core
+#: Intel Xeon VM (numpy 2.4.6, OpenBLAS, two threads).
 MAX_BASIS_DIM = 34
 
 
@@ -119,9 +101,12 @@ def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[Hermit
     """``(basis[1], h)``, once ``basis[1]`` is checked to be H's unit direction: the one reading of it.
 
     :raises DegenerateDirectionError: if H is proportional to the identity.
-    :raises ValidationError: if the dimensions differ or max|H_0/h - basis[1]|
-        exceeds 1e-8, H_0 being the traceless part of H.
+    :raises ValidationError: if ``basis`` is not an :class:`OperatorBasis`, the
+        dimensions differ or max|H_0/h - basis[1]| exceeds 1e-8, H_0 being the
+        traceless part of H.
     """
+    if not isinstance(basis, OperatorBasis):
+        raise ValidationError(f"expected an OperatorBasis, got {type(basis).__name__}")
     traceless, h = _unit_weight(H)
     if basis.dim != H.dim or float(np.max(np.abs(traceless / h - basis.mats[1]))) > 1e-8:
         raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
@@ -298,11 +283,9 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     at positions 1..len(seeds), and checked once, on their frame coordinates
     after those of I/sqrt(d), by the basis's own rules (see
     :func:`_check_frame_rows`): Tr O/sqrt(d) within 1e-12/sqrt(d) and the
-    Gram matrix within 1e-10. The Gell-Mann candidates are then orthogonalized
-    against everything accepted so far, keeping those whose residual norm is
-    at least ``DROP_TOL``. Candidate k's residual is taken over its free set,
-    every candidate after k and those dropped before k, in closed form over
-    the frame of I/sqrt(d) and the candidates (see the module docstring).
+    Gram matrix within 1e-10. The tail is frame members m+1 .. d^2-1, for m
+    seeds, carried through the Householder reflectors of the head (see the
+    module docstring); without seeds the basis is the frame itself.
 
     :raises ValidationError: for d not an integer in ``1..MAX_BASIS_DIM``,
         before any allocation, or for seeds that break the conditions above.
@@ -313,63 +296,24 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     if any(a.shape != (d, d) for a in mats):
         raise ValidationError("seed dimension mismatch")
     m, n = len(mats), d * d
-    need = n - 1 - m
-    # Row a of s holds seed a's frame coordinates; after e_0, the coordinates
-    # of I/sqrt(d), they are held to the basis rules before the completion.
-    s = _frame_coordinates(np.array(mats)) if m else np.zeros((0, n))
-    _check_frame_rows(np.vstack([np.eye(1, n), s]), "seeds")
-    # Candidate k is frame member k + 1, t[k] holds the seeds' coordinates on
-    # it (one zero column without seeds, which keeps every candidate as it
-    # is), and free[k] is its free set (see the module docstring). A pass
-    # settles every decision up to its first drop not yet freed, and at most
-    # m candidates drop before the last one kept.
-    t = s[:, 1:].T if m else np.zeros((n - 1, 1))
-    order = np.arange(n - 1)
-    skipped = np.zeros(n - 1, dtype=bool)
-    for _ in range(m + 1):
-        free = (order > order[:, None]) | skipped
-        free.flat[::n] = False
-        if m > 1:
-            # The free part of t is u sig vh for candidate k, so z_k = u (vh t[k] / sig).
-            u, sig, vh = np.linalg.svd(free[:, :, None] * t, full_matrices=False)
-            c = (vh @ t[:, :, None])[:, :, 0]
-        else:
-            # One column's SVD is its norm: u = free t / sig, vh = 1 and c = t[k].
-            sig, c = np.sqrt(free @ (t * t)), t
-        null = sig <= RANGE_TOL
-        ratio = np.divide(c, sig, out=np.zeros_like(c), where=~null)
-        gamma = 1.0 + (ratio * ratio).sum(axis=1)
-        # t[k] along a null direction puts e_k in the span: residual 0.
-        drop = (gamma * DROP_TOL**2 > 1.0) | (null & (np.abs(c) > RANGE_TOL)).any(axis=1)
-        idx = np.flatnonzero(~drop)[:need]
-        first = np.flatnonzero(drop & ~skipped)[:1]
-        if not first.size or idx.size == need and not (first < idx[-1:]).any():
-            break
-        skipped[first] = True
-    if idx.size != need:
-        raise ValidationError(
-            f"basis completion produced {n - need + idx.size} of {n} operators; "
-            "seeds were likely not independent of the candidate family"
-        )
-    # Row of candidate k: (e_k - z_k)/sqrt(gamma_k), zero off k's free set.
-    scale = 1.0 / np.sqrt(gamma[idx])
-    rows = np.zeros((n, n))
-    rows[0, 0] = 1.0
-    rows[1:n - need] = s
-    weight = ratio[idx] * -scale[:, None]
-    if m > 1:
-        rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], weight) * free[idx]
-    else:
-        # u[k] is t over k's free set, divided by sig_k.
-        weight = np.divide(weight, sig[idx], out=np.zeros_like(weight), where=~null[idx])
-        rows[n - need:, 1:] = weight * t.T * free[idx]
-    rows[n - need + np.arange(need), idx + 1] = scale
+    # Row a of the head after e_0, the coordinates of I/sqrt(d), holds seed
+    # a's frame coordinates; they are held to the basis rules before the completion.
+    head = np.vstack([np.eye(1, n), _frame_coordinates(np.array(mats)) if m else np.zeros((0, n))])
+    _check_frame_rows(head, "seeds")
+    # head.T = Q R with Q = H_0 ... H_m, H_i = I - tau_i v_i v_i^T; the tail is
+    # rows m+1 .. n-1 of Q^T, e_j^T H_m ... H_0, and v_i is zero before i.
+    h, tau = np.linalg.qr(head.T, mode="raw")
+    rows = np.eye(n)
+    rows[:m + 1] = head
+    for i in range(m, -1, -1):
+        v = np.concatenate([[1.0], h[i, i + 1:]])
+        rows[m + 1:, i:] -= np.outer(rows[m + 1:, i:] @ (tau[i] * v), v)
     return OperatorBasis._of_rows(rows)
 
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:
     """Coordinates x_i = Tr[rho O_i]; satisfies Parseval and reconstruction."""
-    return StateCoordinates(basis.coordinates(rho.operator))
+    return StateCoordinates(basis.coordinates(_state(rho).operator))
 
 
 def reconstruct_state(coords: StateCoordinates, basis: OperatorBasis) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .correlation import BipartiteReport, BipartiteSystem
 from .exceptions import ValidationError
-from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _dimension
+from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _dimension, _number
 from .models import TwoQubitXYParams
 from .thermometry import DEFAULT_CLIP, TemperatureReport
 
@@ -140,9 +140,7 @@ def _validated_fields(doc) -> dict:
 
 def _finite_number(value, name: str) -> float:
     """A JSON number as a finite float; ValidationError for anything else (a bool, a string, 1e400)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return _number(value, f"{name} must be a finite number")
 
 
 def load_input_document(path: str) -> InputDocument:

@@ -16,7 +16,8 @@ Validation happens once, at the boundary. ``HermitianOperator(matrix)``
 outside the package: it copies, checks finiteness, shape and Hermiticity,
 and symmetrizes (refusing entries whose sum A + A^dag overflows), by the same
 ``as_complex_matrix`` and ``_symmetrize`` that an ``OperatorBasis`` applies to
-its (d^2, d, d) stack; ``_dimension`` checks every dimension argument.
+its (d^2, d, d) stack; ``_dimension`` checks every dimension argument and
+``_number`` every scalar one (a tolerance, a clip, a step).
 Operators the package computes from operators it has already validated go
 through ``HermitianOperator._of_computed`` instead, which takes ownership of
 the fresh array, symmetrizes it in place and checks only finiteness;
@@ -37,6 +38,7 @@ there is no module-level cache.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +124,15 @@ def _dimension(d, least: int = 1, error: str | None = None) -> int:
     return int(d)
 
 
+def _number(x, what: str, least: float = -sys.float_info.max, above: bool = False) -> float:
+    """x as a float, once it is a finite real number (Python or numpy, not a bool) of at least ``least``,
+    or above it if ``above``; else ValidationError ``"<what>, got <x!r>"``."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating))
+            or not (x > least if above else x >= least) or not x <= sys.float_info.max):
+        raise ValidationError(f"{what}, got {x!r}")
+    return float(x)
+
+
 def _real_array(entries, what: str) -> np.ndarray:
     """Coerce input to a float array (copying); ValidationError, naming ``what``, if it is not numeric."""
     try:
@@ -151,8 +162,7 @@ class HermitianOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol_herm: float = HERM_TOL):
-        if not (0.0 <= tol_herm < np.inf):
-            raise ValidationError(f"tol_herm must be a finite number of at least 0, got {tol_herm!r}")
+        tol_herm = _number(tol_herm, "tol_herm must be a finite number of at least 0", 0.0)
         a = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if a.shape[0] != a.shape[1]:
             raise ValidationError(f"Hermitian operator must be square, got {a.shape}")
@@ -417,8 +427,7 @@ def matrix_log(rho: DensityMatrix, clip: float) -> MatrixLog:
     every caller of one state's log shares one operator.
     """
     _state(rho)
-    if not (0.0 < clip < np.inf):
-        raise ValidationError(f"clip must be finite and positive, got {clip!r}")
+    clip = _number(clip, "clip must be finite and positive", 0.0, above=True)
     return _cached(rho._logs, clip, lambda: _spectral_log(rho, clip))
 
 

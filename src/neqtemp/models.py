@@ -167,6 +167,7 @@ def closed_form(p: TwoQubitXYParams) -> TwoQubitClosedForm:
 
 def gue_sample(d: int, rng: np.random.Generator) -> HermitianOperator:
     """A Gaussian-unitary-ensemble Hermitian matrix (entries O(1))."""
+    d = _dimension(d)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return HermitianOperator((g + g.conj().T) / 2.0)
 
@@ -211,6 +212,7 @@ def sample_inverted_pair(d: int, rng: np.random.Generator) -> tuple[HermitianOpe
 
 def sample_pure(d: int, rng: np.random.Generator) -> DensityMatrix:
     """Haar-random pure state."""
+    d = _dimension(d)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
@@ -226,6 +228,7 @@ def sample_full_rank(d: int, rng: np.random.Generator) -> DensityMatrix:
     The identity floor guarantees min eigenvalue >= FULL_RANK_FLOOR/d, so
     logarithms never clip and finite-difference probes stay inside the cone.
     """
+    d = _dimension(d)
     weights = rng.dirichlet(np.ones(d))
     mix = np.zeros((d, d), dtype=complex)
     for w in weights:

@@ -36,6 +36,7 @@ from .exceptions import (
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _number,
     _operator,
     _state,
     _tr,
@@ -388,8 +389,7 @@ def finite_difference_beta(
     is a direct numerical partial derivative of entropy w.r.t. internal
     energy, the definition the closed-form beta must reproduce.
     """
-    if not (step > 0.0):
-        raise ValidationError(f"step must be positive, got {step!r}")
+    step = _number(step, "step must be a finite positive number", 0.0, above=True)
     rho, H = _state(rho), _operator(H)
     o1 = _basis_direction(H, basis)[0].matrix
     states = []

@@ -1,9 +1,12 @@
 """Operator-basis tests: Gell-Mann candidates, completion, state expansion."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from neqtemp import basis as basis_module
 from neqtemp.basis import (
@@ -64,25 +67,58 @@ def gell_mann_candidates(d):
     return basis_module._frame_operators(np.eye(d * d)[1:], d)
 
 
-def reference_completion(d, seeds, projections=1):
-    """Modified Gram-Schmidt on the operators themselves, one candidate at a time.
-
-    ``projections=2`` projects each candidate twice, which keeps the result
-    orthonormal when a candidate is nearly in the span of those before it.
-    """
+def reference_completion(d, seeds):
+    """Modified Gram-Schmidt on the operators themselves, one candidate at a time."""
     accepted = [np.eye(d, dtype=complex) / math.sqrt(d)] + [s.matrix for s in seeds]
     for cand in reference_candidates(d):
         if len(accepted) == d * d:
             break
         v = cand.copy()
-        for _ in range(projections):
-            for prev in accepted:
-                v -= np.sum(prev.conj() * v) * prev
+        for prev in accepted:
+            v -= np.sum(prev.conj() * v) * prev
         v = (v + v.conj().T) / 2.0
         norm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
         if norm >= 1e-8:
             accepted.append(v / norm)
     return np.stack(accepted)
+
+
+def householder_rows(d, seeds):
+    """The frame rows of complete_basis(d, seeds), checked against an independent complete QR.
+
+    They are the rows the completion hands to ``OperatorBasis._of_rows``. The
+    head rows must be e_0 and the seeds' frame coordinates exactly, every row
+    orthonormal within 1e-12, and the tail within 1e-12 of the columns after
+    the head's of Q in ``np.linalg.qr(head.T, mode="complete")``.
+    """
+    seen, of_rows = [], OperatorBasis._of_rows.__func__
+
+    def capture(cls, rows):
+        seen.append(rows)
+        return of_rows(cls, rows)
+
+    with mock.patch.object(OperatorBasis, "_of_rows", classmethod(capture)):
+        complete_basis(d, seeds)
+    (rows,) = seen
+    m, n = len(seeds), d * d
+    seed_rows = basis_module._frame_coordinates(np.array([s.matrix for s in seeds])) if m else np.zeros((0, n))
+    head = np.vstack([np.eye(1, n), seed_rows])
+    np.testing.assert_array_equal(rows[:m + 1], head)
+    assert np.max(np.abs(rows @ rows.T - np.eye(n))) <= 1e-12
+    reference = np.linalg.qr(head.T, mode="complete")[0].T[m + 1:]
+    assert np.max(np.abs(rows[m + 1:] - reference), initial=0.0) <= 1e-12
+    return rows
+
+
+def orthonormal_seeds(hamiltonians):
+    """The unit directions of the Hamiltonians, each orthogonalized against those before it."""
+    seeds = []
+    for h in hamiltonians:
+        o = hamiltonian_unit(HermitianOperator(h))[0].matrix
+        for prev in seeds:
+            o = o - hs_inner(prev, o) * prev.matrix
+        seeds.append(HermitianOperator(o / math.sqrt(float(np.sum(np.abs(o) ** 2)))))
+    return seeds
 
 
 class TestHamiltonianUnit:
@@ -154,16 +190,19 @@ class TestGellMannCandidates:
 
 class TestCompleteBasis:
     def test_qubit_sigma_z_seed(self):
+        # The one reflector that takes sigma_z's frame column to e_1 swaps
+        # sigma_x and sigma_z, so the tail is sigma_y, then -sigma_x.
         seed = HermitianOperator(SZ / math.sqrt(2.0))
         basis = complete_basis(2, [seed])
         expected = [
             np.eye(2) / math.sqrt(2.0),
             SZ / math.sqrt(2.0),
-            SX / math.sqrt(2.0),
             SY / math.sqrt(2.0),
+            -SX / math.sqrt(2.0),
         ]
         for op, m in zip(basis.ops, expected):
             np.testing.assert_allclose(op.matrix, m, atol=1e-12)
+        householder_rows(2, [seed])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_random_hamiltonian_seed_invariants(self, d):
@@ -178,46 +217,41 @@ class TestCompleteBasis:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_matches_operator_space_gram_schmidt(self, d):
-        # Same candidates, order and drop rule; only the rounding differs.
+        # The Householder tail spans what Gram-Schmidt over the candidates
+        # spans: the two tails differ by a rotation.
         rng = np.random.default_rng(40 + d)
         o1, _ = hamiltonian_unit(gue(d, rng))
         cands = reference_candidates(d)
         diagonal = HermitianOperator(cands[-1])
-        # Equal to the first candidate, which is then dropped at once.
+        # Equal to the first candidate, which Gram-Schmidt then drops at once.
         first = HermitianOperator(cands[0])
-        # Two mid-sequence candidates: the later one is dropped mid-sequence.
+        # Two mid-sequence candidates: Gram-Schmidt drops the later one.
         a, b = len(cands) // 3, 2 * len(cands) // 3
         mid = HermitianOperator((cands[a] + cands[b]) / math.sqrt(2.0))
         o2, _ = hamiltonian_unit(gue(d, rng))
         o2 = o2.matrix - hs_inner(o1, o2) * o1.matrix
         o2 = HermitianOperator(o2 / math.sqrt(hs_inner(o2, o2)))
         for seeds in ([], [o1], [diagonal], [first], [mid], [o1, o2]):
-            np.testing.assert_allclose(
-                complete_basis(d, seeds).mats, reference_completion(d, seeds), atol=1e-12
-            )
+            tail = householder_rows(d, seeds)[len(seeds) + 1:]
+            reference = basis_module._frame_coordinates(reference_completion(d, seeds))[len(seeds) + 1:]
+            rotation = tail @ reference.T
+            assert np.max(np.abs(rotation @ rotation.T - np.eye(len(tail))), initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     @pytest.mark.parametrize("diagonal_scale", [1e-9, 1e-7, 1e-4])
     def test_nearly_off_diagonal_seeds(self, d, diagonal_scale):
         # Seeds whose diagonal (last) coordinates are small leave some
-        # candidates a residual just below or above DROP_TOL; one projection
-        # is then not enough for the reference to stay orthonormal.
+        # Gram-Schmidt residuals near 1e-8, where one projection no longer
+        # keeps them orthonormal; the reflectors need no such care.
         rng = np.random.default_rng(60 + d)
 
         def nearly_off_diagonal():
             g = gue(d, rng).matrix
-            h = g - np.diag(np.diag(g)) + diagonal_scale * np.diag(rng.normal(size=d))
-            return hamiltonian_unit(HermitianOperator(h))[0]
+            return g - np.diag(np.diag(g)) + diagonal_scale * np.diag(rng.normal(size=d))
 
-        o1, o2 = nearly_off_diagonal(), nearly_off_diagonal()
-        o2 = o2.matrix - hs_inner(o1, o2) * o1.matrix
-        o2 = HermitianOperator(o2 / math.sqrt(hs_inner(o2, o2)))
-        for seeds in ([o1], [o1, o2]):
-            np.testing.assert_allclose(
-                complete_basis(d, seeds).mats,
-                reference_completion(d, seeds, projections=2),
-                atol=1e-12,
-            )
+        seeds = orthonormal_seeds([nearly_off_diagonal(), nearly_off_diagonal()])
+        for m in (1, 2):
+            householder_rows(d, seeds[:m])
 
     def test_rejects_traceful_seed(self):
         with pytest.raises(ValidationError, match="seeds must be traceless"):
@@ -266,7 +300,7 @@ class TestCompleteBasis:
         seed, _ = hamiltonian_unit(gue(MAX_BASIS_DIM + 1, np.random.default_rng(35)))
         for name in ("_operator", "_frame_coordinates", "_frame_operators", "_check_frame_rows"):
             monkeypatch.setattr(basis_module, name, no_completion)
-        monkeypatch.setattr(np.linalg, "svd", no_completion)
+        monkeypatch.setattr(np.linalg, "qr", no_completion)
         with pytest.raises(ValidationError, match="unsupported basis dimension"):
             complete_basis(MAX_BASIS_DIM + 1, [seed])
 
@@ -295,12 +329,7 @@ class TestCompleteBasis:
         # public constructor would store from the same stack, every member
         # exactly Hermitian.
         rng = np.random.default_rng(100 + d)
-        seeds = []
-        for _ in range(min(2, d * d - 1)):
-            o = hamiltonian_unit(gue(d, rng))[0].matrix
-            for prev in seeds:
-                o = o - hs_inner(prev, o) * prev.matrix
-            seeds.append(HermitianOperator(o / math.sqrt(float(np.sum(np.abs(o) ** 2)))))
+        seeds = orthonormal_seeds([gue(d, rng) for _ in range(min(2, d * d - 1))])
         for m in range(len(seeds) + 1):
             mats = complete_basis(d, seeds[:m]).mats
             np.testing.assert_array_equal(mats, OperatorBasis(d, mats).mats)
@@ -357,6 +386,50 @@ class TestCompleteBasis:
         np.testing.assert_allclose(
             basis.coordinates(a + a.T), [0.0, math.sqrt(2.0), 0.0, 0.0], atol=1e-15
         )
+
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def seed_hamiltonians(kind, d, m, rng, eps):
+    """m Hamiltonians of one family: GUE, diagonal, sparse, or distinct Gell-Mann candidates plus eps GUE."""
+    if kind == "gell-mann":
+        cands = gell_mann_candidates(d)
+        return [cands[k] + eps * gue(d, rng).matrix for k in rng.choice(len(cands), size=m, replace=False)]
+    out = []
+    for _ in range(m):
+        if kind == "gue":
+            out.append(gue(d, rng))
+        elif kind == "diagonal":
+            out.append(np.diag(rng.normal(size=d)))
+        else:
+            h = np.where(rng.random((d, d)) < 2.0 / d, gue(d, rng).matrix, 0.0)
+            out.append((h + h.conj().T) / 2.0 + np.diag(np.arange(d) == rng.integers(d)))
+    return out
+
+
+class TestHouseholderCompletion:
+    """complete_basis is the Householder completion of e_0 and its seeds, for 0, 1 and 2 seeds (derandomized)."""
+
+    @SETTINGS
+    @given(d=st.integers(2, 12), m=st.integers(0, 2),
+           kind=st.sampled_from(["gue", "diagonal", "sparse", "gell-mann"]), rng_seed=st.integers(0, 2**16),
+           eps=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-8, 1e-6, 1e-3]))
+    def test_completion_matches_qr_reference(self, d, m, kind, rng_seed, eps):
+        # The diagonal family's traceless span has d - 1 dimensions.
+        if kind == "diagonal":
+            m = min(m, d - 1)
+        householder_rows(d, orthonormal_seeds(seed_hamiltonians(kind, d, m, np.random.default_rng(rng_seed), eps)))
+
+    @pytest.mark.parametrize("d", [3, 7, 12])
+    def test_seed_near_mid_sequence_candidate(self, d):
+        # Within 1e-10 of a mid-sequence candidate, which Gram-Schmidt would
+        # leave a residual of 1e-10 and drop; the reflectors decide nothing
+        # per candidate.
+        rng = np.random.default_rng(d)
+        cands = gell_mann_candidates(d)
+        householder_rows(d, orthonormal_seeds([cands[len(cands) // 2] + 1e-10 * gue(d, rng).matrix]))
 
 
 class TestExpansion:

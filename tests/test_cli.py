@@ -598,6 +598,9 @@ class TestDocumentParsing:
                      "model_params missing key 'beta'", id="model-params-key"),
         pytest.param("temp", '{"kind": "single", "dims": 1, "matrices": {"H": [[["a", 0]]], "rho": [[[1, 0]]]}}',
                      "malformed matrix entries: ", id="non-numeric-pair"),
+        *(pytest.param("bipartite", f'{{"kind": "bipartite", "dims": {dims}, "matrices": {{}}}}',
+                       "bipartite kind requires integer dims = [d_S, d_B]", id=f"bipartite-dims-{dims}")
+          for dims in ("4", "[2]", "[2, 2, 2]")),
     ])
     def test_refused_documents_name_the_fault(self, tmp_path, capsys, command, text, message):
         (tmp_path / "in.json").write_text(text)

@@ -19,6 +19,7 @@ from neqtemp.basis import (
     StateCoordinates,
     complete_basis,
     expand_state,
+    hamiltonian_unit,
     reconstruct_state,
     rotate_tail,
 )
@@ -36,9 +37,11 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp.models import sample_passive_pair
+from neqtemp.models import gue_sample, sample_full_rank, sample_passive_pair, sample_pure
 from neqtemp.thermometry import (
     VariationSplit,
+    finite_difference_beta,
+    generalized_gibbs_decomposition,
     heat_and_work,
     internal_energy,
     inverse_temperature,
@@ -506,6 +509,22 @@ MALFORMED_INPUTS = {
     "NaN tol_herm": lambda: HermitianOperator(np.array([[0, 1], [0, 0]]), tol_herm=float("nan")),
     "infinite tol_herm": lambda: HermitianOperator(np.array([[0, 1], [0, 0]]), tol_herm=float("inf")),
     "negative tol_herm": lambda: HermitianOperator(np.eye(2), tol_herm=-1.0),
+    # Scalars that are not real numbers, held to one rule with the tolerance's bounds.
+    "string tol_herm": lambda: HermitianOperator(np.eye(2), tol_herm="x"),
+    "None tol_herm": lambda: HermitianOperator(np.eye(2), tol_herm=None),
+    "list tol_herm": lambda: HermitianOperator(np.eye(2), tol_herm=[1e-10]),
+    "bool tol_herm": lambda: HermitianOperator(np.eye(2), tol_herm=True),
+    "string clip": lambda: inverse_temperature(DensityMatrix(np.diag([0.3, 0.7])), np.diag([1.0, -1.0]), "x"),
+    "string step": lambda: finite_difference_beta(
+        DensityMatrix(np.diag([0.3, 0.7])), SZ, complete_basis(2, [hamiltonian_unit(SZ)[0]]), step="x"),
+    # A raw state and a raw matrix for a basis.
+    "raw expand_state state": lambda: expand_state(np.eye(2) / 2.0, complete_basis(2, [])),
+    "non-basis": lambda: generalized_gibbs_decomposition(
+        DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])), np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)),
+    # Sampler dimensions meet the one dimension rule.
+    "fractional pure-state dimension": lambda: sample_pure(2.5, np.random.default_rng(0)),
+    "zero full-rank dimension": lambda: sample_full_rank(0, np.random.default_rng(0)),
+    "fractional GUE dimension": lambda: gue_sample(2.5, np.random.default_rng(0)),
 }
 
 
@@ -515,9 +534,15 @@ def test_malformed_input_is_a_validation_error(name):
         MALFORMED_INPUTS[name]()
 
 
-@pytest.mark.parametrize("name", ["NaN tol_herm", "infinite tol_herm", "negative tol_herm"])
+@pytest.mark.parametrize("name", [name for name in MALFORMED_INPUTS if name.endswith(" tol_herm")])
 def test_unchecked_tol_herm_is_named(name):
     with pytest.raises(ValidationError, match=r"^tol_herm must be a finite number of at least 0, got "):
+        MALFORMED_INPUTS[name]()
+
+
+@pytest.mark.parametrize("name", ["fractional pure-state dimension", "zero full-rank dimension", "fractional GUE dimension"])
+def test_sampler_dimension_is_named(name):
+    with pytest.raises(ValidationError, match=r"^dimension must be an integer of at least 1, got "):
         MALFORMED_INPUTS[name]()
 
 
@@ -534,6 +559,9 @@ def test_numpy_integer_dimensions_are_dimensions():
     system = BipartiteSystem(d, d, np.diag([1.0, -1.0]), np.diag([1.0, -1.0]), np.eye(4), rho)
     assert (type(system.d_S), system.dim) == (int, 4)
     np.testing.assert_array_equal(complete_basis(np.int64(3), []).mats, complete_basis(3, []).mats)
+    for sample in (gue_sample, sample_pure, sample_full_rank):
+        np.testing.assert_array_equal(sample(np.int64(3), np.random.default_rng(5)).matrix,
+                                      sample(3, np.random.default_rng(5)).matrix)
 
 
 _DRHO = np.array([[0.0, 0.1], [0.1, 0.0]])

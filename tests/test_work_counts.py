@@ -18,10 +18,8 @@ document's matrices. A generalized-Gibbs report builds a basis, decomposes
 and reconstructs the state over it and evaluates the Helmholtz free energy;
 its counts are pinned at d=8. The basis validates its d^2 members as one
 stack, so they add no ``HermitianOperator`` validation of their own. Its
-completion from the one seed O1 takes every candidate's residual in closed
-form, with no SVD (``svd``); a completion from two seeds takes them from one
-batched SVD, with no pass beyond the first when no candidate drops before
-the last one kept. The completion checks its basis in frame coordinates, so
+completion from O1, like one from two seeds, is one Householder QR, with no
+SVD (``svd``). The completion checks its basis in frame coordinates, so
 the public validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``),
 runs only for a basis built from the user's matrices. The report takes H's
 unit direction once, to seed the basis (``hamiltonian_unit``); every
@@ -255,7 +253,7 @@ def test_basis_report_work_counts(monkeypatch):
     assert counts == EXPECTED_BASIS
 
 
-def test_two_seed_completion_takes_one_svd(monkeypatch):
+def test_two_seed_completion_takes_no_svd(monkeypatch):
     rng = np.random.default_rng(8)
     g = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
     o1, _ = basis.hamiltonian_unit(HermitianOperator(g[0] + g[0].conj().T))
@@ -264,7 +262,7 @@ def test_two_seed_completion_takes_one_svd(monkeypatch):
     o2, _ = basis.hamiltonian_unit(HermitianOperator(h2))
     counts = install_counters(monkeypatch, {"svd": 0, "OperatorBasis": 0}, 8)
     basis.complete_basis(8, [o1, o2])
-    assert counts == {"svd": 1, "OperatorBasis": 0}
+    assert counts == {"svd": 0, "OperatorBasis": 0}
 
 
 def test_user_basis_is_validated_once(monkeypatch):
