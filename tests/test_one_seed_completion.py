@@ -1,13 +1,16 @@
-"""A one-seed completion equals the batched-SVD completion (hypothesis, derandomized).
+"""A seeded completion spans the batched-SVD completion's tail (hypothesis, derandomized).
 
-With one seed, the seed's coordinates over a candidate's free set form one
-column, whose SVD is its norm, so ``complete_basis`` takes every residual in
-closed form. :func:`svd_completion` is the general algorithm, a batched SVD of
-those columns, kept here as the reference. The seeds come from GUE, diagonal,
-sparse and "Gell-Mann candidate + eps GUE" Hamiltonians: a small eps leaves the
-seed close to one candidate, which then drops before the last one kept, and
-the completion takes a second pass with that candidate freed for the ones
-after it.
+:func:`svd_completion` is the operator-space Gram-Schmidt of the Gell-Mann
+candidates against I/sqrt(d) and the seeds, every residual from one batched SVD
+of the seeds' coordinates over each candidate's free set, with its drop rule
+and second pass. It is kept here as an independent reference for
+``complete_basis``, which completes the same head by one Householder QR: the
+two share the head (e_0 and the seeds' frame coordinates) exactly, and their
+tails are two orthonormal bases of one complement, so each is an orthogonal
+rotation of the other and every basis-invariant output agrees to rounding. The
+seeds come from GUE, diagonal, sparse and "Gell-Mann candidate + eps GUE"
+Hamiltonians: a small eps leaves the seed close to one candidate, which the
+reference drops.
 """
 
 import numpy as np
@@ -16,22 +19,29 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from neqtemp import basis as basis_module
-from neqtemp.basis import DROP_TOL, RANGE_TOL, complete_basis, hamiltonian_unit
+from neqtemp.basis import complete_basis, hamiltonian_unit
 from neqtemp.linalg import HermitianOperator
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
                     suppress_health_check=[HealthCheck.too_slow])
 
+#: The reference's drop rule: candidates whose residual norm falls below this are discarded.
+DROP_TOL = 1e-8
+
+#: Singular values at or below this are taken as zero, and so are the
+#: candidate's coordinates along them.
+RANGE_TOL = 1e-13
+
 
 def svd_completion(d, seeds):
-    """Frame coordinates of the completion, every residual from one batched SVD; and its pass count."""
+    """Frame coordinates of the Gram-Schmidt completion, every residual from one batched SVD."""
     n = d * d
     need = n - 1 - len(seeds)
     s = basis_module._frame_coordinates(np.array([o.matrix for o in seeds]))
     t = s[:, 1:].T
     later = np.arange(n - 1) > np.arange(n - 1)[:, None]
     skipped = np.zeros(n - 1, dtype=bool)
-    for passes in range(1, len(seeds) + 2):
+    for _ in range(len(seeds) + 1):
         free = later | skipped
         free.flat[::n] = False
         u, sig, vh = np.linalg.svd(free[:, :, None] * t, full_matrices=False)
@@ -52,7 +62,7 @@ def svd_completion(d, seeds):
     rows[1:n - need] = s
     rows[n - need:, 1:] = np.einsum("kjb,kb->kj", u[idx], ratio[idx] * -scale[:, None]) * free[idx]
     rows[n - need + np.arange(need), idx + 1] = scale
-    return rows, passes
+    return rows
 
 
 def gell_mann_candidates(d):
@@ -77,13 +87,17 @@ def seed_hamiltonian(kind, d, rng, eps):
     return cands[rng.integers(len(cands))] + eps * gue(d, rng)
 
 
-def check_one_seed(d, seed):
-    completed = complete_basis(d, [seed])
+def check_spans_reference(d, seeds):
+    """complete_basis shares the reference's head exactly and its tail up to a rotation within 1e-12."""
+    completed = complete_basis(d, seeds)
     rows = basis_module._frame_coordinates(completed.mats)
-    reference, passes = svd_completion(d, [seed])
-    assert np.max(np.abs(rows - reference)) <= 1e-12
-    assert np.max(np.abs(rows @ rows.T - np.eye(d * d))) <= 1e-12
-    return passes
+    reference = svd_completion(d, seeds)
+    head = len(seeds) + 1
+    np.testing.assert_array_equal(completed.mats[:head], basis_module._frame_operators(reference, d)[:head])
+    assert np.max(np.abs(reference @ reference.T - np.eye(d * d))) <= 1e-12
+    rotation = rows[head:] @ reference[head:].T
+    assert np.max(np.abs(rotation @ rotation.T - np.eye(d * d - head)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(rows[head:] - rotation @ reference[head:]), initial=0.0) <= 1e-12
 
 
 @SETTINGS
@@ -91,17 +105,7 @@ def check_one_seed(d, seed):
        rng_seed=st.integers(0, 2**16), eps=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-8, 1e-6, 1e-3]))
 def test_one_seed_completion_matches_batched_svd(d, kind, rng_seed, eps):
     h = seed_hamiltonian(kind, d, np.random.default_rng(rng_seed), eps)
-    check_one_seed(d, hamiltonian_unit(HermitianOperator(h))[0])
-
-
-@pytest.mark.parametrize("d", [3, 7, 12])
-def test_candidate_dropped_mid_sequence_takes_second_pass(d):
-    # The seed is within 1e-10 of a mid-sequence candidate, which drops; the
-    # candidates after it then see it among their free ones.
-    rng = np.random.default_rng(d)
-    cands = gell_mann_candidates(d)
-    seed, _ = hamiltonian_unit(HermitianOperator(cands[len(cands) // 2] + 1e-10 * gue(d, rng)))
-    assert check_one_seed(d, seed) == 2
+    check_spans_reference(d, [hamiltonian_unit(HermitianOperator(h))[0]])
 
 
 @pytest.mark.parametrize("d", [2, 5, 12])
@@ -110,5 +114,4 @@ def test_two_seed_completion_is_the_batched_svd(d):
     o1, _ = hamiltonian_unit(HermitianOperator(gue(d, rng)))
     h2 = gue(d, rng)
     o2, _ = hamiltonian_unit(HermitianOperator(h2 - np.sum(o1.matrix.conj() * h2).real * o1.matrix))
-    reference, _ = svd_completion(d, [o1, o2])
-    assert np.array_equal(complete_basis(d, [o1, o2]).mats, basis_module._frame_operators(reference, d))
+    check_spans_reference(d, [o1, o2])
