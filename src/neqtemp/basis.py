@@ -1,9 +1,9 @@
 """Hilbert-Schmidt orthonormal Hermitian operator bases.
 
 A basis here is an ordered family of d^2 Hermitian operators with
-``ops[0] = I/sqrt(d)`` and the remaining members traceless and mutually
+``basis[0] = I/sqrt(d)`` and the remaining members traceless and mutually
 orthonormal in the Hilbert-Schmidt inner product. The normalized traceless
-Hamiltonian direction is installed as ``ops[1]`` and the rest of the family
+Hamiltonian direction is installed as ``basis[1]`` and the rest of the family
 is completed from the d^2 - 1 generalized Gell-Mann candidates of unit HS
 norm, in this fixed order: the symmetric generators
 ``(|j><k| + |k><j|)/sqrt(2)`` for j < k lexicographically, then the
@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
     HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _operator, _real_array,
-    _state, _symmetrize, as_complex_matrix,
+    _sized, _state, _symmetrize, as_complex_matrix,
 )
 
 __all__ = [
@@ -101,16 +101,22 @@ def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[Hermit
     """``(basis[1], h)``, once ``basis[1]`` is checked to be H's unit direction: the one reading of it.
 
     :raises DegenerateDirectionError: if H is proportional to the identity.
-    :raises ValidationError: if ``basis`` is not an :class:`OperatorBasis`, the
-        dimensions differ or max|H_0/h - basis[1]| exceeds 1e-8, H_0 being the
+    :raises ValidationError: if ``basis`` is not an :class:`OperatorBasis` of
+        H's dimension, or max|H_0/h - basis[1]| exceeds 1e-8, H_0 being the
         traceless part of H.
     """
-    if not isinstance(basis, OperatorBasis):
-        raise ValidationError(f"expected an OperatorBasis, got {type(basis).__name__}")
+    basis = _sized(_basis(basis), H.dim, "basis[1]")
     traceless, h = _unit_weight(H)
-    if basis.dim != H.dim or float(np.max(np.abs(traceless / h - basis.mats[1]))) > 1e-8:
+    if float(np.max(np.abs(traceless / h - basis.mats[1]))) > 1e-8:
         raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
     return basis[1], h
+
+
+def _basis(basis) -> OperatorBasis:
+    """basis, once checked to be an :class:`OperatorBasis`: the one reading of a basis argument."""
+    if not isinstance(basis, OperatorBasis):
+        raise ValidationError(f"expected an OperatorBasis, got {type(basis).__name__}")
+    return basis
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -196,7 +202,7 @@ def _check_frame_rows(rows: np.ndarray, what: str = "basis operators") -> None:
     """
     n, d = rows.shape[1], math.isqrt(rows.shape[1])
     if float(np.max(np.abs(rows[0] - (np.arange(n) == 0)))) > math.sqrt(d) * 1e-12:
-        raise ValidationError("ops[0] must be the normalized identity I/sqrt(d)")
+        raise ValidationError("basis[0] must be the normalized identity I/sqrt(d)")
     if np.any(np.abs(rows[1:, 0]) > 1e-12 / math.sqrt(d)):
         raise ValidationError(f"{what} must be traceless")
     gram = rows @ rows.T
@@ -214,7 +220,7 @@ class OperatorBasis:
     :class:`HermitianOperator` s. The basis validates it once, stores it
     symmetrized and read-only, and hands out its members as views of it: the
     stack is coerced and symmetrized under :class:`HermitianOperator`'s rules,
-    and ops[0], the traces and the Gram matrix are checked by
+    and basis[0], the traces and the Gram matrix are checked by
     :func:`_check_frame_rows` alone.
     """
 
@@ -241,11 +247,6 @@ class OperatorBasis:
         object.__setattr__(basis, "mats", _frozen(_frame_operators(rows, basis.dim)))
         return basis
 
-    @cached_property
-    def ops(self) -> tuple[HermitianOperator, ...]:
-        """The members in order, as views of ``mats``."""
-        return tuple(HermitianOperator._of_checked(m) for m in self.mats)
-
     def __len__(self) -> int:
         return len(self.mats)
 
@@ -258,9 +259,7 @@ class OperatorBasis:
         :raises ValidationError: if A is not Hermitian (then some Tr[O_i A]
             are not real) or not d x d.
         """
-        A = _operator(A)
-        if A.dim != self.dim:
-            raise ValidationError(f"dimension mismatch: operator {A.dim}, basis {self.dim}")
+        A = _operator(A, self.dim)
         # Re Tr[O_i^dag A] is the dot product of the real views of O_i and A.
         real = np.ascontiguousarray(A.matrix).reshape(-1).view(np.float64)
         return self.mats.reshape(len(self), -1).view(np.float64) @ real
@@ -292,9 +291,7 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     """
     if _dimension(d) > MAX_BASIS_DIM:
         raise ValidationError(f"unsupported basis dimension {d}; complete_basis accepts 1..{MAX_BASIS_DIM}")
-    mats = [_operator(seed).matrix for seed in seeds]
-    if any(a.shape != (d, d) for a in mats):
-        raise ValidationError("seed dimension mismatch")
+    mats = [_operator(seed, d, "seed").matrix for seed in seeds]
     m, n = len(mats), d * d
     # Row a of the head after e_0, the coordinates of I/sqrt(d), holds seed
     # a's frame coordinates; they are held to the basis rules before the completion.
@@ -313,23 +310,23 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:
     """Coordinates x_i = Tr[rho O_i]; satisfies Parseval and reconstruction."""
-    return StateCoordinates(basis.coordinates(_state(rho).operator))
+    return StateCoordinates(_basis(basis).coordinates(_state(rho, basis.dim).operator))
 
 
 def reconstruct_state(coords: StateCoordinates, basis: OperatorBasis) -> np.ndarray:
     """Resum sum_i x_i O_i; inverse of expand_state."""
-    if coords.x.size != len(basis):
-        raise ValidationError("coordinate count does not match basis size")
+    if coords.x.size != len(_basis(basis)):
+        raise ValidationError(f"coordinate count mismatch: {coords.x.size}, expected {len(basis)}")
     return np.tensordot(coords.x, basis.mats, axes=1)
 
 
 def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
-    """Rotate the tail operators ops[2:] by an orthogonal matrix R.
+    """Rotate the tail operators basis[2:] by an orthogonal matrix R.
 
-    ops[0] and ops[1] are untouched; the new tail is O'_k = sum_i R[i, k] O_i.
+    basis[0] and basis[1] are untouched; the new tail is O'_k = sum_i R[i, k] O_i.
     Physical outputs (beta, the Helmholtz tail sum) are invariant under this.
     """
-    n = len(basis) - 2
+    n = len(_basis(basis)) - 2
     r = _real_array(R, "rotation")
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")

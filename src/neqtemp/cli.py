@@ -33,6 +33,9 @@ from .io import (
     temperature_report_dict,
 )
 from .linalg import DensityMatrix, HermitianOperator
+from .models import TwoQubitXYParams, build_two_qubit_xy
+from .relation import verify_universal_relation
+from .thermometry import DEFAULT_CLIP, inverse_temperature
 
 SWEEP_HEADER = (
     "param,beta_S,beta_B,beta_SB,beta_chi,beta_tilde_S,beta_tilde_B,"
@@ -59,8 +62,6 @@ def cmd_temp(args) -> int:
     doc = load_input_document(args.input)
     if doc.kind != "single":
         raise ValidationError(f"temp expects kind = single, got {doc.kind!r}")
-    from .thermometry import inverse_temperature
-
     clip = args.clip if args.clip is not None else doc.clip
     rho = DensityMatrix(HermitianOperator(doc.matrices["rho"], tol_herm=doc.tol))
     h = HermitianOperator(doc.matrices["H"], tol_herm=doc.tol)
@@ -75,8 +76,6 @@ def cmd_bipartite(args) -> int:
     doc = load_input_document(args.input)
     if doc.kind not in ("bipartite", "model"):
         raise ValidationError(f"bipartite expects kind = bipartite or model, got {doc.kind!r}")
-    from .relation import verify_universal_relation
-
     clip = args.clip if args.clip is not None else doc.clip
     sys_ = build_bipartite_system(doc)
     rep = verify_universal_relation(sys_, clip)
@@ -96,10 +95,6 @@ def cmd_bipartite(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .models import TwoQubitXYParams, build_two_qubit_xy
-    from .relation import verify_universal_relation
-    from .thermometry import DEFAULT_CLIP
-
     if args.model != "two-qubit-xy":
         raise ValidationError(f"unknown model {args.model!r}; only two-qubit-xy is supported")
     if args.axis not in SWEEP_AXES:
@@ -142,7 +137,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import format_results, run_suites
+    from .verify import format_results, run_suites  # lazy: only verify reads it, and it takes ~5 ms to import
 
     results = run_suites(args.suite, args.seed, args.count)
     _write_out(format_results(results), args.out)

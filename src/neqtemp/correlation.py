@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import _traceless, _traceless_weight, hamiltonian_unit
-from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
+from .exceptions import DegenerateDirectionError, NumericalError
 from .linalg import (
     RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _local_sum, _operator,
     _state, _tr, matrix_log, partial_trace,
@@ -108,12 +108,8 @@ class BipartiteSystem:
     def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
                  H_I: HermitianOperator, rho_SB: DensityMatrix):
         d_S, d_B = _dimension(d_S, 2), _dimension(d_B, 2)
-        d = d_S * d_B
-        H_S, H_B, H_I, rho_SB = _operator(H_S), _operator(H_B), _operator(H_I), _state(rho_SB)
-        if H_S.dim != d_S or H_B.dim != d_B:
-            raise ValidationError("local Hamiltonian dimensions do not match (d_S, d_B)")
-        if H_I.dim != d or rho_SB.dim != d:
-            raise ValidationError("joint-space dimensions do not match d_S * d_B")
+        H_S, H_B = _operator(H_S, d_S, "H_S"), _operator(H_B, d_B, "H_B")
+        H_I, rho_SB = _operator(H_I, d_S * d_B, "H_I"), _state(rho_SB, d_S * d_B, "rho_SB")
         self.d_S, self.d_B = d_S, d_B
         self.H_S, self.H_B, self.H_I = H_S, H_B, H_I
         self.rho_SB = rho_SB
@@ -357,17 +353,13 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
         tr_hl = _tr(hs, part_s) + _tr(hb, part_b) + hi_l
     s_l, b_l = _tr(f.O_S, part_s), _tr(f.O_B, part_b)  # Tr[(O_S x I) L], Tr[(I x O_B) L]
     o1_l = c_s * s_l + c_b * b_l
+    t_os, t_ob = _tr(f.O_S, hh_s), _tr(f.O_B, hh_b)  # Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I]
+
+    # With an interaction direction: O_I's term of Tr[O1_SB L], and beta_chi in two cross-asserted forms.
+    beta_chi, chi_part, chi_term = math.nan, 0.0, 0.0
     if f.h_I != 0.0:
         oi_l = (hi_eff_l - f._interaction[0] / d * tr_l) / f.h_I  # Tr[O_I L]
         o1_l += c_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
-    # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
-    cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
-    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
-
-    # beta_chi in two cross-asserted forms.
-    t_os, t_ob = _tr(f.O_S, hh_s), _tr(f.O_B, hh_b)  # Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I]
-    beta_chi = math.nan
-    if f.h_I != 0.0:
         hh_id = float(np.trace(hh_s).real)  # Tr HH_I
         local = f.overlap_S * t_os / d_b + f.overlap_B * t_ob / d_s
         # Overlap form: Tr[O_I HH_I] from H_I_eff, less its local components.
@@ -382,16 +374,18 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
         beta_alt = -t_ochi / (f.h_I * f.h_chi)
         if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
             raise NumericalError(f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}")
+        chi_part, chi_term = f.h_I * beta_chi, k_chi * beta_chi
+    # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
+    cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
+    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
 
-    # beta_tilde = beta_local - dS_chi/dU_local; without an interaction direction the overlaps vanish.
-    chi_part = 0.0 if f.h_I == 0.0 else f.h_I * beta_chi
+    # beta_tilde = beta_local - dS_chi/dU_local.
     ds_du_s = -(t_os + f.overlap_S * chi_part) / (d_b * f.h_S)
     ds_du_b = -(t_ob + f.overlap_B * chi_part) / (d_s * f.h_B)
     local_s = _inverse_temperature(sys.rho_S, sys.effective.H_S_eff, f.O_S, f.h_S, clip)
     local_b = _inverse_temperature(sys.rho_B, sys.effective.H_B_eff, f.O_B, f.h_B, clip)
     bt_s, bt_b = local_s.beta - ds_du_s, local_b.beta - ds_du_b
     b_s, b_b = c_s * f.h_S, c_b * f.h_B
-    chi_term = 0.0 if f.h_I == 0.0 else k_chi * beta_chi
     return BipartiteReport(
         beta_SB=beta_sb, beta_tilde_S=bt_s, beta_tilde_B=bt_b, beta_chi=beta_chi,
         residual=k_sb * beta_sb - b_s * bt_s - b_b * bt_b + chi_term, C_S=c_s, C_B=c_b, C_chi=c_chi,

@@ -34,7 +34,7 @@ from . import __version__
 from .correlation import BipartiteReport, BipartiteSystem
 from .exceptions import ValidationError
 from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _dimension, _number
-from .models import TwoQubitXYParams
+from .models import TwoQubitXYParams, build_two_qubit_xy
 from .thermometry import DEFAULT_CLIP, TemperatureReport
 
 __all__ = [
@@ -116,7 +116,7 @@ def _validated_fields(doc) -> dict:
             values = {key: params[key] for key in ("omega_S", "omega_B", "lam", "beta")}
         except KeyError as exc:
             raise ValidationError(f"model_params missing key {exc}") from exc
-        model_params = TwoQubitXYParams(**{k: _finite_number(v, f"model_params.{k}") for k, v in values.items()})
+        model_params = TwoQubitXYParams(**values)
         dims = (2, 2)
     elif kind == "single":
         d = _dimension(doc.get("dims"), 1, "single kind requires integer dims")
@@ -178,8 +178,6 @@ def _echo_form(text: str) -> str:
 def build_bipartite_system(doc: InputDocument) -> BipartiteSystem:
     """Assemble a BipartiteSystem from a parsed bipartite or model document."""
     if doc.kind == "model":
-        from .models import build_two_qubit_xy
-
         return build_two_qubit_xy(doc.model_params)
     names = ("H_S", "H_B", "H_I", "rho_SB")
     h_s, h_b, h_i, rho = (HermitianOperator(doc.matrices[n], tol_herm=doc.tol) for n in names)

@@ -17,7 +17,10 @@ outside the package: it copies, checks finiteness, shape and Hermiticity,
 and symmetrizes (refusing entries whose sum A + A^dag overflows), by the same
 ``as_complex_matrix`` and ``_symmetrize`` that an ``OperatorBasis`` applies to
 its (d^2, d, d) stack; ``_dimension`` checks every dimension argument and
-``_number`` every scalar one (a tolerance, a clip, a step).
+``_number`` every scalar one (a tolerance, a clip, a step). An operator
+argument is read through ``_operator``, a state through ``_state`` (a
+``DensityMatrix`` only); ``_sized``, the one dimension rule, holds each to the
+dimension of the argument it pairs with, and names it when they differ.
 Operators the package computes from operators it has already validated go
 through ``HermitianOperator._of_computed`` instead, which takes ownership of
 the fresh array, symmetrizes it in place and checks only finiteness;
@@ -238,10 +241,6 @@ class SpectralDecomposition:
         spec.eigenvectors = _frozen(eigenvectors)
         return spec
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
     def apply(self, fn) -> np.ndarray:
         """V diag(fn(lambda)) V^dag for a scalar function fn.
 
@@ -458,16 +457,23 @@ def matrix_exp(A: HermitianOperator) -> HermitianOperator:
     return HermitianOperator._of_computed(spec.apply(np.exp))
 
 
-def _operator(A) -> HermitianOperator:
-    """A if it is a validated operator, else A validated through :class:`HermitianOperator`."""
-    return A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+def _sized(x, dim: int | None, what: str):
+    """x, once x.dim is ``dim`` (any if None); else ValidationError naming ``what``. The one dimension rule."""
+    if dim is not None and x.dim != dim:
+        raise ValidationError(f"{what} dimension mismatch: {x.dim}, expected {dim}")
+    return x
 
 
-def _state(rho) -> DensityMatrix:
-    """rho, once checked to be a :class:`DensityMatrix`; a raw matrix is not diagonalized on the side."""
+def _operator(A, dim: int | None = None, what: str = "operator") -> HermitianOperator:
+    """A as a validated :class:`HermitianOperator` (A itself if it is one), checked to be dim x dim."""
+    return _sized(A if isinstance(A, HermitianOperator) else HermitianOperator(A), dim, what)
+
+
+def _state(rho, dim: int | None = None, what: str = "state") -> DensityMatrix:
+    """rho, once checked to be a dim x dim :class:`DensityMatrix` (a raw matrix is not diagonalized here)."""
     if not isinstance(rho, DensityMatrix):
         raise ValidationError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    return rho
+    return _sized(rho, dim, what)
 
 
 def _matrix_of(A) -> np.ndarray:

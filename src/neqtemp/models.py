@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import BipartiteSystem
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
     _dimension,
     _local_sum,
+    _number,
     eig_hermitian,
     tensor_product,
 )
@@ -70,15 +71,14 @@ class TwoQubitXYParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("omega_S", "omega_B", "lam", "beta"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"{name} must be a finite number"))
         if not (self.omega_S >= self.omega_B >= 0.0):
             raise ValidationError(
                 f"need omega_S >= omega_B >= 0, got ({self.omega_S}, {self.omega_B})"
             )
         if not (self.lam > 0.0):
             raise ValidationError(f"coupling must be positive, got {self.lam!r}")
-        for name in ("omega_S", "omega_B", "lam", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -128,23 +128,26 @@ def _gibbs_state(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
 
 
 def closed_form(p: TwoQubitXYParams) -> TwoQubitClosedForm:
-    """Analytic solution of the model under the sigma_pm/2 convention."""
+    """Analytic solution of the model under the sigma_pm/2 convention; NumericalError if Z overflows."""
     d_plus = (p.omega_S + p.omega_B) / 2.0
     d_minus = (p.omega_S - p.omega_B) / 2.0
     eta = math.sqrt(d_minus**2 + p.lam**2)
     b = p.beta
-    z = 2.0 * (math.cosh(b * d_plus) + math.cosh(b * eta))
     zeta_plus = math.sqrt((1.0 + d_minus / eta) / 2.0)
     zeta_minus = math.sqrt((1.0 - d_minus / eta) / 2.0)
     ratio = d_minus / eta
-    cosh_e, sinh_e = math.cosh(b * eta), math.sinh(b * eta)
-    mu1_plus = (math.exp(b * d_plus) + cosh_e + ratio * sinh_e) / z
-    mu1_minus = (math.exp(-b * d_plus) + cosh_e - ratio * sinh_e) / z
-    mu2_plus = (math.exp(-b * d_plus) + cosh_e + ratio * sinh_e) / z
-    mu2_minus = (math.exp(b * d_plus) + cosh_e - ratio * sinh_e) / z
-    beta_s = math.log(mu1_plus / mu1_minus) / p.omega_S if p.omega_S > 0 else math.nan
     omega_b_zero = p.omega_B == 0.0
-    beta_b = math.nan if omega_b_zero else math.log(mu2_minus / mu2_plus) / p.omega_B
+    try:  # a cosh past the largest double raises OverflowError; a sum past it reads inf, then 0/0
+        z = 2.0 * (math.cosh(b * d_plus) + math.cosh(b * eta))
+        cosh_e, sinh_e = math.cosh(b * eta), math.sinh(b * eta)
+        mu1_plus = (math.exp(b * d_plus) + cosh_e + ratio * sinh_e) / z
+        mu1_minus = (math.exp(-b * d_plus) + cosh_e - ratio * sinh_e) / z
+        mu2_plus = (math.exp(-b * d_plus) + cosh_e + ratio * sinh_e) / z
+        mu2_minus = (math.exp(b * d_plus) + cosh_e - ratio * sinh_e) / z
+        beta_s = math.log(mu1_plus / mu1_minus) / p.omega_S if p.omega_S > 0 else math.nan
+        beta_b = math.nan if omega_b_zero else math.log(mu2_minus / mu2_plus) / p.omega_B
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"closed form overflows at beta = {b!r}: {exc}") from exc
     return TwoQubitClosedForm(
         Z=z,
         E=(d_plus, eta, -eta, -d_plus),
@@ -181,7 +184,7 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def sample_gibbs(d: int, beta: float, rng: np.random.Generator) -> tuple[HermitianOperator, DensityMatrix]:
     """Random GUE Hamiltonian and its Gibbs state at inverse temperature beta."""
     h = gue_sample(_dimension(d, 2), rng)
-    return h, _gibbs_state(eig_hermitian(h), beta)
+    return h, _gibbs_state(eig_hermitian(h), _number(beta, "beta must be a finite number"))
 
 
 def _commuting_pair(d: int, rng: np.random.Generator, inverted: bool) -> tuple[HermitianOperator, DensityMatrix]:
@@ -246,6 +249,7 @@ def sample_bipartite(
     and a generic correlated full-rank joint state."""
     h_s = gue_sample(d_S, rng)
     h_b = gue_sample(d_B, rng)
-    h_i = HermitianOperator(coupling_scale * gue_sample(d_S * d_B, rng).matrix)
+    scale = _number(coupling_scale, "coupling_scale must be a finite number")
+    h_i = HermitianOperator(scale * gue_sample(d_S * d_B, rng).matrix)
     rho = sample_full_rank(d_S * d_B, rng)
     return BipartiteSystem(d_S, d_B, h_s, h_b, h_i, rho)

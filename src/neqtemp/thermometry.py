@@ -104,9 +104,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def internal_energy(rho: DensityMatrix, H: HermitianOperator) -> float:
     """U = Tr[rho H]."""
-    rho, H = _state(rho), _operator(H)
-    if rho.dim != H.dim:
-        raise ValidationError(f"dimension mismatch: state {rho.dim}, Hamiltonian {H.dim}")
+    rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     return _tr(rho, H)
 
 
@@ -130,13 +128,13 @@ def inverse_temperature(
     :raises DegenerateDirectionError: if H is proportional to the identity.
     :raises NumericalError: if h, the energy moments or beta overflow.
     """
-    rho, H = _state(rho), _operator(H)
+    rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     return _inverse_temperature(rho, H, *hamiltonian_unit(H), clip)
 
 
 def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: HermitianOperator, h: float, clip: float):
     """:func:`inverse_temperature` with H's unit (O1, h) given: moments of h O1, raw H only in U."""
-    u = internal_energy(rho, H)  # checks the dimensions first
+    u = _tr(rho, H)
     logr = matrix_log(rho, clip)
     L = logr.operator.matrix
     E = h * O1.matrix
@@ -237,9 +235,9 @@ def generalized_gibbs_decomposition(
 
 def _log_coordinates(rho: DensityMatrix, H, basis: OperatorBasis, clip: float, what: str):
     """H validated, the report of full-rank (rho, H) along the checked ``basis[1]``, every Tr[O_i log rho]."""
-    if _state(rho).rank < rho.dim:
+    rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
+    if rho.rank < rho.dim:
         raise RankDeficiencyError(f"{what} needs a full-rank state")
-    H = _operator(H)
     report = _inverse_temperature(rho, H, *_basis_direction(H, basis), clip)
     return H, report, basis.coordinates(matrix_log(rho, clip).operator)
 
@@ -250,6 +248,8 @@ def reconstruct_generalized_gibbs(
     """Evaluate exp(-beta H + sum c_i O_i - log_norm I); ``basis[1]`` must be H's direction."""
     H = _operator(H)
     _basis_direction(H, basis)
+    if form.c.size != len(basis) - 2:
+        raise ValidationError(f"form coefficient count mismatch: {form.c.size}, expected {len(basis) - 2}")
     exponent = (
         -form.beta * H.matrix
         - form.log_norm * np.eye(H.dim)
@@ -288,9 +288,7 @@ def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     energy clusters, as ``SpectralDecomposition.clusters`` labels them);
     within a degenerate cluster any population ordering counts as passive.
     """
-    rho, H = _state(rho), _operator(H)
-    if rho.dim != H.dim:
-        raise ValidationError("dimension mismatch")
+    rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     spec = eig_hermitian(H)
     labels, v = spec.clusters(), spec.eigenvectors
     r = v.conj().T @ rho.matrix @ v
@@ -324,9 +322,7 @@ def variation_split(rho: DensityMatrix, drho: HermitianOperator) -> VariationSpl
     eigenbasis; d_ep is the remainder. d_ev carries the entropy change, d_ep
     the purely rotational (isentropic) part.
     """
-    rho, drho = _state(rho), _operator(drho)
-    if rho.dim != drho.dim:
-        raise ValidationError("dimension mismatch")
+    rho, drho = _state(rho), _operator(drho, rho.dim, "variation")
     tr = float(np.trace(drho.matrix).real)
     if abs(tr) > 1e-8:
         raise ValidationError(f"variation must be trace-free, got Tr drho = {tr!r}")
@@ -365,7 +361,8 @@ def heat_and_work(
     variation changes entropy, so only it can carry heat; the eigenprojector
     part is counted as work together with the Hamiltonian variation.
     """
-    rho, drho, H, dH = _state(rho), _operator(drho), _operator(H), _operator(dH)
+    rho, drho = _state(rho), _operator(drho, rho.dim, "variation")
+    H, dH = _operator(H, rho.dim, "Hamiltonian"), _operator(dH, rho.dim, "Hamiltonian variation")
     split = variation_split(rho, drho)
     dq, dw = _tr(drho, H), _tr(rho, dH)
     dq_e, dw_e = _tr(split.d_ev, H), _tr(split.d_ep, H) + dw
@@ -390,7 +387,7 @@ def finite_difference_beta(
     energy, the definition the closed-form beta must reproduce.
     """
     step = _number(step, "step must be a finite positive number", 0.0, above=True)
-    rho, H = _state(rho), _operator(H)
+    rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     o1 = _basis_direction(H, basis)[0].matrix
     states = []
     for sgn in (+1.0, -1.0):

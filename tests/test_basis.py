@@ -200,7 +200,7 @@ class TestCompleteBasis:
             SY / math.sqrt(2.0),
             -SX / math.sqrt(2.0),
         ]
-        for op, m in zip(basis.ops, expected):
+        for op, m in zip(basis, expected):
             np.testing.assert_allclose(op.matrix, m, atol=1e-12)
         householder_rows(2, [seed])
 
@@ -211,7 +211,7 @@ class TestCompleteBasis:
             o1, _ = hamiltonian_unit(gue(d, rng))
             basis = complete_basis(d, [o1])
             assert len(basis) == d * d
-            mats = np.stack([op.matrix for op in basis.ops])
+            mats = np.stack([op.matrix for op in basis])
             gram = np.einsum("kij,lij->kl", mats.conj(), mats).real
             assert np.max(np.abs(gram - np.eye(d * d))) < 1e-10
 
@@ -317,8 +317,8 @@ class TestCompleteBasis:
         basis = complete_basis(3, [])
         assert basis.mats.shape == (9, 3, 3)
         assert not basis.mats.flags.writeable
-        assert len(basis.ops) == len(basis) == 9
-        for op, m in zip(basis.ops, basis.mats):
+        assert len(tuple(basis)) == len(basis) == 9
+        for op, m in zip(basis, basis.mats):
             assert np.shares_memory(op.matrix, basis.mats)
             np.testing.assert_array_equal(op.matrix, m)
             np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
@@ -358,11 +358,11 @@ class TestCompleteBasis:
     def test_basis_invariant_checks(self):
         good = complete_basis(2, [])
         with pytest.raises(ValidationError):
-            OperatorBasis(2, good.ops[1:] + good.ops[:1])
+            OperatorBasis(2, list(good)[1:] + list(good)[:1])
 
     def test_accepts_members_or_stack(self):
         good = complete_basis(3, [])
-        for given in (good.ops, good.mats, list(good.mats)):
+        for given in (list(good), good.mats, list(good.mats)):
             np.testing.assert_array_equal(OperatorBasis(3, given).mats, good.mats)
 
     def test_rejects_non_hermitian_or_misshapen_members(self):

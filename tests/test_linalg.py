@@ -7,6 +7,7 @@ code path it is testing.
 """
 
 import math
+import re
 import sys
 import threading
 
@@ -37,8 +38,11 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp.models import gue_sample, sample_full_rank, sample_passive_pair, sample_pure
+from neqtemp.models import (
+    TwoQubitXYParams, gue_sample, sample_bipartite, sample_full_rank, sample_gibbs, sample_passive_pair, sample_pure,
+)
 from neqtemp.thermometry import (
+    GeneralizedGibbsForm,
     VariationSplit,
     finite_difference_beta,
     generalized_gibbs_decomposition,
@@ -46,6 +50,7 @@ from neqtemp.thermometry import (
     internal_energy,
     inverse_temperature,
     is_passive,
+    reconstruct_generalized_gibbs,
     variation_split,
     von_neumann_entropy,
 )
@@ -525,6 +530,29 @@ MALFORMED_INPUTS = {
     "fractional pure-state dimension": lambda: sample_pure(2.5, np.random.default_rng(0)),
     "zero full-rank dimension": lambda: sample_full_rank(0, np.random.default_rng(0)),
     "fractional GUE dimension": lambda: gue_sample(2.5, np.random.default_rng(0)),
+    # An operator of another dimension than the state or basis it pairs with.
+    "heat_and_work Hamiltonian dimension": lambda: heat_and_work(
+        DensityMatrix(np.eye(2) / 2.0), np.zeros((2, 2)), np.eye(3), np.eye(3)),
+    "heat_and_work dH dimension": lambda: heat_and_work(
+        DensityMatrix(np.eye(2) / 2.0), np.zeros((2, 2)), SZ, np.eye(3)),
+    "finite_difference_beta Hamiltonian dimension": lambda: finite_difference_beta(
+        DensityMatrix(np.diag([0.3, 0.7])), np.diag([1.0, 0.0, -1.0]),
+        complete_basis(3, [hamiltonian_unit(np.diag([1.0, 0.0, -1.0]))[0]]), 1e-5),
+    "generalized-Gibbs form of another dimension": lambda: reconstruct_generalized_gibbs(
+        GeneralizedGibbsForm(0.5, np.zeros(2), 0.0), np.diag([1.0, 0.0, -1.0]),
+        complete_basis(3, [hamiltonian_unit(np.diag([1.0, 0.0, -1.0]))[0]])),
+    "generalized-Gibbs coefficient count": lambda: reconstruct_generalized_gibbs(
+        GeneralizedGibbsForm(0.5, np.zeros(1), 0.0), SZ, complete_basis(2, [hamiltonian_unit(SZ)[0]])),
+    # A raw matrix for a basis.
+    "non-basis expand_state": lambda: expand_state(DensityMatrix(np.eye(4) / 4.0), np.eye(4)),
+    "non-basis reconstruct_state": lambda: reconstruct_state(StateCoordinates([0.5, 0.0, 0.0, 0.0]), np.eye(4)),
+    "non-basis rotate_tail": lambda: rotate_tail(np.eye(4), np.eye(2)),
+    # Model parameters and sampler scalars meet the scalar rule.
+    "string coupling": lambda: TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam="x", beta=1.0),
+    "None model beta": lambda: TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.2, beta=None),
+    "bool coupling": lambda: TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=True, beta=1.0),
+    "string Gibbs beta": lambda: sample_gibbs(2, "x", np.random.default_rng(0)),
+    "string coupling_scale": lambda: sample_bipartite(2, 2, "x", np.random.default_rng(0)),
 }
 
 
@@ -543,6 +571,21 @@ def test_unchecked_tol_herm_is_named(name):
 @pytest.mark.parametrize("name", ["fractional pure-state dimension", "zero full-rank dimension", "fractional GUE dimension"])
 def test_sampler_dimension_is_named(name):
     with pytest.raises(ValidationError, match=r"^dimension must be an integer of at least 1, got "):
+        MALFORMED_INPUTS[name]()
+
+
+@pytest.mark.parametrize("name,message", [
+    ("heat_and_work Hamiltonian dimension", "Hamiltonian dimension mismatch: 3, expected 2"),
+    ("heat_and_work dH dimension", "Hamiltonian variation dimension mismatch: 3, expected 2"),
+    ("finite_difference_beta Hamiltonian dimension", "Hamiltonian dimension mismatch: 3, expected 2"),
+    ("is_passive dimension", "Hamiltonian dimension mismatch: 3, expected 2"),
+    ("variation_split dimension", "variation dimension mismatch: 3, expected 2"),
+    ("expand_state dimension", "state dimension mismatch: 3, expected 2"),
+    ("seed dimension", "seed dimension mismatch: 3, expected 2"),
+    ("bipartite H_I dimension", "H_I dimension mismatch: 3, expected 4"),
+])
+def test_dimension_mismatch_names_the_argument(name, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         MALFORMED_INPUTS[name]()
 
 

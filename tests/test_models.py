@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from neqtemp.exceptions import ValidationError
+from neqtemp.exceptions import NumericalError, ValidationError
 from neqtemp.linalg import eig_hermitian, partial_trace
 from neqtemp.models import (
     TwoQubitXYParams,
@@ -95,6 +95,12 @@ class TestClosedForm:
     def test_zeta_normalization(self):
         cf = closed_form(TwoQubitXYParams(omega_S=3.0, omega_B=1.0, lam=0.4, beta=1.0))
         assert cf.zeta_plus**2 + cf.zeta_minus**2 == pytest.approx(1.0, rel=1e-14)
+
+    # A cosh past the largest double (beta = +-1000); Z's sum past it, then 0/0 (beta = 696, omega_B = 0).
+    @pytest.mark.parametrize("omega_B,beta", [(1.0, 1000.0), (1.0, -1000.0), (0.0, 696.0)])
+    def test_overflow_is_a_numerical_error(self, omega_B, beta):
+        with pytest.raises(NumericalError, match="closed form overflows"):
+            closed_form(TwoQubitXYParams(omega_S=2.0, omega_B=omega_B, lam=0.2, beta=beta))
 
 
 class TestParams:
