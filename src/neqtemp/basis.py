@@ -45,8 +45,8 @@ import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _operator, _real_array,
-    _sized, _state, _symmetrize, as_complex_matrix,
+    HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _instance, _operator,
+    _real_array, _sized, _state, _symmetrize, as_complex_matrix,
 )
 
 __all__ = [
@@ -105,18 +105,11 @@ def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[Hermit
         H's dimension, or max|H_0/h - basis[1]| exceeds 1e-8, H_0 being the
         traceless part of H.
     """
-    basis = _sized(_basis(basis), H.dim, "basis[1]")
+    basis = _sized(_instance(basis, OperatorBasis), H.dim, "basis[1]")
     traceless, h = _unit_weight(H)
     if float(np.max(np.abs(traceless / h - basis.mats[1]))) > 1e-8:
         raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
     return basis[1], h
-
-
-def _basis(basis) -> OperatorBasis:
-    """basis, once checked to be an :class:`OperatorBasis`: the one reading of a basis argument."""
-    if not isinstance(basis, OperatorBasis):
-        raise ValidationError(f"expected an OperatorBasis, got {type(basis).__name__}")
-    return basis
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -310,12 +303,12 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
 
 def expand_state(rho: DensityMatrix, basis: OperatorBasis) -> StateCoordinates:
     """Coordinates x_i = Tr[rho O_i]; satisfies Parseval and reconstruction."""
-    return StateCoordinates(_basis(basis).coordinates(_state(rho, basis.dim).operator))
+    return StateCoordinates(_instance(basis, OperatorBasis).coordinates(_state(rho, basis.dim).operator))
 
 
 def reconstruct_state(coords: StateCoordinates, basis: OperatorBasis) -> np.ndarray:
     """Resum sum_i x_i O_i; inverse of expand_state."""
-    if coords.x.size != len(_basis(basis)):
+    if _instance(coords, StateCoordinates).x.size != len(_instance(basis, OperatorBasis)):
         raise ValidationError(f"coordinate count mismatch: {coords.x.size}, expected {len(basis)}")
     return np.tensordot(coords.x, basis.mats, axes=1)
 
@@ -326,7 +319,7 @@ def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
     basis[0] and basis[1] are untouched; the new tail is O'_k = sum_i R[i, k] O_i.
     Physical outputs (beta, the Helmholtz tail sum) are invariant under this.
     """
-    n = len(_basis(basis)) - 2
+    n = len(_instance(basis, OperatorBasis)) - 2
     r = _real_array(R, "rotation")
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")

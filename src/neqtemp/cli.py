@@ -42,7 +42,8 @@ SWEEP_HEADER = (
     "K_SB,b_S,b_B,K_chi,residual"
 )
 
-SWEEP_AXES = ("beta", "lambda", "omega_S", "omega_B")
+#: Each sweep axis and the TwoQubitXYParams field it sets.
+SWEEP_AXES = {"beta": "beta", "lambda": "lam", "omega_S": "omega_S", "omega_B": "omega_B"}
 
 
 def _csv_num(x: float) -> str:
@@ -105,21 +106,11 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"bad sweep values: {exc}") from exc
     if not values:
         raise ValidationError("no sweep values given")
-    base = {
-        "omega_S": args.omega_s,
-        "omega_B": args.omega_b,
-        "lambda": args.lam,
-        "beta": args.beta,
-    }
+    base = dict(omega_S=args.omega_s, omega_B=args.omega_b, lam=args.lam, beta=args.beta)
     clip = args.clip if args.clip is not None else DEFAULT_CLIP
     rows, failed = [SWEEP_HEADER], False
     for v in values:
-        params = dict(base)
-        params[args.axis] = v
-        p = TwoQubitXYParams(
-            omega_S=params["omega_S"], omega_B=params["omega_B"],
-            lam=params["lambda"], beta=params["beta"],
-        )
+        p = TwoQubitXYParams(**{**base, SWEEP_AXES[args.axis]: v})
         try:
             rel = verify_universal_relation(build_two_qubit_xy(p), clip)
         except NumericalError as exc:

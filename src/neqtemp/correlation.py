@@ -12,7 +12,9 @@ at fixed local energies, in the operator frame frozen at the state:
 where HH_I = -log rho_SB + log rho_S x I + I x log rho_B, O_I is the unit
 direction of H_I_eff and O_chi the part of O_I orthogonal to the local
 directions. The 1/h_I factor is the Jacobian dU_chi = h_I h_chi dy_chi of
-the coordinate; it is required for the Gibbs identity beta_chi = -beta.
+the coordinate. A global Gibbs state has beta_chi = -beta - l_chi/(h_I h_chi),
+l_chi = Tr[Tr_B(O_chi) log rho_S] + Tr[Tr_S(O_chi) log rho_B]: -beta only where
+l_chi = 0, as on the two-qubit family.
 beta_tilde_S is beta_S, the local inverse temperature of (rho_S, H_S_eff),
 minus dS_chi/dU_S = -(Tr[(O_S x I) HH_I] + overlap_S h_I beta_chi)/(d_B h_S)
 at fixed U_B and U_chi (d_B, the squared norm of O_S x I, is the printed
@@ -75,8 +77,8 @@ import numpy as np
 from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError
 from .linalg import (
-    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _local_sum, _operator,
-    _state, _tr, matrix_log, partial_trace,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _instance, _local_sum,
+    _operator, _state, _tr, matrix_log, partial_trace,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
@@ -177,7 +179,7 @@ def binding_energy(sys: BipartiteSystem) -> float:
     Equal to Tr[chi H_I] and to Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]; the
     three are assembled independently (module docstring) and cross-asserted.
     """
-    rho, rho_s, rho_b = sys.rho_SB, sys.rho_S.matrix, sys.rho_B.matrix
+    rho, rho_s, rho_b = _instance(sys, BipartiteSystem).rho_SB, sys.rho_S.matrix, sys.rho_B.matrix
     hs, hb, hi, _, lamb_b, mean = sys._parts[:6]
     hi_eff = sys.effective.H_I_eff.matrix.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
     rho_hi = _tr(rho, hi)
@@ -195,6 +197,7 @@ def binding_energy(sys: BipartiteSystem) -> float:
 
 def mutual_information(sys: BipartiteSystem) -> float:
     """S_chi = S(rho_S) + S(rho_B) - S(rho_SB) >= 0."""
+    sys = _instance(sys, BipartiteSystem)
     return von_neumann_entropy(sys.rho_S) + von_neumann_entropy(sys.rho_B) - von_neumann_entropy(sys.rho_SB)
 
 
@@ -205,7 +208,7 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
     clipped flag propagates from any of the three (cached) logarithms. No
     temperature builds it: they read its traces (module docstring).
     """
-    log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
+    log_sb, log_s, log_b = (matrix_log(r, clip) for r in (_instance(sys, BipartiteSystem).rho_SB, sys.rho_S, sys.rho_B))
     m = _local_sum(log_s.operator, log_b.operator, -log_sb.operator.matrix)
     return MatrixLog(HermitianOperator._of_computed(m), log_sb.clipped or log_s.clipped or log_b.clipped)
 
@@ -280,7 +283,7 @@ def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:
     :raises DegenerateDirectionError: when H_I_eff is proportional to the identity (H_I = 0 too).
     :raises NumericalError: if the interaction direction lies in the local span (h_chi ~ 0).
     """
-    frame = sys.frame
+    frame = _instance(sys, BipartiteSystem).frame
     if frame.h_I == 0.0:
         raise DegenerateDirectionError("H_I_eff is proportional to the identity")
     return frame
@@ -325,7 +328,7 @@ class BipartiteReport:
 
 def _report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
     """The report of ``sys`` at ``clip``, built once and cached on ``sys``."""
-    return _cached(sys._reports, clip, lambda: _build_report(sys, clip))
+    return _cached(_instance(sys, BipartiteSystem)._reports, clip, lambda: _build_report(sys, clip))
 
 
 def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
@@ -402,7 +405,8 @@ def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_
                - overlap_B Tr[(I x O_B) HH_I]/d_S)
 
     which is -Tr[O_chi HH_I]/(h_I h_chi). For a globally Gibbs state this is
-    exactly -beta; for a product state HH_I vanishes and beta_chi = 0.
+    -beta - l_chi/(h_I h_chi) (module docstring), exactly -beta on the two-qubit
+    family; for a product state HH_I vanishes and beta_chi = 0.
 
     :raises DegenerateDirectionError: when H_I_eff is proportional to the identity (see chi_unit).
     """

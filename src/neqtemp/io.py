@@ -101,8 +101,8 @@ def _validated_fields(doc) -> dict:
     given = doc.get("matrices", {})
     if not isinstance(given, dict):
         raise ValidationError("matrices must be an object")
-    clip = _finite_number(options.get("clip", DEFAULT_CLIP), "options.clip")
-    tol = _finite_number(options.get("tol", HERM_TOL), "options.tol")
+    clip = _number(options.get("clip", DEFAULT_CLIP), "options.clip must be a finite number")
+    tol = _number(options.get("tol", HERM_TOL), "options.tol must be a finite number")
     if clip <= 0 or tol <= 0:
         raise ValidationError("clip and tol must be positive")
 
@@ -136,11 +136,6 @@ def _validated_fields(doc) -> dict:
             shown = dims[0] if kind == "single" else dims
             raise ValidationError(f"matrix {name!r} shape {m.shape} does not match dims {shown}")
     return dict(kind=kind, dims=dims, matrices=matrices, model_params=model_params, clip=clip, tol=tol)
-
-
-def _finite_number(value, name: str) -> float:
-    """A JSON number as a finite float; ValidationError for anything else (a bool, a string, 1e400)."""
-    return _number(value, f"{name} must be a finite number")
 
 
 def load_input_document(path: str) -> InputDocument:

@@ -18,9 +18,10 @@ and symmetrizes (refusing entries whose sum A + A^dag overflows), by the same
 ``as_complex_matrix`` and ``_symmetrize`` that an ``OperatorBasis`` applies to
 its (d^2, d, d) stack; ``_dimension`` checks every dimension argument and
 ``_number`` every scalar one (a tolerance, a clip, a step). An operator
-argument is read through ``_operator``, a state through ``_state`` (a
-``DensityMatrix`` only); ``_sized``, the one dimension rule, holds each to the
-dimension of the argument it pairs with, and names it when they differ.
+argument is read through ``_operator``, and every other package-typed one (a
+state, basis, system, generator) through ``_instance``, the one type rule;
+``_sized``, the one dimension rule, holds each to its partner's dimension
+and names it when they differ.
 Operators the package computes from operators it has already validated go
 through ``HermitianOperator._of_computed`` instead, which takes ownership of
 the fresh array, symmetrizes it in place and checks only finiteness;
@@ -469,11 +470,17 @@ def _operator(A, dim: int | None = None, what: str = "operator") -> HermitianOpe
     return _sized(A if isinstance(A, HermitianOperator) else HermitianOperator(A), dim, what)
 
 
+def _instance(x, cls: type):
+    """x, once it is a ``cls``; else ValidationError "expected a <cls>, got <type>". The one type rule."""
+    if not isinstance(x, cls):
+        name = cls.__name__
+        raise ValidationError(f"expected {'an' if name[0] in 'AEIOU' else 'a'} {name}, got {type(x).__name__}")
+    return x
+
+
 def _state(rho, dim: int | None = None, what: str = "state") -> DensityMatrix:
     """rho, once checked to be a dim x dim :class:`DensityMatrix` (a raw matrix is not diagonalized here)."""
-    if not isinstance(rho, DensityMatrix):
-        raise ValidationError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    return _sized(rho, dim, what)
+    return _sized(_instance(rho, DensityMatrix), dim, what)
 
 
 def _matrix_of(A) -> np.ndarray:

@@ -14,8 +14,9 @@ h_chi = 1. Every closed-form constant here was re-derived under this single
 convention and frozen against the direct-diagonalization oracle in the test
 suite.
 
-Samplers take an explicit ``numpy.random.Generator``; PCG64 streams are
-stable across platforms, so fixed seeds give bit-identical instances.
+Samplers take an explicit ``numpy.random.Generator``, and no other type;
+PCG64 streams are stable across platforms, so fixed seeds give bit-identical
+instances.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .linalg import (
     HermitianOperator,
     SpectralDecomposition,
     _dimension,
+    _instance,
     _local_sum,
     _number,
     eig_hermitian,
@@ -110,7 +112,7 @@ class TwoQubitClosedForm:
 
 def build_two_qubit_xy(p: TwoQubitXYParams) -> BipartiteSystem:
     """Assemble the model's BipartiteSystem with the global Gibbs state."""
-    h_s = HermitianOperator((p.omega_S / 2.0) * PAULI_Z)
+    h_s = HermitianOperator((_instance(p, TwoQubitXYParams).omega_S / 2.0) * PAULI_Z)
     h_b = HermitianOperator((p.omega_B / 2.0) * PAULI_Z)
     h_i = HermitianOperator(
         p.lam * (tensor_product(SIGMA_PLUS, SIGMA_MINUS) + tensor_product(SIGMA_MINUS, SIGMA_PLUS))
@@ -129,7 +131,7 @@ def _gibbs_state(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
 
 def closed_form(p: TwoQubitXYParams) -> TwoQubitClosedForm:
     """Analytic solution of the model under the sigma_pm/2 convention; NumericalError if Z overflows."""
-    d_plus = (p.omega_S + p.omega_B) / 2.0
+    d_plus = (_instance(p, TwoQubitXYParams).omega_S + p.omega_B) / 2.0
     d_minus = (p.omega_S - p.omega_B) / 2.0
     eta = math.sqrt(d_minus**2 + p.lam**2)
     b = p.beta
@@ -171,7 +173,7 @@ def closed_form(p: TwoQubitXYParams) -> TwoQubitClosedForm:
 def gue_sample(d: int, rng: np.random.Generator) -> HermitianOperator:
     """A Gaussian-unitary-ensemble Hermitian matrix (entries O(1))."""
     d = _dimension(d)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = _instance(rng, np.random.Generator).normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return HermitianOperator((g + g.conj().T) / 2.0)
 
 
@@ -190,7 +192,7 @@ def sample_gibbs(d: int, beta: float, rng: np.random.Generator) -> tuple[Hermiti
 def _commuting_pair(d: int, rng: np.random.Generator, inverted: bool) -> tuple[HermitianOperator, DensityMatrix]:
     """Commuting (H, rho), populations ascending in energy if ``inverted``, else descending."""
     d = _dimension(d, 2)
-    energies = np.sort(rng.normal(scale=2.0, size=d))
+    energies = np.sort(_instance(rng, np.random.Generator).normal(scale=2.0, size=d))
     probs = np.sort(rng.dirichlet(np.ones(d)))
     if not inverted:
         probs = probs[::-1]
@@ -216,7 +218,7 @@ def sample_inverted_pair(d: int, rng: np.random.Generator) -> tuple[HermitianOpe
 def sample_pure(d: int, rng: np.random.Generator) -> DensityMatrix:
     """Haar-random pure state."""
     d = _dimension(d)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = _instance(rng, np.random.Generator).normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
 
@@ -232,7 +234,7 @@ def sample_full_rank(d: int, rng: np.random.Generator) -> DensityMatrix:
     logarithms never clip and finite-difference probes stay inside the cone.
     """
     d = _dimension(d)
-    weights = rng.dirichlet(np.ones(d))
+    weights = _instance(rng, np.random.Generator).dirichlet(np.ones(d))
     mix = np.zeros((d, d), dtype=complex)
     for w in weights:
         v = rng.normal(size=d) + 1j * rng.normal(size=d)

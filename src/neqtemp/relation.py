@@ -25,6 +25,7 @@ and residual are fields of the system's BipartiteReport, whose one builder in
 from __future__ import annotations
 
 from .correlation import BipartiteReport, BipartiteSystem, _report
+from .linalg import _instance
 from .thermometry import DEFAULT_CLIP
 
 __all__ = [
@@ -38,7 +39,8 @@ def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
 
     C_S = Tr[O1_SB (O_S x I)]/d_B, C_B = Tr[O1_SB (I x O_B)]/d_S, C_chi = Tr[O1_SB O_chi] (0 if degenerate).
     """
-    return sys.frame.C_S, sys.frame.C_B, sys.frame.C_chi
+    frame = _instance(sys, BipartiteSystem).frame
+    return frame.C_S, frame.C_B, frame.C_chi
 
 
 def relation_coefficients(sys: BipartiteSystem) -> BipartiteReport:

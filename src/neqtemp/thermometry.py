@@ -36,12 +36,12 @@ from .exceptions import (
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _instance,
     _number,
     _operator,
     _state,
     _tr,
     eig_hermitian,
-    hs_inner,
     matrix_exp,
     matrix_log,
 )
@@ -141,7 +141,7 @@ def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: Hermitian
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _tr(E, E), _tr(E, L)
     # Direct coordinate form, assembled through O1 rather than the moments.
-    beta_dir = -hs_inner(O1, logr.operator) / h
+    beta_dir = -_tr(O1, L) / h
     beta, temperature, cov, var = _beta_of_moments(
         rho, h, moments, beta_dir,
         lambda: rho.dim * float(np.max(np.abs(E))) * float(np.max(np.abs(L))) / (h * h),
@@ -213,33 +213,30 @@ class GeneralizedGibbsForm:
 
 
 def generalized_gibbs_decomposition(
-    rho: DensityMatrix,
-    H: HermitianOperator,
-    basis: OperatorBasis,
-    clip: float = DEFAULT_CLIP,
+    rho: DensityMatrix, H: HermitianOperator, basis: OperatorBasis
 ) -> GeneralizedGibbsForm:
     """Write a full-rank state in generalized-Gibbs form over ``basis``.
 
     ``basis[1]`` must be the Hamiltonian direction of H. The coefficients are
     beta, taken along ``basis[1]``, and c_i = Tr[O_i log rho] for i >= 2.
     The exponent -beta H + sum_i c_i O_i is log rho - (Tr log rho + beta Tr
-    H)/d I, so unit trace fixes log_norm = log sum_i max(lambda_i, clip) -
-    (Tr log rho + beta Tr H)/d, not the closed form printed with the original
-    derivation, which fails the trace condition.
+    H)/d I, so unit trace fixes log_norm = log sum_i lambda_i - (Tr log rho +
+    beta Tr H)/d, not the closed form printed with the original derivation,
+    which fails the trace condition.
     """
-    H, report, c = _log_coordinates(rho, H, basis, clip, "generalized-Gibbs decomposition")
-    w = np.maximum(rho.eigenvalues, clip)
+    H, report, c = _log_coordinates(rho, H, basis, "generalized-Gibbs decomposition")
+    w = rho.eigenvalues
     log_norm = math.log(float(np.sum(w))) - (float(np.sum(np.log(w))) + report.beta * H.trace) / rho.dim
     return GeneralizedGibbsForm(beta=report.beta, c=c[2:], log_norm=log_norm)
 
 
-def _log_coordinates(rho: DensityMatrix, H, basis: OperatorBasis, clip: float, what: str):
+def _log_coordinates(rho: DensityMatrix, H, basis: OperatorBasis, what: str):
     """H validated, the report of full-rank (rho, H) along the checked ``basis[1]``, every Tr[O_i log rho]."""
     rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     if rho.rank < rho.dim:
         raise RankDeficiencyError(f"{what} needs a full-rank state")
-    report = _inverse_temperature(rho, H, *_basis_direction(H, basis), clip)
-    return H, report, basis.coordinates(matrix_log(rho, clip).operator)
+    report = _inverse_temperature(rho, H, *_basis_direction(H, basis), DEFAULT_CLIP)
+    return H, report, basis.coordinates(matrix_log(rho, DEFAULT_CLIP).operator)
 
 
 def reconstruct_generalized_gibbs(
@@ -248,7 +245,7 @@ def reconstruct_generalized_gibbs(
     """Evaluate exp(-beta H + sum c_i O_i - log_norm I); ``basis[1]`` must be H's direction."""
     H = _operator(H)
     _basis_direction(H, basis)
-    if form.c.size != len(basis) - 2:
+    if _instance(form, GeneralizedGibbsForm).c.size != len(basis) - 2:
         raise ValidationError(f"form coefficient count mismatch: {form.c.size}, expected {len(basis) - 2}")
     exponent = (
         -form.beta * H.matrix
@@ -258,19 +255,14 @@ def reconstruct_generalized_gibbs(
     return matrix_exp(HermitianOperator._of_computed(exponent)).matrix
 
 
-def helmholtz_free_energy(
-    rho: DensityMatrix,
-    H: HermitianOperator,
-    basis: OperatorBasis,
-    clip: float = DEFAULT_CLIP,
-) -> float:
+def helmholtz_free_energy(rho: DensityMatrix, H: HermitianOperator, basis: OperatorBasis) -> float:
     """F = U - T S for a full-rank state with nonzero beta; ``basis[1]`` must be H's direction.
 
     Cross-checked internally against the coordinate-space expression
     T * (sum_{i>=2} Tr[O_i log rho] x_i + Tr[log rho]/d) + Tr[H]/d, which is
     the basis-invariant tail sum plus its identity-direction closure.
     """
-    H, report, c = _log_coordinates(rho, H, basis, clip, "free energy evaluation")
+    H, report, c = _log_coordinates(rho, H, basis, "free energy evaluation")
     if not math.isfinite(report.beta) or abs(report.beta) * report.h <= BETA_ZERO_TOL:
         raise UndefinedQuantityError("free energy is undefined at beta = 0")
     f, t = report.free_energy, report.temperature

@@ -19,6 +19,7 @@ from neqtemp.io import (
 )
 from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
+from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import inverse_temperature
 
 
@@ -440,6 +441,22 @@ class TestSweep:
         assert row[1] == pytest.approx(cf.beta_S, rel=1e-9)
         assert row[2] == pytest.approx(cf.beta_B, rel=1e-9)
         assert all(math.isfinite(x) for x in row)
+
+    @pytest.mark.parametrize("axis,field,values", [
+        ("beta", "beta", "0.1,5"), ("lambda", "lam", "0.05,1.0"),
+        ("omega_S", "omega_S", "1.5,3"), ("omega_B", "omega_B", "0.5,1.5"),
+    ])
+    def test_each_axis_sets_its_parameter(self, capsys, axis, field, values):
+        # Each row is the report of the model with the swept parameter replaced, all others at their defaults.
+        assert main(["sweep", "--axis", axis, "--values", values]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + len(values.split(","))
+        base = dict(omega_S=2.0, omega_B=1.0, lam=0.1, beta=1.0)
+        for line, v in zip(lines[1:], values.split(",")):
+            rel = verify_universal_relation(build_two_qubit_xy(TwoQubitXYParams(**{**base, field: float(v)})))
+            cols = [float(v), rel.local_S.beta, rel.local_B.beta, rel.beta_SB, rel.beta_chi, rel.beta_tilde_S,
+                    rel.beta_tilde_B, rel.K_SB, rel.b_S, rel.b_B, rel.K_chi, rel.residual]
+            assert line == ",".join(f"{c:.17g}" for c in cols)
 
     def test_bad_axis_exits_1(self, capsys):
         assert main(["sweep", "--axis", "mass", "--values", "1.0"]) == 1

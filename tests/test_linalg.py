@@ -24,7 +24,10 @@ from neqtemp.basis import (
     reconstruct_state,
     rotate_tail,
 )
-from neqtemp.correlation import BipartiteSystem
+from neqtemp.correlation import (
+    BipartiteSystem, binding_energy, chi_unit, correlation_inverse_temperature, correlation_log_hamiltonian,
+    mutual_information,
+)
 from neqtemp.exceptions import NumericalError, ValidationError
 from neqtemp.linalg import (
     DensityMatrix,
@@ -39,7 +42,11 @@ from neqtemp.linalg import (
     tensor_product,
 )
 from neqtemp.models import (
-    TwoQubitXYParams, gue_sample, sample_bipartite, sample_full_rank, sample_gibbs, sample_passive_pair, sample_pure,
+    TwoQubitXYParams, build_two_qubit_xy, closed_form, gue_sample, sample_bipartite, sample_full_rank, sample_gibbs,
+    sample_inverted_pair, sample_passive_pair, sample_pure,
+)
+from neqtemp.relation import (
+    expansion_coefficients, relation_coefficients, tilde_inverse_temperatures, verify_universal_relation,
 )
 from neqtemp.thermometry import (
     GeneralizedGibbsForm,
@@ -471,6 +478,8 @@ def _bipartite(H_S, rho_SB):
     return BipartiteSystem(2, 2, H_S, np.diag([1.0, -1.0]), np.zeros((4, 4)), rho_SB)
 
 
+_XY_PARAMS = {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2, "beta": 1.0}
+
 #: Library inputs that are not numbers, not a spectrum or not a state.
 MALFORMED_INPUTS = {
     "string matrix": lambda: HermitianOperator("ab"),
@@ -553,6 +562,28 @@ MALFORMED_INPUTS = {
     "bool coupling": lambda: TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=True, beta=1.0),
     "string Gibbs beta": lambda: sample_gibbs(2, "x", np.random.default_rng(0)),
     "string coupling_scale": lambda: sample_bipartite(2, 2, "x", np.random.default_rng(0)),
+    # An argument of a package type that is not an instance of it.
+    "binding_energy of a matrix": lambda: binding_energy(np.eye(4)),
+    "mutual_information of a matrix": lambda: mutual_information(np.eye(4)),
+    "correlation_log_hamiltonian of a matrix": lambda: correlation_log_hamiltonian(np.eye(4)),
+    "chi_unit of a matrix": lambda: chi_unit(np.eye(4)),
+    "correlation_inverse_temperature of a matrix": lambda: correlation_inverse_temperature(np.eye(4)),
+    "verify_universal_relation of a matrix": lambda: verify_universal_relation(np.eye(4)),
+    "relation_coefficients of a matrix": lambda: relation_coefficients(np.eye(4)),
+    "tilde_inverse_temperatures of a matrix": lambda: tilde_inverse_temperatures(np.eye(4)),
+    "expansion_coefficients of a matrix": lambda: expansion_coefficients(np.eye(4)),
+    "gue_sample of a seed": lambda: gue_sample(2, 0),
+    "sample_gibbs without a generator": lambda: sample_gibbs(2, 1.0, None),
+    "sample_passive_pair without a generator": lambda: sample_passive_pair(2, None),
+    "sample_inverted_pair without a generator": lambda: sample_inverted_pair(2, None),
+    "sample_pure without a generator": lambda: sample_pure(2, None),
+    "sample_full_rank without a generator": lambda: sample_full_rank(2, None),
+    "sample_bipartite without a generator": lambda: sample_bipartite(2, 2, 0.5, None),
+    "build_two_qubit_xy of a dict": lambda: build_two_qubit_xy(_XY_PARAMS),
+    "closed_form of a dict": lambda: closed_form(_XY_PARAMS),
+    "reconstruct_state of a list": lambda: reconstruct_state([0.5, 0.0, 0.0, 0.0], complete_basis(2, [])),
+    "reconstruct_generalized_gibbs of a dict": lambda: reconstruct_generalized_gibbs(
+        {"beta": 1.0}, SZ, complete_basis(2, [hamiltonian_unit(SZ)[0]])),
 }
 
 
@@ -585,6 +616,20 @@ def test_sampler_dimension_is_named(name):
     ("bipartite H_I dimension", "H_I dimension mismatch: 3, expected 4"),
 ])
 def test_dimension_mismatch_names_the_argument(name, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        MALFORMED_INPUTS[name]()
+
+
+@pytest.mark.parametrize("name,message", [
+    ("verify_universal_relation of a matrix", "expected a BipartiteSystem, got ndarray"),
+    ("sample_bipartite without a generator", "expected a Generator, got NoneType"),
+    ("closed_form of a dict", "expected a TwoQubitXYParams, got dict"),
+    ("reconstruct_state of a list", "expected a StateCoordinates, got list"),
+    ("reconstruct_generalized_gibbs of a dict", "expected a GeneralizedGibbsForm, got dict"),
+    ("raw expand_state state", "expected a DensityMatrix, got ndarray"),
+    ("non-basis expand_state", "expected an OperatorBasis, got ndarray"),
+])
+def test_type_mismatch_names_the_type(name, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         MALFORMED_INPUTS[name]()
 

@@ -62,7 +62,7 @@ EXPECTED = {
 
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
-    "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "hs_inner": 2,
+    "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "hs_inner": 0,
     "products": 6, "svd": 0, "OperatorBasis": 0,
 }
 
