@@ -265,7 +265,7 @@ class StateCoordinates:
     x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen(np.array(self.x, dtype=float)))
+        object.__setattr__(self, "x", _frozen(_real_array(self.x, "coordinates")))
 
 
 def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
@@ -284,6 +284,8 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     """
     if _dimension(d) > MAX_BASIS_DIM:
         raise ValidationError(f"unsupported basis dimension {d}; complete_basis accepts 1..{MAX_BASIS_DIM}")
+    if not isinstance(seeds, (list, tuple)):
+        raise ValidationError(f"seeds must be a list or tuple of operators, got {type(seeds).__name__}")
     mats = [_operator(seed, d, "seed").matrix for seed in seeds]
     m, n = len(mats), d * d
     # Row a of the head after e_0, the coordinates of I/sqrt(d), holds seed

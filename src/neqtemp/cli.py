@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 from functools import cache
+from operator import attrgetter
 
 from .exceptions import NumericalError, ValidationError
 from .io import (
@@ -37,10 +38,13 @@ from .models import TwoQubitXYParams, build_two_qubit_xy
 from .relation import verify_universal_relation
 from .thermometry import DEFAULT_CLIP, inverse_temperature
 
-SWEEP_HEADER = (
-    "param,beta_S,beta_B,beta_SB,beta_chi,beta_tilde_S,beta_tilde_B,"
-    "K_SB,b_S,b_B,K_chi,residual"
-)
+#: Each sweep CSV column after ``param`` and the BipartiteReport attribute it reads.
+_SWEEP_FIELDS = {
+    "beta_S": "local_S.beta", "beta_B": "local_B.beta",
+    **{name: name for name in ("beta_SB", "beta_chi", "beta_tilde_S", "beta_tilde_B", "K_SB", "b_S", "b_B",
+                               "K_chi", "residual")},
+}
+SWEEP_HEADER = ",".join(["param", *_SWEEP_FIELDS])
 
 #: Each sweep axis and the TwoQubitXYParams field it sets.
 SWEEP_AXES = {"beta": "beta", "lambda": "lam", "omega_S": "omega_S", "omega_B": "omega_B"}
@@ -59,11 +63,23 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def cmd_temp(args) -> int:
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose malformed flag is an input error (exit 1), not argparse's exit 2 with usage."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _document(args, *kinds: str):
+    """The input document, once its kind is one of ``kinds``, and the clip: ``--clip`` if given, else the document's."""
     doc = load_input_document(args.input)
-    if doc.kind != "single":
-        raise ValidationError(f"temp expects kind = single, got {doc.kind!r}")
-    clip = args.clip if args.clip is not None else doc.clip
+    if doc.kind not in kinds:
+        raise ValidationError(f"{args.command} expects kind = {' or '.join(kinds)}, got {doc.kind!r}")
+    return doc, args.clip if args.clip is not None else doc.clip
+
+
+def cmd_temp(args) -> int:
+    doc, clip = _document(args, "single")
     rho = DensityMatrix(HermitianOperator(doc.matrices["rho"], tol_herm=doc.tol))
     h = HermitianOperator(doc.matrices["H"], tol_herm=doc.tol)
     report = inverse_temperature(rho, h, clip)
@@ -74,10 +90,7 @@ def cmd_temp(args) -> int:
 
 
 def cmd_bipartite(args) -> int:
-    doc = load_input_document(args.input)
-    if doc.kind not in ("bipartite", "model"):
-        raise ValidationError(f"bipartite expects kind = bipartite or model, got {doc.kind!r}")
-    clip = args.clip if args.clip is not None else doc.clip
+    doc, clip = _document(args, "bipartite", "model")
     sys_ = build_bipartite_system(doc)
     rep = verify_universal_relation(sys_, clip)
     if args.strict and (
@@ -96,8 +109,6 @@ def cmd_bipartite(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.model != "two-qubit-xy":
-        raise ValidationError(f"unknown model {args.model!r}; only two-qubit-xy is supported")
     if args.axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {', '.join(SWEEP_AXES)}, got {args.axis!r}")
     try:
@@ -107,21 +118,14 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValidationError("no sweep values given")
     base = dict(omega_S=args.omega_s, omega_B=args.omega_b, lam=args.lam, beta=args.beta)
-    clip = args.clip if args.clip is not None else DEFAULT_CLIP
-    rows, failed = [SWEEP_HEADER], False
+    rows, failed, columns = [SWEEP_HEADER], False, attrgetter(*_SWEEP_FIELDS.values())
     for v in values:
         p = TwoQubitXYParams(**{**base, SWEEP_AXES[args.axis]: v})
         try:
-            rel = verify_universal_relation(build_two_qubit_xy(p), clip)
+            cols = columns(verify_universal_relation(build_two_qubit_xy(p), args.clip))
         except NumericalError as exc:
             print(f"numerical failure at {args.axis}={_csv_num(v)}: {exc}", file=sys.stderr)
-            failed, cols = True, [math.nan] * SWEEP_HEADER.count(",")
-        else:
-            cols = [
-                rel.local_S.beta, rel.local_B.beta, rel.beta_SB, rel.beta_chi,
-                rel.beta_tilde_S, rel.beta_tilde_B,
-                rel.K_SB, rel.b_S, rel.b_B, rel.K_chi, rel.residual,
-            ]
+            failed, cols = True, [math.nan] * len(_SWEEP_FIELDS)
         rows.append(",".join(_csv_num(c) for c in [v, *cols]))
     _write_out("\n".join(rows) + "\n", args.out)
     return 2 if failed else 0
@@ -138,7 +142,7 @@ def cmd_verify(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="neqtemp",
         description="Nonequilibrium temperatures of finite-dimensional quantum states.",
     )
@@ -164,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bi.set_defaults(fn=cmd_bipartite)
 
     p_sw = sub.add_parser("sweep", help="two-qubit model parameter sweep to CSV")
-    p_sw.add_argument("--model", default="two-qubit-xy")
     p_sw.add_argument("--axis", required=True, help="parameter to sweep: beta, lambda, omega_S, omega_B")
     p_sw.add_argument("--values", required=True, help="comma-separated sweep values")
     p_sw.add_argument("--omega-s", dest="omega_s", type=float, default=2.0)
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--lam", type=float, default=0.1, help="coupling strength lambda")
     p_sw.add_argument("--beta", type=float, default=1.0)
     add_common(p_sw)
-    p_sw.set_defaults(fn=cmd_sweep)
+    p_sw.set_defaults(fn=cmd_sweep, clip=DEFAULT_CLIP)
 
     p_vf = sub.add_parser("verify", help="run a named invariant suite")
     p_vf.add_argument("suite", help="gibbs, passivity, basis-invariance, extension, relation, heat, all")
@@ -184,9 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,7 +78,7 @@ from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError
 from .linalg import (
     RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _instance, _local_sum,
-    _operator, _state, _tr, matrix_log, partial_trace,
+    _number, _operator, _state, _tr, matrix_log, partial_trace,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
@@ -327,7 +327,8 @@ class BipartiteReport:
 
 
 def _report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
-    """The report of ``sys`` at ``clip``, built once and cached on ``sys``."""
+    """The report of ``sys`` at ``clip``, built once and cached on ``sys``; the clip is checked before the cache."""
+    clip = _number(clip, "clip must be finite and positive", 0.0, above=True)
     return _cached(_instance(sys, BipartiteSystem)._reports, clip, lambda: _build_report(sys, clip))
 
 

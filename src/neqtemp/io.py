@@ -3,8 +3,10 @@
 Input documents are JSON with every complex entry written as a two-element
 ``[re, im]`` pair. Extended-real report fields serialize as a finite number
 or one of the strings ``"inf"``, ``"-inf"``, ``"undefined"``; undefined
-fields carry a companion ``<field>_reason`` entry. Numbers round-trip at
-full double precision (shortest-repr JSON floats).
+fields carry a companion ``<field>_reason`` entry. ``_UNDEFINED`` is the one
+list of extended-real fields and their reasons, and ``_fields`` writes every
+report section from it. Numbers round-trip at full double precision
+(shortest-repr JSON floats).
 
 A report is one line of JSON, in the C encoder's default layout, with the
 top-level keys ``input``, ``report``, ``tool_version`` and ``convention``;
@@ -33,7 +35,7 @@ import numpy as np
 from . import __version__
 from .correlation import BipartiteReport, BipartiteSystem
 from .exceptions import ValidationError
-from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _dimension, _number
+from .linalg import HERM_TOL, DensityMatrix, HermitianOperator, _dimension, _instance, _number
 from .models import TwoQubitXYParams, build_two_qubit_xy
 from .thermometry import DEFAULT_CLIP, TemperatureReport
 
@@ -101,10 +103,8 @@ def _validated_fields(doc) -> dict:
     given = doc.get("matrices", {})
     if not isinstance(given, dict):
         raise ValidationError("matrices must be an object")
-    clip = _number(options.get("clip", DEFAULT_CLIP), "options.clip must be a finite number")
-    tol = _number(options.get("tol", HERM_TOL), "options.tol must be a finite number")
-    if clip <= 0 or tol <= 0:
-        raise ValidationError("clip and tol must be positive")
+    clip = _number(options.get("clip", DEFAULT_CLIP), "options.clip must be a finite positive number", 0.0, above=True)
+    tol = _number(options.get("tol", HERM_TOL), "options.tol must be a finite positive number", 0.0, above=True)
 
     shapes: dict[str, int] = {}  # matrix name -> dimension; the model kind reads none
     model_params = None
@@ -188,53 +188,42 @@ def extended_real(x: float):
     return float(x)
 
 
-def _put_extended(out: dict, name: str, value: float, undefined_reason: str) -> None:
-    out[name] = extended_real(value)
-    if isinstance(out[name], str) and out[name] == "undefined":
-        out[name + "_reason"] = undefined_reason
+#: Each extended-real report field and why it may read "undefined": the one list of undefined reasons.
+_UNDEFINED = {
+    "beta": "Cov/Var is not a number (non-finite moments)",
+    "temperature": "beta is undefined",
+    "free_energy": "free energy undefined at beta = 0 or T = 0",
+    "beta_chi": "correlation direction undefined without interaction",
+    **dict.fromkeys(("beta_SB", "beta_tilde_S", "beta_tilde_B", "residual"), "infinite terms of opposite sign"),
+}
+
+
+def _fields(r, cls: type, names: str) -> dict:
+    """The named fields of a ``cls`` report, in order; an extended real is written by
+    :func:`extended_real` and, when "undefined", followed by ``<field>_reason`` from ``_UNDEFINED``."""
+    r, out = _instance(r, cls), {}
+    for name in names.split():
+        value = out[name] = extended_real(getattr(r, name)) if name in _UNDEFINED else getattr(r, name)
+        if value == "undefined":
+            out[name + "_reason"] = _UNDEFINED[name]
+    return out
 
 
 def temperature_report_dict(r: TemperatureReport) -> dict:
-    out: dict = {}
-    _put_extended(out, "beta", r.beta, "Cov/Var is not a number (non-finite moments)")
-    _put_extended(out, "temperature", r.temperature, "beta is undefined")
-    out.update((k, getattr(r, k)) for k in ("h", "covariance", "variance", "entropy", "internal_energy"))
-    _put_extended(out, "free_energy", r.free_energy,
-                  "free energy undefined at beta = 0 or T = 0")
-    out.update(rank_deficient=r.rank_deficient, clipped=r.clipped)
-    return out
-
-
-#: A report holds beta_chi as NaN exactly when no interaction direction exists.
-_NO_CHI_DIRECTION = "correlation direction undefined without interaction"
+    return _fields(r, TemperatureReport, "beta temperature h covariance variance entropy internal_energy "
+                                         "free_energy rank_deficient clipped")
 
 
 def correlation_report_dict(r: BipartiteReport) -> dict:
-    out: dict = {
-        "U_chi": r.U_chi,
-        "S_chi": r.S_chi,
-        "h_I": r.h_I,
-        "h_chi": r.h_chi,
-        "clipped": r.clipped,
-    }
-    _put_extended(out, "beta_chi", r.beta_chi, _NO_CHI_DIRECTION)
-    return out
+    return _fields(r, BipartiteReport, "U_chi S_chi h_I h_chi clipped beta_chi")
 
 
 def relation_dict(r: BipartiteReport) -> dict:
-    out: dict = {
-        "C_S": r.C_S, "C_B": r.C_B, "C_chi": r.C_chi,
-        "K_SB": r.K_SB, "b_S": r.b_S, "b_B": r.b_B, "K_chi": r.K_chi,
-        "h_SB": r.h_SB,
-        "interaction_degenerate": r.interaction_degenerate,
-    }
-    for name in ("beta_SB", "beta_tilde_S", "beta_tilde_B", "beta_chi", "residual"):
-        why = _NO_CHI_DIRECTION if name == "beta_chi" else "infinite terms of opposite sign"
-        _put_extended(out, name, getattr(r, name), why)
-    return out
+    return _fields(r, BipartiteReport, "C_S C_B C_chi K_SB b_S b_B K_chi h_SB interaction_degenerate "
+                                       "beta_SB beta_tilde_S beta_tilde_B beta_chi residual")
 
 
 def report_document(doc: InputDocument, body: dict) -> str:
     """Assemble the final JSON report: the input's text spliced in as read, body, version, note."""
     rest = json.dumps({"report": body, "tool_version": __version__, "convention": CONVENTION_NOTE})
-    return '{"input": ' + doc.text + ", " + rest[1:] + "\n"
+    return '{"input": ' + _instance(doc, InputDocument).text + ", " + rest[1:] + "\n"

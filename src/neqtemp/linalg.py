@@ -138,11 +138,13 @@ def _number(x, what: str, least: float = -sys.float_info.max, above: bool = Fals
 
 
 def _real_array(entries, what: str) -> np.ndarray:
-    """Coerce input to a float array (copying); ValidationError, naming ``what``, if it is not numeric."""
+    """Coerce input to a finite float array (copying); ValidationError, naming ``what``, if it is not."""
     try:
-        return np.array(entries, dtype=float)
+        a = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
+    _check_finite(a, what)
+    return a
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -272,8 +274,6 @@ def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("inconsistent spectral data shapes")
     if w.size == 0:
         raise ValidationError("empty spectrum")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("eigenvalues must be finite")
     _check_unitary(v)
     return w, v
 
@@ -520,10 +520,12 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
     ``keep=0`` keeps the S (left) factor, ``keep=1`` the B (right) factor.
     """
     m = _matrix_of(M)
+    if not (isinstance(dims, (list, tuple)) and len(dims) == 2):
+        raise ValidationError(f"dims must be a pair (d_S, d_B), got {dims!r}")
     d_s, d_b = _dimension(dims[0]), _dimension(dims[1])
     if m.shape != (d_s * d_b, d_s * d_b):
         raise ValidationError(f"matrix shape {m.shape} does not match dims {dims!r}")
-    if keep not in (0, 1):
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or keep not in (0, 1):
         raise ValidationError(f"keep must be 0 (S) or 1 (B), got {keep!r}")
     t = m.reshape(d_s, d_b, d_s, d_b)
     if keep == 0:

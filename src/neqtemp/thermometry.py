@@ -36,9 +36,11 @@ from .exceptions import (
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _frozen,
     _instance,
     _number,
     _operator,
+    _real_array,
     _state,
     _tr,
     eig_hermitian,
@@ -208,8 +210,9 @@ class GeneralizedGibbsForm:
     log_norm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.array(self.c, dtype=float))
-        self.c.setflags(write=False)
+        for name in ("beta", "log_norm"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"{name} must be a finite number"))
+        object.__setattr__(self, "c", _frozen(_real_array(self.c, "coefficients")))
 
 
 def generalized_gibbs_decomposition(

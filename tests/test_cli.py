@@ -539,6 +539,93 @@ class TestVerifyCommand:
         )
 
 
+class TestMalformedFlags:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep"], id="missing-required"),
+        pytest.param(["sweep", "--axis", "beta", "--values", "1", "--clip", "x"], id="non-float-clip"),
+        pytest.param(["verify", "gibbs", "--seed", "x"], id="non-int-seed"),
+        pytest.param(["temp"], id="missing-input"),
+    ])
+    def test_malformed_flag_is_an_input_error(self, capsys, argv):
+        # One error line naming the subcommand, exit 1: not argparse's usage text and exit 2.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: neqtemp {argv[0]}: ") and captured.err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: neqtemp sweep")
+
+
+def seeded_bipartite_doc(case):
+    """A seeded 2x3 document: a Gibbs state of H_S + H_B + H_I ("clean"), the same without H_I
+    ("no-interaction"), or a pure product state under H_I ("pure-product")."""
+    rng = np.random.default_rng(5)
+
+    def herm(d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return (g + g.conj().T) / 2
+
+    h_s, h_b = herm(2), herm(3)
+    h_i = np.zeros((6, 6)) if case == "no-interaction" else 0.3 * herm(6)
+    if case == "pure-product":
+        a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 3))
+        psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        rho = np.outer(psi, psi.conj())
+    else:
+        w, v = np.linalg.eigh(np.kron(h_s, np.eye(3)) + np.kron(np.eye(2), h_b) + h_i)
+        p = np.exp(-(w - w[0]))
+        rho = (v * (p / p.sum())) @ v.conj().T
+    matrices = {"H_S": pairs(h_s), "H_B": pairs(h_b), "H_I": pairs(h_i), "rho_SB": pairs(rho)}
+    return {"kind": "bipartite", "dims": [2, 3], "matrices": matrices}
+
+
+#: The key sequence of each report section, before any ``<field>_reason`` key.
+SECTION_KEYS = {
+    "temperature": ["beta", "temperature", "h", "covariance", "variance", "entropy", "internal_energy",
+                    "free_energy", "rank_deficient", "clipped"],
+    "correlation": ["U_chi", "S_chi", "h_I", "h_chi", "clipped", "beta_chi"],
+    "relation": ["C_S", "C_B", "C_chi", "K_SB", "b_S", "b_B", "K_chi", "h_SB", "interaction_degenerate",
+                 "beta_SB", "beta_tilde_S", "beta_tilde_B", "beta_chi", "residual"],
+}
+
+
+def with_reasons(section, undefined):
+    """SECTION_KEYS[section] with ``<field>_reason`` right after each field in ``undefined``."""
+    keys = []
+    for name in SECTION_KEYS[section]:
+        keys += [name, name + "_reason"] if name in undefined else [name]
+    return keys
+
+
+class TestReportKeyOrder:
+    """The key order of each section is part of the byte-for-byte report."""
+
+    @pytest.mark.parametrize("case,undefined", [
+        ("clean", {}),
+        ("no-interaction", {"correlation": {"beta_chi"}, "relation": {"beta_chi"}}),
+        ("pure-product", {"local_S": {"free_energy"}, "local_B": {"free_energy"}, "relation": {"residual"}}),
+    ])
+    def test_bipartite_sections(self, tmp_path, capsys, case, undefined):
+        assert main(["bipartite", write_doc(tmp_path, seeded_bipartite_doc(case))]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert list(report) == ["local_S", "local_B", "correlation", "relation"]
+        for name, section in (("local_S", "temperature"), ("local_B", "temperature"),
+                              ("correlation", "correlation"), ("relation", "relation")):
+            assert list(report[name]) == with_reasons(section, undefined.get(name, ()))
+
+    @pytest.mark.parametrize("p,undefined", [([0.3, 0.7], ()), ([0.0, 1.0], {"free_energy"})])
+    def test_temperature_report(self, tmp_path, capsys, p, undefined):
+        doc = {"kind": "single", "dims": 2, "matrices": {"H": pairs(np.diag([0.5, -0.5])), "rho": pairs(np.diag(p))}}
+        assert main(["temp", write_doc(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert list(report) == ["temperature_report"]
+        assert list(report["temperature_report"]) == with_reasons("temperature", undefined)
+
+
 class TestDocumentParsing:
     def test_pairs_round_trip(self):
         rng = np.random.default_rng(41)

@@ -29,6 +29,7 @@ from neqtemp.correlation import (
     mutual_information,
 )
 from neqtemp.exceptions import NumericalError, ValidationError
+from neqtemp.io import correlation_report_dict, relation_dict, report_document, temperature_report_dict
 from neqtemp.linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -480,6 +481,14 @@ def _bipartite(H_S, rho_SB):
 
 _XY_PARAMS = {"omega_S": 2.0, "omega_B": 1.0, "lam": 0.2, "beta": 1.0}
 
+
+def _report_after_clip_1(clip):
+    """The relation report at ``clip`` of a system that already holds its report at clip 1.0."""
+    sys_ = build_two_qubit_xy(TwoQubitXYParams(**_XY_PARAMS))
+    verify_universal_relation(sys_, 1.0)
+    return verify_universal_relation(sys_, clip)
+
+
 #: Library inputs that are not numbers, not a spectrum or not a state.
 MALFORMED_INPUTS = {
     "string matrix": lambda: HermitianOperator("ab"),
@@ -584,6 +593,25 @@ MALFORMED_INPUTS = {
     "reconstruct_state of a list": lambda: reconstruct_state([0.5, 0.0, 0.0, 0.0], complete_basis(2, [])),
     "reconstruct_generalized_gibbs of a dict": lambda: reconstruct_generalized_gibbs(
         {"beta": 1.0}, SZ, complete_basis(2, [hamiltonian_unit(SZ)[0]])),
+    # A clip is checked before a cached report is looked up: True == 1.0 and a list is unhashable.
+    "cached report at a bool clip": lambda: _report_after_clip_1(True),
+    "list clip": lambda: _report_after_clip_1([1]),
+    # Value types hold their fields to the scalar rule and finite real arrays.
+    "string generalized-Gibbs beta": lambda: GeneralizedGibbsForm("x", np.zeros(2), 0.0),
+    "NaN generalized-Gibbs beta": lambda: GeneralizedGibbsForm(math.nan, np.zeros(2), 0.0),
+    "infinite generalized-Gibbs coefficient": lambda: GeneralizedGibbsForm(0.5, [math.inf, 0.0], 0.0),
+    "string coordinates": lambda: StateCoordinates("x"),
+    "NaN coordinates": lambda: reconstruct_state(StateCoordinates([math.nan] * 4), complete_basis(2, [])),
+    # Containers and indices of the wrong kind.
+    "None seeds": lambda: complete_basis(2, None),
+    "None partial_trace dims": lambda: partial_trace(np.eye(4), None, 0),
+    "float keep": lambda: partial_trace(np.eye(4), (2, 2), 0.0),
+    "bool keep": lambda: partial_trace(np.eye(4), (2, 2), True),
+    # A serializer reads only its report type, and a report only its document.
+    "temperature_report_dict of None": lambda: temperature_report_dict(None),
+    "correlation_report_dict of a matrix": lambda: correlation_report_dict(np.eye(2)),
+    "relation_dict of a dict": lambda: relation_dict({}),
+    "report_document of None": lambda: report_document(None, {}),
 }
 
 
@@ -628,6 +656,8 @@ def test_dimension_mismatch_names_the_argument(name, message):
     ("reconstruct_generalized_gibbs of a dict", "expected a GeneralizedGibbsForm, got dict"),
     ("raw expand_state state", "expected a DensityMatrix, got ndarray"),
     ("non-basis expand_state", "expected an OperatorBasis, got ndarray"),
+    ("temperature_report_dict of None", "expected a TemperatureReport, got NoneType"),
+    ("report_document of None", "expected an InputDocument, got NoneType"),
 ])
 def test_type_mismatch_names_the_type(name, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
