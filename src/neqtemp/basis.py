@@ -83,7 +83,7 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
         about 1e154).
     """
     traceless, h = _unit_weight(_operator(H))
-    return HermitianOperator._of_computed(traceless / h), h
+    return HermitianOperator._of_exact(traceless / h), h
 
 
 def _unit_weight(H: HermitianOperator) -> tuple[np.ndarray, float]:
@@ -107,7 +107,7 @@ def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[Hermit
     """
     basis = _sized(_instance(basis, OperatorBasis), H.dim, "basis[1]")
     traceless, h = _unit_weight(H)
-    if float(np.max(np.abs(traceless / h - basis.mats[1]))) > 1e-8:
+    if float(abs(traceless / h - basis.mats[1]).max()) > 1e-8:
         raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
     return basis[1], h
 
@@ -127,7 +127,7 @@ def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
     """The traceless part of a Hermitian matrix and its norm h; NumericalError if h^2 overflows."""
     traceless = _traceless(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        h_sq = float(np.sum(np.abs(traceless) ** 2))
+        h_sq = float((abs(traceless) ** 2).sum())
     if not math.isfinite(h_sq):
         raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")
     return traceless, math.sqrt(h_sq)

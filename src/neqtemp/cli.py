@@ -148,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, clip_default="from input document"):
         p.add_argument("--clip", type=float, default=None,
-                       help="eigenvalue clip for matrix logarithms (default from input document)")
+                       help=f"eigenvalue clip for matrix logarithms (default {clip_default})")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     p_temp = sub.add_parser("temp", help="single-system temperature report")
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--omega-b", dest="omega_b", type=float, default=1.0)
     p_sw.add_argument("--lam", type=float, default=0.1, help="coupling strength lambda")
     p_sw.add_argument("--beta", type=float, default=1.0)
-    add_common(p_sw)
+    add_common(p_sw, f"{DEFAULT_CLIP:g}")
     p_sw.set_defaults(fn=cmd_sweep, clip=DEFAULT_CLIP)
 
     p_vf = sub.add_parser("verify", help="run a named invariant suite")

@@ -95,9 +95,11 @@ class BipartiteSystem:
 
     H_S, H_B, H_I and rho_SB are validated when the caller builds them; a raw
     Hamiltonian matrix is validated here, and rho_SB must be a
-    :class:`DensityMatrix`. Operators derived from them, the marginals among
-    them, are wrapped through ``HermitianOperator._of_computed`` (symmetrized,
-    checked finite); the marginals' trace and positivity are checked as
+    :class:`DensityMatrix`. Operators derived from them are checked finite
+    and wrapped: the partial traces rho_S and rho_B and the shifts lambda
+    through ``HermitianOperator._of_computed`` (symmetrized), and the sums
+    H_SB, H_S_eff, H_B_eff, H_I_eff and HH_I, exactly Hermitian already,
+    through ``_of_exact``. The marginals' trace and positivity are checked as
     density matrices. Marginals, traceless parts, effective Hamiltonians and
     mean-field shifts are computed at construction, the frame and H_SB on
     first use and the :class:`BipartiteReport` once per clip; instances are
@@ -128,7 +130,7 @@ class BipartiteSystem:
     def H_SB(self) -> HermitianOperator:
         """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space."""
         if self._H_SB is None:
-            self._H_SB = HermitianOperator._of_computed(_local_sum(self.H_S, self.H_B, self.H_I))
+            self._H_SB = HermitianOperator._of_exact(_local_sum(self.H_S, self.H_B, self.H_I))
         return self._H_SB
 
     @property
@@ -166,7 +168,7 @@ def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians
     hi_eff = _local_sum(-lamb_S.matrix, -lamb_B.matrix, hi0)  # H_I0 - lambda_S x I - I x lambda_B + mean I
     hi_eff.flat[:: sys.dim + 1] += mean
     mean_i = sys.H_I.trace / sys.dim  # H_I's identity part, which only the local Hamiltonians carry
-    eff = EffectiveHamiltonians(*(HermitianOperator._of_computed(m) for m in (
+    eff = EffectiveHamiltonians(*(HermitianOperator._of_exact(m) for m in (
         hs0 + lamb_S.matrix + (sys.H_S.trace / sys.d_S + mean_i) * np.eye(sys.d_S),
         hb0 + lamb_B.matrix + (sys.H_B.trace / sys.d_B + mean_i) * np.eye(sys.d_B), hi_eff)))
     parts = np.einsum("ibjb->ij", t), np.einsum("aiaj->ij", t)  # Tr_B H_I0, Tr_S H_I0
@@ -210,7 +212,7 @@ def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP
     """
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (_instance(sys, BipartiteSystem).rho_SB, sys.rho_S, sys.rho_B))
     m = _local_sum(log_s.operator, log_b.operator, -log_sb.operator.matrix)
-    return MatrixLog(HermitianOperator._of_computed(m), log_sb.clipped or log_s.clipped or log_b.clipped)
+    return MatrixLog(HermitianOperator._of_exact(m), log_sb.clipped or log_s.clipped or log_b.clipped)
 
 
 @dataclass(frozen=True)
@@ -257,12 +259,12 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
     hi_eff, (_, h_i) = eff.H_I_eff.matrix, _traceless_weight(eff.H_I_eff.matrix)
     # When H_I's mean-field parts cancel it (H_I proportional to I, or local), rounding leaves
     # a residue of order eps * max|H_I| that is no direction: judge h_I on H_I's scale too.
-    scale = max(float(np.max(np.abs(hi_eff))), float(np.max(np.abs(sys.H_I.matrix))))
+    scale = max(float(abs(hi_eff).max()), float(abs(sys.H_I.matrix).max()))
     if h_i <= RANK_TOL * scale:
         h_i, h_chi, c_s, c_b, interaction = 0.0, 1.0, 0.0, 0.0, None
     else:
         parts = partial_trace(eff.H_I_eff, (d_s, d_b), 0), partial_trace(eff.H_I_eff, (d_s, d_b), 1)
-        interaction = (float(np.trace(hi_eff).real), *parts)
+        interaction = (float(hi_eff.trace().real), *parts)
         # O_S and O_B are traceless, so the identity part of H_I_eff drops out.
         c_s, c_b = _tr(o_s, parts[0]) / h_i, _tr(o_b, parts[1]) / h_i
         h_chi_sq = 1.0 - c_s**2 / d_b - c_b**2 / d_s
@@ -347,9 +349,9 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
     part_s, part_b = (partial_trace(log_sb.operator, (d_s, d_b), k) for k in (0, 1))
-    tr_l, hi_l, hi_eff_l = float(np.trace(L).real), _tr(hi, L), _tr(sys.effective.H_I_eff, L)
-    hh_s = -part_s + d_b * ls + np.trace(lb).real * np.eye(d_s)  # Tr_B HH_I
-    hh_b = -part_b + d_s * lb + np.trace(ls).real * np.eye(d_b)  # Tr_S HH_I
+    tr_l, hi_l, hi_eff_l = float(L.trace().real), _tr(hi, L), _tr(sys.effective.H_I_eff, L)
+    hh_s = -part_s + d_b * ls + lb.trace().real * np.eye(d_s)  # Tr_B HH_I
+    hh_b = -part_b + d_s * lb + ls.trace().real * np.eye(d_b)  # Tr_S HH_I
 
     # beta_SB: the moments of (rho_SB, H_SB0), checked against -Tr[O1_SB L]/h_SB.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,7 +366,7 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
     if f.h_I != 0.0:
         oi_l = (hi_eff_l - f._interaction[0] / d * tr_l) / f.h_I  # Tr[O_I L]
         o1_l += c_chi * (oi_l - f.overlap_S * s_l / d_b - f.overlap_B * b_l / d_s) / f.h_chi
-        hh_id = float(np.trace(hh_s).real)  # Tr HH_I
+        hh_id = float(hh_s.trace().real)  # Tr HH_I
         local = f.overlap_S * t_os / d_b + f.overlap_B * t_ob / d_s
         # Overlap form: Tr[O_I HH_I] from H_I_eff, less its local components.
         tr_e, e_s, e_b = f._interaction
@@ -380,7 +382,7 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
             raise NumericalError(f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}")
         chi_part, chi_term = f.h_I * beta_chi, k_chi * beta_chi
     # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
-    cond = lambda: d * float(np.max(np.abs(sys.H_SB().matrix))) * float(np.max(np.abs(L))) / f.h_SB**2
+    cond = lambda: d * float(abs(sys.H_SB().matrix).max()) * float(abs(L).max()) / f.h_SB**2
     beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
 
     # beta_tilde = beta_local - dS_chi/dU_local.

@@ -22,9 +22,13 @@ argument is read through ``_operator``, and every other package-typed one (a
 state, basis, system, generator) through ``_instance``, the one type rule;
 ``_sized``, the one dimension rule, holds each to its partner's dimension
 and names it when they differ.
-Operators the package computes from operators it has already validated go
-through ``HermitianOperator._of_computed`` instead, which takes ownership of
-the fresh array, symmetrizes it in place and checks only finiteness;
+Operators the package computes from operators it has already validated are
+checked finite and wrapped by one of two routes. A product (a reconstruction,
+a spectral function, a contraction) is Hermitian only up to rounding, so
+``HermitianOperator._of_computed`` takes ownership of the fresh array and
+symmetrizes it in place. A sum, difference or real rescaling of exactly
+Hermitian operators is exactly Hermitian, as conjugation commutes with
+rounding and each diagonal stays real, so ``_of_exact`` skips that no-op.
 ``_of_checked`` wraps views of a stack validated as a whole. Likewise the
 eigenvector Gram check runs once per eigendecomposition (``from_spectrum``
 checks the caller's spectrum itself), and ``hs_inner``, ``partial_trace`` and
@@ -100,7 +104,7 @@ def as_complex_matrix(entries, ndim: int = 2) -> np.ndarray:
 
 def _check_finite(a: np.ndarray, what: str) -> None:
     """Raise ValidationError, naming ``what``, unless every entry of a is finite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
 
 
@@ -111,7 +115,7 @@ def _symmetrize(a: np.ndarray, tol: float) -> np.ndarray:
     """
     adj = a.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.max(np.abs(a - adj)))
+        dev = float(abs(a - adj).max())
         if dev > tol:
             raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.3e}")
         a += adj
@@ -182,7 +186,8 @@ class HermitianOperator:
         """Wrap a read-only matrix that is already exactly Hermitian.
 
         No copy and no check: for containers that validated and symmetrized
-        a whole stack of operators at once and hand out views of it.
+        a whole stack of operators at once and hand out views of it, and for
+        both computed routes, ``_of_computed`` and ``_of_exact``, once checked.
         """
         op = object.__new__(cls)
         op.matrix = matrix
@@ -190,13 +195,13 @@ class HermitianOperator:
 
     @classmethod
     def _of_computed(cls, matrix: np.ndarray) -> "HermitianOperator":
-        """Wrap a square matrix the package computed from validated operators.
+        """Wrap a square matrix the package computed as a product of validated operators.
 
         Takes ownership of ``matrix``, a fresh array no caller keeps: it is
         symmetrized in place to (A + A^dag)/2, as by the public constructor,
-        checked for finiteness and frozen. There is no
-        Hermiticity tolerance: the operands were Hermitian, so any deviation
-        is rounding on their scale, whatever that scale is.
+        then wrapped by :meth:`_of_exact`. There is no Hermiticity tolerance:
+        the operands were Hermitian, so any deviation is rounding on their
+        scale, whatever that scale is.
 
         :raises NumericalError: if an entry is not finite (an overflow).
         """
@@ -204,9 +209,14 @@ class HermitianOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             a += a.conj().T
             a /= 2.0
-        if not np.all(np.isfinite(a)):
+        return cls._of_exact(a)
+
+    @classmethod
+    def _of_exact(cls, matrix: np.ndarray) -> "HermitianOperator":
+        """Freeze and wrap a fresh, exactly Hermitian complex array (module docstring); NumericalError if not finite."""
+        if not np.isfinite(matrix).all():
             raise NumericalError("computed operator has non-finite entries (overflow)")
-        return cls._of_checked(_frozen(a))
+        return cls._of_checked(_frozen(matrix))
 
     @property
     def dim(self) -> int:
@@ -214,7 +224,7 @@ class HermitianOperator:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.matrix.trace().real)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HermitianOperator(dim={self.dim})"
@@ -274,15 +284,15 @@ def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("inconsistent spectral data shapes")
     if w.size == 0:
         raise ValidationError("empty spectrum")
-    _check_unitary(v)
+    _check_unitary(v, v.conj().T)
     return w, v
 
 
-def _check_unitary(v: np.ndarray) -> None:
-    """Raise unless max|V^dag V - I| <= UNITARY_TOL; a non-finite V fails too."""
-    gram = _matmul(v.conj().T, v)
+def _check_unitary(v: np.ndarray, vh: np.ndarray) -> None:
+    """Raise unless max|V^dag V - I| <= UNITARY_TOL, vh being V^dag; a non-finite V fails too."""
+    gram = _matmul(vh, v)
     gram.flat[:: len(gram) + 1] -= 1.0
-    dev = float(np.max(np.abs(gram)))
+    dev = float(abs(gram).max())
     if not dev <= UNITARY_TOL:
         raise ValidationError(f"eigenvector matrix not unitary: deviation {dev:.3e}")
 
@@ -302,15 +312,15 @@ def _checked_eigh(A: HermitianOperator) -> tuple[SpectralDecomposition, np.ndarr
         w, v = np.linalg.eigh(A.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    # LAPACK returns ascending eigenvalues and fresh arrays: only the Gram check is needed.
-    _check_unitary(v)
-    spec = SpectralDecomposition._of_checked(w, v)
-    recon = spec.apply(lambda x: x)
-    dev = float(np.max(np.abs(recon - A.matrix)))
-    scale = max(1.0, float(np.max(np.abs(A.matrix))))
+    # LAPACK returns ascending eigenvalues and fresh arrays: only the Gram check is needed; it shares V^dag with recon.
+    vh = v.conj().T
+    _check_unitary(v, vh)
+    recon = _matmul(v * w, vh)
+    dev = float(abs(recon - A.matrix).max())
+    scale = max(1.0, float(abs(A.matrix).max()))
     if dev > RECON_TOL * scale:
         raise NumericalError(f"spectral reconstruction error {dev:.3e} exceeds tolerance")
-    return spec, recon
+    return SpectralDecomposition._of_checked(w, v), recon
 
 
 class DensityMatrix:

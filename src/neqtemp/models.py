@@ -117,7 +117,7 @@ def build_two_qubit_xy(p: TwoQubitXYParams) -> BipartiteSystem:
     h_i = HermitianOperator(
         p.lam * (tensor_product(SIGMA_PLUS, SIGMA_MINUS) + tensor_product(SIGMA_MINUS, SIGMA_PLUS))
     )
-    h_sb = HermitianOperator._of_computed(_local_sum(h_s, h_b, h_i))
+    h_sb = HermitianOperator._of_exact(_local_sum(h_s, h_b, h_i))
     return BipartiteSystem(2, 2, h_s, h_b, h_i, _gibbs_state(eig_hermitian(h_sb), p.beta))
 
 

@@ -101,7 +101,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[rho log rho] with 0 log 0 := 0; lies in [0, ln d]."""
     w = _state(rho).eigenvalues
     pos = w[w > 0.0]
-    return max(0.0, float(-np.sum(pos * np.log(pos))))
+    return max(0.0, float(-(pos * np.log(pos)).sum()))
 
 
 def internal_energy(rho: DensityMatrix, H: HermitianOperator) -> float:
@@ -146,7 +146,7 @@ def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: Hermitian
     beta_dir = -_tr(O1, L) / h
     beta, temperature, cov, var = _beta_of_moments(
         rho, h, moments, beta_dir,
-        lambda: rho.dim * float(np.max(np.abs(E))) * float(np.max(np.abs(L))) / (h * h),
+        lambda: rho.dim * float(abs(E).max()) * float(abs(L).max()) / (h * h),
     )
     s = von_neumann_entropy(rho)
     if math.isfinite(temperature) and temperature != 0.0:
@@ -282,22 +282,25 @@ def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     The state must commute with H (block-diagonal across H's degenerate
     energy clusters, as ``SpectralDecomposition.clusters`` labels them);
     within a degenerate cluster any population ordering counts as passive.
+    Clusters are contiguous runs of the ascending spectrum, compared in one
+    pass; only a degenerate cluster takes an eigensolve, of its block (a 1 x 1
+    cluster's population is Re (V^dag rho V)_kk, as the eigensolver gives it).
     """
     rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     spec = eig_hermitian(H)
     labels, v = spec.clusters(), spec.eigenvectors
     r = v.conj().T @ rho.matrix @ v
     # Commutation: rho must not mix distinct energy clusters.
-    if float(np.max(np.abs(r[labels[:, None] != labels]), initial=0.0)) > 1e-10:
+    if float(abs(r[labels[:, None] != labels]).max(initial=0.0)) > 1e-10:
         return False
-    prev_min = math.inf
-    for k in range(labels[-1] + 1):
-        block = r[np.ix_(labels == k, labels == k)]
-        pops = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
-        if float(pops[-1]) > prev_min + 1e-12:
-            return False
-        prev_min = float(pops[0])
-    return True
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    bounds, pops = [*starts.tolist(), len(labels)], r.diagonal().real.copy()
+    for s, e in zip(bounds, bounds[1:]):
+        if e - s > 1:
+            block = r[s:e, s:e]
+            pops[s:e] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+    # Passive unless a cluster's highest population exceeds the previous cluster's lowest.
+    return not (np.maximum.reduceat(pops, starts)[1:] > np.minimum.reduceat(pops, starts)[:-1] + 1e-12).any()
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""Joint-space operators of a bipartite system, assembled with np.kron as test references.
+"""Reference implementations for the tests.
 
-The library reads every bipartite temperature by trace algebra and forms none
+Joint-space operators of a bipartite system, assembled with np.kron. The
+library reads every bipartite temperature by trace algebra and forms none
 of these operators. The tests build them here, from the system's effective
 Hamiltonians, its states and the frame's local directions O_S and O_B, and
 never from the frame's scalars (weights, overlaps, h_chi, C), so checking
 those scalars against these operators is not a check of the frame against
 itself.
+
+Passivity cluster by cluster (:func:`passive_by_blocks`), the loop that
+``thermometry.is_passive`` replaced with one vectorized comparison.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+from neqtemp.linalg import eig_hermitian
 
 
 class FrameOperators(NamedTuple):
@@ -55,3 +61,20 @@ def frame_operators(sys) -> FrameOperators:
 def correlations(sys) -> np.ndarray:
     """chi = rho_SB - rho_S x rho_B."""
     return sys.rho_SB.matrix - np.kron(sys.rho_S.matrix, sys.rho_B.matrix)
+
+
+def passive_by_blocks(rho, H) -> bool:
+    """``is_passive`` as a loop over H's energy clusters: one np.ix_ block and one eigvalsh per cluster."""
+    spec = eig_hermitian(H)
+    labels, v = spec.clusters(), spec.eigenvectors
+    r = v.conj().T @ rho.matrix @ v
+    if float(np.max(np.abs(r[labels[:, None] != labels]), initial=0.0)) > 1e-10:
+        return False
+    prev_min = float("inf")
+    for k in range(labels[-1] + 1):
+        block = r[np.ix_(labels == k, labels == k)]
+        pops = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+        if float(pops[-1]) > prev_min + 1e-12:
+            return False
+        prev_min = float(pops[0])
+    return True

@@ -20,7 +20,7 @@ from neqtemp.io import (
 from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
 from neqtemp.relation import verify_universal_relation
-from neqtemp.thermometry import inverse_temperature
+from neqtemp.thermometry import DEFAULT_CLIP, inverse_temperature
 
 
 def pairs(m):
@@ -558,6 +558,15 @@ class TestMalformedFlags:
             main(["sweep", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: neqtemp sweep")
+
+    def test_sweep_help_names_its_clip_default(self, capsys):
+        # sweep reads no input document: its clip defaults to DEFAULT_CLIP, and its help says so.
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"eigenvalue clip for matrix logarithms (default {DEFAULT_CLIP:g})" in help_text
+        assert "input document" not in help_text
+        assert build_parser().parse_args(["sweep", "--axis", "beta", "--values", "1"]).clip == DEFAULT_CLIP
 
 
 def seeded_bipartite_doc(case):

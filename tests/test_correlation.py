@@ -246,6 +246,30 @@ class TestComputedOperators:
             assert np.all(np.isfinite(m)), name
             assert not m.flags.writeable, name
 
+    @pytest.mark.parametrize("d_s,d_b", [(2, 2), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("offset", [0.0, 1.0, -750.0, 1e6])
+    def test_exact_route_under_offsets(self, d_s, d_b, offset):
+        # Sums and real rescalings of exactly Hermitian operators skip the symmetrization: rounding keeps
+        # them exactly Hermitian, with a real diagonal, whatever the offset c I on H_S, H_B and H_I. The
+        # products (the states and their logarithms) are symmetrized, so a product moved onto the exact
+        # route fails here.
+        rng = np.random.default_rng(10 * d_s + d_b)
+        base = sample_bipartite(d_s, d_b, 0.3, rng)
+        shifted = [HermitianOperator(h.matrix + offset * np.eye(h.dim)) for h in (base.H_S, base.H_B, base.H_I)]
+        sys = BipartiteSystem(d_s, d_b, *shifted, base.rho_SB)
+        rho = DensityMatrix(random_state(sys.dim, rng))
+        ops = {
+            "O1 of H_S": hamiltonian_unit(sys.H_S)[0], "O1 of H_I": hamiltonian_unit(sys.H_I)[0],
+            "O1 of H_SB": hamiltonian_unit(sys.H_SB())[0], "H_SB": sys.H_SB(),
+            **{name: getattr(sys.effective, name) for name in ("H_S_eff", "H_B_eff", "H_I_eff")},
+            "HH_I": correlation_log_hamiltonian(sys).operator, "rho": rho.operator, "rho_S": sys.rho_S.operator,
+            "log rho": matrix_log(rho, DEFAULT_CLIP).operator, "log rho_B": matrix_log(sys.rho_B, 1e-3).operator,
+        }
+        for name, op in ops.items():
+            m = op.matrix
+            assert np.array_equal(m, m.conj().T), name
+            assert not np.diagonal(m).imag.any(), name
+
     def test_log_hamiltonian_per_clip(self):
         sys = sample_bipartite(2, 2, 0.3, np.random.default_rng(61))
         hh = correlation_log_hamiltonian(sys)

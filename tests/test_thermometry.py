@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from neqtemp.basis import complete_basis, hamiltonian_unit
 from neqtemp.exceptions import (
@@ -19,7 +21,7 @@ from neqtemp.exceptions import (
     UndefinedQuantityError,
     ValidationError,
 )
-from neqtemp.linalg import DensityMatrix, HermitianOperator, tensor_product
+from neqtemp.linalg import DEGENERACY_TOL, DensityMatrix, HermitianOperator, tensor_product
 from neqtemp.thermometry import (
     GeneralizedGibbsForm,
     _beta_of_moments,
@@ -34,6 +36,7 @@ from neqtemp.thermometry import (
     variation_split,
     von_neumann_entropy,
 )
+from oracles import passive_by_blocks
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -298,6 +301,79 @@ class TestPassivity:
         h = HermitianOperator(np.diag([-1.0, 0.0, 1.0]))
         assert is_passive(rho, h)
         assert inverse_temperature(rho, h).beta >= 0.0
+
+    @pytest.mark.parametrize("excess,passive", [(0.0, True), (0.8e-12, True), (1.2e-12, False)])
+    def test_ordering_margin(self, excess, passive):
+        # A higher level may hold up to 1e-12 more population than the level below it.
+        rho = DensityMatrix.from_spectrum([0.4, 0.4 + excess, 0.2 - excess], np.eye(3))
+        h = HermitianOperator(np.diag([0.0, 1.0, 2.0]))
+        assert is_passive(rho, h) is passive
+        assert passive_by_blocks(rho, h) is passive
+
+
+def _unitary(rng, d):
+    g = rng.normal(size=(2, d, d))
+    return np.linalg.qr(g[0] + 1j * g[1])[0]
+
+
+@st.composite
+def passivity_cases(draw):
+    """(rho, H) at d <= 8 on the edges of every rule that ``is_passive`` applies.
+
+    H has planted clusters of 1 to 3 levels. Levels within a cluster are equal
+    or 0.5 DEGENERACY_TOL max|E| apart; consecutive clusters sit 2
+    DEGENERACY_TOL max|E| or 0.25 apart. Populations are random or
+    non-increasing, and non-increasing around one planted edge: one cluster's
+    highest population set to the previous cluster's lowest plus 0 (a tie),
+    1e-12 - 1e-13 or 1e-12 + 1e-13, or one entry of 0.5e-10 or 2e-10 between
+    two clusters (a non-commuting state). The state and H share their
+    eigenvectors: the standard basis, optionally mixed within each cluster,
+    then optionally rotated as a whole.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8))
+    wide = draw(st.lists(st.booleans(), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    tol = DEGENERACY_TOL * (1.0 + 0.25 * sum(wide))  # max|E| is 1 + 0.25 per wide gap, to within 1e-8
+    inner = draw(st.sampled_from([0.0, 0.5])) * tol
+    energies, members, e = [], [], 1.0
+    for k, size in enumerate(sizes):
+        e += k and (0.25 if wide[k - 1] else 2.0 * tol)
+        members.append(list(range(len(energies), len(energies) + size)))
+        energies += [e + inner * j for j in range(size)]
+        e = energies[-1]
+    d = len(energies)
+    weights = np.array(draw(st.lists(st.integers(1, 16), min_size=d, max_size=d)), dtype=float)
+    kind = draw(st.sampled_from(["plain", "margin", "coherence"] if len(sizes) > 1 else ["plain"]))
+    if kind != "plain" or draw(st.booleans()):  # non-increasing, so that a planted edge decides
+        weights = np.sort(weights)[::-1].copy()
+    if kind == "margin":  # a tie in the weights, then an excess of 0, 0.9e-12 or 1.1e-12 in one population
+        b = draw(st.integers(0, len(sizes) - 2))
+        low, high, j = members[b], members[b + 1], draw(st.sampled_from(members[b + 1]))
+        weights[high] = np.minimum(weights[high], min(weights[low]))
+        weights[j] = min(weights[low])
+    p = weights / weights.sum()
+    if kind == "margin":
+        p[j] += draw(st.sampled_from([0.0, 0.9e-12, 1.1e-12]))
+    rng, q = np.random.default_rng(draw(st.integers(0, 2**16))), np.eye(d, dtype=complex)
+    if draw(st.booleans()):
+        for m in members:
+            q[np.ix_(m, m)] = _unitary(rng, len(m))
+    if draw(st.booleans()):
+        q = _unitary(rng, d) @ q
+    h = HermitianOperator((q * np.array(energies)) @ q.conj().T)
+    if kind == "coherence":
+        a, b = sorted(draw(st.lists(st.integers(0, len(sizes) - 1), min_size=2, max_size=2, unique=True)))
+        i, j = draw(st.sampled_from(members[a])), draw(st.sampled_from(members[b]))
+        m = np.diag(p).astype(complex)
+        m[i, j] = m[j, i] = draw(st.sampled_from([0.5e-10, 2e-10]))
+        return DensityMatrix(q @ m @ q.conj().T), h
+    return DensityMatrix.from_spectrum(p, q), h
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(case=passivity_cases())
+def test_is_passive_matches_the_cluster_loop(case):
+    rho, h = case
+    assert is_passive(rho, h) is passive_by_blocks(rho, h)
 
 
 class TestVariationSplit:

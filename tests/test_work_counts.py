@@ -23,7 +23,10 @@ SVD (``svd``). The completion checks its basis in frame coordinates, so
 the public validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``),
 runs only for a basis built from the user's matrices. The report takes H's
 unit direction once, to seed the basis (``hamiltonian_unit``); every
-analysis over the basis reads it from ``basis[1]``.
+analysis over the basis reads it from ``basis[1]``. A single-system report
+at d=6 validates H and rho, takes beta and the passivity verdict: two
+eigendecompositions, rho's and H's, and one more per degenerate energy
+cluster of H.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
 user's matrices (the marginals are computed operators). Logarithms and
@@ -32,7 +35,9 @@ bipartite reports are cached on their state and system, so ``logs`` and
 at the full dimension d, which ``linalg`` makes through ``_matmul``: the
 eigenvector Gram check, the reconstruction check and each spectral function.
 ``hamiltonian_unit``, ``of_computed``, ``kron`` and ``coerced`` count the
-calls at the full dimension. Calls are counted by wrapping from the test; the
+calls at the full dimension. ``of_computed`` counts the products wrapped
+(symmetrized): a state and its logarithms. The sums H_I_eff and O1 take the
+exact route, ``_of_exact``, and are not counted. Calls are counted by wrapping from the test; the
 package has no hooks.
 """
 
@@ -57,8 +62,12 @@ from neqtemp.thermometry import (
 
 EXPECTED = {
     "eigh": 3, "HermitianOperator": 4, "hamiltonian_unit": 0, "logs": 3,
-    "log_hamiltonians": 0, "products": 3, "of_computed": 3, "kron": 0,
+    "log_hamiltonians": 0, "products": 3, "of_computed": 2, "kron": 0,
 }
+
+#: One single-system report at d=6, with a nondegenerate H: the state's and H's eigendecompositions.
+EXPECTED_SINGLE = {"eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "products": 5,
+                   "of_computed": 2}
 
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
@@ -94,6 +103,12 @@ def report(d_s, d_b, h_s, h_b, h_i, rho):
     system = system_of(d_s, d_b, h_s, h_b, h_i, rho)
     correlation_inverse_temperature(system)
     verify_universal_relation(system)
+
+
+def single_report(H, rho):
+    h_op, state = HermitianOperator(H), DensityMatrix(rho)
+    inverse_temperature(state, h_op)
+    thermometry.is_passive(state, h_op)
 
 
 def basis_report(H, rho):
@@ -239,6 +254,22 @@ def test_relation_carries_local_temperatures(clip):
     assert rel.local_S == inverse_temperature(system.rho_S, system.effective.H_S_eff, clip)
     assert rel.local_B == inverse_temperature(system.rho_B, system.effective.H_B_eff, clip)
     assert rel.local_B.clipped == (clip == 0.2)
+
+
+@pytest.mark.parametrize("energies,extra_eigh", [
+    pytest.param([-1.0, -0.4, 0.1, 0.3, 0.8, 1.5], 0, id="nondegenerate"),
+    pytest.param([-1.0, -0.4, 0.3, 0.3, 0.8, 1.5], 1, id="one-degenerate-pair"),
+])
+def test_single_system_report_work_counts(monkeypatch, energies, extra_eigh):
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    p = np.sort(rng.dirichlet(np.ones(6)) + 0.05)[::-1]
+    rho = (q * (p / p.sum())) @ q.conj().T
+    H = (q * np.array(energies)) @ q.conj().T
+    counts = install_counters(monkeypatch, EXPECTED_SINGLE, 6)
+    single_report((H + H.conj().T) / 2.0, (rho + rho.conj().T) / 2.0)
+    # Only a degenerate energy cluster takes an eigensolve of its own in is_passive.
+    assert counts == {**EXPECTED_SINGLE, "eigh": EXPECTED_SINGLE["eigh"] + extra_eigh}
 
 
 def test_basis_report_work_counts(monkeypatch):
