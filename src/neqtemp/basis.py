@@ -45,7 +45,7 @@ import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _instance, _operator,
+    _EPS, HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _instance, _operator,
     _real_array, _sized, _state, _symmetrize, as_complex_matrix,
 )
 
@@ -74,26 +74,38 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     Returns ``(O1, h)`` with ``O1 = (H - (Tr H / d) I)/h`` and
     ``h = sqrt(Tr[H^2] - (Tr H)^2/d)``. Adding c I to H leaves the output
     unchanged up to the rounding of H + c I itself, however large c, and so
-    does rescaling H (up to h), however small its entries.
+    does rescaling H (up to h), down to entries of about 1e-150.
 
     :raises DegenerateDirectionError: if H is proportional to the identity
         (the temperature direction is then undefined): h is at most
         16 sqrt(d) eps |Tr H|/d, the rounding an offset can leave in it.
     :raises NumericalError: if h^2 overflows a double (entries of H beyond
-        about 1e154).
+        about 1e154), or underflows to 0 while H is no multiple of the
+        identity (a traceless part below about 1e-162).
     """
     traceless, h = _unit_weight(_operator(H))
     return HermitianOperator._of_exact(traceless / h), h
 
 
 def _unit_weight(H: HermitianOperator) -> tuple[np.ndarray, float]:
-    """The traceless part of H and its weight h, under :func:`hamiltonian_unit`'s rules."""
+    """The traceless part of H and its weight h, under :func:`hamiltonian_unit`'s rules.
+
+    When h^2 underflows to 0 but the traceless part t is not 0, degeneracy is
+    judged on the weight rescaled by s = max|t|, s ||t/s||, and a direction
+    that is not degenerate raises NumericalError, as h^2 is not representable.
+    """
     traceless, h = _traceless_weight(H.matrix)
-    if h <= 16.0 * np.finfo(float).eps * abs(H.trace) / math.sqrt(H.dim):
+    underflow = h == 0.0 and traceless.any()
+    if underflow:
+        s = float(abs(traceless).max())
+        h = s * math.sqrt(float((abs(traceless / s) ** 2).sum()))
+    if h <= 16.0 * _EPS * abs(H.trace) / math.sqrt(H.dim):
         raise DegenerateDirectionError(
             "Hamiltonian is proportional to the identity; its traceless direction "
             "(and hence the temperature) is undefined"
         )
+    if underflow:
+        raise NumericalError(f"Hamiltonian weight underflows: h = {h!r} squares to 0")
     return traceless, h
 
 
@@ -113,20 +125,23 @@ def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[Hermit
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
-    """m - (Tr m / d) I as a fresh array; the second pass takes out the first mean's rounding."""
+    """m - (Tr m / d) I as a fresh array; the second pass takes out the first mean's rounding.
+
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``: a trace
+    that overflows leaves non-finite entries, which the caller's check refuses.
+    """
     d = m.shape[0]
     traceless = np.array(m, dtype=complex, order="C")  # m - (Tr m / d) I without a d x d identity
     diag = traceless.reshape(-1)[:: d + 1]  # a view, as the copy is C-contiguous
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag -= m.trace().real / d
-        diag -= diag.sum().real / d
+    diag -= m.trace().real / d
+    diag -= diag.sum().real / d
     return traceless
 
 
 def _traceless_weight(m: np.ndarray) -> tuple[np.ndarray, float]:
     """The traceless part of a Hermitian matrix and its norm h; NumericalError if h^2 overflows."""
-    traceless = _traceless(m)
     with np.errstate(over="ignore", invalid="ignore"):
+        traceless = _traceless(m)
         h_sq = float((abs(traceless) ** 2).sum())
     if not math.isfinite(h_sq):
         raise NumericalError(f"Hamiltonian weight overflows: h^2 = {h_sq!r}")

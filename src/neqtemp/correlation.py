@@ -158,7 +158,8 @@ class EffectiveHamiltonians:
 def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians, tuple]:
     """The effective Hamiltonians, and the traceless parts every trace form reads:
     (H_S0, H_B0, H_I0, lambda_S, lambda_B, mean, Tr_B H_I0, Tr_S H_I0), H0 = H - (Tr H/d) I."""
-    hs0, hb0, hi0 = (_frozen(_traceless(m.matrix)) for m in (sys.H_S, sys.H_B, sys.H_I))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs0, hb0, hi0 = (_frozen(_traceless(m.matrix)) for m in (sys.H_S, sys.H_B, sys.H_I))
     t = hi0.reshape(sys.d_S, sys.d_B, sys.d_S, sys.d_B)
     # Tr_B[(I x rho_B) H_I0], Tr_S[(rho_S x I) H_I0] and Tr[(rho_S x rho_B) H_I0], contracted
     # index by index; symmetrizing the shifts drops rounding residue before it enters H_I_eff.

@@ -9,7 +9,10 @@ Conventions used throughout the package:
 
 * the subsystem labelled S is always the left (slow) tensor factor;
 * natural logarithms, k_B = 1;
-* eigenvalues are reported in ascending order.
+* eigenvalues are reported in ascending order, and read as such: a
+  spectrum's negative part is a prefix and its positive part a suffix, found
+  by ``searchsorted`` without a boolean mask, and a degenerate cluster is a
+  contiguous run.
 
 Validation happens once, at the boundary. ``HermitianOperator(matrix)``
 (and through it ``DensityMatrix(matrix)``) is the entry for matrices from
@@ -83,6 +86,8 @@ UNITARY_TOL = 1e-10  #: max|V^dag V - I| of an eigenvector matrix
 RECON_TOL = 1e-10  #: max spectral reconstruction error, relative to max(1, max|A|)
 DEGENERACY_TOL = 1e-9  #: eigenvalue gap within a cluster, relative to max|eigenvalue|
 IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |value|)
+
+_EPS = sys.float_info.epsilon  # double machine epsilon, 2^-52
 
 
 def as_complex_matrix(entries, ndim: int = 2) -> np.ndarray:
@@ -273,7 +278,10 @@ class SpectralDecomposition:
         """
         w = self.eigenvalues
         gap = DEGENERACY_TOL * max(abs(float(w[0])), abs(float(w[-1])), 1e-300)
-        return np.cumsum(np.diff(w, prepend=w[0]) >= gap)
+        labels = np.empty(w.size, np.intp)
+        labels[0] = 0
+        np.cumsum(w[1:] - w[:-1] >= gap, out=labels[1:])
+        return labels
 
 
 def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +299,7 @@ def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
 def _check_unitary(v: np.ndarray, vh: np.ndarray) -> None:
     """Raise unless max|V^dag V - I| <= UNITARY_TOL, vh being V^dag; a non-finite V fails too."""
     gram = _matmul(vh, v)
-    gram.flat[:: len(gram) + 1] -= 1.0
+    gram.reshape(-1)[:: len(gram) + 1] -= 1.0  # the diagonal, as a view of the fresh product
     dev = float(abs(gram).max())
     if not dev <= UNITARY_TOL:
         raise ValidationError(f"eigenvector matrix not unitary: deviation {dev:.3e}")
@@ -353,7 +361,7 @@ class DensityMatrix:
         # lambda_max (50,000 draws at d = 2, less at larger d): a 4x margin.
         a = op.matrix
         diagonal = not np.any(a[0, 1:]) and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
-        noise = 0.0 if diagonal else 4.0 * op.dim * float(np.finfo(float).eps)
+        noise = 0.0 if diagonal else 4.0 * op.dim * _EPS
         self._install(spec.eigenvalues, spec.eigenvectors, noise, recon)
 
     @classmethod
@@ -380,23 +388,26 @@ class DensityMatrix:
         clipped eigenvalues' rank-k term is removed and it is renormalized, so
         no second d^3 product is made.
         """
-        if not abs(float(w.sum()) - 1.0) <= TRACE_TOL:
-            raise ValidationError(f"density matrix trace {float(w.sum())!r} deviates from 1")
+        total = float(w.sum())
+        if not abs(total - 1.0) <= TRACE_TOL:
+            raise ValidationError(f"density matrix trace {total!r} deviates from 1")
         if w[0] < -PSD_TOL:
             raise ValidationError(
                 f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
             )
-        low = w < 0.0
-        if recon is not None and low.any():
-            recon -= _matmul(v[:, low] * w[low], v[:, low].conj().T)
-        w = np.clip(w, 0.0, None)
-        total = float(w.sum())
+        if w[0] <= 0.0:  # the spectrum ascends: only then is an eigenvalue negative (or a -0.0 to clip to 0.0)
+            low = w < 0.0
+            if recon is not None and low.any():
+                recon -= _matmul(v[:, low] * w[low], v[:, low].conj().T)
+            w = np.clip(w, 0.0, None)
+            total = float(w.sum())
         w = w / total
         m = _matmul(v * w, v.conj().T) if recon is None else np.divide(recon, total, out=recon)
         self.operator = HermitianOperator._of_computed(m)
         self.spectrum = SpectralDecomposition._of_checked(w, v)
-        self.rank = int(np.count_nonzero(w > RANK_TOL))
-        self.resolved_rank = int(np.count_nonzero(w > noise * w[-1]))
+        n = w.size
+        self.rank = n - int(np.searchsorted(w, RANK_TOL, side="right"))
+        self.resolved_rank = n - int(np.searchsorted(w, noise * w[-1], side="right"))
         self._logs: dict[float, MatrixLog] = {}
 
     @property

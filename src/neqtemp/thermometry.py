@@ -38,6 +38,7 @@ from .linalg import (
     HermitianOperator,
     _frozen,
     _instance,
+    _matmul,
     _number,
     _operator,
     _real_array,
@@ -100,7 +101,7 @@ class TemperatureReport:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[rho log rho] with 0 log 0 := 0; lies in [0, ln d]."""
     w = _state(rho).eigenvalues
-    pos = w[w > 0.0]
+    pos = w[np.searchsorted(w, 0.0, side="right"):]  # the positive suffix of the ascending spectrum
     return max(0.0, float(-(pos * np.log(pos)).sum()))
 
 
@@ -289,12 +290,15 @@ def is_passive(rho: DensityMatrix, H: HermitianOperator) -> bool:
     rho, H = _state(rho), _operator(H, rho.dim, "Hamiltonian")
     spec = eig_hermitian(H)
     labels, v = spec.clusters(), spec.eigenvectors
-    r = v.conj().T @ rho.matrix @ v
+    r = _matmul(_matmul(v.conj().T, rho.matrix), v)
     # Commutation: rho must not mix distinct energy clusters.
     if float(abs(r[labels[:, None] != labels]).max(initial=0.0)) > 1e-10:
         return False
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    bounds, pops = [*starts.tolist(), len(labels)], r.diagonal().real.copy()
+    pops = r.diagonal().real
+    if labels[-1] + 1 == labels.size:  # no degenerate cluster: each population is its own cluster
+        return not (pops[1:] > pops[:-1] + 1e-12).any()
+    starts = np.searchsorted(labels, np.arange(labels[-1] + 1))  # the labels ascend
+    bounds, pops = [*starts.tolist(), len(labels)], pops.copy()
     for s, e in zip(bounds, bounds[1:]):
         if e - s > 1:
             block = r[s:e, s:e]
@@ -325,12 +329,10 @@ def variation_split(rho: DensityMatrix, drho: HermitianOperator) -> VariationSpl
     if abs(tr) > 1e-8:
         raise ValidationError(f"variation must be trace-free, got Tr drho = {tr!r}")
     labels, v = rho.spectrum.clusters(), rho.spectrum.eigenvectors
-    blocks = np.where(labels[:, None] == labels, v.conj().T @ drho.matrix @ v, 0.0)
-    d_ev = HermitianOperator._of_computed(v @ blocks @ v.conj().T)
-    return VariationSplit(
-        d_ev=d_ev,
-        d_ep=HermitianOperator._of_computed(drho.matrix - d_ev.matrix),
-    )
+    blocks = np.where(labels[:, None] == labels, _matmul(_matmul(v.conj().T, drho.matrix), v), 0.0)
+    d_ev = HermitianOperator._of_computed(_matmul(_matmul(v, blocks), v.conj().T))
+    # A difference of exactly Hermitian operators is exactly Hermitian.
+    return VariationSplit(d_ev=d_ev, d_ep=HermitianOperator._of_exact(drho.matrix - d_ev.matrix))
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def suite_extension(seed: int, count: int) -> SuiteResult:
         beta = inverse_temperature(rho, h).beta
         for dp in (2, 3):
             rho_ext = DensityMatrix(tensor_product(rho.matrix, np.eye(dp) / dp))
-            h_ext = HermitianOperator._of_computed(tensor_product(h, np.eye(dp)))
+            h_ext = HermitianOperator._of_exact(tensor_product(h, np.eye(dp)))  # exactly Hermitian, as h is
             err = abs(inverse_temperature(rho_ext, h_ext).beta - beta)
             res.record("|beta extension shift|", err, 1e-10, f"(d={d}, d'={dp})")
     return res
@@ -214,8 +214,8 @@ def suite_heat(seed: int, count: int) -> SuiteResult:
         errs = []
         for step in (1e-3, 1e-4):
             rho1 = _gibbs_state(spec, beta_at(t0 + step))
-            drho = HermitianOperator._of_computed(rho1.matrix - rho0.matrix)
-            hw = heat_and_work(rho0, drho, h, HermitianOperator(np.zeros((d, d))))
+            drho = HermitianOperator._of_exact(rho1.matrix - rho0.matrix)  # a difference of stored operators
+            hw = heat_and_work(rho0, drho, h, HermitianOperator._of_exact(np.zeros((d, d), complex)))
             ds = von_neumann_entropy(rho1) - von_neumann_entropy(rho0)
             errs.append(abs(ds / hw.entropic_heat - beta_hat))
         ratio = errs[0] / errs[1]

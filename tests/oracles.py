@@ -10,6 +10,14 @@ itself.
 
 Passivity cluster by cluster (:func:`passive_by_blocks`), the loop that
 ``thermometry.is_passive`` replaced with one vectorized comparison.
+
+The masked forms of the spectral reads, which the library replaced by reading
+the ascending spectrum as a prefix and a suffix: cluster labels by ``np.diff``
+(:func:`clusters_by_diff`), the unconditional clip and the ``count_nonzero``
+ranks of a state's spectrum (:func:`install_by_clip`), the entropy over a
+boolean mask (:func:`entropy_by_mask`) and passivity with its cluster starts
+by ``np.diff`` and a loop over every cluster (:func:`passive_by_diff`). The
+tests hold the library to these bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from neqtemp.linalg import eig_hermitian
+from neqtemp.linalg import DEGENERACY_TOL, RANK_TOL, eig_hermitian
 
 
 class FrameOperators(NamedTuple):
@@ -78,3 +86,45 @@ def passive_by_blocks(rho, H) -> bool:
             return False
         prev_min = float(pops[0])
     return True
+
+
+def clusters_by_diff(w: np.ndarray) -> np.ndarray:
+    """``SpectralDecomposition.clusters`` of the ascending spectrum w, labelled through ``np.diff``."""
+    gap = DEGENERACY_TOL * max(abs(float(w[0])), abs(float(w[-1])), 1e-300)
+    return np.cumsum(np.diff(w, prepend=w[0]) >= gap)
+
+
+def install_by_clip(w: np.ndarray, v: np.ndarray, noise: float, recon: np.ndarray | None = None):
+    """(stored matrix before symmetrization, spectrum, rank, resolved_rank) of ``DensityMatrix._install``,
+    clipping every spectrum and counting the ranks over boolean arrays; the trace and positivity checks
+    are the caller's."""
+    low = w < 0.0
+    if recon is not None and low.any():
+        recon = recon - (v[:, low] * w[low]) @ v[:, low].conj().T
+    w = np.clip(w, 0.0, None)
+    total = float(w.sum())
+    w = w / total
+    m = (v * w) @ v.conj().T if recon is None else recon / total
+    return m, w, int(np.count_nonzero(w > RANK_TOL)), int(np.count_nonzero(w > noise * w[-1]))
+
+
+def entropy_by_mask(w: np.ndarray) -> float:
+    """``von_neumann_entropy`` of the spectrum w, over the mask w > 0."""
+    pos = w[w > 0.0]
+    return max(0.0, float(-(pos * np.log(pos)).sum()))
+
+
+def passive_by_diff(rho, H) -> bool:
+    """``is_passive`` with its cluster starts taken by ``np.diff`` and every cluster visited by the loop."""
+    spec = eig_hermitian(H)
+    labels, v = spec.clusters(), spec.eigenvectors
+    r = v.conj().T @ rho.matrix @ v
+    if float(abs(r[labels[:, None] != labels]).max(initial=0.0)) > 1e-10:
+        return False
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    bounds, pops = [*starts.tolist(), len(labels)], r.diagonal().real.copy()
+    for s, e in zip(bounds, bounds[1:]):
+        if e - s > 1:
+            block = r[s:e, s:e]
+            pops[s:e] = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+    return not (np.maximum.reduceat(pops, starts)[1:] > np.minimum.reduceat(pops, starts)[:-1] + 1e-12).any()

@@ -22,6 +22,7 @@ from neqtemp.exceptions import (
     ValidationError,
 )
 from neqtemp.linalg import DEGENERACY_TOL, DensityMatrix, HermitianOperator, tensor_product
+from neqtemp.models import sample_gibbs
 from neqtemp.thermometry import (
     GeneralizedGibbsForm,
     _beta_of_moments,
@@ -36,7 +37,7 @@ from neqtemp.thermometry import (
     variation_split,
     von_neumann_entropy,
 )
-from oracles import passive_by_blocks
+from oracles import passive_by_blocks, passive_by_diff
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -172,6 +173,32 @@ class TestInverseTemperature:
         beta = inverse_temperature(rho, h).beta
         scaled = inverse_temperature(rho, HermitianOperator(c * h.matrix)).beta
         assert c * scaled == pytest.approx(beta, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-200, 1e-300])
+    def test_weight_underflow_raises(self, c):
+        # h^2 underflows to 0 at these scales although H is no multiple of I: the weight is not
+        # representable, which is a numerical failure, not a degenerate direction.
+        H, rho = sample_gibbs(4, 0.7, np.random.default_rng(1))
+        with pytest.raises(NumericalError, match="underflows"):
+            inverse_temperature(rho, HermitianOperator(c * H.matrix))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("c", [1e-200, 1e-300])
+    def test_underflowing_identity_is_degenerate(self, d, c):
+        rho = DensityMatrix(np.eye(d) / d)
+        with pytest.raises(DegenerateDirectionError):
+            inverse_temperature(rho, HermitianOperator(c * np.eye(d)))
+
+    @pytest.mark.parametrize("c,beta_hex", [
+        (1e-150, "0x1.b5f4a740a6c94p+497"), (1e-100, "0x1.99a58ce36ab4dp+331"),
+        (1e-30, "0x1.1aba4db89fc41p+99"), (1.0, "0x1.666666666666ap-1"),
+    ])
+    def test_weight_above_underflow_unchanged(self, c, beta_hex):
+        # Where h^2 does not underflow, beta is bit for bit what it was before the underflow rule.
+        H, rho = sample_gibbs(4, 0.7, np.random.default_rng(1))
+        assert inverse_temperature(rho, HermitianOperator(c * H.matrix)).beta.hex() == beta_hex
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1e12, 1e100, 1e150])
@@ -374,6 +401,7 @@ def passivity_cases(draw):
 def test_is_passive_matches_the_cluster_loop(case):
     rho, h = case
     assert is_passive(rho, h) is passive_by_blocks(rho, h)
+    assert is_passive(rho, h) is passive_by_diff(rho, h)
 
 
 class TestVariationSplit:

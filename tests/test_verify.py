@@ -1,8 +1,10 @@
 """Verification-suite tests: every suite passes and reports deterministically."""
 
+import numpy as np
 import pytest
 
 from neqtemp.exceptions import ValidationError
+from neqtemp.linalg import HermitianOperator
 from neqtemp.verify import GRID, SUITES, format_results, run_suite, run_suites
 
 REDUCED = {
@@ -58,3 +60,21 @@ def test_relation_follows_seed_and_count():
     off_grid = [run_suite("relation", seed=s, count=len(GRID) + 3) for s in (0, 3)]
     assert all(r.passed for r in off_grid)
     assert format_results(off_grid[:1]) != format_results(off_grid[1:])
+
+
+@pytest.mark.parametrize("name", ["extension", "heat"])
+def test_exact_route_operators_are_exactly_hermitian(monkeypatch, name):
+    # The extension suite's H x I, and the heat suite's drho (a difference of stored states), its zero dH
+    # and the d_ep of its heat-work split (drho less d_ev) skip the symmetrization; each must already be
+    # exactly Hermitian.
+    seen, exact = [], HermitianOperator._of_exact.__func__
+
+    def recording(cls, m):
+        seen.append(np.array(m))
+        return exact(cls, m)
+
+    monkeypatch.setattr(HermitianOperator, "_of_exact", classmethod(recording))
+    assert run_suite(name, seed=7, count=3).passed
+    assert seen
+    for m in seen:
+        assert (m == m.conj().T).all()

@@ -26,14 +26,16 @@ unit direction once, to seed the basis (``hamiltonian_unit``); every
 analysis over the basis reads it from ``basis[1]``. A single-system report
 at d=6 validates H and rho, takes beta and the passivity verdict: two
 eigendecompositions, rho's and H's, and one more per degenerate energy
-cluster of H.
+cluster of H, and 7 d^3 products: two checks per eigendecomposition, the
+logarithm, and the two that take rho into H's eigenbasis for passivity.
 
 ``HermitianOperator`` counts the public, validating constructor only: the
 user's matrices (the marginals are computed operators). Logarithms and
 bipartite reports are cached on their state and system, so ``logs`` and
 ``records`` count the builds (cache misses), not the calls. ``products`` counts the d^3 products
-at the full dimension d, which ``linalg`` makes through ``_matmul``: the
-eigenvector Gram check, the reconstruction check and each spectral function.
+at the full dimension d, which the package makes through ``linalg._matmul``: the
+eigenvector Gram check, the reconstruction check, each spectral function, and
+the eigenbasis changes of ``is_passive`` and ``variation_split``.
 ``hamiltonian_unit``, ``of_computed``, ``kron`` and ``coerced`` count the
 calls at the full dimension. ``of_computed`` counts the products wrapped
 (symmetrized): a state and its logarithms. The sums H_I_eff and O1 take the
@@ -66,7 +68,7 @@ EXPECTED = {
 }
 
 #: One single-system report at d=6, with a nondegenerate H: the state's and H's eigendecompositions.
-EXPECTED_SINGLE = {"eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "products": 5,
+EXPECTED_SINGLE = {"eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "products": 7,
                    "of_computed": 2}
 
 #: One generalized-Gibbs report at d=8.
@@ -147,7 +149,6 @@ def install_counters(monkeypatch, keys, dim):
         HermitianOperator, "__init__",
         counted("HermitianOperator", HermitianOperator.__init__),
     )
-    monkeypatch.setattr(linalg, "_matmul", counted_at_dim("products", linalg._matmul, cubic))
     if "of_computed" in counts:
         computed = HermitianOperator._of_computed.__func__
         monkeypatch.setattr(HermitianOperator, "_of_computed", classmethod(
@@ -169,13 +170,16 @@ def install_counters(monkeypatch, keys, dim):
         if key in counts:
             monkeypatch.setattr(mod, attr, counted(key, getattr(mod, attr)))
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
-    for key, orig in (("hamiltonian_unit", basis.hamiltonian_unit),
+    for key, orig in (("products", linalg._matmul),
+                      ("hamiltonian_unit", basis.hamiltonian_unit),
                       ("hs_inner", linalg.hs_inner),
                       ("inverse_temperature", thermometry.inverse_temperature),
                       ("temperatures", thermometry._inverse_temperature)):
         if key not in counts:
             continue
-        if key == "hamiltonian_unit":
+        if key == "products":
+            wrapped = counted_at_dim(key, orig, cubic)
+        elif key == "hamiltonian_unit":
             wrapped = counted_at_dim(key, orig, lambda h: h.dim)
         else:
             wrapped = counted(key, orig)
