@@ -38,7 +38,8 @@ Tr[H_S0 Tr_B L] + Tr[H_B0 Tr_S L] + Tr[H_I0 L].
 Every trace form reads only the traceless parts H_S0, H_B0 and H_I0 (H less
 its mean, taken once per system); Tr H_I/d enters only the identity parts of
 H_S_eff and H_B_eff. So c I on H_S, H_B or H_I moves no temperature and not
-U_chi. Raw H is read only there, by H_SB and by the frame's degeneracy scale.
+U_chi. Raw H is read only there, by H_SB, by the frame's degeneracy scale and
+by the traces in beta_SB's agreement bound.
 
 A report's joint-space arrays are the inputs H_I and rho_SB, H_I0, H_I_eff,
 rho_SB's eigenvectors and L, read through partial traces and vdots; the rest
@@ -52,14 +53,13 @@ The system's H_SB is built on first access and cached, HH_I on each call of
 :func:`correlation_log_hamiltonian`; each local-plus-joint sum X x I + I x Y +
 Z (H_I_eff, H_SB, HH_I) is assembled block-wise by ``linalg._local_sum``,
 with no Kronecker product. Each cross-check compares independent assemblies
-and runs once per record: beta_SB's moments against -Tr[O1_SB L]/h_SB
-through C, O_S, O_B and H_I_eff, at the bound of
-:func:`inverse_temperature`; beta_chi takes Tr[O_I HH_I]
-once from a vdot of H_I_eff with L and its partial traces (overlap form),
-once from H_I0, lambda and the partial traces of H_I0 (direct form, through
-O_chi). U_chi is Tr[chi H_I_eff] (H_I_eff's vdot and product mean), Tr[chi
-H_I0] (less the mean) and Tr[rho_SB H_SB0] - Tr[rho_S x rho_B H_SB0]
-(rho_SB's raw partial traces, mean through lambda_B).
+under the agreement rule ``linalg._agree``, once per record: beta_SB's
+moments against -Tr[O1_SB L]/h_SB through C, O_S, O_B and H_I_eff; beta_chi's
+Tr[O_I HH_I] from a vdot of H_I_eff with L and its partial traces (overlap
+form) against H_I0, lambda and the partial traces of H_I0 (direct form,
+through O_chi); U_chi as Tr[chi H_I_eff] (H_I_eff's vdot and product mean),
+Tr[chi H_I0] (less the mean) and Tr[rho_SB H_SB0] - Tr[rho_S x rho_B H_SB0]
+(rho_SB's raw partial traces, mean through lambda_B); and S_chi >= 0.
 
 The clip-independent geometry (weights, overlaps and the coefficients C of
 O1_SB) lives in one :class:`BipartiteFrame`, built once per system; its
@@ -77,11 +77,11 @@ import numpy as np
 from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError
 from .linalg import (
-    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _cached, _dimension, _frozen, _instance, _local_sum,
-    _number, _operator, _state, _tr, matrix_log, partial_trace,
+    RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _agree, _cached, _dimension, _frozen, _instance,
+    _local_sum, _norm, _number, _operator, _state, _tr, matrix_log, partial_trace,
 )
 from .thermometry import (
-    DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, von_neumann_entropy,
+    DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, _positive, von_neumann_entropy,
 )
 
 __all__ = [
@@ -180,7 +180,7 @@ def binding_energy(sys: BipartiteSystem) -> float:
     """U_chi = Tr[chi H_I_eff], the interaction energy held in correlations.
 
     Equal to Tr[chi H_I] and to Tr[rho_SB H_SB] - Tr[rho_S x rho_B H_SB]; the
-    three are assembled independently (module docstring) and cross-asserted.
+    three are assembled independently (module docstring) and held to ``linalg._agree``.
     """
     rho, rho_s, rho_b = _instance(sys, BipartiteSystem).rho_SB, sys.rho_S.matrix, sys.rho_B.matrix
     hs, hb, hi, _, lamb_b, mean = sys._parts[:6]
@@ -192,16 +192,26 @@ def binding_energy(sys: BipartiteSystem) -> float:
     dims = (sys.d_S, sys.d_B)
     u3 = (_tr(partial_trace(rho, dims, 0), hs) + _tr(partial_trace(rho, dims, 1), hb) + rho_hi
           - _tr(rho_s, hs) - _tr(rho_b, hb) - _tr(rho_b, lamb_b))
-    scale = max(1.0, abs(u1))
-    if abs(u1 - u2) > 1e-10 * scale or abs(u1 - u3) > 1e-10 * scale:
-        raise NumericalError(f"binding-energy expressions disagree: {u1!r}, {u2!r}, {u3!r}")
+    # Each trace pairs a state (|rho|_F <= 1) with H_I_eff (twice, in u1), H_S0 or H_B0 (twice each, in u3),
+    # H_I0 (once: u2 and u3 share it) or lambda_B; the mean is one summand.
+    norms = 2.0 * (_norm(sys.effective.H_I_eff) + _norm(hs) + _norm(hb)) + _norm(hi) + _norm(lamb_b) + abs(mean)
+    for u in (u2, u3):
+        _agree(u1, u, sys.dim * norms, "binding-energy expressions")
     return u1
 
 
 def mutual_information(sys: BipartiteSystem) -> float:
-    """S_chi = S(rho_S) + S(rho_B) - S(rho_SB) >= 0."""
-    sys = _instance(sys, BipartiteSystem)
-    return von_neumann_entropy(sys.rho_S) + von_neumann_entropy(sys.rho_B) - von_neumann_entropy(sys.rho_SB)
+    """S_chi = S(rho_S) + S(rho_B) - S(rho_SB) >= 0: a negative S_chi within the agreement bound
+    (``linalg._agree``) of the three entropies reads 0.0, and one past it raises NumericalError."""
+    states = _instance(sys, BipartiteSystem).rho_S, sys.rho_B, sys.rho_SB
+    s_s, s_b, s_sb = (von_neumann_entropy(r) for r in states)
+    if (s_chi := s_s + s_b - s_sb) >= 0.0:
+        return s_chi
+    # Each entropy sums at most d terms -p log p, each eigenvalue p within d eps lambda_max of its value:
+    # lambda_max sum (1 - log p) over the positive p bounds both the terms and their first-order change.
+    magnitude = sys.dim * sum(float(r.eigenvalues[-1]) * float((1.0 - np.log(_positive(r))).sum()) for r in states)
+    _agree(s_s + s_b, s_sb, magnitude, "subadditive entropies S(rho_S) + S(rho_B) and S(rho_SB)")
+    return 0.0
 
 
 def correlation_log_hamiltonian(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) -> MatrixLog:
@@ -356,8 +366,16 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
 
     # beta_SB: the moments of (rho_SB, H_SB0), checked against -Tr[O1_SB L]/h_SB.
     with np.errstate(over="ignore", invalid="ignore"):
-        tr_hh = d_b * _tr(hs, hs) + d_s * _tr(hb, hb) + _tr(hi, hi) + 2.0 * (_tr(hs, hi_s) + _tr(hb, hi_b))
+        hs_sq, hb_sq, hi_sq = _tr(hs, hs), _tr(hb, hb), _tr(hi, hi)
+        tr_hh = d_b * hs_sq + d_s * hb_sq + hi_sq + 2.0 * (_tr(hs, hi_s) + _tr(hb, hi_b))
         tr_hl = _tr(hs, part_s) + _tr(hb, part_b) + hi_l
+    # beta_SB's forms read H_SB0's pieces: H_S0, H_B0 and H_I0 (moments), O_S, O_B and H_I_eff (direct form),
+    # of norms summing to n_sb. Each is the traceless part of a matrix X and rounds on X's full norm
+    # full(|X0|_F, X) = hypot(|X0|_F, Tr X/sqrt(dim)); those sum to w_sb.
+    eff, norm_l, full = sys.effective, _norm(L), lambda x0, x: math.hypot(x0, x.trace / x.dim**0.5)
+    n_sb = (d_b * hs_sq)**0.5 + (d_s * hb_sq)**0.5 + hi_sq**0.5
+    w_sb = (d_b**0.5 * (full(hs_sq**0.5, sys.H_S) + full(f.h_S, eff.H_S_eff))
+            + d_s**0.5 * (full(hb_sq**0.5, sys.H_B) + full(f.h_B, eff.H_B_eff)) + full(hi_sq**0.5, sys.H_I))
     s_l, b_l = _tr(f.O_S, part_s), _tr(f.O_B, part_b)  # Tr[(O_S x I) L], Tr[(I x O_B) L]
     o1_l = c_s * s_l + c_b * b_l
     t_os, t_ob = _tr(f.O_S, hh_s), _tr(f.O_B, hh_b)  # Tr[(O_S x I) HH_I], Tr[(I x O_B) HH_I]
@@ -379,12 +397,21 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
         tr_hi = d * mean - d_b * lamb_s.trace().real - d_s * lamb_b.trace().real
         t_ochi = ((by_hi - tr_hi / d * hh_id) / f.h_I - local) / f.h_chi
         beta_alt = -t_ochi / (f.h_I * f.h_chi)
-        if abs(beta_chi - beta_alt) > 1e-12 * max(1.0, abs(beta_chi)):
-            raise NumericalError(f"correlation-temperature forms disagree: {beta_chi!r} vs {beta_alt!r}")
+        # Each form adds traces of an H_I_eff piece (H_I0, lambda_S x I, I x lambda_B, mean I; norms summing to
+        # m) against an HH_I piece (L, log rho_S x I, I x log rho_B; norms summing to lam), of |summand| sum at
+        # most 2 m lam; local is shared, and beta_chi divides the rest by (h_I h_chi)^2.
+        m = hi_sq**0.5 + d_b**0.5 * _norm(lamb_s) + d_s**0.5 * _norm(lamb_b) + d**0.5 * abs(mean)
+        lam = norm_l + d_b**0.5 * _norm(ls) + d_s**0.5 * _norm(lb)
+        _agree(beta_chi, beta_alt, 4.0 * d * m / (f.h_I * f.h_chi) * lam / (f.h_I * f.h_chi),
+               "correlation-temperature forms")
         chi_part, chi_term = f.h_I * beta_chi, k_chi * beta_chi
-    # The conditioning scale of the cross-check reads H_SB, built only if it is needed.
-    cond = lambda: d * float(abs(sys.H_SB().matrix).max()) * float(abs(L).max()) / f.h_SB**2
-    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB, cond)[0]
+        n_ie = 2.0 * math.hypot(f.h_I, tr_e / d**0.5)  # O_I's term of Tr[O1_SB L] reads H_I_eff twice
+        n_sb, w_sb = n_sb + n_ie, w_sb + n_ie
+    # A trace of a piece against L is at most |piece|_F |L|_F: the moments sum to at most n_sb |L|_F and n_sb^2,
+    # the direct form to (2 + 4 |H_I_eff|_F/h_SB) |L|_F, the traceless parts round on w_sb; in units of beta
+    # the summands total at most 6 (w_sb/h_SB) (n_sb/h_SB) |L|_F/h_SB.
+    beta_sb = _beta_of_moments(sys.rho_SB, f.h_SB, (tr_hh, tr_hl), -o1_l / f.h_SB,
+                               6.0 * d * (w_sb / f.h_SB) * (n_sb / f.h_SB) * norm_l / f.h_SB)[0]
 
     # beta_tilde = beta_local - dS_chi/dU_local.
     ds_du_s = -(t_os + f.overlap_S * chi_part) / (d_b * f.h_S)

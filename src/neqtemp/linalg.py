@@ -57,18 +57,8 @@ import numpy as np
 from .exceptions import NumericalError, ValidationError
 
 __all__ = [
-    "MAX_DIM",
-    "HermitianOperator",
-    "SpectralDecomposition",
-    "DensityMatrix",
-    "MatrixLog",
-    "as_complex_matrix",
-    "eig_hermitian",
-    "matrix_log",
-    "matrix_exp",
-    "tensor_product",
-    "partial_trace",
-    "hs_inner",
+    "MAX_DIM", "HermitianOperator", "SpectralDecomposition", "DensityMatrix", "MatrixLog", "as_complex_matrix",
+    "eig_hermitian", "matrix_log", "matrix_exp", "tensor_product", "partial_trace", "hs_inner",
 ]
 
 #: Hard cap on matrix dimension; this library targets desk-scale problems.
@@ -83,11 +73,11 @@ TRACE_TOL = 1e-10  #: max |Tr rho - 1|
 PSD_TOL = 1e-10  #: eigenvalues in [-PSD_TOL, 0) are clipped to 0, lower ones rejected
 RANK_TOL = 1e-12  #: eigenvalues above it count toward ``DensityMatrix.rank``
 UNITARY_TOL = 1e-10  #: max|V^dag V - I| of an eigenvector matrix
-RECON_TOL = 1e-10  #: max spectral reconstruction error, relative to max(1, max|A|)
 DEGENERACY_TOL = 1e-9  #: eigenvalue gap within a cluster, relative to max|eigenvalue|
 IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |value|)
 
 _EPS = sys.float_info.epsilon  # double machine epsilon, 2^-52
+_AGREE_K = 32.0  # the agreement rule's margin over its forward-error bound (see _agree)
 
 
 def as_complex_matrix(entries, ndim: int = 2) -> np.ndarray:
@@ -324,10 +314,11 @@ def _checked_eigh(A: HermitianOperator) -> tuple[SpectralDecomposition, np.ndarr
     vh = v.conj().T
     _check_unitary(v, vh)
     recon = _matmul(v * w, vh)
+    # Each entry sums d products v_ik lambda_k conj(v_jk), of |summand| sum at most max|lambda| = |A|_2; a product
+    # that underflows errs by up to eps times the smallest normal double, so each counts at least that.
     dev = float(abs(recon - A.matrix).max())
-    scale = max(1.0, float(abs(A.matrix).max()))
-    if dev > RECON_TOL * scale:
-        raise NumericalError(f"spectral reconstruction error {dev:.3e} exceeds tolerance")
+    _agree(dev, 0.0, len(w) * (float(max(-w[0], w[-1])) + sys.float_info.min),
+           "spectral reconstruction max|V diag(w) V^dag - A| and 0")
     return SpectralDecomposition._of_checked(w, v), recon
 
 
@@ -557,6 +548,26 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
 def _tr(a, b) -> float:
     """Re Tr[A B] of two Hermitian operators or matrices, as one unchecked vdot."""
     return float(np.vdot(getattr(a, "matrix", a), getattr(b, "matrix", b)).real)
+
+
+def _norm(a) -> float:
+    """The Frobenius norm |A|_F = Tr[A^2]^(1/2) of a Hermitian operator or matrix, by :func:`_tr`."""
+    return _tr(a, a) ** 0.5
+
+
+def _agree(a: float, b: float, magnitude: float, what: str) -> tuple[float, float]:
+    """(|a - b|, bound) once two assemblies of one value agree, |a - b| <= _AGREE_K eps magnitude: the one rule
+    of every cross-check. ``magnitude`` is a term-count factor, the dimension d, times the sum of |summand| over
+    the terms both assemblies add, a trace Tr[X Y] counting |X|_F |Y|_F (Cauchy-Schwarz): the forward-error bound
+    of sums and inner products (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4), with d the
+    square root of a trace's d^2 products (32 d >= d^2 up to d = 32). A NaN residual fails: NumericalError
+    "<what> disagree: a vs b, residual ... > bound ...".
+    """
+    residual, bound = abs(a - b), _AGREE_K * _EPS * magnitude
+    if not residual <= bound:
+        raise NumericalError(f"{what} disagree: {float(a)!r} vs {float(b)!r}, "
+                             f"residual {residual:.3e} > bound {bound:.3e}")
+    return residual, bound
 
 
 def hs_inner(A, B) -> float:

@@ -7,10 +7,11 @@ The central object is the nonequilibrium inverse temperature
 with covariance and variance taken with respect to the maximally mixed state
 I/d. Equivalently beta = -(1/h) Tr[O1 log rho] where O1 is the normalized
 traceless Hamiltonian direction and h its weight; both forms are computed
-independently here, from (O1, h) only, and cross-asserted. So c I on H moves
-U and F by c and changes no temperature. On Gibbs states beta recovers the
-thermodynamic inverse temperature exactly; beta = 0 for maximally mixed
-states and T = 0 for pure states.
+independently here, from (O1, h) only, and held to the agreement rule
+``linalg._agree`` of every cross-check. So c I on H moves U and F by c and
+changes no temperature. On Gibbs states beta recovers the thermodynamic
+inverse temperature exactly; beta = 0 for maximally mixed states and T = 0
+for pure states.
 
 Over an operator basis, O1 is ``basis[1]``, checked once to be H's unit
 direction: the generalized-Gibbs decomposition, the Helmholtz free energy
@@ -26,44 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorBasis, _basis_direction, expand_state, hamiltonian_unit
-from .exceptions import (
-    NumericalError,
-    RankDeficiencyError,
-    StepTooLargeError,
-    UndefinedQuantityError,
-    ValidationError,
-)
+from .exceptions import NumericalError, RankDeficiencyError, StepTooLargeError, UndefinedQuantityError, ValidationError
 from .linalg import (
-    DensityMatrix,
-    HermitianOperator,
-    _frozen,
-    _instance,
-    _matmul,
-    _number,
-    _operator,
-    _real_array,
-    _state,
-    _tr,
-    eig_hermitian,
-    matrix_exp,
-    matrix_log,
+    DensityMatrix, HermitianOperator, _agree, _frozen, _instance, _matmul, _norm, _number, _operator, _real_array,
+    _state, _tr, eig_hermitian, matrix_exp, matrix_log,
 )
 
 __all__ = [
-    "TemperatureReport",
-    "GeneralizedGibbsForm",
-    "VariationSplit",
-    "HeatWork",
-    "von_neumann_entropy",
-    "internal_energy",
-    "inverse_temperature",
-    "generalized_gibbs_decomposition",
-    "reconstruct_generalized_gibbs",
-    "helmholtz_free_energy",
-    "is_passive",
-    "variation_split",
-    "heat_and_work",
-    "finite_difference_beta",
+    "TemperatureReport", "GeneralizedGibbsForm", "VariationSplit", "HeatWork", "von_neumann_entropy",
+    "internal_energy", "inverse_temperature", "generalized_gibbs_decomposition", "reconstruct_generalized_gibbs",
+    "helmholtz_free_energy", "is_passive", "variation_split", "heat_and_work", "finite_difference_beta",
 ]
 
 #: |beta| h below this is treated as beta = 0 for the derived temperature
@@ -100,9 +73,14 @@ class TemperatureReport:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[rho log rho] with 0 log 0 := 0; lies in [0, ln d]."""
-    w = _state(rho).eigenvalues
-    pos = w[np.searchsorted(w, 0.0, side="right"):]  # the positive suffix of the ascending spectrum
+    pos = _positive(_state(rho))
     return max(0.0, float(-(pos * np.log(pos)).sum()))
+
+
+def _positive(rho: DensityMatrix) -> np.ndarray:
+    """The positive eigenvalues of rho, the suffix of its ascending spectrum."""
+    w = rho.eigenvalues
+    return w[np.searchsorted(w, 0.0, side="right"):]
 
 
 def internal_energy(rho: DensityMatrix, H: HermitianOperator) -> float:
@@ -143,58 +121,37 @@ def _inverse_temperature(rho: DensityMatrix, H: HermitianOperator, O1: Hermitian
     E = h * O1.matrix
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _tr(E, E), _tr(E, L)
-    # Direct coordinate form, assembled through O1 rather than the moments.
+    # Direct form, through O1 rather than the moments. Tr[E L], Tr[E^2] (through beta) and Tr[O1 L] each sum
+    # d^2 products whose |summand| sum is at most |L|_F/h in units of beta.
     beta_dir = -_tr(O1, L) / h
-    beta, temperature, cov, var = _beta_of_moments(
-        rho, h, moments, beta_dir,
-        lambda: rho.dim * float(abs(E).max()) * float(abs(L).max()) / (h * h),
-    )
+    beta, temperature, cov, var = _beta_of_moments(rho, h, moments, beta_dir, 3.0 * rho.dim * _norm(L) / h)
     s = von_neumann_entropy(rho)
-    if math.isfinite(temperature) and temperature != 0.0:
-        f = u - temperature * s
-    else:
-        f = math.nan
-    return TemperatureReport(
-        beta=beta,
-        temperature=temperature,
-        h=h,
-        covariance=cov,
-        variance=var,
-        entropy=s,
-        internal_energy=u,
-        free_energy=f,
-        rank_deficient=rho.rank < rho.dim,
-        clipped=logr.clipped,
-    )
+    f = u - temperature * s if math.isfinite(temperature) and temperature != 0.0 else math.nan
+    return TemperatureReport(beta=beta, temperature=temperature, h=h, covariance=cov, variance=var, entropy=s,
+                             internal_energy=u, free_energy=f, rank_deficient=rho.rank < rho.dim, clipped=logr.clipped)
 
 
-def _beta_of_moments(rho: DensityMatrix, h: float, moments, beta_dir: float, cond) -> tuple:
+def _beta_of_moments(rho: DensityMatrix, h: float, moments, beta_dir: float, magnitude: float) -> tuple:
     """beta, T, Cov and Var of ``rho`` from (Tr[H0^2], Tr[H0 log rho]), H0 traceless.
 
     Both callers pass the moments of a traceless H0 (h O1, or H_SB less its
     mean), so the moments w.r.t. I/d carry no mean terms: Cov = -Tr[H0 log
     rho]/d and Var = Tr[H0^2]/d, and an offset on H never enters them.
     ``beta_dir`` is the direct form -Tr[O1 log rho]/h, assembled by the
-    caller independently of the moments; ``cond()`` is the conditioning
-    scale of their cross-check, evaluated only when the two differ by more
-    than its unit-scale bound. Branches as in :func:`inverse_temperature`.
+    caller independently of the moments; the two are held to the agreement
+    rule ``linalg._agree`` at the caller's ``magnitude`` of both assemblies.
+    Branches as in :func:`inverse_temperature`.
     """
     tr_hh, tr_hl = moments
     if not (math.isfinite(tr_hh) and math.isfinite(tr_hl)):
         raise NumericalError(f"energy moments overflow: Tr[H^2] = {tr_hh!r}, Tr[H log rho] = {tr_hl!r}")
     cov, var = -tr_hl / rho.dim, tr_hh / rho.dim  # covariance form, moments w.r.t. I/d
-    if var <= 0.0:  # unreachable past a nonzero weight h, kept as a hard guard
+    if var <= 0.0:  # Tr[H0^2] underflows to 0 for h below about 1e-161
         raise NumericalError("vanishing energy variance")
     beta_cov = cov / var
     if not math.isfinite(beta_cov):
         raise NumericalError(f"inverse temperature overflows: {cov!r} / {var!r}")
-    # Identical algebra, different groupings: allow roundoff amplified by the
-    # conditioning of the trace products (huge clipped logs, large d).
-    diff = abs(beta_cov - beta_dir)
-    if diff > 1e-12 * max(1.0, abs(beta_cov)) and diff > 1e-12 * cond():
-        raise NumericalError(
-            f"temperature formulas disagree: {beta_cov!r} vs {beta_dir!r}"
-        )
+    _agree(beta_cov, beta_dir, magnitude, "temperature formulas")
     if rho.resolved_rank == 1:
         return (math.inf if beta_cov >= 0.0 else -math.inf), 0.0, cov, var
     if abs(beta_cov) * h <= BETA_ZERO_TOL:
@@ -271,9 +228,13 @@ def helmholtz_free_energy(rho: DensityMatrix, H: HermitianOperator, basis: Opera
         raise UndefinedQuantityError("free energy is undefined at beta = 0")
     f, t = report.free_energy, report.temperature
     x = expand_state(rho, basis).x
-    f_alt = t * (float(c[2:] @ x[2:]) + float(c[0]) / math.sqrt(rho.dim)) + H.trace / rho.dim
-    if abs(f - f_alt) > 1e-10 * max(1.0, abs(f)):
-        raise NumericalError(f"free-energy cross-check failed: {f!r} vs {f_alt!r}")
+    d, tr_h, c0 = rho.dim, H.trace, float(c[0])
+    f_alt = t * (float(c[2:] @ x[2:]) + c0 / math.sqrt(d)) + tr_h / d
+    # U = Tr[rho H] and T sum_i c_i x_i sum d^2 products, at most |H|_F and |T| |L|_F (|rho|_F <= 1, and |c| =
+    # |L|_F by Parseval); T S and the mean terms are single summands.
+    magnitude = math.hypot(report.h, tr_h / math.sqrt(d)) + abs(tr_h) / d + abs(t) * (
+        report.entropy + float(c @ c) ** 0.5 + abs(c0) / math.sqrt(d))
+    _agree(f, f_alt, d * magnitude, "free-energy forms")
     return f
 
 

@@ -19,11 +19,9 @@ from neqtemp.linalg import (
     DensityMatrix,
     HermitianOperator,
     eig_hermitian,
-    matrix_log,
     partial_trace,
     tensor_product,
 )
-from neqtemp import correlation
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import (
     expansion_coefficients,
@@ -329,22 +327,6 @@ class TestGlobalTemperature:
             sys = sample_bipartite(d_s, d_b, 0.5, rng)
             expected = inverse_temperature(sys.rho_SB, sys.H_SB(), clip).beta
             assert verify_universal_relation(sys, clip).beta_SB == pytest.approx(expected, rel=1e-12)
-
-    def test_cross_check_scale_reads_total_hamiltonian(self, monkeypatch):
-        scales = []
-        beta_of_moments = correlation._beta_of_moments
-
-        def spy(rho, h, moments, beta_dir, cond):
-            scales.append(cond())
-            return beta_of_moments(rho, h, moments, beta_dir, cond)
-
-        monkeypatch.setattr(correlation, "_beta_of_moments", spy)
-        sys = sample_bipartite(2, 3, 0.5, np.random.default_rng(64))
-        verify_universal_relation(sys)
-        log = matrix_log(sys.rho_SB, DEFAULT_CLIP).operator.matrix
-        _, h = hamiltonian_unit(sys.H_SB())
-        expected = 6 * np.max(np.abs(sys.H_SB().matrix)) * np.max(np.abs(log)) / h**2
-        assert scales == [pytest.approx(expected, rel=1e-12)]
 
 
 class TestLargeBath:

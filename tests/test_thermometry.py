@@ -25,7 +25,6 @@ from neqtemp.linalg import DEGENERACY_TOL, DensityMatrix, HermitianOperator, ten
 from neqtemp.models import sample_gibbs
 from neqtemp.thermometry import (
     GeneralizedGibbsForm,
-    _beta_of_moments,
     finite_difference_beta,
     generalized_gibbs_decomposition,
     heat_and_work,
@@ -233,21 +232,6 @@ class TestInverseTemperature:
         report = inverse_temperature(DensityMatrix(np.diag([0.6, 0.4])), h)
         assert report.beta == pytest.approx(-math.log(1.5) / gap, rel=1e-14)
         assert report.beta == pytest.approx(-math.log(1.5) / 2e150, rel=1e-10)
-
-    def test_cross_check_scale_only_past_unit_bound(self):
-        # The conditioning scale of the beta_cov vs beta_dir check is computed
-        # only when the two differ by more than 1e-12 max(1, |beta|).
-        rho = DensityMatrix(np.diag([0.3, 0.7]))
-        moments = (2.0, math.log(0.3) - math.log(0.7))  # Tr[H^2], Tr[H log rho] of H = diag(1, -1)
-        beta = -moments[1] / 2.0
-
-        def unused():
-            raise AssertionError("scale evaluated")
-
-        assert _beta_of_moments(rho, math.sqrt(2.0), moments, beta, unused)[0] == beta
-        assert _beta_of_moments(rho, math.sqrt(2.0), moments, beta + 1e-9, lambda: 1e4)[0] == beta
-        with pytest.raises(NumericalError, match="disagree"):
-            _beta_of_moments(rho, math.sqrt(2.0), moments, beta + 1e-9, lambda: 10.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
