@@ -337,7 +337,7 @@ def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
     Physical outputs (beta, the Helmholtz tail sum) are invariant under this.
     """
     n = len(_instance(basis, OperatorBasis)) - 2
-    r = _real_array(R, "rotation")
+    r = _real_array(R, "rotation", 2)
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")
     dev = float(np.max(np.abs(r.T @ r - np.eye(n))))

@@ -49,7 +49,7 @@ No report forms chi or the joint directions O_I, O_chi and O1_SB; a caller
 who wants them builds them from public pieces: chi is ``rho_SB.matrix -
 tensor_product(rho_S, rho_B)``, O1_SB is ``hamiltonian_unit(sys.H_SB())[0]``
 and O_I the unit direction of ``effective.H_I_eff`` when ``frame.h_I > 0``.
-The system's H_SB is built on first access and cached, HH_I on each call of
+The system's H_SB is built on each call of its method, HH_I on each call of
 :func:`correlation_log_hamiltonian`; each local-plus-joint sum X x I + I x Y +
 Z (H_I_eff, H_SB, HH_I) is assembled block-wise by ``linalg._local_sum``,
 with no Kronecker product. Each cross-check compares independent assemblies
@@ -62,9 +62,9 @@ Tr[chi H_I0] (less the mean) and Tr[rho_SB H_SB0] - Tr[rho_S x rho_B H_SB0]
 (rho_SB's raw partial traces, mean through lambda_B); and S_chi >= 0.
 
 The clip-independent geometry (weights, overlaps and the coefficients C of
-O1_SB) lives in one :class:`BipartiteFrame`, built once per system; its
+O1_SB) lives in one :class:`BipartiteFrame`, built with the system; its
 builder alone defines the convention for a degenerate interaction (H_I_eff
-proportional to the identity).
+proportional to the identity) and makes every geometric refusal.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .basis import _traceless, _traceless_weight, hamiltonian_unit
 from .exceptions import DegenerateDirectionError, NumericalError
 from .linalg import (
     RANK_TOL, DensityMatrix, HermitianOperator, MatrixLog, _agree, _cached, _dimension, _frozen, _instance,
-    _local_sum, _norm, _number, _operator, _state, _tr, matrix_log, partial_trace,
+    _local_sum, _marginals, _norm, _number, _operator, _state, _tr, matrix_log,
 )
 from .thermometry import (
     DEFAULT_CLIP, TemperatureReport, _beta_of_moments, _inverse_temperature, _positive, von_neumann_entropy,
@@ -91,7 +91,7 @@ __all__ = [
 
 
 class BipartiteSystem:
-    """Bipartite Hamiltonian data and joint state, with cached derived parts.
+    """Bipartite Hamiltonian data and joint state, built whole with its geometry.
 
     H_S, H_B, H_I and rho_SB are validated when the caller builds them; a raw
     Hamiltonian matrix is validated here, and rho_SB must be a
@@ -100,14 +100,14 @@ class BipartiteSystem:
     through ``HermitianOperator._of_computed`` (symmetrized), and the sums
     H_SB, H_S_eff, H_B_eff, H_I_eff and HH_I, exactly Hermitian already,
     through ``_of_exact``. The marginals' trace and positivity are checked as
-    density matrices. Marginals, traceless parts, effective Hamiltonians and
-    mean-field shifts are computed at construction, the frame and H_SB on
-    first use and the :class:`BipartiteReport` once per clip; instances are
-    immutable afterwards and safe to share.
+    density matrices. Construction builds the marginals, traceless parts,
+    effective Hamiltonians, shifts and frame, and makes every geometric refusal
+    (DegenerateDirectionError if H_S_eff or H_B_eff is proportional to I); the
+    per-clip :class:`BipartiteReport` is the one cache. Instances are immutable.
     """
 
-    __slots__ = ("d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB", "rho_S", "rho_B", "effective",
-                 "_parts", "_H_SB", "_frame", "_reports")
+    __slots__ = ("d_S", "d_B", "H_S", "H_B", "H_I", "rho_SB", "rho_S", "rho_B", "effective", "frame",
+                 "_parts", "_reports")
 
     def __init__(self, d_S: int, d_B: int, H_S: HermitianOperator, H_B: HermitianOperator,
                  H_I: HermitianOperator, rho_SB: DensityMatrix):
@@ -117,10 +117,10 @@ class BipartiteSystem:
         self.d_S, self.d_B = d_S, d_B
         self.H_S, self.H_B, self.H_I = H_S, H_B, H_I
         self.rho_SB = rho_SB
-        self.rho_S = DensityMatrix(HermitianOperator._of_computed(partial_trace(rho_SB, (d_S, d_B), keep=0)))
-        self.rho_B = DensityMatrix(HermitianOperator._of_computed(partial_trace(rho_SB, (d_S, d_B), keep=1)))
+        self.rho_S, self.rho_B = (DensityMatrix(HermitianOperator._of_computed(m))
+                                  for m in _marginals(rho_SB.matrix, d_S, d_B))
         self.effective, self._parts = _effective_hamiltonians(self)
-        self._H_SB = self._frame = None
+        self.frame = _build_frame(self)
         self._reports: dict[float, BipartiteReport] = {}
 
     @property
@@ -128,17 +128,8 @@ class BipartiteSystem:
         return self.d_S * self.d_B
 
     def H_SB(self) -> HermitianOperator:
-        """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space."""
-        if self._H_SB is None:
-            self._H_SB = HermitianOperator._of_exact(_local_sum(self.H_S, self.H_B, self.H_I))
-        return self._H_SB
-
-    @property
-    def frame(self) -> BipartiteFrame:
-        """The system's :class:`BipartiteFrame`, built on first access (see chi_unit)."""
-        if self._frame is None:
-            self._frame = _build_frame(self)
-        return self._frame
+        """Total Hamiltonian H_S x I + I x H_B + H_I on the joint space, built on each call."""
+        return HermitianOperator._of_exact(_local_sum(self.H_S, self.H_B, self.H_I))
 
 
 @dataclass(frozen=True)
@@ -172,8 +163,7 @@ def _effective_hamiltonians(sys: BipartiteSystem) -> tuple[EffectiveHamiltonians
     eff = EffectiveHamiltonians(*(HermitianOperator._of_exact(m) for m in (
         hs0 + lamb_S.matrix + (sys.H_S.trace / sys.d_S + mean_i) * np.eye(sys.d_S),
         hb0 + lamb_B.matrix + (sys.H_B.trace / sys.d_B + mean_i) * np.eye(sys.d_B), hi_eff)))
-    parts = np.einsum("ibjb->ij", t), np.einsum("aiaj->ij", t)  # Tr_B H_I0, Tr_S H_I0
-    return eff, (hs0, hb0, hi0, lamb_S.matrix, lamb_B.matrix, mean, *parts)
+    return eff, (hs0, hb0, hi0, lamb_S.matrix, lamb_B.matrix, mean, *_marginals(hi0, sys.d_S, sys.d_B))
 
 
 def binding_energy(sys: BipartiteSystem) -> float:
@@ -189,9 +179,8 @@ def binding_energy(sys: BipartiteSystem) -> float:
     # Tr[(rho_S x rho_B) X] = Tr[rho_S Tr_B[(I x rho_B) X]], contracted as for lambda_S.
     u1 = _tr(rho, sys.effective.H_I_eff) - _tr(rho_s, np.einsum("ab,ibja->ij", rho_b, hi_eff))
     u2 = rho_hi - mean
-    dims = (sys.d_S, sys.d_B)
-    u3 = (_tr(partial_trace(rho, dims, 0), hs) + _tr(partial_trace(rho, dims, 1), hb) + rho_hi
-          - _tr(rho_s, hs) - _tr(rho_b, hb) - _tr(rho_b, lamb_b))
+    raw_s, raw_b = _marginals(rho.matrix, sys.d_S, sys.d_B)
+    u3 = _tr(raw_s, hs) + _tr(raw_b, hb) + rho_hi - _tr(rho_s, hs) - _tr(rho_b, hb) - _tr(rho_b, lamb_b)
     # Each trace pairs a state (|rho|_F <= 1) with H_I_eff (twice, in u1), H_S0 or H_B0 (twice each, in u3),
     # H_I0 (once: u2 and u3 share it) or lambda_B; the mean is one summand.
     norms = 2.0 * (_norm(sys.effective.H_I_eff) + _norm(hs) + _norm(hb)) + _norm(hi) + _norm(lamb_b) + abs(mean)
@@ -242,6 +231,12 @@ class BipartiteFrame:
     scalars. No report forms O_I, O_chi or O1_SB; ``_interaction`` holds the
     partial traces of H_I_eff that the report reads instead.
 
+    h_chi^2 >= 1/(1 + d_S + d_B), 1.9e-3 at ``MAX_DIM``: Phi_S(X) = Tr_B[(I x
+    rho_B) X] maps H_I_eff to 0, so O_I to a multiple of I, and 0 = Tr[O_S
+    Phi_S(O_I)] = overlap_S/d_B + h_chi Tr[(O_S x rho_B) O_chi] bounds
+    |overlap_S|/d_B by h_chi |rho_B|_F <= h_chi (B mirrors it). Construction
+    refuses C_S^2 d_B + C_B^2 d_S < 1e-14, where the relation weights are undefined.
+
     Degenerate interaction (H_I_eff proportional to I within rounding on H_I's
     scale, e.g. H_I = 0, H_I proportional to I, or a local H_I): there is no
     O_I or O_chi, h_I = overlap_S = overlap_B = C_chi = 0 and h_chi = 1, so
@@ -272,29 +267,26 @@ def _build_frame(sys: BipartiteSystem) -> BipartiteFrame:
     # a residue of order eps * max|H_I| that is no direction: judge h_I on H_I's scale too.
     scale = max(float(abs(hi_eff).max()), float(abs(sys.H_I.matrix).max()))
     if h_i <= RANK_TOL * scale:
-        h_i, h_chi, c_s, c_b, interaction = 0.0, 1.0, 0.0, 0.0, None
+        h_i, h_chi, ov_s, ov_b, interaction = 0.0, 1.0, 0.0, 0.0, None
     else:
-        parts = partial_trace(eff.H_I_eff, (d_s, d_b), 0), partial_trace(eff.H_I_eff, (d_s, d_b), 1)
-        interaction = (float(hi_eff.trace().real), *parts)
+        interaction = (float(hi_eff.trace().real), *_marginals(hi_eff, d_s, d_b))
         # O_S and O_B are traceless, so the identity part of H_I_eff drops out.
-        c_s, c_b = _tr(o_s, parts[0]) / h_i, _tr(o_b, parts[1]) / h_i
-        h_chi_sq = 1.0 - c_s**2 / d_b - c_b**2 / d_s
-        if h_chi_sq <= 1e-20:
-            raise NumericalError("interaction direction lies in the span of the local directions; "
-                                 "no correlation direction remains (h_chi ~ 0)")
-        h_chi = math.sqrt(h_chi_sq)
-    a_s, a_b, a_chi = h_s + h_i * c_s / d_b, h_b + h_i * c_b / d_s, h_i * h_chi
+        ov_s, ov_b = _tr(o_s, interaction[1]) / h_i, _tr(o_b, interaction[2]) / h_i
+        h_chi = math.sqrt(1.0 - ov_s**2 / d_b - ov_b**2 / d_s)  # h_chi^2 (1 + d_S + d_B) >= 1 (BipartiteFrame)
+    a_s, a_b, a_chi = h_s + h_i * ov_s / d_b, h_b + h_i * ov_b / d_s, h_i * h_chi
     h_sb = math.hypot(math.sqrt(d_b) * a_s, math.sqrt(d_s) * a_b, a_chi)
+    c_s, c_b = a_s / h_sb, a_b / h_sb
+    if c_s**2 * d_b + c_b**2 * d_s < 1e-14:
+        raise NumericalError("both local expansion coefficients vanish; relation weights undefined")
     return BipartiteFrame(
-        O_S=o_s, h_S=h_s, O_B=o_b, h_B=h_b, h_SB=h_sb, h_I=h_i, h_chi=h_chi, overlap_S=c_s, overlap_B=c_b,
-        C_S=a_s / h_sb, C_B=a_b / h_sb, C_chi=a_chi / h_sb, _interaction=interaction)
+        O_S=o_s, h_S=h_s, O_B=o_b, h_B=h_b, h_SB=h_sb, h_I=h_i, h_chi=h_chi, overlap_S=ov_s, overlap_B=ov_b,
+        C_S=c_s, C_B=c_b, C_chi=a_chi / h_sb, _interaction=interaction)
 
 
 def chi_unit(sys: BipartiteSystem) -> BipartiteFrame:
-    """The system's frame, for callers that need the correlation direction.
+    """The system's frame, built with it, for callers that need the correlation direction.
 
     :raises DegenerateDirectionError: when H_I_eff is proportional to the identity (H_I = 0 too).
-    :raises NumericalError: if the interaction direction lies in the local span (h_chi ~ 0).
     """
     frame = _instance(sys, BipartiteSystem).frame
     if frame.h_I == 0.0:
@@ -349,9 +341,7 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
     f, d_s, d_b, d = sys.frame, sys.d_S, sys.d_B, sys.dim
     # Relation weights; h_I = C_chi = 0 without an interaction, so K_chi = 0.
     c_s, c_b, c_chi = f.C_S, f.C_B, f.C_chi
-    denom = c_s**2 * d_b + c_b**2 * d_s
-    if denom < 1e-14:
-        raise NumericalError("both local expansion coefficients vanish; relation weights undefined")
+    denom = c_s**2 * d_b + c_b**2 * d_s  # at least 1e-14 (_build_frame)
     k_sb = f.h_SB * (c_s**2 + c_b**2 + c_chi**2 * (c_s**2 + c_b**2) / denom)
     k_chi = f.h_I * (c_chi * f.h_chi * (c_s**2 + c_b**2) / denom + (c_s / d_b) * f.overlap_S
                      + (c_b / d_s) * f.overlap_B)
@@ -359,7 +349,7 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
     hs, hb, hi, lamb_s, lamb_b, mean, hi_s, hi_b = sys._parts
     log_sb, log_s, log_b = (matrix_log(r, clip) for r in (sys.rho_SB, sys.rho_S, sys.rho_B))
     L, ls, lb = log_sb.operator.matrix, log_s.operator.matrix, log_b.operator.matrix
-    part_s, part_b = (partial_trace(log_sb.operator, (d_s, d_b), k) for k in (0, 1))
+    part_s, part_b = _marginals(L, d_s, d_b)
     tr_l, hi_l, hi_eff_l = float(L.trace().real), _tr(hi, L), _tr(sys.effective.H_I_eff, L)
     hh_s = -part_s + d_b * ls + lb.trace().real * np.eye(d_s)  # Tr_B HH_I
     hh_b = -part_b + d_s * lb + ls.trace().real * np.eye(d_b)  # Tr_S HH_I

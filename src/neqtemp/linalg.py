@@ -130,18 +130,21 @@ def _dimension(d, least: int = 1, error: str | None = None) -> int:
 def _number(x, what: str, least: float = -sys.float_info.max, above: bool = False) -> float:
     """x as a float, once it is a finite real number (Python or numpy, not a bool) of at least ``least``,
     or above it if ``above``; else ValidationError ``"<what>, got <x!r>"``."""
-    if (isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating))
-            or not (x > least if above else x >= least) or not x <= sys.float_info.max):
+    number = not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+    v = float(x) if isinstance(x, np.floating) else x  # float32(x) <= 1.8e308 would cast 1.8e308 to float32
+    if not number or not (v > least if above else v >= least) or not v <= sys.float_info.max:
         raise ValidationError(f"{what}, got {x!r}")
     return float(x)
 
 
-def _real_array(entries, what: str) -> np.ndarray:
-    """Coerce input to a finite float array (copying); ValidationError, naming ``what``, if it is not."""
+def _real_array(entries, what: str, ndim: int = 1) -> np.ndarray:
+    """Coerce input to a finite float array of rank ``ndim`` (copying); else ValidationError, naming ``what``."""
     try:
         a = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be real numbers: {exc}") from exc
+    if a.ndim != ndim:
+        raise ValidationError(f"{what} must be a {ndim}-d array, got shape {a.shape}")
     _check_finite(a, what)
     return a
 
@@ -278,7 +281,7 @@ def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
     """Coerced spectral data: finite real eigenvalues and a unitary eigenvector matrix of matching shape."""
     w = _real_array(eigenvalues, "eigenvalues")
     v = as_complex_matrix(eigenvectors)
-    if w.ndim != 1 or v.shape != (w.size, w.size):
+    if v.shape != (w.size, w.size):
         raise ValidationError("inconsistent spectral data shapes")
     if w.size == 0:
         raise ValidationError("empty spectrum")
@@ -539,10 +542,13 @@ def partial_trace(M, dims: tuple[int, int], keep: int) -> np.ndarray:
         raise ValidationError(f"matrix shape {m.shape} does not match dims {dims!r}")
     if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or keep not in (0, 1):
         raise ValidationError(f"keep must be 0 (S) or 1 (B), got {keep!r}")
+    return _marginals(m, d_s, d_b)[keep]
+
+
+def _marginals(m: np.ndarray, d_s: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr_B m, Tr_S m), fresh arrays, of a (d_s d_b)-square array: the one partial-trace contraction, unchecked."""
     t = m.reshape(d_s, d_b, d_s, d_b)
-    if keep == 0:
-        return np.einsum("ibjb->ij", t)
-    return np.einsum("aiaj->ij", t)
+    return np.einsum("ibjb->ij", t), np.einsum("aiaj->ij", t)
 
 
 def _tr(a, b) -> float:

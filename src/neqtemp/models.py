@@ -122,9 +122,11 @@ def build_two_qubit_xy(p: TwoQubitXYParams) -> BipartiteSystem:
 
 
 def _gibbs_state(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
-    """The Gibbs state exp(-beta H)/Z of H = spec, built from its spectrum."""
-    w = -beta * spec.eigenvalues
-    w -= w.max()
+    """The Gibbs state exp(-beta H)/Z of H = spec, built from its spectrum; NumericalError if -beta E overflows."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w := -beta * spec.eigenvalues).all():
+            raise NumericalError(f"Gibbs exponents -beta E overflow at beta = {beta!r}")
+        w -= w.max()  # a shift past the largest double is -inf: an underflowed weight, exactly 0
     probs = np.exp(w) / float(np.sum(np.exp(w)))
     return DensityMatrix.from_spectrum(probs, spec.eigenvectors)
 

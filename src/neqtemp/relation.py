@@ -44,10 +44,7 @@ def expansion_coefficients(sys: BipartiteSystem) -> tuple[float, float, float]:
 
 
 def relation_coefficients(sys: BipartiteSystem) -> BipartiteReport:
-    """The system's report at the default clip, read for its weights K_SB, b_S, b_B, K_chi.
-
-    :raises NumericalError: if both local expansion coefficients vanish (weights undefined).
-    """
+    """The system's report at the default clip, read for its weights K_SB, b_S, b_B, K_chi (defined on every system)."""
     return _report(sys, DEFAULT_CLIP)
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neqtemp.correlation import (
     BipartiteSystem,
@@ -30,7 +32,7 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
+from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, gue_sample, sample_bipartite
 from neqtemp.relation import relation_coefficients, tilde_inverse_temperatures, verify_universal_relation
 from neqtemp.thermometry import DEFAULT_CLIP
 from oracles import correlations, frame_operators
@@ -97,6 +99,52 @@ class TestBipartiteSystem:
         h4 = HermitianOperator(np.zeros((4, 4)))
         with pytest.raises(ValidationError):
             BipartiteSystem(2, 3, h2, h2, h4, rho)
+
+
+def near_pure(d, eps, rng):
+    """(1 - eps) |v><v| + eps I/d for a random unit v, and the projector |v><v|."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    p = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return (1.0 - eps) * p + eps * np.eye(d) / d, p
+
+
+class TestConstruction:
+    """A system is built whole: its frame, and every refusal of its geometry, come at construction."""
+
+    def test_vanishing_local_coefficients_refused_at_construction(self):
+        # H_I_eff and lambda read only H_I and rho_SB, so H_S = -Tr_B(H_I_eff)/d_B - lambda_S makes
+        # H_S_eff's direction the opposite of Tr_B H_I_eff's, with a_S = h_S + h_I overlap_S/d_B = 0 (B mirrors it).
+        rng = np.random.default_rng(40)
+        h_i, rho = gue_sample(6, rng), DensityMatrix(random_state(6, rng))
+        probe = BipartiteSystem(2, 3, SZ, np.diag([1.0, 0.0, -1.0]), h_i, rho)
+        hi, rho_s, rho_b = probe.effective.H_I_eff.matrix, probe.rho_S.matrix, probe.rho_B.matrix
+        lamb_s = partial_trace(np.kron(np.eye(2), rho_b) @ h_i.matrix, (2, 3), 0)
+        lamb_b = partial_trace(np.kron(rho_s, np.eye(3)) @ h_i.matrix, (2, 3), 1)
+        h_s = HermitianOperator(-partial_trace(hi, (2, 3), 0) / 3.0 - lamb_s, tol_herm=1e-12)
+        h_b = HermitianOperator(-partial_trace(hi, (2, 3), 1) / 2.0 - lamb_b, tol_herm=1e-12)
+        with pytest.raises(NumericalError, match="both local expansion coefficients vanish"):
+            BipartiteSystem(2, 3, h_s, h_b, h_i, rho)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(d_s=st.integers(2, 4), d_b=st.integers(2, 5), log_eps=st.floats(-12.0, 0.0), g=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_h_chi_bound(self, d_s, d_b, log_eps, g, seed):
+        # Near-pure product marginals and H_I = A x (I - P), P the projector B nearly holds, put the interaction
+        # nearly in the local span; h_chi^2 (1 + d_S + d_B) >= 1 holds all the same (BipartiteFrame).
+        rng = np.random.default_rng(seed)
+        (rho_s, _), (rho_b, p) = near_pure(d_s, 10.0**log_eps, rng), near_pure(d_b, 10.0**log_eps, rng)
+        h_i = np.kron(gue_sample(d_s, rng).matrix, np.eye(d_b) - p) + g * gue_sample(d_s * d_b, rng).matrix
+        sys = BipartiteSystem(d_s, d_b, gue_sample(d_s, rng), gue_sample(d_b, rng), HermitianOperator(h_i),
+                              DensityMatrix(np.kron(rho_s, rho_b)))
+        assert sys.frame.h_chi**2 * (1 + d_s + d_b) >= 1.0
+
+    def test_degenerate_local_hamiltonian_refused_and_H_SB_built_per_call(self):
+        with pytest.raises(DegenerateDirectionError):
+            build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=0.0, lam=0.2, beta=1.0))
+        sys = build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.2, beta=1.0))
+        first, second = sys.H_SB(), sys.H_SB()
+        assert first is not second
+        np.testing.assert_array_equal(first.matrix, second.matrix)
 
 
 class TestEffectiveHamiltonians:

@@ -10,6 +10,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -601,6 +602,9 @@ MALFORMED_INPUTS = {
     "NaN generalized-Gibbs beta": lambda: GeneralizedGibbsForm(math.nan, np.zeros(2), 0.0),
     "infinite generalized-Gibbs coefficient": lambda: GeneralizedGibbsForm(0.5, [math.inf, 0.0], 0.0),
     "string coordinates": lambda: StateCoordinates("x"),
+    # A coefficient or coordinate array of rank 2, whose size can still fit a basis.
+    "2-d generalized-Gibbs coefficients": lambda: GeneralizedGibbsForm(1.0, np.zeros((1, 2)), 0.0),
+    "2-d coordinates": lambda: StateCoordinates(np.zeros((2, 2))),
     "NaN coordinates": lambda: reconstruct_state(StateCoordinates([math.nan] * 4), complete_basis(2, [])),
     # Containers and indices of the wrong kind.
     "None seeds": lambda: complete_basis(2, None),
@@ -668,6 +672,28 @@ def test_zero_tol_herm_means_exact_hermiticity():
     np.testing.assert_array_equal(HermitianOperator(np.diag([1.0, -1.0]), tol_herm=0.0).matrix, np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError, match="not Hermitian"):
         HermitianOperator(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]), tol_herm=0.0)
+
+
+#: Calls that take a scalar, each with a value that float16 holds too: a clip, a model frequency, a step.
+NUMPY_SCALAR_CALLS = {
+    "matrix_log clip": (1e-4, lambda x: matrix_log(DensityMatrix(np.diag([0.3, 0.7])), x).operator.matrix),
+    "inverse_temperature clip": (1e-4, lambda x: inverse_temperature(DensityMatrix(np.diag([0.3, 0.7])), SZ, x).beta),
+    "TwoQubitXYParams omega_S": (2.0, lambda x: TwoQubitXYParams(x, 1.0, 0.2, 1.0).omega_S),
+    "finite_difference_beta step": (1e-4, lambda x: finite_difference_beta(
+        DensityMatrix(np.diag([0.3, 0.7])), SZ, complete_basis(2, [hamiltonian_unit(SZ)[0]]), x)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("name", list(NUMPY_SCALAR_CALLS))
+def test_numpy_float_scalars_are_numbers(name, dtype):
+    # Compared with the largest double, a float16 or float32 would cast it to its own type and overflow.
+    value, call = NUMPY_SCALAR_CALLS[name]
+    x = dtype(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(x)
+    np.testing.assert_array_equal(got, call(float(x)))
 
 
 def test_numpy_integer_dimensions_are_dimensions():

@@ -26,6 +26,7 @@ from neqtemp.models import (
     sample_passive_pair,
     sample_pure,
 )
+from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import inverse_temperature, is_passive
 from neqtemp.verify import GRID
 
@@ -164,6 +165,18 @@ class TestSamplers:
         rng = np.random.default_rng(37)
         with pytest.raises(ValidationError):
             sample_gibbs(1, 1.0, rng)
+
+    def test_gibbs_exponent_overflow_is_a_numerical_error(self):
+        # |E| > 1.8 on this GUE draw, so -beta E itself is past the largest double.
+        with pytest.raises(NumericalError, match=r"overflow at beta = 1e\+308"):
+            sample_gibbs(4, 1e308, np.random.default_rng(0))
+
+    def test_gibbs_shift_overflow_is_a_zero_weight(self):
+        # -beta E is finite (|E| <= 1.5) but its shift by the largest exponent is not: an underflowed
+        # Boltzmann weight, exactly 0, so the state is the ground state, at zero temperature.
+        sys = build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=0.2, beta=1e308))
+        assert sys.rho_SB.rank == 1
+        assert verify_universal_relation(sys).beta_SB == math.inf
 
 
 class TestGoldenIO:
