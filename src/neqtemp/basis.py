@@ -45,8 +45,8 @@ import numpy as np
 
 from .exceptions import DegenerateDirectionError, NumericalError, ValidationError
 from .linalg import (
-    _EPS, HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _dimension, _frozen, _instance, _operator,
-    _real_array, _sized, _state, _symmetrize, as_complex_matrix,
+    _EPS, HERM_TOL, DensityMatrix, HermitianOperator, _check_finite, _check_unitary, _dimension, _frozen, _instance,
+    _operator, _real_array, _sized, _state, _symmetrize, as_complex_matrix,
 )
 
 __all__ = [
@@ -60,11 +60,8 @@ __all__ = [
     "rotate_tail",
 ]
 
-#: Largest dimension :func:`complete_basis` accepts, set when a completion took
-#: 0.8 s at d=34. A one-seed completion now takes about 91 ms at d=34 and
-#: 0.53 ms at d=12, most of it the O(d^6) Gram check in frame coordinates and
-#: the build of the operator stack. Median of 12 rounds on a shared 2-core
-#: Intel Xeon VM (numpy 2.4.6, OpenBLAS, two threads).
+#: Largest dimension :func:`complete_basis` accepts: a basis is one (d^2, d, d) complex
+#: operator stack (21 MB at d=34), checked by a (d^2, d^2) Gram product, O(d^6).
 MAX_BASIS_DIM = 34
 
 
@@ -206,18 +203,14 @@ def _check_frame_rows(rows: np.ndarray, what: str = "basis operators") -> None:
     ``rows`` is (m, d^2): a whole basis, or I/sqrt(d) followed by seeds. Row
     0 must be e_0 within sqrt(d) 1e-12 in every coordinate, the other rows'
     Tr O_i/sqrt(d) within 1e-12/sqrt(d), and ``rows @ rows.T`` the identity
-    within 1e-10.
+    within ``UNITARY_TOL`` (``linalg._check_unitary``).
     """
     n, d = rows.shape[1], math.isqrt(rows.shape[1])
     if float(np.max(np.abs(rows[0] - (np.arange(n) == 0)))) > math.sqrt(d) * 1e-12:
         raise ValidationError("basis[0] must be the normalized identity I/sqrt(d)")
     if np.any(np.abs(rows[1:, 0]) > 1e-12 / math.sqrt(d)):
         raise ValidationError(f"{what} must be traceless")
-    gram = rows @ rows.T
-    gram.flat[:: len(gram) + 1] -= 1.0
-    dev = float(np.max(np.abs(gram)))
-    if dev > 1e-10:
-        raise ValidationError(f"{what} are not HS-orthonormal: Gram deviation {dev:.3e}")
+    _check_unitary(rows.T, rows, f"{what} are not HS-orthonormal: Gram deviation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +283,7 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     at positions 1..len(seeds), and checked once, on their frame coordinates
     after those of I/sqrt(d), by the basis's own rules (see
     :func:`_check_frame_rows`): Tr O/sqrt(d) within 1e-12/sqrt(d) and the
-    Gram matrix within 1e-10. The tail is frame members m+1 .. d^2-1, for m
+    Gram matrix within ``UNITARY_TOL``. The tail is frame members m+1 .. d^2-1, for m
     seeds, carried through the Householder reflectors of the head (see the
     module docstring); without seeds the basis is the frame itself.
 
@@ -336,12 +329,11 @@ def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
     basis[0] and basis[1] are untouched; the new tail is O'_k = sum_i R[i, k] O_i.
     Physical outputs (beta, the Helmholtz tail sum) are invariant under this.
     """
-    n = len(_instance(basis, OperatorBasis)) - 2
-    r = _real_array(R, "rotation", 2)
+    if _instance(basis, OperatorBasis).dim == 1:
+        raise ValidationError("a basis of dimension 1 has no basis[1] and no tail to rotate")
+    n, r = len(basis) - 2, _real_array(R, "rotation", 2)
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")
-    dev = float(np.max(np.abs(r.T @ r - np.eye(n))))
-    if dev > 1e-10:
-        raise ValidationError(f"rotation matrix is not orthogonal: deviation {dev:.3e}")
+    _check_unitary(r, r.T, "rotation matrix is not orthogonal: deviation")
     new_tail = np.tensordot(r.T, basis.mats[2:], axes=1)
     return OperatorBasis(basis.dim, np.concatenate([basis.mats[:2], new_tail]))

@@ -392,8 +392,11 @@ def _build_report(sys: BipartiteSystem, clip: float) -> BipartiteReport:
         # most 2 m lam; local is shared, and beta_chi divides the rest by (h_I h_chi)^2.
         m = hi_sq**0.5 + d_b**0.5 * _norm(lamb_s) + d_s**0.5 * _norm(lamb_b) + d**0.5 * abs(mean)
         lam = norm_l + d_b**0.5 * _norm(ls) + d_s**0.5 * _norm(lb)
-        _agree(beta_chi, beta_alt, 4.0 * d * m / (f.h_I * f.h_chi) * lam / (f.h_I * f.h_chi),
-               "correlation-temperature forms")
+        bound = _agree(beta_chi, beta_alt, 4.0 * d * m / (f.h_I * f.h_chi) * lam / (f.h_I * f.h_chi),
+                       "correlation-temperature forms")[1]
+        # The forms' shared cancellation grows as 1/h_I; 1/h_SB, BETA_ZERO_TOL's unit-free scale, keeps beta_chi = 0.
+        if not bound < max(abs(beta_chi), 1.0 / f.h_SB):
+            raise NumericalError(f"correlation temperature unresolved: beta_chi {beta_chi!r} within bound {bound:.3e}")
         chi_part, chi_term = f.h_I * beta_chi, k_chi * beta_chi
         n_ie = 2.0 * math.hypot(f.h_I, tr_e / d**0.5)  # O_I's term of Tr[O1_SB L] reads H_I_eff twice
         n_sb, w_sb = n_sb + n_ie, w_sb + n_ie
@@ -430,6 +433,8 @@ def correlation_inverse_temperature(sys: BipartiteSystem, clip: float = DEFAULT_
     family; for a product state HH_I vanishes and beta_chi = 0.
 
     :raises DegenerateDirectionError: when H_I_eff is proportional to the identity (see chi_unit).
+    :raises NumericalError: when the two forms' rounding bound reaches max(|beta_chi|, 1/h_SB): both cancel O(1)
+        traces and divide by h_I h_chi^2, so at weak enough coupling no digit of beta_chi is left.
     """
     chi_unit(sys)
     return _report(sys, clip)

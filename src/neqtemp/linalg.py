@@ -72,7 +72,7 @@ HERM_TOL = 1e-10  #: max|A - A^dag|, the default ``tol_herm``
 TRACE_TOL = 1e-10  #: max |Tr rho - 1|
 PSD_TOL = 1e-10  #: eigenvalues in [-PSD_TOL, 0) are clipped to 0, lower ones rejected
 RANK_TOL = 1e-12  #: eigenvalues above it count toward ``DensityMatrix.rank``
-UNITARY_TOL = 1e-10  #: max|V^dag V - I| of an eigenvector matrix
+UNITARY_TOL = 1e-10  #: max|Q^dag Q - I| of eigenvectors, of a basis's frame rows and of a tail rotation
 DEGENERACY_TOL = 1e-9  #: eigenvalue gap within a cluster, relative to max|eigenvalue|
 IMAG_TOL = 1e-10  #: max imaginary residue of ``hs_inner``, relative to max(1, |value|)
 
@@ -289,20 +289,21 @@ def _spectral_data(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _check_unitary(v: np.ndarray, vh: np.ndarray) -> None:
-    """Raise unless max|V^dag V - I| <= UNITARY_TOL, vh being V^dag; a non-finite V fails too."""
+def _check_unitary(v: np.ndarray, vh: np.ndarray, what: str = "eigenvector matrix not unitary: deviation") -> None:
+    """The one orthonormality rule: ValidationError "<what> <deviation>" unless max|V^dag V - I| <= UNITARY_TOL,
+    vh being V^dag (the transpose of a real V). A non-finite V fails too."""
     gram = _matmul(vh, v)
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0  # the diagonal, as a view of the fresh product
     dev = float(abs(gram).max())
     if not dev <= UNITARY_TOL:
-        raise ValidationError(f"eigenvector matrix not unitary: deviation {dev:.3e}")
+        raise ValidationError(f"{what} {dev:.3e}")
 
 
 def eig_hermitian(A: HermitianOperator) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian operator.
+    """Ascending eigenvalues and eigenvector columns of A, by LAPACK ``heevd`` (``numpy.linalg.eigh``).
 
-    Uses tridiagonalization plus a divide-and-conquer/QR backend (LAPACK
-    ``heevd``); dimensions here are tiny, so robustness wins over speed.
+    :raises ValidationError: if the eigenvectors fail the Gram check, max|V^dag V - I| <= ``UNITARY_TOL``.
+    :raises NumericalError: if V diag(lambda) V^dag fails to reconstruct A under the agreement rule ``_agree``.
     """
     return _checked_eigh(_operator(A))[0]
 

@@ -66,5 +66,7 @@ def verify_universal_relation(sys: BipartiteSystem, clip: float = DEFAULT_CLIP) 
     beta_SB is the inverse temperature of rho_SB w.r.t. H_SB; ``local_S`` and
     ``local_B`` are the reports beta_tilde_S and beta_tilde_B start from.
     Without an interaction direction K_chi = 0 and beta_chi is NaN.
+
+    :raises NumericalError: when beta_chi is unresolved (see ``correlation_inverse_temperature``).
     """
     return _report(sys, clip)

@@ -1,4 +1,8 @@
-"""Reference implementations for the tests.
+"""Seeded draws and reference implementations for the tests.
+
+Every seeded draw of the test battery comes from :mod:`neqtemp.models` or
+from here, as do the bipartite families the tests share and the S<->B
+exchange and Haar local-unitary relabellings of a system.
 
 Joint-space operators of a bipartite system, assembled with np.kron. The
 library reads every bipartite temperature by trace algebra and forms none
@@ -26,7 +30,100 @@ from typing import NamedTuple
 
 import numpy as np
 
-from neqtemp.linalg import DEGENERACY_TOL, RANK_TOL, eig_hermitian
+from neqtemp.basis import _frame_operators
+from neqtemp.correlation import BipartiteSystem
+from neqtemp.linalg import (
+    DEGENERACY_TOL, RANK_TOL, DensityMatrix, HermitianOperator, _local_sum, eig_hermitian, tensor_product,
+)
+from neqtemp.models import _gibbs_state, _haar_unitary, gue_sample, sample_bipartite, sample_full_rank
+
+
+def gue_matrix(d, rng):
+    """(g + g^dag)/2 of a complex Gaussian g, read-only; exactly Hermitian, so ``gue_sample`` stores it as is."""
+    return gue_sample(d, rng).matrix
+
+
+def full_rank(d, rng, floor=0.05):
+    """A full-rank state: Dirichlet populations plus ``floor``, renormalized, on a QR eigenbasis."""
+    p = rng.dirichlet(np.ones(d)) + floor
+    p /= p.sum()
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return DensityMatrix.from_spectrum(p, q)
+
+
+def gell_mann_candidates(d):
+    """The completion's candidates: the frame members after I/sqrt(d), from unit coordinates."""
+    return _frame_operators(np.eye(d * d)[1:], d)
+
+
+def diagonal_product_gibbs(h_s, h_b, beta):
+    """The product of the Gibbs states at beta of two diagonal Hamiltonians, each built from its spectrum."""
+
+    def local(h):
+        w = np.exp(-beta * np.diag(h.matrix).real)
+        return DensityMatrix.from_spectrum(w / w.sum(), np.eye(len(w))).matrix
+
+    return DensityMatrix(tensor_product(local(h_s), local(h_b)))
+
+
+def bipartite_states():
+    """Three ``sample_bipartite`` systems at coupling 0.5: 2x2, 2x3 and 3x4, drawn from one seed-5 stream."""
+    rng = np.random.default_rng(5)
+    return [sample_bipartite(d_s, d_b, 0.5, rng) for d_s, d_b in [(2, 2), (2, 3), (3, 4)]]
+
+
+def product_system(seed, d_s=2, d_b=3):
+    """A product of two ``sample_full_rank`` marginals, with GUE Hamiltonians."""
+    rng = np.random.default_rng(seed)
+    rho = DensityMatrix(tensor_product(sample_full_rank(d_s, rng), sample_full_rank(d_b, rng)))
+    h_s, h_b = gue_sample(d_s, rng), gue_sample(d_b, rng)
+    return BipartiteSystem(d_s, d_b, h_s, h_b, HermitianOperator(0.4 * gue_matrix(d_s * d_b, rng)), rho)
+
+
+def weakly_coupled(seed, d_s, d_b, g, beta=0.7):
+    """The global Gibbs state at beta of H_S x I + I x H_B + g H_I, GUE terms drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    h_s, h_b = gue_sample(d_s, rng), gue_sample(d_b, rng)
+    h_i = HermitianOperator(g * gue_matrix(d_s * d_b, rng))
+    h_sb = HermitianOperator._of_exact(_local_sum(h_s, h_b, h_i))
+    return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, _gibbs_state(eig_hermitian(h_sb), beta))
+
+
+def rank_deficient_system(seed, d_s, d_b, rank=2):
+    """GUE Hamiltonians (0.5 GUE H_I) and a uniform mixture of ``rank`` Haar pure states of the joint space."""
+    rng = np.random.default_rng(seed)
+    h_s, h_b = gue_sample(d_s, rng), gue_sample(d_b, rng)
+    h_i = HermitianOperator(0.5 * gue_matrix(d_s * d_b, rng))
+    psi = _haar_unitary(d_s * d_b, rng)[:, :rank]
+    return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, DensityMatrix(psi @ psi.conj().T / rank))
+
+
+def swap(d_s, d_b):
+    """The permutation P of the joint space with P (a x b) P^T = b x a for a on d_s levels and b on d_b."""
+    i, j = np.divmod(np.arange(d_s * d_b), d_b)  # the joint index i d_b + j of |i> x |j>
+    p = np.zeros((d_s * d_b, d_s * d_b))
+    p[j * d_s + i, i * d_b + j] = 1.0
+    return p
+
+
+def exchanged(sys):
+    """``sys`` with S and B relabelled: (d_B, d_S, H_B, H_S), with H_I and rho_SB conjugated by the swap."""
+    p = swap(sys.d_S, sys.d_B)
+    return BipartiteSystem(sys.d_B, sys.d_S, sys.H_B, sys.H_S, HermitianOperator(p @ sys.H_I.matrix @ p.T),
+                           DensityMatrix(p @ sys.rho_SB.matrix @ p.T))
+
+
+def locally_rotated(sys, rng):
+    """``sys`` with H_S, H_B conjugated by Haar U_S, U_B (``models._haar_unitary``), and H_I, rho_SB by U_S x U_B."""
+    u_s, u_b = _haar_unitary(sys.d_S, rng), _haar_unitary(sys.d_B, rng)
+    u = np.kron(u_s, u_b)
+
+    def rotated(cls, u, m):
+        return cls((u @ m.matrix) @ u.conj().T)
+
+    return BipartiteSystem(sys.d_S, sys.d_B, rotated(HermitianOperator, u_s, sys.H_S),
+                           rotated(HermitianOperator, u_b, sys.H_B), rotated(HermitianOperator, u, sys.H_I),
+                           rotated(DensityMatrix, u, sys.rho_SB))
 
 
 class FrameOperators(NamedTuple):

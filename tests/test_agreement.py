@@ -19,12 +19,13 @@ import pytest
 
 from neqtemp import correlation, linalg, thermometry
 from neqtemp.basis import complete_basis, hamiltonian_unit
-from neqtemp.correlation import BipartiteSystem, binding_energy, correlation_inverse_temperature, mutual_information
+from neqtemp.correlation import binding_energy, correlation_inverse_temperature, mutual_information
 from neqtemp.exceptions import NumericalError
-from neqtemp.linalg import DensityMatrix, HermitianOperator, _local_sum, eig_hermitian, tensor_product
-from neqtemp.models import _gibbs_state, gue_sample, sample_bipartite, sample_full_rank, sample_gibbs
+from neqtemp.linalg import DensityMatrix, HermitianOperator, eig_hermitian
+from neqtemp.models import gue_sample, sample_full_rank, sample_gibbs
 from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import helmholtz_free_energy, inverse_temperature, von_neumann_entropy
+from oracles import bipartite_states, gue_matrix, product_system, weakly_coupled
 
 SKEW = 1e-8
 
@@ -56,11 +57,6 @@ def skew(monkeypatch, module, what):
         return agree(a * (1.0 + SKEW) if label == what else a, b, magnitude, label)
 
     monkeypatch.setattr(module, "_agree", skewed)
-
-
-def bipartite_states():
-    rng = np.random.default_rng(5)
-    return [sample_bipartite(d_s, d_b, 0.5, rng) for d_s, d_b in [(2, 2), (2, 3), (3, 4)]]
 
 
 class TestNoVacuousBound:
@@ -125,16 +121,8 @@ def test_subnormal_matrix_decomposes(c):
     # Products that underflow err absolutely, by eps times the smallest normal double: the reconstruction
     # bound counts that, so a matrix whose entries are subnormal still decomposes.
     for d in (2, 4, 12):
-        h = gue_sample(d, np.random.default_rng(d)).matrix
+        h = gue_matrix(d, np.random.default_rng(d))
         assert np.allclose(eig_hermitian(HermitianOperator(c * h)).eigenvalues / c, np.linalg.eigvalsh(h), rtol=1e-2)
-
-
-def product_system(seed, d_s=2, d_b=3):
-    """A product of two ``sample_full_rank`` marginals, with GUE Hamiltonians."""
-    rng = np.random.default_rng(seed)
-    rho = DensityMatrix(tensor_product(sample_full_rank(d_s, rng), sample_full_rank(d_b, rng)))
-    h_s, h_b = gue_sample(d_s, rng), gue_sample(d_b, rng)
-    return BipartiteSystem(d_s, d_b, h_s, h_b, HermitianOperator(0.4 * gue_sample(d_s * d_b, rng).matrix), rho)
 
 
 class TestMutualInformation:
@@ -162,15 +150,6 @@ class TestMutualInformation:
         sys = bipartite_states()[1]
         s = [von_neumann_entropy(r) for r in (sys.rho_S, sys.rho_B, sys.rho_SB)]
         assert mutual_information(sys) == s[0] + s[1] - s[2] > 0.0
-
-
-def weakly_coupled(seed, d_s, d_b, g, beta=0.7):
-    """The global Gibbs state at beta of H_S x I + I x H_B + g H_I, GUE terms drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    h_s, h_b = gue_sample(d_s, rng), gue_sample(d_b, rng)
-    h_i = HermitianOperator(g * gue_sample(d_s * d_b, rng).matrix)
-    h_sb = HermitianOperator._of_exact(_local_sum(h_s, h_b, h_i))
-    return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, _gibbs_state(eig_hermitian(h_sb), beta))
 
 
 DIMS = [(2, 2), (2, 3), (3, 3), (3, 4)]

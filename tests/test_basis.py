@@ -20,22 +20,12 @@ from neqtemp.basis import (
 )
 from neqtemp.exceptions import DegenerateDirectionError, ValidationError
 from neqtemp.linalg import DensityMatrix, HermitianOperator, hs_inner
+from neqtemp.models import gue_sample
+from oracles import full_rank, gell_mann_candidates, gue_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def gue(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return HermitianOperator((g + g.conj().T) / 2.0)
-
-
-def full_rank(d, rng):
-    p = rng.dirichlet(np.ones(d)) + 0.05
-    p /= p.sum()
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return DensityMatrix.from_spectrum(p, q)
 
 
 def reference_candidates(d):
@@ -60,11 +50,6 @@ def reference_candidates(d):
         m[level, level] = -level / norm
         out.append(m)
     return out
-
-
-def gell_mann_candidates(d):
-    """The completion's candidates: the frame members after I/sqrt(d), from unit coordinates."""
-    return basis_module._frame_operators(np.eye(d * d)[1:], d)
 
 
 def reference_completion(d, seeds):
@@ -129,7 +114,7 @@ class TestHamiltonianUnit:
 
     def test_identity_shift_invariance(self):
         rng = np.random.default_rng(1)
-        H = gue(4, rng)
+        H = gue_sample(4, rng)
         o1, h = hamiltonian_unit(H)
         o1s, hs = hamiltonian_unit(HermitianOperator(H.matrix + 3.7 * np.eye(4)))
         assert hs == pytest.approx(h, rel=1e-12)
@@ -138,7 +123,7 @@ class TestHamiltonianUnit:
     def test_weight_matches_direct_formula(self):
         rng = np.random.default_rng(2)
         for d in (2, 3, 5):
-            H = gue(d, rng)
+            H = gue_sample(d, rng)
             _, h = hamiltonian_unit(H)
             m = H.matrix
             expected = math.sqrt(
@@ -208,7 +193,7 @@ class TestCompleteBasis:
     def test_random_hamiltonian_seed_invariants(self, d):
         rng = np.random.default_rng(d)
         for _ in range(25):
-            o1, _ = hamiltonian_unit(gue(d, rng))
+            o1, _ = hamiltonian_unit(gue_sample(d, rng))
             basis = complete_basis(d, [o1])
             assert len(basis) == d * d
             mats = np.stack([op.matrix for op in basis])
@@ -220,7 +205,7 @@ class TestCompleteBasis:
         # The Householder tail spans what Gram-Schmidt over the candidates
         # spans: the two tails differ by a rotation.
         rng = np.random.default_rng(40 + d)
-        o1, _ = hamiltonian_unit(gue(d, rng))
+        o1, _ = hamiltonian_unit(gue_sample(d, rng))
         cands = reference_candidates(d)
         diagonal = HermitianOperator(cands[-1])
         # Equal to the first candidate, which Gram-Schmidt then drops at once.
@@ -228,7 +213,7 @@ class TestCompleteBasis:
         # Two mid-sequence candidates: Gram-Schmidt drops the later one.
         a, b = len(cands) // 3, 2 * len(cands) // 3
         mid = HermitianOperator((cands[a] + cands[b]) / math.sqrt(2.0))
-        o2, _ = hamiltonian_unit(gue(d, rng))
+        o2, _ = hamiltonian_unit(gue_sample(d, rng))
         o2 = o2.matrix - hs_inner(o1, o2) * o1.matrix
         o2 = HermitianOperator(o2 / math.sqrt(hs_inner(o2, o2)))
         for seeds in ([], [o1], [diagonal], [first], [mid], [o1, o2]):
@@ -246,7 +231,7 @@ class TestCompleteBasis:
         rng = np.random.default_rng(60 + d)
 
         def nearly_off_diagonal():
-            g = gue(d, rng).matrix
+            g = gue_matrix(d, rng)
             return g - np.diag(np.diag(g)) + diagonal_scale * np.diag(rng.normal(size=d))
 
         seeds = orthonormal_seeds([nearly_off_diagonal(), nearly_off_diagonal()])
@@ -297,7 +282,7 @@ class TestCompleteBasis:
         def no_completion(*args, **kwargs):
             raise AssertionError("completion started above the dimension cap")
 
-        seed, _ = hamiltonian_unit(gue(MAX_BASIS_DIM + 1, np.random.default_rng(35)))
+        seed, _ = hamiltonian_unit(gue_sample(MAX_BASIS_DIM + 1, np.random.default_rng(35)))
         for name in ("_operator", "_frame_coordinates", "_frame_operators", "_check_frame_rows"):
             monkeypatch.setattr(basis_module, name, no_completion)
         monkeypatch.setattr(np.linalg, "qr", no_completion)
@@ -306,7 +291,7 @@ class TestCompleteBasis:
 
     def test_builds_at_cap(self):
         d = MAX_BASIS_DIM
-        o1, _ = hamiltonian_unit(gue(d, np.random.default_rng(11)))
+        o1, _ = hamiltonian_unit(gue_sample(d, np.random.default_rng(11)))
         basis = complete_basis(d, [o1])
         assert len(basis) == d * d
         np.testing.assert_allclose(basis[1].matrix, o1.matrix, atol=1e-14)
@@ -329,7 +314,7 @@ class TestCompleteBasis:
         # public constructor would store from the same stack, every member
         # exactly Hermitian.
         rng = np.random.default_rng(100 + d)
-        seeds = orthonormal_seeds([gue(d, rng) for _ in range(min(2, d * d - 1))])
+        seeds = orthonormal_seeds([gue_sample(d, rng) for _ in range(min(2, d * d - 1))])
         for m in range(len(seeds) + 1):
             mats = complete_basis(d, seeds[:m]).mats
             np.testing.assert_array_equal(mats, OperatorBasis(d, mats).mats)
@@ -339,7 +324,7 @@ class TestCompleteBasis:
         # A completion is checked on its frame coordinates alone; each
         # corruption is refused with the public constructor's message.
         rng = np.random.default_rng(9)
-        o1, _ = hamiltonian_unit(gue(3, rng))
+        o1, _ = hamiltonian_unit(gue_sample(3, rng))
         good = basis_module._frame_coordinates(complete_basis(3, [o1]).mats)
         accepted = OperatorBasis._of_rows(good.copy())
         np.testing.assert_array_equal(accepted.mats, basis_module._frame_operators(good, 3))
@@ -396,15 +381,15 @@ def seed_hamiltonians(kind, d, m, rng, eps):
     """m Hamiltonians of one family: GUE, diagonal, sparse, or distinct Gell-Mann candidates plus eps GUE."""
     if kind == "gell-mann":
         cands = gell_mann_candidates(d)
-        return [cands[k] + eps * gue(d, rng).matrix for k in rng.choice(len(cands), size=m, replace=False)]
+        return [cands[k] + eps * gue_matrix(d, rng) for k in rng.choice(len(cands), size=m, replace=False)]
     out = []
     for _ in range(m):
         if kind == "gue":
-            out.append(gue(d, rng))
+            out.append(gue_sample(d, rng))
         elif kind == "diagonal":
             out.append(np.diag(rng.normal(size=d)))
         else:
-            h = np.where(rng.random((d, d)) < 2.0 / d, gue(d, rng).matrix, 0.0)
+            h = np.where(rng.random((d, d)) < 2.0 / d, gue_matrix(d, rng), 0.0)
             out.append((h + h.conj().T) / 2.0 + np.diag(np.arange(d) == rng.integers(d)))
     return out
 
@@ -429,7 +414,7 @@ class TestHouseholderCompletion:
         # per candidate.
         rng = np.random.default_rng(d)
         cands = gell_mann_candidates(d)
-        householder_rows(d, orthonormal_seeds([cands[len(cands) // 2] + 1e-10 * gue(d, rng).matrix]))
+        householder_rows(d, orthonormal_seeds([cands[len(cands) // 2] + 1e-10 * gue_matrix(d, rng)]))
 
 
 class TestExpansion:
@@ -438,7 +423,7 @@ class TestExpansion:
         rng = np.random.default_rng(d + 10)
         for _ in range(10):
             rho = full_rank(d, rng)
-            o1, _ = hamiltonian_unit(gue(d, rng))
+            o1, _ = hamiltonian_unit(gue_sample(d, rng))
             basis = complete_basis(d, [o1])
             coords = expand_state(rho, basis)
             purity = float(np.trace(rho.matrix @ rho.matrix).real)
@@ -457,7 +442,7 @@ class TestRotateTail:
     def test_preserves_head_and_orthonormality(self):
         rng = np.random.default_rng(7)
         d = 3
-        o1, _ = hamiltonian_unit(gue(d, rng))
+        o1, _ = hamiltonian_unit(gue_sample(d, rng))
         basis = complete_basis(d, [o1])
         n = d * d - 2
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))

@@ -21,6 +21,7 @@ from neqtemp.linalg import DensityMatrix, HermitianOperator
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, closed_form
 from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import DEFAULT_CLIP, inverse_temperature
+from oracles import gue_matrix
 
 
 def pairs(m):
@@ -573,13 +574,8 @@ def seeded_bipartite_doc(case):
     """A seeded 2x3 document: a Gibbs state of H_S + H_B + H_I ("clean"), the same without H_I
     ("no-interaction"), or a pure product state under H_I ("pure-product")."""
     rng = np.random.default_rng(5)
-
-    def herm(d):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return (g + g.conj().T) / 2
-
-    h_s, h_b = herm(2), herm(3)
-    h_i = np.zeros((6, 6)) if case == "no-interaction" else 0.3 * herm(6)
+    h_s, h_b = gue_matrix(2, rng), gue_matrix(3, rng)
+    h_i = np.zeros((6, 6)) if case == "no-interaction" else 0.3 * gue_matrix(6, rng)
     if case == "pure-product":
         a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 3))
         psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))

@@ -35,7 +35,7 @@ from neqtemp.linalg import (
 from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, gue_sample, sample_bipartite
 from neqtemp.relation import relation_coefficients, tilde_inverse_temperatures, verify_universal_relation
 from neqtemp.thermometry import DEFAULT_CLIP
-from oracles import correlations, frame_operators
+from oracles import correlations, frame_operators, full_rank, gue_matrix, weakly_coupled
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -56,20 +56,9 @@ def random_state(d, rng):
 
 def product_system(rng, d_s=2, d_b=3, coupling=0.4):
     """Random bipartite Hamiltonians with a product full-rank state."""
-
-    def gue(d):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return HermitianOperator((g + g.conj().T) / 2.0)
-
-    def full_rank(d):
-        p = rng.dirichlet(np.ones(d)) + 0.05
-        p /= p.sum()
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        return DensityMatrix.from_spectrum(p, q)
-
-    h_i = HermitianOperator(coupling * gue(d_s * d_b).matrix)
-    rho = DensityMatrix(tensor_product(full_rank(d_s).matrix, full_rank(d_b).matrix))
-    return BipartiteSystem(d_s, d_b, gue(d_s), gue(d_b), h_i, rho)
+    h_i = HermitianOperator(coupling * gue_matrix(d_s * d_b, rng))
+    rho = DensityMatrix(tensor_product(full_rank(d_s, rng).matrix, full_rank(d_b, rng).matrix))
+    return BipartiteSystem(d_s, d_b, gue_sample(d_s, rng), gue_sample(d_b, rng), h_i, rho)
 
 
 class TestBipartiteSystem:
@@ -133,7 +122,7 @@ class TestConstruction:
         # nearly in the local span; h_chi^2 (1 + d_S + d_B) >= 1 holds all the same (BipartiteFrame).
         rng = np.random.default_rng(seed)
         (rho_s, _), (rho_b, p) = near_pure(d_s, 10.0**log_eps, rng), near_pure(d_b, 10.0**log_eps, rng)
-        h_i = np.kron(gue_sample(d_s, rng).matrix, np.eye(d_b) - p) + g * gue_sample(d_s * d_b, rng).matrix
+        h_i = np.kron(gue_matrix(d_s, rng), np.eye(d_b) - p) + g * gue_matrix(d_s * d_b, rng)
         sys = BipartiteSystem(d_s, d_b, gue_sample(d_s, rng), gue_sample(d_b, rng), HermitianOperator(h_i),
                               DensityMatrix(np.kron(rho_s, rho_b)))
         assert sys.frame.h_chi**2 * (1 + d_s + d_b) >= 1.0
@@ -355,13 +344,6 @@ class TestTraceAlgebra:
             assert c == pytest.approx(hs_inner(o1, op) / norm, abs=1e-12)
         np.testing.assert_allclose(ops.O1_SB, o1.matrix, atol=1e-12)
 
-    def test_log_hamiltonian_rebuilt_equal_after_a_report(self):
-        sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
-        correlation_inverse_temperature(sys, 1e-6)
-        # After a report, HH_I is built afresh by the free function, equal each time.
-        np.testing.assert_array_equal(correlation_log_hamiltonian(sys, 1e-6).operator.matrix,
-                                      correlation_log_hamiltonian(sys, 1e-6).operator.matrix)
-
     def test_report_is_a_plain_value(self):
         sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
         report = correlation_inverse_temperature(sys)
@@ -421,9 +403,8 @@ class TestUnits:
         assert (frame.h_I, frame.h_chi, frame.overlap_S, frame.C_chi) == (0.0, 1.0, 0.0, 0.0)
 
     def test_local_interaction_has_no_chi_direction(self):
-        # H_I proportional to a purely local S operator leaves nothing after
-        # orthogonalization.
-        rng = np.random.default_rng(17)
+        # H_I proportional to a purely local S operator is all mean field: H_I_eff,
+        # H_I less its local parts, is proportional to the identity.
         rho = DensityMatrix(np.eye(4) / 4.0)
         sys = BipartiteSystem(
             2, 2,
@@ -431,7 +412,7 @@ class TestUnits:
             HermitianOperator(0.2 * tensor_product(SZ, np.eye(2))),
             rho,
         )
-        with pytest.raises(NumericalError):
+        with pytest.raises(DegenerateDirectionError, match="H_I_eff is proportional to the identity"):
             chi_unit(sys)
 
     @pytest.mark.parametrize("h_i", [0.3 * np.eye(4), 0.2 * tensor_product(SZ, np.eye(2))])
@@ -522,6 +503,25 @@ class TestCorrelationTemperature:
             sys = build_two_qubit_xy(p)
             report = correlation_inverse_temperature(sys)
             assert report.beta_chi == pytest.approx(-beta, abs=1e-9)
+
+    @pytest.mark.parametrize("g", [1e-14, 1e-18])
+    def test_unresolved_at_weak_coupling(self, g):
+        # Both beta_chi forms cancel O(1) traces and divide by h_I h_chi^2 ~ g; they agree at any g, but
+        # their shared rounding grows as 1/g and here passes |beta_chi| ~ 0.7: no digit is left to report.
+        with pytest.raises(NumericalError, match="correlation temperature unresolved: beta_chi "):
+            correlation_inverse_temperature(weakly_coupled(3, 2, 3, g))
+
+    def test_resolved_at_weak_coupling(self):
+        assert correlation_inverse_temperature(weakly_coupled(3, 2, 3, 1e-11)).beta_chi == pytest.approx(-0.7, abs=1e-3)
+
+    def test_two_qubit_unresolved_at_weak_coupling(self):
+        # At lambda = 1e-17 the XY family reads beta_chi = -0 for its exact -beta = -1.
+        weak = build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=1e-17, beta=1.0))
+        with pytest.raises(NumericalError, match="correlation temperature unresolved"):
+            verify_universal_relation(weak)
+        report = verify_universal_relation(
+            build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=1e-12, beta=1.0)))
+        assert report.beta_chi == pytest.approx(-1.0, abs=1e-12)
 
     def test_maximally_entangled_limit(self):
         # Mixing weight p -> 0 drives the correlation temperature to zero

@@ -63,6 +63,7 @@ from neqtemp.thermometry import (
     variation_split,
     von_neumann_entropy,
 )
+from oracles import gue_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -85,11 +86,6 @@ def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
     return np.array(coeffs)
 
 
-def gue(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2.0
-
-
 class TestEigHermitian:
     def test_pauli_z_spectrum(self):
         spec = eig_hermitian(HermitianOperator(SZ))
@@ -100,7 +96,7 @@ class TestEigHermitian:
         # computed by a completely unrelated method.
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = gue(5, rng)
+            a = gue_matrix(5, rng)
             spec = eig_hermitian(HermitianOperator(a))
             coeffs = charpoly_coefficients(a)
             roots = np.sort(np.roots(np.concatenate(([1.0 + 0j], coeffs))).real)
@@ -108,13 +104,13 @@ class TestEigHermitian:
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
-        a = gue(6, rng)
+        a = gue_matrix(6, rng)
         spec = eig_hermitian(HermitianOperator(a))
         np.testing.assert_allclose(spec.apply(lambda x: x), a, atol=1e-12)
 
     def test_ascending_order(self):
         rng = np.random.default_rng(4)
-        spec = eig_hermitian(HermitianOperator(gue(7, rng)))
+        spec = eig_hermitian(HermitianOperator(gue_matrix(7, rng)))
         assert np.all(np.diff(spec.eigenvalues) >= 0)
 
 
@@ -147,7 +143,7 @@ class TestHermitianOperator:
 
     def test_computed_operator_matches_public_symmetrization(self):
         rng = np.random.default_rng(31)
-        a = gue(5, rng) + 1e-13 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        a = gue_matrix(5, rng) + 1e-13 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
         op = HermitianOperator._of_computed(a.copy())
         assert np.array_equal(op.matrix, HermitianOperator(a).matrix)
         assert np.array_equal(op.matrix, op.matrix.conj().T)
@@ -263,7 +259,7 @@ class TestMatrixFunctions:
     def test_exp_taylor_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            a = 0.5 * gue(4, rng)
+            a = 0.5 * gue_matrix(4, rng)
             expm = matrix_exp(HermitianOperator(a)).matrix
             term = np.eye(4, dtype=complex)
             total = term.copy()
@@ -365,8 +361,8 @@ class TestTensorAndPartialTrace:
 
     def test_partial_trace_of_product(self):
         rng = np.random.default_rng(8)
-        a = gue(2, rng)
-        b = gue(3, rng)
+        a = gue_matrix(2, rng)
+        b = gue_matrix(3, rng)
         m = tensor_product(a, b)
         np.testing.assert_allclose(
             partial_trace(m, (2, 3), keep=0), a * np.trace(b), atol=1e-12
@@ -377,7 +373,7 @@ class TestTensorAndPartialTrace:
 
     def test_partial_trace_preserves_trace(self):
         rng = np.random.default_rng(13)
-        m = gue(6, rng)
+        m = gue_matrix(6, rng)
         for keep in (0, 1):
             assert np.trace(partial_trace(m, (2, 3), keep)) == pytest.approx(
                 np.trace(m).real, abs=1e-12
@@ -393,7 +389,7 @@ class TestTensorAndPartialTrace:
     @pytest.mark.parametrize("joint", [False, True])
     def test_local_sum_matches_kron(self, d_s, d_b, joint):
         rng = np.random.default_rng(10 * d_s + d_b)
-        a, b, m = gue(d_s, rng), gue(d_b, rng), gue(d_s * d_b, rng)
+        a, b, m = gue_matrix(d_s, rng), gue_matrix(d_b, rng), gue_matrix(d_s * d_b, rng)
         m_before = m.copy()
         out = linalg._local_sum(a, b, m if joint else None)
         expected = np.kron(a, np.eye(d_b)) + np.kron(np.eye(d_s), b) + (m if joint else 0.0)
@@ -406,7 +402,7 @@ class TestTensorAndPartialTrace:
 class TestHsInner:
     def test_matches_trace_formula(self):
         rng = np.random.default_rng(17)
-        a, b = gue(4, rng), gue(4, rng)
+        a, b = gue_matrix(4, rng), gue_matrix(4, rng)
         expected = np.trace(a.conj().T @ b).real
         assert hs_inner(a, b) == pytest.approx(expected, rel=1e-13)
 
@@ -498,6 +494,7 @@ MALFORMED_INPUTS = {
     "empty spectrum": lambda: DensityMatrix.from_spectrum([], np.zeros((0, 0))),
     "non-numeric eigenvalues": lambda: SpectralDecomposition(["a"], np.eye(1)),
     "non-numeric rotation": lambda: rotate_tail(complete_basis(2, []), "x"),
+    "rotation of a dimension-1 basis": lambda: rotate_tail(complete_basis(1, []), np.zeros((0, 0))),
     "non-matrix basis members": lambda: OperatorBasis(2, [object()] * 4),
     "raw temperature state": lambda: inverse_temperature(np.diag([0.5, 0.5]), np.diag([1.0, -1.0])),
     "raw bipartite state": lambda: _bipartite(np.eye(2), np.eye(4) / 4.0),
@@ -666,6 +663,36 @@ def test_dimension_mismatch_names_the_argument(name, message):
 def test_type_mismatch_names_the_type(name, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         MALFORMED_INPUTS[name]()
+
+
+NOT_ORTHONORMAL = {
+    "eigenvector matrix not unitary: deviation 1.000e-01":
+        lambda: SpectralDecomposition([0.0, 1.0], [[1.0, 0.1], [0.0, 1.0]]),
+    "rotation matrix is not orthogonal: deviation 2.100e-01":
+        lambda: rotate_tail(complete_basis(2, []), np.diag([1.0, 1.1])),
+    "basis operators are not HS-orthonormal: Gram deviation 2.100e-01":
+        lambda: OperatorBasis(2, complete_basis(2, []).mats * [[[1.0]], [[1.0]], [[1.1]], [[1.0]]]),
+}
+
+
+@pytest.mark.parametrize("message", list(NOT_ORTHONORMAL))
+def test_one_orthonormality_rule(monkeypatch, message):
+    # Eigenvectors, basis rows and tail rotations are held to UNITARY_TOL by linalg._check_unitary alone.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        NOT_ORTHONORMAL[message]()
+    monkeypatch.setattr(linalg, "UNITARY_TOL", 0.25)
+    NOT_ORTHONORMAL[message]()
+
+
+def test_non_finite_gram_fails_the_orthonormality_rule():
+    with pytest.raises(ValidationError, match="^x nan$"):
+        linalg._check_unitary(np.array([[math.nan]]), np.array([[1.0]]), "x")
+
+
+def test_rotation_of_a_dimension_1_basis_is_named():
+    # A d = 1 basis is I alone: the refusal comes before R is read.
+    with pytest.raises(ValidationError, match=r"^a basis of dimension 1 has no basis\[1\] and no tail to rotate$"):
+        MALFORMED_INPUTS["rotation of a dimension-1 basis"]()
 
 
 def test_zero_tol_herm_means_exact_hermiticity():

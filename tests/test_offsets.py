@@ -19,6 +19,7 @@ from neqtemp.linalg import HermitianOperator, eig_hermitian
 from neqtemp.models import TwoQubitXYParams, _gibbs_state, build_two_qubit_xy, sample_full_rank
 from neqtemp.relation import verify_universal_relation
 from neqtemp.thermometry import inverse_temperature
+from oracles import gue_matrix
 
 EPS = float(np.finfo(float).eps)
 
@@ -66,11 +67,6 @@ def test_single_system_offset(data, c, beta, state_seed):
     assert within(shifted.beta, report.beta, c, report.h)
 
 
-def gue(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2.0
-
-
 def model_system(lam):
     return build_two_qubit_xy(TwoQubitXYParams(omega_S=2.0, omega_B=1.0, lam=lam, beta=1.0))
 
@@ -78,7 +74,7 @@ def model_system(lam):
 def gue_gibbs_system(seed):
     """A 2 x 3 system in the Gibbs state of its dyadic GUE Hamiltonians at beta = 0.7."""
     rng = np.random.default_rng(seed)
-    h_s, h_b, h_i = rounded(gue(2, rng)), rounded(gue(3, rng)), rounded(0.3 * gue(6, rng))
+    h_s, h_b, h_i = rounded(gue_matrix(2, rng)), rounded(gue_matrix(3, rng)), rounded(0.3 * gue_matrix(6, rng))
     total = HermitianOperator(np.kron(h_s, np.eye(3)) + np.kron(np.eye(2), h_b) + h_i)
     ops = (HermitianOperator(m) for m in (h_s, h_b, h_i))
     return BipartiteSystem(2, 3, *ops, _gibbs_state(eig_hermitian(total), 0.7))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from neqtemp import basis as basis_module
 from neqtemp.basis import complete_basis, hamiltonian_unit
 from neqtemp.linalg import HermitianOperator
+from oracles import gell_mann_candidates, gue_matrix
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -65,26 +66,16 @@ def svd_completion(d, seeds):
     return rows
 
 
-def gell_mann_candidates(d):
-    """The completion's candidates: the frame members after I/sqrt(d), from unit coordinates."""
-    return basis_module._frame_operators(np.eye(d * d)[1:], d)
-
-
-def gue(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2.0
-
-
 def seed_hamiltonian(kind, d, rng, eps):
     if kind == "gue":
-        return gue(d, rng)
+        return gue_matrix(d, rng)
     if kind == "diagonal":
         return np.diag(rng.normal(size=d)).astype(complex)
     if kind == "sparse":
-        h = np.where(rng.random((d, d)) < 2.0 / d, gue(d, rng), 0.0)
+        h = np.where(rng.random((d, d)) < 2.0 / d, gue_matrix(d, rng), 0.0)
         return (h + h.conj().T) / 2.0 + np.diag(np.arange(d) == rng.integers(d))
     cands = gell_mann_candidates(d)
-    return cands[rng.integers(len(cands))] + eps * gue(d, rng)
+    return cands[rng.integers(len(cands))] + eps * gue_matrix(d, rng)
 
 
 def check_spans_reference(d, seeds):
@@ -111,7 +102,7 @@ def test_one_seed_completion_matches_batched_svd(d, kind, rng_seed, eps):
 @pytest.mark.parametrize("d", [2, 5, 12])
 def test_two_seed_completion_is_the_batched_svd(d):
     rng = np.random.default_rng(d)
-    o1, _ = hamiltonian_unit(HermitianOperator(gue(d, rng)))
-    h2 = gue(d, rng)
+    o1, _ = hamiltonian_unit(HermitianOperator(gue_matrix(d, rng)))
+    h2 = gue_matrix(d, rng)
     o2, _ = hamiltonian_unit(HermitianOperator(h2 - np.sum(o1.matrix.conj() * h2).real * o1.matrix))
     check_spans_reference(d, [o1, o2])

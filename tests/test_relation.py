@@ -22,7 +22,7 @@ from neqtemp.linalg import (
     partial_trace,
     tensor_product,
 )
-from neqtemp.models import TwoQubitXYParams, build_two_qubit_xy, sample_bipartite
+from neqtemp.models import TwoQubitXYParams, _gibbs_state, build_two_qubit_xy, sample_bipartite
 from neqtemp.relation import (
     expansion_coefficients,
     relation_coefficients,
@@ -31,7 +31,7 @@ from neqtemp.relation import (
 )
 from neqtemp.thermometry import DEFAULT_CLIP, inverse_temperature
 from neqtemp.correlation import BipartiteSystem
-from oracles import frame_operators
+from oracles import diagonal_product_gibbs, frame_operators, gue_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -40,22 +40,8 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def gibbs_system(h_s, h_b, h_i, beta):
     """Global Gibbs state of the assembled total Hamiltonian."""
     d_s, d_b = h_s.dim, h_b.dim
-    total = HermitianOperator(
-        tensor_product(h_s, np.eye(d_b))
-        + tensor_product(np.eye(d_s), h_b)
-        + h_i.matrix
-    )
-    spec = eig_hermitian(total)
-    w = -beta * spec.eigenvalues
-    w -= w.max()
-    probs = np.exp(w) / float(np.sum(np.exp(w)))
-    rho = DensityMatrix.from_spectrum(probs, spec.eigenvectors)
-    return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, rho)
-
-
-def gue_matrix(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2.0
+    total = HermitianOperator(tensor_product(h_s, np.eye(d_b)) + tensor_product(np.eye(d_s), h_b) + h_i.matrix)
+    return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, _gibbs_state(eig_hermitian(total), beta))
 
 
 def rescaled(sys, c):
@@ -225,14 +211,7 @@ class TestTildeTemperatures:
         beta = 0.8
         h_s = HermitianOperator(1.0 * SZ)
         h_b = HermitianOperator(0.5 * SZ)
-
-        def local_gibbs(h):
-            w = np.exp(-beta * np.diag(h.matrix).real)
-            return DensityMatrix.from_spectrum(w / w.sum(), np.eye(2))
-
-        rho = DensityMatrix(
-            tensor_product(local_gibbs(h_s).matrix, local_gibbs(h_b).matrix)
-        )
+        rho = diagonal_product_gibbs(h_s, h_b, beta)
         sys = BipartiteSystem(2, 2, h_s, h_b, HermitianOperator(np.zeros((4, 4))), rho)
         bts, btb = tilde_inverse_temperatures(sys)
         assert bts == pytest.approx(beta, abs=1e-10)
@@ -271,14 +250,7 @@ class TestUniversalRelation:
         beta = 1.1
         h_s = HermitianOperator(1.0 * SZ)
         h_b = HermitianOperator(0.5 * SZ)
-
-        def local_gibbs(h):
-            w = np.exp(-beta * np.diag(h.matrix).real)
-            return DensityMatrix.from_spectrum(w / w.sum(), np.eye(2))
-
-        rho = DensityMatrix(
-            tensor_product(local_gibbs(h_s).matrix, local_gibbs(h_b).matrix)
-        )
+        rho = diagonal_product_gibbs(h_s, h_b, beta)
         sys = BipartiteSystem(2, 2, h_s, h_b, HermitianOperator(np.zeros((4, 4))), rho)
         rel = verify_universal_relation(sys)
         assert rel.interaction_degenerate

@@ -22,7 +22,7 @@ from neqtemp.exceptions import (
     ValidationError,
 )
 from neqtemp.linalg import DEGENERACY_TOL, DensityMatrix, HermitianOperator, tensor_product
-from neqtemp.models import sample_gibbs
+from neqtemp.models import gue_sample, sample_gibbs
 from neqtemp.thermometry import (
     GeneralizedGibbsForm,
     finite_difference_beta,
@@ -36,21 +36,9 @@ from neqtemp.thermometry import (
     variation_split,
     von_neumann_entropy,
 )
-from oracles import passive_by_blocks, passive_by_diff
+from oracles import full_rank, gue_matrix, passive_by_blocks, passive_by_diff
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def gue(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return HermitianOperator((g + g.conj().T) / 2.0)
-
-
-def full_rank(d, rng, floor=0.05):
-    p = rng.dirichlet(np.ones(d)) + floor
-    p /= p.sum()
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return DensityMatrix.from_spectrum(p, q)
 
 
 def beta_spectral_sum_oracle(rho_matrix, h_matrix):
@@ -80,7 +68,7 @@ class TestInverseTemperature:
         rng = np.random.default_rng(31)
         for i in range(40):
             d = 2 + i % 4
-            h = gue(d, rng)
+            h = gue_sample(d, rng)
             rho = full_rank(d, rng)
             expected = beta_spectral_sum_oracle(rho.matrix, h.matrix)
             got = inverse_temperature(rho, h).beta
@@ -106,7 +94,7 @@ class TestInverseTemperature:
 
     def test_maximally_mixed(self):
         rng = np.random.default_rng(5)
-        report = inverse_temperature(DensityMatrix(np.eye(4) / 4.0), gue(4, rng))
+        report = inverse_temperature(DensityMatrix(np.eye(4) / 4.0), gue_sample(4, rng))
         assert abs(report.beta) <= 1e-12
         assert report.temperature == math.inf
         assert math.isnan(report.free_energy)
@@ -145,7 +133,7 @@ class TestInverseTemperature:
         for _ in range(20):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             v /= np.linalg.norm(v)
-            h = gue(d, rng)
+            h = gue_sample(d, rng)
             report = inverse_temperature(DensityMatrix(np.outer(v, v.conj())), h)
             assert report.temperature == 0.0
             # The null space enters log rho as log(clip), not as round-off, so the
@@ -167,7 +155,7 @@ class TestInverseTemperature:
     @pytest.mark.parametrize("c", [1e-13, 1e-30])
     def test_small_energy_unit(self, c):
         rng = np.random.default_rng(78)
-        h = gue(2, rng)
+        h = gue_sample(2, rng)
         rho = full_rank(2, rng)
         beta = inverse_temperature(rho, h).beta
         scaled = inverse_temperature(rho, HermitianOperator(c * h.matrix)).beta
@@ -239,7 +227,7 @@ class TestInverseTemperature:
 
     def test_trivial_extension(self):
         rng = np.random.default_rng(77)
-        h = gue(3, rng)
+        h = gue_sample(3, rng)
         rho = full_rank(3, rng)
         beta = inverse_temperature(rho, h).beta
         rho_ext = DensityMatrix(tensor_product(rho.matrix, np.eye(2) / 2.0))
@@ -399,7 +387,7 @@ class TestVariationSplit:
     def test_commutator_variation_is_projector_part(self):
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
         rng = np.random.default_rng(6)
-        k = gue(3, rng).matrix
+        k = gue_matrix(3, rng)
         drho = HermitianOperator(1e-3 * 1j * (rho.matrix @ k - k @ rho.matrix))
         split = variation_split(rho, drho)
         assert np.max(np.abs(split.d_ev.matrix)) < 1e-14
@@ -409,7 +397,7 @@ class TestVariationSplit:
         # First-order entropy change lives entirely in the eigenvalue part.
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
         rng = np.random.default_rng(16)
-        k = gue(3, rng).matrix
+        k = gue_matrix(3, rng)
         eps = 1e-6
         drho = HermitianOperator(eps * 1j * (rho.matrix @ k - k @ rho.matrix))
         perturbed = DensityMatrix(rho.matrix + drho.matrix)
@@ -446,9 +434,9 @@ class TestHeatWork:
     def test_energy_balance(self):
         rng = np.random.default_rng(12)
         rho = full_rank(3, rng)
-        h = gue(3, rng)
-        dh = HermitianOperator(1e-3 * gue(3, rng).matrix)
-        g = gue(3, rng).matrix
+        h = gue_sample(3, rng)
+        dh = HermitianOperator(1e-3 * gue_matrix(3, rng))
+        g = gue_matrix(3, rng)
         drho = HermitianOperator(1e-3 * (g - np.trace(g) * np.eye(3) / 3.0))
         hw = heat_and_work(rho, drho, h, dh)
         assert hw.conventional_heat + hw.conventional_work == pytest.approx(
@@ -478,7 +466,7 @@ class TestGeneralizedGibbs:
         rng = np.random.default_rng(23)
         for i in range(10):
             d = 2 + i % 3
-            h = gue(d, rng)
+            h = gue_sample(d, rng)
             rho = full_rank(d, rng)
             o1, _ = hamiltonian_unit(h)
             basis = complete_basis(d, [o1])
@@ -489,7 +477,7 @@ class TestGeneralizedGibbs:
 
     def test_beta_matches_report(self):
         rng = np.random.default_rng(24)
-        h = gue(3, rng)
+        h = gue_sample(3, rng)
         rho = full_rank(3, rng)
         o1, _ = hamiltonian_unit(h)
         basis = complete_basis(3, [o1])
@@ -568,7 +556,7 @@ class TestBasisDirection:
     def test_rejects_basis_of_another_hamiltonian(self, name):
         # Unchecked, finite_difference_beta gives 0.889 here, close to beta = 0.879.
         rng = np.random.default_rng(4)
-        h, other = gue(3, rng), gue(3, rng)
+        h, other = gue_sample(3, rng), gue_sample(3, rng)
         basis = complete_basis(3, [hamiltonian_unit(other)[0]])
         with pytest.raises(ValidationError, match=r"basis\[1\]"):
             BASIS_ANALYSES[name](full_rank(3, rng), h, basis)
@@ -576,7 +564,7 @@ class TestBasisDirection:
     @pytest.mark.parametrize("name", list(BASIS_ANALYSES))
     def test_rejects_basis_of_another_dimension(self, name):
         rng = np.random.default_rng(5)
-        h = gue(3, rng)
+        h = gue_sample(3, rng)
         with pytest.raises(ValidationError, match=r"basis\[1\]"):
             BASIS_ANALYSES[name](full_rank(3, rng), h, complete_basis(2, [hamiltonian_unit(h.matrix[:2, :2])[0]]))
 
@@ -590,7 +578,7 @@ class TestBasisDirection:
 class TestFiniteDifference:
     def test_second_order_convergence(self):
         rng = np.random.default_rng(41)
-        h = gue(3, rng)
+        h = gue_sample(3, rng)
         rho = full_rank(3, rng)
         beta = inverse_temperature(rho, h).beta
         basis = complete_basis(3, [hamiltonian_unit(h)[0]])

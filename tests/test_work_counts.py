@@ -61,6 +61,7 @@ from neqtemp.thermometry import (
     inverse_temperature,
     reconstruct_generalized_gibbs,
 )
+from oracles import gue_matrix
 
 EXPECTED = {
     "eigh": 3, "HermitianOperator": 4, "hamiltonian_unit": 0, "logs": 3,
@@ -80,12 +81,7 @@ EXPECTED_BASIS = {
 
 def gibbs_inputs(d_s, d_b, beta, rng):
     """Raw matrices of a global Gibbs state of random GUE Hamiltonians."""
-
-    def gue(d, scale):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return scale * (g + g.conj().T) / 2.0
-
-    h_s, h_b, h_i = gue(d_s, 1.0), gue(d_b, 1.0), gue(d_s * d_b, 0.3)
+    h_s, h_b, h_i = gue_matrix(d_s, rng), gue_matrix(d_b, rng), 0.3 * gue_matrix(d_s * d_b, rng)
     total = np.kron(h_s, np.eye(d_b)) + np.kron(np.eye(d_s), h_b) + h_i
     w, v = np.linalg.eigh(total)
     p = np.exp(-beta * (w - w.min()))
@@ -278,8 +274,7 @@ def test_single_system_report_work_counts(monkeypatch, energies, extra_eigh):
 
 def test_basis_report_work_counts(monkeypatch):
     rng = np.random.default_rng(8)
-    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    H = (g + g.conj().T) / 2.0
+    H = gue_matrix(8, rng)
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     p = rng.dirichlet(np.ones(8)) + 0.05
     rho = (q * (p / p.sum())) @ q.conj().T
