@@ -21,18 +21,19 @@ head, e_0 followed by the m seeds' rows, is completed by one Householder QR
 of its transpose (Householder 1958): the m + 1 reflectors that take the
 head's columns to the first m + 1 unit vectors take e_{m+1}, ..., e_{d^2-1}
 back to an orthonormal tail orthogonal to the head, to about 1e-15 however
-the seeds lie. Without seeds the one reflector is the identity, and the
-basis is the frame itself, I/sqrt(d) and the candidates in the order above.
-The operators come out of the rows by the same index arithmetic, exactly
-Hermitian, and the basis is checked on the rows alone: its Gram matrix is
-``rows @ rows.T``, one O(d^6) product. The completion costs O(d^4 (m + 1))
-for m seeds, so that product and the operator build dominate, and
+the seeds lie. The reflector of e_0, the column of I/sqrt(d), is the
+identity (tau = 0, as LAPACK's ``dlarfg`` returns for a column already on
+e_0) and is skipped; without seeds the basis is the frame itself, I/sqrt(d)
+and the candidates in the order above. The basis is checked on the rows
+alone: its Gram matrix is ``rows @ rows.T``, one O(d^6) product. The
+completion costs O(d^4 (m + 1)) for m seeds, so that product dominates, and
 :func:`complete_basis` still refuses dimensions above ``MAX_BASIS_DIM``.
 
-:class:`OperatorBasis` owns its members as one read-only (d^2, d, d) array,
-``mats``, validated as a whole; the members it hands out are views of that
-array. Expansions and resummations over a basis are single matrix products
-with it.
+:class:`OperatorBasis` keeps these rows, validated as a whole: an expansion is
+one product with them, a resummation one operator build. Its read-only stack
+``mats`` comes out of them by the same index arithmetic, exactly Hermitian, on
+first read; its members are views of it from then on. H's unit (O1, h) is
+derived once per operator and kept on it.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ __all__ = [
     "rotate_tail",
 ]
 
-#: Largest dimension :func:`complete_basis` accepts: a basis is one (d^2, d, d) complex
-#: operator stack (21 MB at d=34), checked by a (d^2, d^2) Gram product, O(d^6).
+#: Largest dimension :func:`complete_basis` accepts: a basis is its (d^2, d^2) real frame
+#: coordinates (11 MB at d=34), checked by their Gram product, O(d^6); reading ``mats``
+#: adds the (d^2, d, d) complex stack (21 MB at d=34).
 MAX_BASIS_DIM = 34
 
 
@@ -71,7 +73,8 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
     Returns ``(O1, h)`` with ``O1 = (H - (Tr H / d) I)/h`` and
     ``h = sqrt(Tr[H^2] - (Tr H)^2/d)``. Adding c I to H leaves the output
     unchanged up to the rounding of H + c I itself, however large c, and so
-    does rescaling H (up to h), down to entries of about 1e-150.
+    does rescaling H (up to h), down to entries of about 1e-150. The pair is
+    derived once per operator and kept on it: every later call returns it.
 
     :raises DegenerateDirectionError: if H is proportional to the identity
         (the temperature direction is then undefined): h is at most
@@ -80,8 +83,15 @@ def hamiltonian_unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
         about 1e154), or underflows to 0 while H is no multiple of the
         identity (a traceless part below about 1e-162).
     """
-    traceless, h = _unit_weight(_operator(H))
-    return HermitianOperator._of_exact(traceless / h), h
+    return _unit(_operator(H))
+
+
+def _unit(H: HermitianOperator) -> tuple[HermitianOperator, float]:
+    """H's ``(O1, h)``, derived once per operator and kept on it, as a ``DensityMatrix`` keeps its logarithms."""
+    if H._unit is None:
+        traceless, h = _unit_weight(H)
+        H._unit = HermitianOperator._of_exact(traceless / h), h
+    return H._unit
 
 
 def _unit_weight(H: HermitianOperator) -> tuple[np.ndarray, float]:
@@ -115,10 +125,10 @@ def _basis_direction(H: HermitianOperator, basis: OperatorBasis) -> tuple[Hermit
         traceless part of H.
     """
     basis = _sized(_instance(basis, OperatorBasis), H.dim, "basis[1]")
-    traceless, h = _unit_weight(H)
-    if float(abs(traceless / h - basis.mats[1]).max()) > 1e-8:
+    (o1, h), member = _unit(H), basis[1]
+    if float(abs(o1.matrix - member.matrix).max()) > 1e-8:
         raise ValidationError("basis[1] must equal the Hamiltonian unit direction of H")
-    return basis[1], h
+    return member, h
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -219,10 +229,11 @@ class OperatorBasis:
 
     ``mats`` is given as a (d^2, d, d) stack or a sequence of d^2 matrices or
     :class:`HermitianOperator` s. The basis validates it once, stores it
-    symmetrized and read-only, and hands out its members as views of it: the
+    symmetrized and read-only, with its (d^2, d^2) frame coordinates: the
     stack is coerced and symmetrized under :class:`HermitianOperator`'s rules,
     and basis[0], the traces and the Gram matrix are checked by
-    :func:`_check_frame_rows` alone.
+    :func:`_check_frame_rows` alone. A completed basis builds ``mats`` from its
+    rows on first read; before, ``basis[i]`` is built from row i alone.
     """
 
     dim: int
@@ -236,23 +247,37 @@ class OperatorBasis:
         if a.shape != (d * d, d, d):
             raise ValidationError(f"basis must hold {d * d} matrices of {d}x{d}, got shape {a.shape}")
         object.__setattr__(self, "mats", _frozen(_symmetrize(a, HERM_TOL)))
-        _check_frame_rows(_frame_coordinates(self.mats))
+        object.__setattr__(self, "_rows", _frozen(_frame_coordinates(self.mats)))
+        _check_frame_rows(self._rows)
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray) -> "OperatorBasis":
-        """The basis with frame coordinates ``rows``; they alone are checked."""
+        """The basis with frame coordinates ``rows``, a fresh array it takes; they alone are checked."""
         _check_finite(rows, "basis")
         _check_frame_rows(rows)
         basis = object.__new__(cls)
         object.__setattr__(basis, "dim", math.isqrt(len(rows)))
-        object.__setattr__(basis, "mats", _frozen(_frame_operators(rows, basis.dim)))
+        object.__setattr__(basis, "_rows", _frozen(rows))
         return basis
 
+    def __getattr__(self, name: str):
+        if name != "mats":  # reached only for the stack of a basis from _of_rows, unread so far
+            raise AttributeError(name)
+        mats = _frozen(_frame_operators(self._rows, self.dim))
+        object.__setattr__(self, "mats", mats)
+        return mats
+
     def __len__(self) -> int:
-        return len(self.mats)
+        return len(self._rows)
 
     def __getitem__(self, i: int) -> HermitianOperator:
-        return HermitianOperator._of_checked(self.mats[i])
+        mats = vars(self).get("mats")
+        if mats is None:
+            return HermitianOperator._of_checked(_frozen(_frame_operators(self._rows[None, i], self.dim)[0]))
+        return HermitianOperator._of_checked(mats[i])
+
+    def __iter__(self):
+        return (HermitianOperator._of_checked(m) for m in self.mats)
 
     def coordinates(self, A: HermitianOperator) -> np.ndarray:
         """Tr[O_i A] for every member O_i.
@@ -260,10 +285,12 @@ class OperatorBasis:
         :raises ValidationError: if A is not Hermitian (then some Tr[O_i A]
             are not real) or not d x d.
         """
-        A = _operator(A, self.dim)
-        # Re Tr[O_i^dag A] is the dot product of the real views of O_i and A.
-        real = np.ascontiguousarray(A.matrix).reshape(-1).view(np.float64)
-        return self.mats.reshape(len(self), -1).view(np.float64) @ real
+        # Over the orthonormal frame, Tr[O_i A] is the dot product of O_i's and A's frame coordinates.
+        return self._rows @ _frame_coordinates(_operator(A, self.dim).matrix[None])[0]
+
+    def _resum(self, x: np.ndarray, first: int = 0) -> np.ndarray:
+        """sum_i x_i O_{first + i} as a fresh (d, d) array, one operator build from the summed coordinates."""
+        return _frame_operators((x @ self._rows[first:])[None], self.dim)[0]
 
 
 @dataclass(frozen=True)
@@ -306,6 +333,8 @@ def complete_basis(d: int, seeds: list[HermitianOperator]) -> OperatorBasis:
     rows = np.eye(n)
     rows[:m + 1] = head
     for i in range(m, -1, -1):
+        if tau[i] == 0.0:  # H_i = I, as for the column e_0 of I/sqrt(d) (LAPACK dlarfg)
+            continue
         v = np.concatenate([[1.0], h[i, i + 1:]])
         rows[m + 1:, i:] -= np.outer(rows[m + 1:, i:] @ (tau[i] * v), v)
     return OperatorBasis._of_rows(rows)
@@ -320,7 +349,7 @@ def reconstruct_state(coords: StateCoordinates, basis: OperatorBasis) -> np.ndar
     """Resum sum_i x_i O_i; inverse of expand_state."""
     if _instance(coords, StateCoordinates).x.size != len(_instance(basis, OperatorBasis)):
         raise ValidationError(f"coordinate count mismatch: {coords.x.size}, expected {len(basis)}")
-    return np.tensordot(coords.x, basis.mats, axes=1)
+    return basis._resum(coords.x)
 
 
 def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
@@ -335,5 +364,4 @@ def rotate_tail(basis: OperatorBasis, R: np.ndarray) -> OperatorBasis:
     if r.shape != (n, n):
         raise ValidationError(f"rotation must be {n}x{n}, got {r.shape}")
     _check_unitary(r, r.T, "rotation matrix is not orthogonal: deviation")
-    new_tail = np.tensordot(r.T, basis.mats[2:], axes=1)
-    return OperatorBasis(basis.dim, np.concatenate([basis.mats[:2], new_tail]))
+    return OperatorBasis._of_rows(np.concatenate([basis._rows[:2], r.T @ basis._rows[2:]]))

@@ -43,8 +43,8 @@ each logarithm makes one more.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads. A ``DensityMatrix``
-caches its logarithm per clip on the instance (see :func:`matrix_log`);
-there is no module-level cache.
+caches its logarithm per clip (see :func:`matrix_log`), and a ``HermitianOperator``
+its unit (O1, h) (``basis.hamiltonian_unit``), on the instance; there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class HermitianOperator:
     of at least 0, where 0 asks for exact Hermiticity.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_unit")
 
     def __init__(self, matrix, tol_herm: float = HERM_TOL):
         tol_herm = _number(tol_herm, "tol_herm must be a finite number of at least 0", 0.0)
@@ -178,6 +178,7 @@ class HermitianOperator:
             raise ValidationError("empty matrix")
         _symmetrize(a, tol_herm)
         self.matrix: np.ndarray = _frozen(a)
+        self._unit = None  # (O1, h), kept by basis.hamiltonian_unit on first use
 
     @classmethod
     def _of_checked(cls, matrix: np.ndarray) -> "HermitianOperator":
@@ -188,7 +189,7 @@ class HermitianOperator:
         both computed routes, ``_of_computed`` and ``_of_exact``, once checked.
         """
         op = object.__new__(cls)
-        op.matrix = matrix
+        op.matrix, op._unit = matrix, None
         return op
 
     @classmethod

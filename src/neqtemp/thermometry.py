@@ -211,7 +211,7 @@ def reconstruct_generalized_gibbs(
     exponent = (
         -form.beta * H.matrix
         - form.log_norm * np.eye(H.dim)
-        + np.tensordot(form.c, basis.mats[2:], axes=1)
+        + basis._resum(form.c, 2)
     )
     return matrix_exp(HermitianOperator._of_computed(exponent)).matrix
 

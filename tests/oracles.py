@@ -89,6 +89,15 @@ def weakly_coupled(seed, d_s, d_b, g, beta=0.7):
     return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, _gibbs_state(eig_hermitian(h_sb), beta))
 
 
+def local_gibbs_product(seed, d_s, d_b, beta_s=1.0, beta_b=0.2):
+    """GUE H_S, H_B and 0.3 GUE H_I, with the product of H_S's Gibbs state at beta_s and H_B's at beta_b."""
+    rng = np.random.default_rng(seed)
+    h_s, h_b = gue_sample(d_s, rng), gue_sample(d_b, rng)
+    h_i = HermitianOperator(0.3 * gue_matrix(d_s * d_b, rng))
+    rho = tensor_product(_gibbs_state(eig_hermitian(h_s), beta_s), _gibbs_state(eig_hermitian(h_b), beta_b))
+    return BipartiteSystem(d_s, d_b, h_s, h_b, h_i, DensityMatrix(rho))
+
+
 def rank_deficient_system(seed, d_s, d_b, rank=2):
     """GUE Hamiltonians (0.5 GUE H_I) and a uniform mixture of ``rank`` Haar pure states of the joint space."""
     rng = np.random.default_rng(seed)

@@ -95,6 +95,19 @@ def householder_rows(d, seeds):
     return rows
 
 
+def every_reflector(d, seeds):
+    """complete_basis(d, seeds).mats with every Householder reflector applied, the identity of I/sqrt(d) too."""
+    m, n = len(seeds), d * d
+    head = np.vstack([np.eye(1, n), basis_module._frame_coordinates(np.array([s.matrix for s in seeds]))])
+    h, tau = np.linalg.qr(head.T, mode="raw")
+    rows = np.eye(n)
+    rows[:m + 1] = head
+    for i in range(m, -1, -1):
+        v = np.concatenate([[1.0], h[i, i + 1:]])
+        rows[m + 1:, i:] -= np.outer(rows[m + 1:, i:] @ (tau[i] * v), v)
+    return basis_module._frame_operators(rows, d)
+
+
 def orthonormal_seeds(hamiltonians):
     """The unit directions of the Hamiltonians, each orthogonalized against those before it."""
     seeds = []
@@ -300,7 +313,11 @@ class TestCompleteBasis:
 
     def test_members_are_views_of_the_read_only_stack(self):
         basis = complete_basis(3, [])
+        before = {i: basis[i].matrix for i in (1, -1)}  # built from their rows: the stack is not built yet
         assert basis.mats.shape == (9, 3, 3)
+        for i, m in before.items():
+            np.testing.assert_array_equal(m, basis.mats[i])
+            assert np.shares_memory(basis[i].matrix, basis.mats)
         assert not basis.mats.flags.writeable
         assert len(tuple(basis)) == len(basis) == 9
         for op, m in zip(basis, basis.mats):
@@ -319,6 +336,14 @@ class TestCompleteBasis:
             mats = complete_basis(d, seeds[:m]).mats
             np.testing.assert_array_equal(mats, OperatorBasis(d, mats).mats)
             np.testing.assert_array_equal(mats, mats.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_skipping_the_identity_reflector_is_exact(self, d):
+        # The reflector of I/sqrt(d) has tau = 0: applying it, as every other one, changes no bit of the stack.
+        rng = np.random.default_rng(200 + d)
+        seeds = orthonormal_seeds([gue_sample(d, rng) for _ in range(2)])
+        for m in (1, 2):
+            assert complete_basis(d, seeds[:m]).mats.tobytes() == every_reflector(d, seeds[:m]).tobytes()
 
     def test_frame_rows_checked(self):
         # A completion is checked on its frame coordinates alone; each

@@ -344,6 +344,21 @@ class TestTraceAlgebra:
             assert c == pytest.approx(hs_inner(o1, op) / norm, abs=1e-12)
         np.testing.assert_allclose(ops.O1_SB, o1.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("d_s,d_b", [(2, 3), (3, 2), (2, 4), (3, 4)])
+    def test_relation_weights_by_their_formulas(self, d_s, d_b):
+        # K_SB and K_chi share the denominator |C_S (O_S x I) + C_B (I x O_B)|_F^2 = C_S^2 d_B + C_B^2 d_S, taken
+        # here from the joint-space operators; only at d_S != d_B does it tell which coefficient goes with which d.
+        for seed in range(5):
+            sys = sample_bipartite(d_s, d_b, 0.5, np.random.default_rng(seed))
+            r, ops = correlation_inverse_temperature(sys), frame_operators(sys)
+            denom = np.linalg.norm(r.C_S * ops.O_S_I + r.C_B * ops.I_O_B) ** 2
+            local = r.C_S**2 + r.C_B**2
+            overlap_s, overlap_b = hs_inner(ops.O_I, ops.O_S_I), hs_inner(ops.O_I, ops.I_O_B)
+            k_sb = r.h_SB * (local + r.C_chi**2 * local / denom)
+            k_chi = r.h_I * (r.C_chi * r.h_chi * local / denom + r.C_S / d_b * overlap_s + r.C_B / d_s * overlap_b)
+            assert r.K_SB == pytest.approx(k_sb, rel=1e-12)
+            assert r.K_chi == pytest.approx(k_chi, rel=1e-12)
+
     def test_report_is_a_plain_value(self):
         sys = sample_bipartite(2, 3, 0.4, np.random.default_rng(71))
         report = correlation_inverse_temperature(sys)

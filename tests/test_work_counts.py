@@ -23,7 +23,11 @@ SVD (``svd``). The completion checks its basis in frame coordinates, so
 the public validation, ``OperatorBasis.__post_init__`` (``OperatorBasis``),
 runs only for a basis built from the user's matrices. The report takes H's
 unit direction once, to seed the basis (``hamiltonian_unit``); every
-analysis over the basis reads it from ``basis[1]``. A single-system report
+analysis over the basis reads it from ``basis[1]`` and checks it against the
+unit kept on H, so H's traceless part and weight are derived once
+(``unit_weight``). The analyses read the basis's frame coordinates, so the
+report never builds the (d^2, d, d) operator stack (``stacks`` counts the
+``_frame_operators`` calls given all d^2 rows). A single-system report
 at d=6 validates H and rho, takes beta and the passivity verdict: two
 eigendecompositions, rho's and H's, and one more per degenerate energy
 cluster of H, and 7 d^3 products: two checks per eigendecomposition, the
@@ -75,7 +79,7 @@ EXPECTED_SINGLE = {"eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "lo
 #: One generalized-Gibbs report at d=8.
 EXPECTED_BASIS = {
     "eigh": 2, "HermitianOperator": 2, "hamiltonian_unit": 1, "logs": 1, "hs_inner": 0,
-    "products": 6, "svd": 0, "OperatorBasis": 0,
+    "products": 6, "svd": 0, "OperatorBasis": 0, "unit_weight": 1, "stacks": 0,
 }
 
 
@@ -168,6 +172,8 @@ def install_counters(monkeypatch, keys, dim):
     modules = [m for name, m in sys.modules.items() if name.startswith("neqtemp")]
     for key, orig in (("products", linalg._matmul),
                       ("hamiltonian_unit", basis.hamiltonian_unit),
+                      ("unit_weight", basis._unit_weight),
+                      ("stacks", basis._frame_operators),
                       ("hs_inner", linalg.hs_inner),
                       ("inverse_temperature", thermometry.inverse_temperature),
                       ("temperatures", thermometry._inverse_temperature)):
@@ -177,6 +183,8 @@ def install_counters(monkeypatch, keys, dim):
             wrapped = counted_at_dim(key, orig, cubic)
         elif key == "hamiltonian_unit":
             wrapped = counted_at_dim(key, orig, lambda h: h.dim)
+        elif key == "stacks":
+            wrapped = counted_at_dim(key, orig, lambda rows, d: d if len(rows) == d * d else 0)
         else:
             wrapped = counted(key, orig)
         for mod in modules:
